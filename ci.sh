@@ -17,6 +17,21 @@ cargo run --release --example experiments -- e10 e12
 cargo test -q -p sysnet --test cache_properties
 cargo run --release --example router_bench -- --quick
 
+# Benchmark smoke: perfbench is a workspace of its own that builds against
+# sysnet by path, so nothing above compiles it and an API change could
+# break it silently. Build it, run both gated workloads for 3 s with the
+# traced stage ladder, and require the last JSON line to report every
+# check passed.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+for w in fwd-min lb-nat; do
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$w" --seconds 3 --trace 1 | tail -n 1 | python3 -c '
+import json, sys
+r = json.loads(sys.stdin.read())
+assert r["correct"] is True and r["failed"] == 0, {k: r[k] for k in ("correct", "attempted", "failed")}
+'
+done
+
 # Observability smoke: E11 at quick scale, the obs bench without the budget
 # gate (a loaded CI box can't referee a 5% throughput claim — obs_bench
 # --quick never rewrites BENCH_obs.json), and the flight-recorder dump

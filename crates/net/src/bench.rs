@@ -485,24 +485,35 @@ fn churn_point(
     let churn = (rate > 0).then(|| {
         let updater = router.updater();
         let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
+        let started = Arc::new(std::sync::Barrier::new(2));
+        let thread_started = Arc::clone(&started);
+        let handle = std::thread::spawn(move || {
+            thread_started.wait();
             // Wall-clock pacing: apply however many updates the elapsed
-            // time says are due, then yield. Every insert changes the next
-            // hop, so every one is a real publication.
+            // time says are due, then yield. The first update is due at
+            // t = 0, so even a stream shorter than one update period sees
+            // churn. Every insert changes the next hop, so every one is a
+            // real publication.
             let start = Instant::now();
             let mut applied = 0u64;
-            while !stop.load(Ordering::Relaxed) {
+            loop {
                 #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-                let due = (start.elapsed().as_secs_f64() * rate as f64) as u64;
+                let due = (start.elapsed().as_secs_f64() * rate as f64) as u64 + 1;
                 while applied < due {
                     let hop = PortId::try_from(applied as usize % PORTS).expect("fits");
                     let _ = updater.insert(FLAP_PREFIX, FLAP_LEN, hop);
                     applied += 1;
                 }
+                if stop.load(Ordering::Relaxed) {
+                    break applied;
+                }
                 std::thread::yield_now();
             }
-            applied
-        })
+        });
+        // Submit nothing until the updater runs: on a loaded host the
+        // whole stream can otherwise finish before it is first scheduled.
+        started.wait();
+        handle
     });
     for frame in &frames[..half] {
         router.submit(frame);

@@ -1,8 +1,8 @@
 //! The per-worker flow → next-hop route cache.
 //!
-//! A trie walk is O(32) pointer chases; real traffic is a handful of hot
-//! flows repeating the same destinations, so the sharded router fronts its
-//! [`TrieTable`] with a direct-mapped cache: the flow key indexes a slot
+//! A trie walk is up to eight dependent loads (one per stride-4 node); real
+//! traffic is a handful of hot flows repeating the same destinations, so
+//! the sharded router fronts its [`TrieTable`] with a direct-mapped cache: the flow key indexes a slot
 //! through the shared FNV-1a hash (the same [`sysobs::fnv1a`] the
 //! dispatcher shards flows with), and a hit is one hash of eight bytes plus
 //! one exact compare — no walk at all.

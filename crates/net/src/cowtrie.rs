@@ -1,14 +1,16 @@
 //! Copy-on-write LPM publication over epoch reclamation.
 //!
-//! [`CowRouteTable`] holds the same binary trie as [`crate::lpm::TrieTable`],
-//! but with raw-pointer nodes behind one atomic root, so route updates and
-//! packet dispatch overlap instead of excluding each other:
+//! [`CowRouteTable`] holds the same stride-4 multibit trie as
+//! [`crate::lpm::TrieTable`] — the same node layout, the same edits, the
+//! same lookup walk — but in a node slab behind one atomic root pointer, so
+//! route updates and packet dispatch overlap instead of excluding each
+//! other:
 //!
 //! * **Writers** (serialized by an internal mutex — route updates are a
-//!   control-plane trickle, not a data-plane firehose) clone the O(depth)
-//!   spine from the root to the changed node, splice the unchanged subtrees
-//!   in by pointer, and publish the whole update with a single atomic root
-//!   store. The replaced spine nodes are retired into a
+//!   control-plane trickle, not a data-plane firehose) clone the spine from
+//!   the root to the changed node (at most eight nodes), splice the
+//!   unchanged subtrees in by link, and publish the whole update with a
+//!   single atomic root store. The replaced spine nodes are retired into a
 //!   [`sysmem::epoch::Domain`] and come back through the writer's node pool
 //!   once every reader that might have seen them has unpinned — so steady
 //!   route churn allocates nothing.
@@ -16,6 +18,12 @@
 //!   loads per *batch* — publication count, then root — and from there the
 //!   lookup hot path is exactly the plain trie walk: zero synchronization
 //!   per packet.
+//!
+//! Links are relative offsets within the slab, so a reader needs nothing
+//! but the root pointer. When the slab fills, the writer copies it into one
+//! twice the size (same indices, so every link stays valid) and retires the
+//! old slab through the same epoch domain: readers pinned before the next
+//! publication keep walking the old copy, which nothing writes any more.
 //!
 //! The publication counter is the cache generation ([`Routes::generation`]).
 //! Ordering is load-bearing and asymmetric on purpose: the **writer stores
@@ -30,68 +38,167 @@
 //! re-installing an identical next hop publishes nothing — no root swap, no
 //! counter bump, no cache invalidation anywhere.
 //!
-//! Unsafe code is confined to this module and leans on three invariants the
-//! `syscheck` models (`tests/cowtrie_model.rs`) and the epoch models in
-//! `crates/mem` check mechanically: published nodes are immutable; a node is
-//! retired only after it becomes unreachable from the published root; and
-//! retired nodes are recycled only once no pinned reader can reference them.
+//! The publication protocol's unsafe code is confined to this module and
+//! leans on three invariants the `syscheck` models
+//! (`tests/cowtrie_model.rs`) and the epoch models in `crates/mem` check
+//! mechanically: published nodes are immutable; a node is retired only
+//! after it becomes unreachable from the published root; and retired nodes
+//! are recycled only once no pinned reader can reference them.
 
 use crate::lpm::{canonical, RouteError, Routes, TrieTable};
-use std::ptr;
+use crate::stride::{self, Node, RouteSet, Store};
+use std::alloc::{self, Layout};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use syscheck::shim::{AtomicPtr, AtomicU64, Mutex};
 use sysmem::epoch;
 
-/// A trie node, published by pointer. Never mutated after the root store
-/// that makes it reachable; child pointers either are null or point at
-/// nodes published no later than this one.
-struct CowNode<T> {
-    children: [*mut CowNode<T>; 2],
-    value: Option<T>,
+/// Fixed-capacity node storage that never moves: readers hold pointers into
+/// it. Slots `0..used` have been written at least once; the rest are
+/// uninitialized and never read.
+struct Slab<T> {
+    base: *mut Node<T>,
+    cap: u32,
+    used: u32,
 }
 
-/// A retired node pointer traveling through the epoch domain. The raw
-/// pointer is `Send`-wrapped: ownership genuinely transfers (writer retires,
-/// collector recycles), and no reader dereferences it after maturity — that
-/// is the epoch protocol's whole job.
-struct Retired<T>(*mut CowNode<T>);
-
-unsafe impl<T: Send> Send for Retired<T> {}
-
-/// Writer-side state behind the update mutex: the recycled-node pool the
-/// epoch collector refills, so steady-state updates reuse boxes instead of
-/// allocating.
-struct WriterState<T> {
-    pool: Vec<*mut CowNode<T>>,
-}
-
-impl<T: Copy> WriterState<T> {
-    /// A blank node: pooled if possible, freshly boxed otherwise.
-    fn fresh_node(&mut self) -> *mut CowNode<T> {
-        match self.pool.pop() {
-            Some(p) => unsafe {
-                (*p).children = [ptr::null_mut(), ptr::null_mut()];
-                (*p).value = None;
-                p
-            },
-            None => Box::into_raw(Box::new(CowNode {
-                children: [ptr::null_mut(), ptr::null_mut()],
-                value: None,
-            })),
-        }
+impl<T: Copy> Slab<T> {
+    fn layout(cap: u32) -> Layout {
+        Layout::array::<Node<T>>(cap as usize).expect("slab size overflows")
     }
 
-    /// A shallow copy of `src`: same value, same child pointers (unchanged
-    /// subtrees are shared, not cloned).
+    fn with_capacity(cap: u32) -> Self {
+        let cap = cap.max(1);
+        // SAFETY: the layout has non-zero size (`cap ≥ 1`, nodes are not
+        // zero-sized).
+        let base = unsafe { alloc::alloc(Self::layout(cap)) }.cast::<Node<T>>();
+        if base.is_null() {
+            alloc::handle_alloc_error(Self::layout(cap));
+        }
+        Slab { base, cap, used: 0 }
+    }
+
+    /// A slab holding a copy of `nodes` at the same indices, with room for
+    /// `spare` more.
+    fn copy_of(nodes: &[Node<T>], spare: u32) -> Self {
+        let used = u32::try_from(nodes.len()).expect("node index fits u32");
+        let mut slab = Self::with_capacity(used.checked_add(spare).expect("slab size overflows"));
+        // SAFETY: the slab holds at least `used` slots, is a fresh
+        // allocation (no overlap), and `Node<T>` is `Copy`.
+        unsafe { std::ptr::copy_nonoverlapping(nodes.as_ptr(), slab.base, nodes.len()) };
+        slab.used = used;
+        slab
+    }
+
+    /// The slot `i`, which must have been written (`i < used`).
+    fn at(&self, i: u32) -> *mut Node<T> {
+        assert!(i < self.used, "slot {i} was never written");
+        // SAFETY: `i < used ≤ cap`, so the offset stays in the allocation.
+        unsafe { self.base.add(i as usize) }
+    }
+
+    /// Frees the storage.
     ///
-    /// Safety: `src` must point at a live node the caller may read (the
-    /// writer lock is held and `src` is reachable from the current root).
-    unsafe fn clone_node(&mut self, src: *const CowNode<T>) -> *mut CowNode<T> {
-        let p = self.fresh_node();
-        (*p).children = (*src).children;
-        (*p).value = (*src).value;
-        p
+    /// # Safety
+    ///
+    /// No reader may still reach the slab, and it is not used afterwards.
+    unsafe fn free(&self) {
+        alloc::dealloc(self.base.cast(), Self::layout(self.cap));
+    }
+}
+
+/// What travels through the epoch domain: a replaced node's slot, or a
+/// whole slab outgrown by the writer. Raw storage is `Send`-wrapped:
+/// ownership genuinely transfers (writer retires, collector recycles or
+/// frees), and no reader touches it after maturity — that is the epoch
+/// protocol's whole job.
+enum Retired<T> {
+    Node(u32),
+    Slab(Slab<T>),
+}
+
+// SAFETY: a `Node` index is plain data; a `Slab` is owned storage whose
+// pointer no other value aliases once retired, holding `T`s by value.
+unsafe impl<T: Send> Send for Retired<T> {}
+
+/// Writer-side state behind the update mutex: the node slab, the
+/// recycled-slot pool the epoch collector refills (so steady-state updates
+/// reuse slots instead of growing the slab), and the exact route set.
+struct WriterState<T> {
+    slab: Slab<T>,
+    pool: Vec<u32>,
+    routes: RouteSet<T>,
+    /// The published root's slot.
+    root: u32,
+    /// Published nodes the current update copied; retired once it
+    /// publishes.
+    replaced: Vec<u32>,
+    /// Slabs the current update outgrew; retired once it publishes.
+    outgrown: Vec<Slab<T>>,
+    /// Copies the current update pruned before publishing them.
+    pruned: u64,
+}
+
+impl<T: Copy> Store<T> for WriterState<T> {
+    fn node(&self, at: u32) -> &Node<T> {
+        // SAFETY: `at` checks `at < used`, so the slot is initialized; the
+        // writer lock is held, so nothing writes it meanwhile.
+        unsafe { &*self.slab.at(at) }
+    }
+
+    fn node_mut(&mut self, at: u32) -> &mut Node<T> {
+        // SAFETY: as above; writable nodes are unpublished, so no reader
+        // can reach them.
+        unsafe { &mut *self.slab.at(at) }
+    }
+
+    /// A blank slot: pooled if possible, then the slab's unused tail, then a
+    /// slab of twice the size (the old one is retired at publication, since
+    /// pinned readers may still walk it).
+    fn alloc(&mut self) -> u32 {
+        let at = match self.pool.pop() {
+            Some(at) => at,
+            None => {
+                if self.slab.used == self.slab.cap {
+                    // SAFETY: slots `0..used` are initialized and nothing
+                    // writes them while this borrow lives.
+                    let live = unsafe {
+                        std::slice::from_raw_parts(self.slab.base, self.slab.used as usize)
+                    };
+                    let grown = Slab::copy_of(live, self.slab.cap);
+                    self.outgrown.push(std::mem::replace(&mut self.slab, grown));
+                }
+                self.slab.used += 1;
+                self.slab.used - 1
+            }
+        };
+        // SAFETY: in bounds; the slot is unreachable from any published
+        // root (fresh, or recycled after its grace period).
+        unsafe { self.slab.at(at).write(Node::EMPTY) };
+        at
+    }
+
+    fn writable(&mut self, at: u32) -> u32 {
+        let to = self.alloc();
+        let mut copy = *self.node(at);
+        copy.rebase(at, to);
+        *self.node_mut(to) = copy;
+        self.replaced.push(at);
+        to
+    }
+
+    fn release(&mut self, at: u32) {
+        // Never published, so straight back to the pool.
+        self.pool.push(at);
+        self.pruned += 1;
+    }
+
+    fn route_set(&mut self) -> &mut RouteSet<T> {
+        &mut self.routes
+    }
+
+    fn root(&self) -> u32 {
+        self.root
     }
 }
 
@@ -101,7 +208,7 @@ impl<T: Copy> WriterState<T> {
 /// [`CowRouteTable::insert`]/[`CowRouteTable::remove`] for the writer side.
 pub struct CowRouteTable<T: Copy + Send> {
     /// The published root. Never null: an empty table is an empty node.
-    root: AtomicPtr<CowNode<T>>,
+    root: AtomicPtr<Node<T>>,
     /// Publication counter — the table's [`Routes::generation`]. Bumped
     /// *after* the root store (see the module docs for why that order).
     publications: AtomicU64,
@@ -113,13 +220,14 @@ pub struct CowRouteTable<T: Copy + Send> {
     len: AtomicUsize,
     /// Where replaced spine nodes wait out their grace period.
     domain: Arc<epoch::Domain<Retired<T>>>,
-    /// Serializes writers; owns the recycled-node pool.
+    /// Serializes writers; owns the slab, the recycled-node pool and the
+    /// route set.
     writer: Mutex<WriterState<T>>,
 }
 
-// Safety: the raw pointers inside are governed by the publish/retire
+// SAFETY: the raw pointers inside are governed by the publish/retire
 // protocol — readers reach nodes only through a pinned root load, writers
-// mutate only unpublished clones under the writer mutex, and reclamation
+// mutate only unpublished slots under the writer mutex, and reclamation
 // waits out every pin. `T` itself crosses threads by value, hence `Send`.
 unsafe impl<T: Copy + Send> Send for CowRouteTable<T> {}
 unsafe impl<T: Copy + Send> Sync for CowRouteTable<T> {}
@@ -134,34 +242,41 @@ impl<T: Copy + Send> CowRouteTable<T> {
     /// An empty table at publication 0.
     #[must_use]
     pub fn new() -> Self {
-        let root = Box::into_raw(Box::new(CowNode {
-            children: [ptr::null_mut(), ptr::null_mut()],
-            value: None,
-        }));
-        CowRouteTable {
-            root: AtomicPtr::new(root),
-            publications: AtomicU64::new(0),
-            spine_recycled: AtomicU64::new(0),
-            len: AtomicUsize::new(0),
-            domain: Arc::new(epoch::Domain::new()),
-            writer: Mutex::new(WriterState { pool: Vec::new() }),
-        }
+        Self::with_parts(&[Node::EMPTY], &[], RouteSet::default(), 0)
     }
 
-    /// A table seeded from an exclusive [`TrieTable`]: one publication per
-    /// route, so the final publication count equals the generation a
-    /// [`TrieTable`] built from the same routes would carry.
+    /// A table seeded from an exclusive [`TrieTable`] in one pass: its node
+    /// array is copied (same layout, same indices) and published once, at
+    /// the publication count equal to the source's generation.
     #[must_use]
-    pub fn from_trie(table: &TrieTable<T>) -> Self
-    where
-        T: PartialEq,
-    {
-        let cow = Self::new();
-        for (prefix, len, hop) in table.routes() {
-            cow.insert(prefix, len, hop)
-                .expect("routes() yields canonical prefixes");
+    pub fn from_trie(table: &TrieTable<T>) -> Self {
+        let (nodes, free, routes) = table.parts();
+        Self::with_parts(nodes, free, routes.clone(), table.generation())
+    }
+
+    fn with_parts(nodes: &[Node<T>], free: &[u32], routes: RouteSet<T>, publications: u64) -> Self {
+        // Spare slots for the first spines cloned before any retiree
+        // matures; untouched slots cost address space, not memory.
+        #[allow(clippy::cast_possible_truncation)]
+        let spare = (nodes.len() / 4) as u32 + 64;
+        let slab = Slab::copy_of(nodes, spare);
+        let len = routes.len();
+        CowRouteTable {
+            root: AtomicPtr::new(slab.at(0)),
+            publications: AtomicU64::new(publications),
+            spine_recycled: AtomicU64::new(0),
+            len: AtomicUsize::new(len),
+            domain: Arc::new(epoch::Domain::new()),
+            writer: Mutex::new(WriterState {
+                slab,
+                pool: free.to_vec(),
+                routes,
+                root: 0,
+                replaced: Vec::with_capacity(stride::LEVELS),
+                outgrown: Vec::new(),
+                pruned: 0,
+            }),
         }
-        cow
     }
 
     /// Number of installed routes.
@@ -217,12 +332,6 @@ impl<T: Copy + Send> CowRouteTable<T> {
         }
     }
 
-    /// The bit choosing the child at `depth` along `prefix`'s path.
-    #[inline]
-    fn bit(prefix: u32, depth: u8) -> usize {
-        usize::from((prefix >> (31 - depth)) & 1 != 0)
-    }
-
     /// Installs `prefix/len → next_hop`, returning the replaced next hop if
     /// the canonical route existed. A value-preserving re-insert publishes
     /// nothing at all: no allocation, no root store, no counter bump.
@@ -241,72 +350,13 @@ impl<T: Copy + Send> CowRouteTable<T> {
     {
         let prefix = canonical(prefix, len)?;
         let mut w = self.writer.lock().expect("cow writer poisoned");
-        let old_root = self.root.load(Ordering::SeqCst);
-        // Writer-exclusive read of the current value at the path: decides
-        // the no-op case before any allocation.
-        let old = unsafe {
-            let mut node = old_root.cast_const();
-            let mut depth = 0u8;
-            loop {
-                if depth == len {
-                    break (*node).value;
-                }
-                let child = (*node).children[Self::bit(prefix, depth)];
-                if child.is_null() {
-                    break None;
-                }
-                node = child;
-                depth += 1;
-            }
-        };
-        if old == Some(next_hop) {
-            return Ok(old);
-        }
-        unsafe {
-            // Clone the spine, splicing shared subtrees in by pointer.
-            let new_root = w.clone_node(old_root);
-            let mut new_node = new_root;
-            let mut old_node = old_root; // goes null past the existing path
-            for depth in 0..len {
-                let bit = Self::bit(prefix, depth);
-                let old_child = if old_node.is_null() {
-                    ptr::null_mut()
-                } else {
-                    (*old_node).children[bit]
-                };
-                let new_child = if old_child.is_null() {
-                    w.fresh_node()
-                } else {
-                    w.clone_node(old_child)
-                };
-                (*new_node).children[bit] = new_child;
-                new_node = new_child;
-                old_node = old_child;
-            }
-            (*new_node).value = Some(next_hop);
-            // Publish: root first, counter second (module docs).
-            self.root.store(new_root, Ordering::SeqCst);
-            self.publications.fetch_add(1, Ordering::SeqCst);
+        let (old, root) = w.insert_route(prefix, len, next_hop);
+        if let Some(root) = root {
+            self.publish(&mut w, root);
             if old.is_none() {
                 self.len.fetch_add(1, Ordering::Relaxed);
             }
-            // Retire the replaced spine: the old root and every old node
-            // that existed along the path.
-            self.domain.retire(Retired(old_root));
-            let mut old_node = old_root;
-            for depth in 0..len {
-                let child = (*old_node).children[Self::bit(prefix, depth)];
-                if child.is_null() {
-                    break;
-                }
-                self.domain.retire(Retired(child));
-                old_node = child;
-            }
         }
-        let pool = &mut w.pool;
-        let recycled = self.domain.collect(|Retired(p)| pool.push(p));
-        self.spine_recycled
-            .fetch_add(recycled as u64, Ordering::Relaxed);
         Ok(old)
     }
 
@@ -325,81 +375,38 @@ impl<T: Copy + Send> CowRouteTable<T> {
     pub fn remove(&self, prefix: u32, len: u8) -> Result<Option<T>, RouteError> {
         let prefix = canonical(prefix, len)?;
         let mut w = self.writer.lock().expect("cow writer poisoned");
-        let old_root = self.root.load(Ordering::SeqCst);
-        // The old spine, root first. 33 = the deepest path (root + /32).
-        let mut spine = [ptr::null_mut::<CowNode<T>>(); 33];
-        spine[0] = old_root;
-        let depth = usize::from(len);
-        unsafe {
-            for d in 0..len {
-                let child = (*spine[usize::from(d)]).children[Self::bit(prefix, d)];
-                if child.is_null() {
-                    return Ok(None);
-                }
-                spine[usize::from(d) + 1] = child;
-            }
-            let old = (*spine[depth]).value;
-            if old.is_none() {
-                return Ok(None);
-            }
-            // Clone and relink the spine, clear the terminal value.
-            let mut clones = [ptr::null_mut::<CowNode<T>>(); 33];
-            for (clone, node) in clones[..=depth].iter_mut().zip(spine[..=depth].iter()) {
-                *clone = w.clone_node(*node);
-            }
-            for d in 0..len {
-                (*clones[usize::from(d)]).children[Self::bit(prefix, d)] =
-                    clones[usize::from(d) + 1];
-            }
-            (*clones[depth]).value = None;
-            // Prune empty clones bottom-up; they were never published, so
-            // they go straight back to the pool.
-            for d in (1..=depth).rev() {
-                let n = clones[d];
-                if (*n).value.is_none() && (*n).children[0].is_null() && (*n).children[1].is_null()
-                {
-                    #[allow(clippy::cast_possible_truncation)]
-                    let bit = Self::bit(prefix, (d - 1) as u8);
-                    (*clones[d - 1]).children[bit] = ptr::null_mut();
-                    w.pool.push(n);
-                    self.spine_recycled.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    break;
-                }
-            }
-            self.root.store(clones[0], Ordering::SeqCst);
-            self.publications.fetch_add(1, Ordering::SeqCst);
+        let (old, root) = w.remove_route(prefix, len);
+        if let Some(root) = root {
+            self.publish(&mut w, root);
             self.len.fetch_sub(1, Ordering::Relaxed);
-            for node in &spine[..=depth] {
-                self.domain.retire(Retired(*node));
-            }
-            let pool = &mut w.pool;
-            let recycled = self.domain.collect(|Retired(p)| pool.push(p));
-            self.spine_recycled
-                .fetch_add(recycled as u64, Ordering::Relaxed);
-            Ok(old)
         }
+        Ok(old)
     }
 
-    /// The LPM walk against a specific root (shared by the writer-side and
-    /// pinned-view lookups).
-    ///
-    /// Safety: `root` must be non-null and protected — either pinned under
-    /// the epoch or read while holding the writer lock.
-    unsafe fn lookup_at(root: *const CowNode<T>, addr: u32) -> Option<T> {
-        let mut node = &*root;
-        let mut best = node.value;
-        for depth in 0..32u8 {
-            let child = node.children[Self::bit(addr, depth)];
-            if child.is_null() {
-                break;
-            }
-            node = &*child;
-            if node.value.is_some() {
-                best = node.value;
-            }
+    /// Publishes the spine an update built: root first, counter second
+    /// (module docs), then retires what it replaced and collects whatever
+    /// has matured back into the pool.
+    fn publish(&self, w: &mut WriterState<T>, root: u32) {
+        w.root = root;
+        self.root.store(w.slab.at(root), Ordering::SeqCst);
+        self.publications.fetch_add(1, Ordering::SeqCst);
+        for at in w.replaced.drain(..) {
+            self.domain.retire(Retired::Node(at));
         }
-        best
+        for slab in w.outgrown.drain(..) {
+            self.domain.retire(Retired::Slab(slab));
+        }
+        let pool = &mut w.pool;
+        let mut recycled = std::mem::take(&mut w.pruned);
+        self.domain.collect(|r| match r {
+            Retired::Node(at) => {
+                pool.push(at);
+                recycled += 1;
+            }
+            // SAFETY: matured — no pinned reader can still walk it.
+            Retired::Slab(slab) => unsafe { slab.free() },
+        });
+        self.spine_recycled.fetch_add(recycled, Ordering::Relaxed);
     }
 
     /// Every installed route as `(canonical_prefix, len, next_hop)`,
@@ -411,55 +418,28 @@ impl<T: Copy + Send> CowRouteTable<T> {
     /// Panics if the writer mutex is poisoned.
     #[must_use]
     pub fn routes(&self) -> Vec<(u32, u8, T)> {
-        let _w = self.writer.lock().expect("cow writer poisoned");
-        let mut out = Vec::with_capacity(self.len());
-        unsafe {
-            Self::walk(self.root.load(Ordering::SeqCst), 0, 0, &mut out);
-        }
-        out
-    }
-
-    unsafe fn walk(node: *const CowNode<T>, prefix: u32, depth: u8, out: &mut Vec<(u32, u8, T)>) {
-        if let Some(v) = (*node).value {
-            out.push((prefix, depth, v));
-        }
-        if depth == 32 {
-            return;
-        }
-        for (bit, child) in (*node).children.iter().enumerate() {
-            if !child.is_null() {
-                #[allow(clippy::cast_possible_truncation)]
-                let prefix = prefix | ((bit as u32) << (31 - depth));
-                Self::walk(*child, prefix, depth + 1, out);
-            }
-        }
+        self.writer
+            .lock()
+            .expect("cow writer poisoned")
+            .routes
+            .sorted()
     }
 }
 
 impl<T: Copy + Send> Drop for CowRouteTable<T> {
     fn drop(&mut self) {
-        // Exclusive access: free the published tree recursively, then every
-        // retired node (flat — their subtrees are shared with the tree or
-        // with other retirees) and the pool.
-        unsafe fn free_tree<T>(p: *mut CowNode<T>) {
-            if p.is_null() {
-                return;
+        // Exclusive access: free every outgrown slab still in the epoch
+        // domain, then the current one. Retired node slots are indices
+        // into it. A poisoned writer lock leaks the slab rather than panic.
+        self.domain.drain(|r| {
+            if let Retired::Slab(slab) = r {
+                // SAFETY: `&mut self` — no reader or writer remains.
+                unsafe { slab.free() }
             }
-            let node = unsafe { Box::from_raw(p) };
-            unsafe {
-                free_tree(node.children[0]);
-                free_tree(node.children[1]);
-            }
-        }
-        unsafe {
-            free_tree(*self.root.get_mut());
-        }
-        self.domain
-            .drain(|Retired(p)| unsafe { drop(Box::from_raw(p)) });
-        if let Ok(mut w) = self.writer.lock() {
-            for p in w.pool.drain(..) {
-                unsafe { drop(Box::from_raw(p)) }
-            }
+        });
+        if let Ok(w) = self.writer.lock() {
+            // SAFETY: as above, and the slab is not touched again.
+            unsafe { w.slab.free() }
         }
     }
 }
@@ -518,16 +498,16 @@ impl<T: Copy + Send> std::fmt::Debug for RouteReader<T> {
 /// the flow cache run against it unchanged.
 pub struct RouteView<'a, T: Copy + Send> {
     _guard: epoch::Guard<'a, Retired<T>>,
-    root: *const CowNode<T>,
+    root: *const Node<T>,
     version: u64,
 }
 
 impl<T: Copy + Send> Routes<T> for RouteView<'_, T> {
     #[inline]
     fn lookup(&self, addr: u32) -> Option<T> {
-        // Safety: the root was loaded after the guard pinned, so every node
+        // SAFETY: the root was loaded after the guard pinned, so every node
         // reachable from it outlives the guard.
-        unsafe { CowRouteTable::lookup_at(self.root, addr) }
+        unsafe { stride::lookup(self.root, addr) }
     }
 
     #[inline]
@@ -659,6 +639,86 @@ mod tests {
             "pending {} retired nodes — reclamation is not keeping up",
             t.pending_reclaim()
         );
+    }
+
+    #[test]
+    fn a_host_route_insert_clones_at_most_one_spine() {
+        let t = Arc::new(CowRouteTable::new());
+        // Hold a pin from the start so nothing retired matures: the growth
+        // of the retired count is then exactly the number of published
+        // nodes an update copied.
+        let reader = t.reader();
+        let view = reader.pin();
+        t.insert(ip(10, 1, 2, 3), 32, 1u16).unwrap();
+        let before = t.pending_reclaim();
+        assert_eq!(before, 1, "only the empty root existed to copy");
+        t.insert(ip(10, 1, 2, 4), 32, 2).unwrap();
+        let cloned = t.pending_reclaim() - before;
+        assert_eq!(cloned, stride::LEVELS, "a /32 shares the full spine");
+        assert!(cloned <= 9);
+        assert_eq!(view.lookup(ip(10, 1, 2, 4)), None, "pinned snapshot");
+        drop(view);
+        assert_eq!(view_lookup(&t, ip(10, 1, 2, 4)), Some(2));
+    }
+
+    #[test]
+    fn steady_host_route_churn_allocates_no_node_slots() {
+        let t = Arc::new(CowRouteTable::new());
+        let reader = t.reader();
+        let mut present = [false; 64];
+        let mut flap = |n: usize| {
+            for i in 0..n {
+                let k = (i * 37) % 64;
+                let addr = ip(203, 0, 113, u8::try_from(k).unwrap());
+                if present[k] {
+                    t.remove(addr, 32).unwrap();
+                } else {
+                    t.insert(addr, 32, 7u16).unwrap();
+                }
+                present[k] = !present[k];
+                // A worker pinning between publications, as in the router.
+                drop(reader.pin());
+            }
+        };
+        flap(256);
+        let (used, base, cap) = {
+            let w = t.writer.lock().unwrap();
+            (w.slab.used, w.slab.base, w.routes.capacity())
+        };
+        flap(4_096);
+        let w = t.writer.lock().unwrap();
+        assert_eq!(w.slab.used, used, "churn took fresh slots after warm-up");
+        assert_eq!(w.slab.base, base, "churn regrew the slab");
+        assert_eq!(w.routes.capacity(), cap, "churn regrew the route set");
+    }
+
+    #[test]
+    fn an_outgrown_slab_stays_readable_until_its_readers_unpin() {
+        let mut trie = TrieTable::new();
+        let t = Arc::new(CowRouteTable::new());
+        t.insert(ip(10, 0, 0, 0), 8, 1u16).unwrap();
+        trie.insert(ip(10, 0, 0, 0), 8, 1u16).unwrap();
+        let reader = t.reader();
+        let view = reader.pin();
+        let base = t.writer.lock().unwrap().slab.base;
+        for i in 0..512u32 {
+            let addr = ip(10, 0, 0, 0) | (i.wrapping_mul(0x9E37_79B9) & 0x00FF_FFFF);
+            t.insert(addr, 32, 2).unwrap();
+            trie.insert(addr, 32, 2).unwrap();
+        }
+        assert_ne!(t.writer.lock().unwrap().slab.base, base, "the slab grew");
+        assert!(t.pending_reclaim() > 0);
+        // The old snapshot still answers from the slab it was pinned in.
+        for i in 0..512u32 {
+            let addr = ip(10, 0, 0, 0) | (i.wrapping_mul(0x9E37_79B9) & 0x00FF_FFFF);
+            assert_eq!(view.lookup(addr), Some(1));
+        }
+        drop(view);
+        let view = reader.pin();
+        for i in 0..4_096u32 {
+            let addr = ip(10, 0, 0, 0) | (i.wrapping_mul(0x9E37_79B9) & 0x00FF_FFFF);
+            assert_eq!(view.lookup(addr), trie.lookup(addr));
+        }
     }
 
     #[test]

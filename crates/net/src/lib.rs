@@ -7,8 +7,8 @@
 //!
 //! Seven layers:
 //!
-//! * [`lpm`] — longest-prefix-match routing tables: a binary [`lpm::TrieTable`]
-//!   (the data plane's lookup structure) and the [`lpm::LinearTable`]
+//! * [`lpm`] — longest-prefix-match routing tables: a stride-4 multibit
+//!   [`lpm::TrieTable`] (the data plane's lookup structure) and the [`lpm::LinearTable`]
 //!   reference it is property-tested against. Both canonicalize prefixes on
 //!   insert (`prefix & mask`), fixing the silent never-matches bug an
 //!   unmasked entry like `10.1.2.9/24` used to cause. The trie carries a
@@ -16,6 +16,7 @@
 //!   trait abstracts "something you can route against", so the cache and
 //!   pipeline work identically over an exclusive trie or a concurrent view.
 //! * [`cowtrie`] — concurrent route updates: [`cowtrie::CowRouteTable`]
+//!   holds the same stride-4 nodes in an epoch-reclaimed slab and
 //!   publishes each change as a copy-on-write spine clone behind one atomic
 //!   root pointer, readers pin an epoch ([`sysmem::epoch`]) and walk a frozen
 //!   snapshot with zero synchronization per lookup, and retired nodes are
@@ -67,6 +68,7 @@ pub mod lbbench;
 pub mod lpm;
 pub mod pipeline;
 pub mod router;
+mod stride;
 
 pub use cache::FlowCache;
 pub use conntrack::{

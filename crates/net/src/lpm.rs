@@ -1,7 +1,8 @@
 //! Longest-prefix-match routing tables.
 //!
-//! [`TrieTable`] is the data plane's structure: a binary (unibit) trie over
-//! the address bits, O(32) per lookup independent of table size.
+//! [`TrieTable`] is the data plane's structure: a stride-4 multibit trie,
+//! one node per four address bits, so a lookup takes at most eight
+//! dependent loads independent of table size.
 //! [`LinearTable`] is the obviously-correct O(n) reference the trie is
 //! property-tested against — and the old `packet_router` example's
 //! implementation, kept as the baseline experiment E10 measures the trie's
@@ -13,6 +14,7 @@
 //! could never match anything — silently. Canonicalizing makes such an
 //! entry mean `10.1.2.0/24`, which is what every real routing stack does.
 
+use crate::stride::{self, Node, RouteSet, Store};
 use std::fmt;
 
 /// Error returned for malformed route operations.
@@ -98,38 +100,37 @@ impl<T: Copy, R: Routes<T>> Routes<T> for &R {
     }
 }
 
-#[derive(Debug)]
-struct Node<T> {
-    children: [Option<Box<Node<T>>>; 2],
-    value: Option<T>,
-}
-
-impl<T> Default for Node<T> {
-    fn default() -> Self {
-        Node {
-            children: [None, None],
-            value: None,
-        }
-    }
-}
-
-impl<T> Node<T> {
-    fn is_empty(&self) -> bool {
-        self.value.is_none() && self.children.iter().all(Option::is_none)
-    }
-}
-
-/// A binary-trie longest-prefix-match table mapping IPv4 prefixes to a
-/// next-hop value.
+/// A stride-4 multibit longest-prefix-match table mapping IPv4 prefixes to
+/// a next-hop value.
 ///
-/// Lookups walk at most 32 nodes regardless of how many routes are
+/// Lookups walk at most eight nodes regardless of how many routes are
 /// installed; the linear reference walks every route. Experiment E10
-/// measures the crossover (it is well below 64 routes).
-#[derive(Debug, Default)]
+/// measures the two against each other (the trie wins from 5 routes). The
+/// nodes are the
+/// ones [`crate::cowtrie::CowRouteTable`] publishes, in one `Vec` with the
+/// root first; edits go in place.
 pub struct TrieTable<T> {
-    root: Node<T>,
-    len: usize,
+    nodes: Vec<Node<T>>,
+    /// Indices of pruned nodes, reused before the `Vec` grows.
+    free: Vec<u32>,
+    routes: RouteSet<T>,
     generation: u64,
+}
+
+impl<T: Copy> Default for TrieTable<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T: Copy> fmt::Debug for TrieTable<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TrieTable")
+            .field("len", &self.len())
+            .field("nodes", &self.node_count())
+            .field("generation", &self.generation)
+            .finish_non_exhaustive()
+    }
 }
 
 impl<T: Copy> TrieTable<T> {
@@ -137,8 +138,9 @@ impl<T: Copy> TrieTable<T> {
     #[must_use]
     pub fn new() -> Self {
         TrieTable {
-            root: Node::default(),
-            len: 0,
+            nodes: vec![Node::EMPTY],
+            free: Vec::new(),
+            routes: RouteSet::default(),
             generation: 0,
         }
     }
@@ -146,7 +148,7 @@ impl<T: Copy> TrieTable<T> {
     /// Number of installed routes.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len
+        self.routes.len()
     }
 
     /// Mutation generation: bumped by every routing-visible change — an
@@ -165,7 +167,13 @@ impl<T: Copy> TrieTable<T> {
     /// True when no routes are installed.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.routes.len() == 0
+    }
+
+    /// Trie nodes in use, the root included.
+    #[must_use]
+    pub fn node_count(&self) -> usize {
+        self.nodes.len() - self.free.len()
     }
 
     /// Installs `prefix/len → next_hop`, canonicalizing the prefix first.
@@ -179,20 +187,12 @@ impl<T: Copy> TrieTable<T> {
         T: PartialEq,
     {
         let prefix = canonical(prefix, len)?;
-        let mut node = &mut self.root;
-        for i in 0..len {
-            let bit = usize::from((prefix >> (31 - i)) & 1 != 0);
-            node = node.children[bit].get_or_insert_with(Box::default);
-        }
-        let old = node.value.replace(next_hop);
-        if old.is_none() {
-            self.len += 1;
-        }
         // Replacing a next hop with a *different* one changes routing
         // decisions just as much as a new route does; re-installing the
         // identical next hop changes nothing, and must not invalidate every
         // flow cache in the system.
-        if old != Some(next_hop) {
+        let (old, changed) = self.insert_route(prefix, len, next_hop);
+        if changed.is_some() {
             self.generation += 1;
         }
         Ok(old)
@@ -200,76 +200,75 @@ impl<T: Copy> TrieTable<T> {
 
     /// The longest-prefix match for `addr`, if any route covers it.
     #[must_use]
+    #[inline]
     pub fn lookup(&self, addr: u32) -> Option<T> {
-        let mut best = self.root.value;
-        let mut node = &self.root;
-        for i in 0..32u32 {
-            let bit = usize::from((addr >> (31 - i)) & 1 != 0);
-            match &node.children[bit] {
-                Some(child) => {
-                    if child.value.is_some() {
-                        best = child.value;
-                    }
-                    node = child;
-                }
-                None => break,
-            }
-        }
-        best
+        // SAFETY: the root is element 0, and the edits only ever link a
+        // node to another element of `nodes`.
+        unsafe { stride::lookup(self.nodes.as_ptr(), addr) }
     }
 
     /// Removes the route `prefix/len` (canonicalized), returning its next
-    /// hop if it was installed. Interior nodes left empty are pruned.
+    /// hop if it was installed. Nodes left empty are pruned.
     ///
     /// # Errors
     ///
     /// [`RouteError::PrefixLenOutOfRange`] when `len > 32`.
     pub fn remove(&mut self, prefix: u32, len: u8) -> Result<Option<T>, RouteError> {
         let prefix = canonical(prefix, len)?;
-        let removed = Self::remove_at(&mut self.root, prefix, 0, len);
+        let (removed, _) = self.remove_route(prefix, len);
         if removed.is_some() {
-            self.len -= 1;
             self.generation += 1;
         }
         Ok(removed)
     }
 
     /// Every installed route as `(canonical_prefix, len, next_hop)`,
-    /// depth-first. Used to seed other table representations (the
-    /// copy-on-write table in [`crate::cowtrie`] starts from one of these).
+    /// depth-first (by prefix, shorter first). Used to seed other table
+    /// representations and to compare them against this one.
     #[must_use]
     pub fn routes(&self) -> Vec<(u32, u8, T)> {
-        let mut out = Vec::with_capacity(self.len);
-        Self::walk(&self.root, 0, 0, &mut out);
-        out
+        self.routes.sorted()
     }
 
-    fn walk(node: &Node<T>, prefix: u32, depth: u8, out: &mut Vec<(u32, u8, T)>) {
-        if let Some(v) = node.value {
-            out.push((prefix, depth, v));
-        }
-        if depth == 32 {
-            return;
-        }
-        for (bit, child) in node.children.iter().enumerate() {
-            if let Some(child) = child {
-                let prefix = prefix | ((bit as u32) << (31 - depth));
-                Self::walk(child, prefix, depth + 1, out);
-            }
-        }
+    /// The node array (root first), its free list and the route set — what
+    /// [`crate::cowtrie::CowRouteTable::from_trie`] copies in one pass.
+    pub(crate) fn parts(&self) -> (&[Node<T>], &[u32], &RouteSet<T>) {
+        (&self.nodes, &self.free, &self.routes)
+    }
+}
+
+impl<T: Copy> Store<T> for TrieTable<T> {
+    fn node(&self, at: u32) -> &Node<T> {
+        &self.nodes[at as usize]
     }
 
-    fn remove_at(node: &mut Node<T>, prefix: u32, depth: u8, len: u8) -> Option<T> {
-        if depth == len {
-            return node.value.take();
+    fn node_mut(&mut self, at: u32) -> &mut Node<T> {
+        &mut self.nodes[at as usize]
+    }
+
+    fn alloc(&mut self) -> u32 {
+        if let Some(at) = self.free.pop() {
+            self.nodes[at as usize] = Node::EMPTY;
+            return at;
         }
-        let bit = usize::from((prefix >> (31 - depth)) & 1 != 0);
-        let child = node.children[bit].as_deref_mut()?;
-        let removed = Self::remove_at(child, prefix, depth + 1, len);
-        if child.is_empty() {
-            node.children[bit] = None;
-        }
-        removed
+        self.nodes.push(Node::EMPTY);
+        u32::try_from(self.nodes.len() - 1).expect("node index fits u32")
+    }
+
+    fn writable(&mut self, at: u32) -> u32 {
+        at
+    }
+
+    fn release(&mut self, at: u32) {
+        self.free.push(at);
+    }
+
+    fn route_set(&mut self) -> &mut RouteSet<T> {
+        &mut self.routes
+    }
+
+    fn root(&self) -> u32 {
+        0
     }
 }
 
@@ -429,7 +428,7 @@ mod tests {
         // Removing an unmasked spelling removes the canonical route.
         assert_eq!(t.remove(ip(10, 255, 255, 255), 8).unwrap(), Some("core"));
         assert!(t.is_empty());
-        assert!(t.root.is_empty(), "interior nodes must be pruned");
+        assert_eq!(t.node_count(), 1, "interior nodes must be pruned");
     }
 
     #[test]

@@ -173,6 +173,115 @@ proptest! {
     }
 }
 
+/// Prefix lengths on and beside every stride-4 node boundary, where
+/// controlled prefix expansion and its undo can go wrong.
+const BOUNDARY_LENS: [u8; 24] = [
+    0, 3, 4, 5, 7, 8, 9, 11, 12, 13, 15, 16, 17, 19, 20, 21, 23, 24, 25, 27, 28, 29, 31, 32,
+];
+
+/// One step of a boundary-biased history against both tables.
+#[derive(Debug, Clone, Copy)]
+enum BoundaryOp {
+    Insert {
+        prefix: u32,
+        len: u8,
+        hop: u16,
+    },
+    Remove {
+        prefix: u32,
+        len: u8,
+    },
+    /// Re-install the `n`-th route inserted so far with its current hop:
+    /// a routing no-op that must publish nothing.
+    Reinsert {
+        n: usize,
+    },
+    Probe {
+        dst: u32,
+    },
+}
+
+/// Addresses under 10.1.2.0/24 and 10.0.0.0/8 with one bit flipped or
+/// none, so routes of every length nest inside the same nodes.
+fn arb_nested_addr() -> impl Strategy<Value = u32> {
+    (0u32..2, 0u32..40).prop_map(|(a, bit)| {
+        let anchor = if a == 0 { 0x0A01_0203 } else { 0x0A00_0000 };
+        if bit < 32 {
+            anchor ^ (1 << bit)
+        } else {
+            anchor
+        }
+    })
+}
+
+fn arb_boundary_len() -> impl Strategy<Value = u8> {
+    (0usize..BOUNDARY_LENS.len()).prop_map(|i| BOUNDARY_LENS[i])
+}
+
+fn arb_boundary_op() -> impl Strategy<Value = BoundaryOp> {
+    prop_oneof![
+        3 => (arb_nested_addr(), arb_boundary_len(), 0u16..3)
+            .prop_map(|(prefix, len, hop)| BoundaryOp::Insert { prefix, len, hop }),
+        2 => (arb_nested_addr(), arb_boundary_len())
+            .prop_map(|(prefix, len)| BoundaryOp::Remove { prefix, len }),
+        1 => (0usize..64).prop_map(|n| BoundaryOp::Reinsert { n }),
+        3 => arb_nested_addr().prop_map(|dst| BoundaryOp::Probe { dst }),
+    ]
+}
+
+proptest! {
+    /// Boundary-biased histories: the copy-on-write table answers like the
+    /// exclusive one after every step, publishes exactly when the exclusive
+    /// table's generation moves, and a same-hop re-insert publishes
+    /// nothing.
+    #[test]
+    fn cow_matches_the_exclusive_table_across_stride_boundaries(
+        ops in proptest::collection::vec(arb_boundary_op(), 1..120),
+    ) {
+        let mut trie: TrieTable<u16> = TrieTable::new();
+        let cow: Arc<CowRouteTable<u16>> = Arc::new(CowRouteTable::new());
+        let reader = cow.reader();
+        let mut inserted: Vec<(u32, u8)> = Vec::new();
+        for op in &ops {
+            match *op {
+                BoundaryOp::Insert { prefix, len, hop } => {
+                    prop_assert_eq!(trie.insert(prefix, len, hop), cow.insert(prefix, len, hop));
+                    inserted.push((prefix, len));
+                }
+                BoundaryOp::Remove { prefix, len } => {
+                    prop_assert_eq!(trie.remove(prefix, len), cow.remove(prefix, len));
+                }
+                BoundaryOp::Reinsert { n } => {
+                    if inserted.is_empty() {
+                        continue;
+                    }
+                    let (prefix, len) = inserted[n % inserted.len()];
+                    let m = sysnet::lpm::mask(len);
+                    let Some(hop) = trie.routes().into_iter()
+                        .find(|&(p, l, _)| l == len && p == prefix & m)
+                        .map(|(_, _, h)| h) else { continue };
+                    let pubs = cow.publications();
+                    prop_assert_eq!(cow.insert(prefix, len, hop), Ok(Some(hop)));
+                    prop_assert_eq!(cow.publications(), pubs, "same-hop re-insert published");
+                }
+                BoundaryOp::Probe { dst } => {
+                    prop_assert_eq!(reader.pin().lookup(dst), trie.lookup(dst));
+                }
+            }
+            prop_assert_eq!(cow.publications(), trie.generation());
+            prop_assert_eq!(cow.len(), trie.len());
+            let view = reader.pin();
+            for &(prefix, len) in &inserted {
+                let m = sysnet::lpm::mask(len);
+                for addr in [prefix & m, prefix | !m] {
+                    prop_assert_eq!(view.lookup(addr), trie.lookup(addr));
+                }
+            }
+        }
+        prop_assert_eq!(trie.routes(), cow.routes());
+    }
+}
+
 fn ip(a: u8, b: u8, c: u8, d: u8) -> u32 {
     u32::from_be_bytes([a, b, c, d])
 }

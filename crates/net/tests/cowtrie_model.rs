@@ -16,8 +16,11 @@
 //!   lookups observes exactly one table version across multiple reads, even
 //!   mid-publication. Readers never see a half-built spine.
 //!
-//! Routes use one-bit prefixes so the spine is two nodes deep and the DFS
-//! tree stays small enough for a meaningful bounded search.
+//! The `/1` models keep the DFS tree small enough for a meaningful bounded
+//! search; their route sits entirely in the stride-4 root node. The `/5`
+//! variants run the same models on a route one stride further down, so
+//! every publication clones a two-node spine and links the copied child
+//! into the copied root before the root store.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -30,24 +33,37 @@ const PREFIX: u32 = 0;
 const LEN: u8 = 1;
 const ADDR: u32 = 0x0BAD_CAFE & 0x7FFF_FFFF;
 
-/// Writer re-points the /1 route from hop 1 to hop 2 and raises the flag;
+/// `8.0.0.0/5` — the shortest route stored below the root node.
+const DEEP_PREFIX: u32 = 0x0800_0000;
+const DEEP_LEN: u8 = 5;
+const DEEP_ADDR: u32 = 0x0BAD_CAFE;
+
+fn visibility_model() -> u64 {
+    visibility_model_for(PREFIX, LEN, ADDR)
+}
+
+fn snapshot_model() -> u64 {
+    snapshot_model_for(PREFIX, LEN, ADDR)
+}
+
+/// Writer re-points the route from hop 1 to hop 2 and raises the flag;
 /// the main thread samples the flag, then pins. Flag observed ⇒ the new
 /// hop is the only acceptable answer.
-fn visibility_model() -> u64 {
+fn visibility_model_for(prefix: u32, len: u8, addr: u32) -> u64 {
     let table: Arc<CowRouteTable<u16>> = Arc::new(CowRouteTable::new());
-    table.insert(PREFIX, LEN, 1).unwrap();
+    table.insert(prefix, len, 1).unwrap();
     let reader = table.reader();
     let published = Arc::new(AtomicBool::new(false));
 
     let (t, p) = (Arc::clone(&table), Arc::clone(&published));
     let writer = syscheck::shim::spawn(move || {
-        t.insert(PREFIX, LEN, 2).unwrap();
+        t.insert(prefix, len, 2).unwrap();
         p.store(true, Ordering::SeqCst);
     });
 
     let saw_publication = published.load(Ordering::SeqCst);
     let view = reader.pin();
-    let hop = view.lookup(ADDR);
+    let hop = view.lookup(addr);
     if saw_publication {
         assert_eq!(
             hop,
@@ -69,19 +85,19 @@ fn visibility_model() -> u64 {
 
 /// A view pinned before its first lookup reads the same version twice,
 /// no matter where the concurrent publication lands between the reads.
-fn snapshot_model() -> u64 {
+fn snapshot_model_for(prefix: u32, len: u8, addr: u32) -> u64 {
     let table: Arc<CowRouteTable<u16>> = Arc::new(CowRouteTable::new());
-    table.insert(PREFIX, LEN, 1).unwrap();
+    table.insert(prefix, len, 1).unwrap();
     let reader = table.reader();
 
     let t = Arc::clone(&table);
     let writer = syscheck::shim::spawn(move || {
-        t.insert(PREFIX, LEN, 2).unwrap();
+        t.insert(prefix, len, 2).unwrap();
     });
 
     let view = reader.pin();
-    let first = view.lookup(ADDR);
-    let second = view.lookup(ADDR);
+    let first = view.lookup(addr);
+    let second = view.lookup(addr);
     assert_eq!(
         first, second,
         "a pinned view changed versions between lookups"
@@ -143,6 +159,48 @@ fn checker_pinned_view_is_a_frozen_snapshot() {
     assert!(ex.complete, "snapshot model must be exhaustive");
     // Both hops are legitimate terminal states (pin before vs after the
     // publication); more than two would mean a third, torn, version.
+    assert!(
+        ex.distinct_states <= 2,
+        "torn state: {}",
+        ex.distinct_states
+    );
+}
+
+#[test]
+fn checker_deep_spine_update_visible_to_next_pinned_read() {
+    assert_eq!(DEEP_ADDR & sysnet::lpm::mask(DEEP_LEN), DEEP_PREFIX);
+    let cfg = Config {
+        preemption_bound: 2,
+        max_schedules: 200_000,
+        ..Config::default()
+    };
+    let ex = syscheck::explore(&cfg, || {
+        visibility_model_for(DEEP_PREFIX, DEEP_LEN, DEEP_ADDR)
+    });
+    assert!(
+        ex.failure.is_none(),
+        "a schedule hid a two-node spine from a later pin: {:?}",
+        ex.failure
+    );
+    assert!(ex.complete, "deep visibility model must be exhaustive");
+}
+
+#[test]
+fn checker_deep_spine_pinned_view_is_a_frozen_snapshot() {
+    let cfg = Config {
+        preemption_bound: 2,
+        max_schedules: 200_000,
+        ..Config::default()
+    };
+    let ex = syscheck::explore(&cfg, || {
+        snapshot_model_for(DEEP_PREFIX, DEEP_LEN, DEEP_ADDR)
+    });
+    assert!(
+        ex.failure.is_none(),
+        "a pinned view tore mid-publication of a two-node spine: {:?}",
+        ex.failure
+    );
+    assert!(ex.complete, "deep snapshot model must be exhaustive");
     assert!(
         ex.distinct_states <= 2,
         "torn state: {}",

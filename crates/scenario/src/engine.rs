@@ -20,7 +20,7 @@
 //! observability modes ([`run_campaign`] verifies both).
 
 use crate::spec::{Arrival, ControlEvent, Expectation, PinHold, PlaneSpec, Scenario};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, RwLock};
 use std::time::Instant;
 use sysfault::{FaultInjector, FaultPlan};
 use sysnet::conntrack::{Conntrack, ConntrackConfig, EvictCause, FlowKey};
@@ -869,14 +869,22 @@ fn run_cow(s: &Scenario, pin: Option<PinHold>) -> ScenarioOutcome {
 /// returned [`ScenarioOutcome::digest`] is bit-identical across runs.
 #[must_use]
 pub fn run_scenario(s: &Scenario) -> ScenarioOutcome {
+    let _g = TRACE_LOCK
+        .read()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    run_scenario_unlocked(s)
+}
+
+fn run_scenario_unlocked(s: &Scenario) -> ScenarioOutcome {
     match s.plane {
         PlaneSpec::Trie => run_trie(s),
         PlaneSpec::Cow { pin } => run_cow(s, pin),
     }
 }
 
-/// Serializes traced runs: the recorder and mode are process-global.
-static TRACE_LOCK: Mutex<()> = Mutex::new(());
+/// The recorder and mode are process-global: traced runs take this
+/// exclusively, so no plain run (shared) overlaps one and perturbs it.
+static TRACE_LOCK: RwLock<()> = RwLock::new(());
 
 /// Runs a scenario under full tracing and returns `(outcome,
 /// trace_shape_digest, postmortems_fired)`. The outcome digest must equal
@@ -885,7 +893,7 @@ static TRACE_LOCK: Mutex<()> = Mutex::new(());
 #[must_use]
 pub fn run_scenario_traced(s: &Scenario) -> (ScenarioOutcome, u64, usize) {
     let _g = TRACE_LOCK
-        .lock()
+        .write()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     let prev = sysobs::mode();
     sysobs::set_mode(sysobs::Mode::Tracing);
@@ -894,7 +902,7 @@ pub fn run_scenario_traced(s: &Scenario) -> (ScenarioOutcome, u64, usize) {
     let mut triggers = sysobs::trigger::TriggerEngine::standard();
     // Baseline the delta watches against whatever the process did before.
     let _ = triggers.poll(None);
-    let out = run_scenario(s);
+    let out = run_scenario_unlocked(s);
     let shape = sysobs::recorder::shape_digest();
     let postmortems = triggers.poll(Some(out.fault_digest)).len();
     sysobs::recorder::unfreeze();

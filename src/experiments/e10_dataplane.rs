@@ -6,7 +6,8 @@
 //! that promotion made:
 //!
 //! * **lookup structure** — ns/lookup for the O(n) linear-scan reference vs
-//!   the O(32) binary trie as the route table grows. The linear scan was
+//!   the stride-4 multibit trie (at most eight dependent loads) as the
+//!   route table grows. The linear scan was
 //!   fine at 4 routes; the trie must win by a ≥64-route table or the
 //!   structure isn't paying for itself.
 //! * **sharding** — end-to-end packets/sec and p50/p99 per-packet latency
@@ -102,7 +103,7 @@ pub fn run(scale: Scale) -> Table {
 
     t.note(format!(
         "trie speedup over linear scan at the largest table: {speedup_64:.1}x \
-         (O(32) vs O(n): the gap widens with every route added)"
+         (at most 8 trie nodes vs O(n): the gap widens with every route added)"
     ));
     t.note(format!(
         "pipeline: {} packets per config, batch 64, zero-copy sysrepr views, \
