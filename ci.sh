@@ -9,12 +9,14 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 # Data-plane smoke: the end-to-end example (asserts conservation and the
 # canonicalization fix), the E10/E12 experiments at quick scale, the flow
-# cache + pool differential suite, and the bench with its steady-state
-# allocs/packet ≈ 0 assertion. router_bench --quick never rewrites the
-# recorded BENCH_router.json.
+# cache + pool differential suite, the pipeline stage-composition suite
+# (a stage with nothing to do changes nothing), and the bench with its
+# steady-state allocs/packet ≈ 0 assertion. router_bench --quick never
+# rewrites the recorded BENCH_router.json.
 cargo run --release --example packet_router
 cargo run --release --example experiments -- e10 e12
 cargo test -q -p sysnet --test cache_properties
+cargo test -q -p sysnet --test pipeline_stages
 cargo run --release --example router_bench -- --quick
 
 # Benchmark smoke: perfbench is a workspace of its own that builds against
@@ -122,14 +124,18 @@ assert f["recovery_ns"] <= f["probe_interval_ns"], f
 assert all(s["steady_allocs_per_packet"] < 0.05 for s in bench["scenarios"]), bench["scenarios"]
 EOF
 
-# Scenario-campaign smoke: the sysscenario suite (engine + fuzzer units,
-# the adversarial dnat/snat suite, the replay-determinism properties),
-# E18 at quick scale, and the campaign bench in quick mode — which
+# Scenario-campaign smoke: the full-scale campaign digest pin (every
+# digest, fault_digest and shape_digest row of BENCH_scenario.json, the
+# behaviour oracle for data-plane refactors), the sysscenario suite
+# (engine + fuzzer units, the adversarial dnat/snat suite, the
+# replay-determinism properties), E18 at quick scale, and the campaign
+# bench in quick mode — which
 # asserts the triple-run replay check, every scenario/regression oracle,
 # and that the packet fuzzer rediscovers the seeded trusting-parser bug
 # and shrinks it, but never rewrites the recorded BENCH_scenario.json.
 # Every crash artifact the quick run wrote must reproduce through its
 # embedded --repro path; artifacts are scratch, so they are cleaned up.
+cargo test -q --test scenario_digests
 cargo test -q -p sysscenario
 cargo run --release --example experiments -- e18
 cargo run --release --example scenario_bench -- --quick

@@ -474,6 +474,9 @@ pub struct Conntrack {
     stats: ConntrackStats,
     injector: Option<FaultInjector>,
     shared: Option<Arc<ConntrackShared>>,
+    /// This shard's share of the `net.ct.live` and `net.ct.half_open`
+    /// gauges, as last published.
+    gauge_share: (i64, i64),
 }
 
 impl Conntrack {
@@ -523,6 +526,7 @@ impl Conntrack {
             stats: ConntrackStats::default(),
             injector: None,
             shared: None,
+            gauge_share: (0, 0),
         }
     }
 
@@ -556,6 +560,31 @@ impl Conntrack {
     #[must_use]
     pub fn half_open_len(&self) -> usize {
         self.half_open
+    }
+
+    /// Publishes this shard's live and half-open counts into the
+    /// router-wide `net.ct.live` and `net.ct.half_open` gauges. A shard adds
+    /// the change since its last publication instead of setting the gauge,
+    /// so with several workers each gauge holds the sum over shards rather
+    /// than whichever shard wrote last.
+    pub fn publish_gauges(&mut self) {
+        #[allow(clippy::cast_possible_wrap)]
+        self.move_gauge_share((self.len as i64, self.half_open as i64));
+    }
+
+    /// Takes this shard's share back out of the gauges: a retired shard (a
+    /// worker at shutdown) holds no live flows.
+    pub fn withdraw_gauges(&mut self) {
+        self.move_gauge_share((0, 0));
+    }
+
+    fn move_gauge_share(&mut self, to: (i64, i64)) {
+        let registry = sysobs::registry();
+        registry.gauge("net.ct.live").add(to.0 - self.gauge_share.0);
+        registry
+            .gauge("net.ct.half_open")
+            .add(to.1 - self.gauge_share.1);
+        self.gauge_share = to;
     }
 
     /// True while the shard is in stateless SYN-cookie fallback mode.

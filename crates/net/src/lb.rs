@@ -9,7 +9,9 @@
 //! one lookup: destination NAT toward the backend on the forward path,
 //! source NAT back to the VIP on the reply path, both via the mutable
 //! [`sysrepr::packet`] views with RFC 1624 incremental checksum fixup —
-//! zero copies, zero allocations in steady state.
+//! zero copies, zero allocations in steady state. The balancer is a stage
+//! of [`pipeline::route_frame`]: classify/assign during admission, the
+//! rewrite at egress.
 //!
 //! Health is active: a seeded probe schedule (the [`SITE_LB_PROBE_FAIL`]
 //! fault site) drives per-backend up/down verdicts with `fall`/`rise`
@@ -22,10 +24,10 @@
 use crate::cache::FlowCache;
 use crate::conntrack::{Conntrack, FlowKey, FlowState, NatRewrite, TcpSummary};
 use crate::lpm::Routes;
-use crate::pipeline::{self, BatchStats, DropReason};
+use crate::pipeline::{self, BatchStats, DropReason, Verdict};
 use sysfault::FaultInjector;
 use sysobs::fnv1a;
-use sysrepr::packet::{EthernetViewMut, IPPROTO_TCP, IPPROTO_UDP};
+use sysrepr::packet::{IPPROTO_TCP, IPPROTO_UDP};
 
 /// Fault site: one backend's health probe fails (the backend looks dead to
 /// the prober). Schedule it per-plan to script backend death and recovery.
@@ -415,320 +417,170 @@ impl BackendPool {
 /// endpoints against the stored [`NatRewrite`] — never by the canonical
 /// key, which a hairpinned flow can collide with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum NatDir {
+pub(crate) enum NatDir {
     /// Client → VIP: rewrite the destination to the backend.
     ToBackend,
     /// Backend → client: rewrite the source back to the VIP.
     ToClient,
-    /// Tracked, but already addressed correctly (hairpin) — forward as-is.
-    Passthrough,
 }
 
-/// Classifies a packet against its flow's rewrite tuple. Reply direction is
-/// checked first: on a degenerate hairpin (client == backend host) the
-/// reply's endpoints also match "client dialing the backend", and replies
-/// must win that tie or the VIP source rewrite never happens.
-fn nat_dir(nat: &NatRewrite, src: u32, sport: u16, dst: u32, dport: u16) -> NatDir {
-    if src == nat.backend_ip
-        && sport == nat.backend_port
-        && dst == nat.client_ip
-        && dport == nat.client_port
-    {
-        NatDir::ToClient
-    } else if dst == nat.vip && dport == nat.vport {
-        NatDir::ToBackend
-    } else {
-        NatDir::Passthrough
-    }
+/// A packet's transport endpoints as addressed on arrival (before any
+/// rewrite).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Ends {
+    pub(crate) src: u32,
+    pub(crate) sport: u16,
+    pub(crate) dst: u32,
+    pub(crate) dport: u16,
 }
 
-/// Applies the rewrite for `dir` and the TTL decrement in one parse:
-/// address via the IPv4 header (incremental header + transport checksum
-/// fixup), port via the transport view (UDP zero-checksum semantics
-/// respected), TTL with its own RFC 1624 fixup. The TTL gate runs first,
-/// so an expiring frame drops with the buffer untouched. The frame was
-/// validated upstream; a parse failure here is a [`DropReason::Malformed`]
-/// bug guard.
-fn apply_rewrite_ttl(frame: &mut [u8], nat: &NatRewrite, dir: NatDir) -> Result<(), DropReason> {
-    let mut ip = EthernetViewMut::parse(frame)
-        .and_then(EthernetViewMut::ipv4_mut)
-        .map_err(|_| DropReason::Malformed)?;
-    if ip.ttl() <= 1 {
-        return Err(DropReason::TtlExpired);
-    }
-    match dir {
-        NatDir::ToBackend => ip
-            .dnat(nat.backend_ip.to_be_bytes(), nat.backend_port)
-            .map_err(|_| DropReason::Malformed)?,
-        NatDir::ToClient => ip
-            .snat(nat.vip.to_be_bytes(), nat.vport)
-            .map_err(|_| DropReason::Malformed)?,
-        NatDir::Passthrough => {}
-    }
-    ip.decrement_ttl().map_err(|_| DropReason::Malformed)?;
-    Ok(())
-}
-
-/// What the decision phase concluded about one frame: the rewrite to apply
-/// (if any) and the post-rewrite `(src, dst)` the route and cache key use.
-struct Verdict {
-    rewrite: Option<(NatRewrite, NatDir)>,
-    route_src: u32,
-    route_dst: u32,
-}
-
-/// The load-balanced tracked path: validate, classify against the VIP and
-/// the flow's stored rewrite, drive conntrack (TCP state machine, or a UDP
-/// recency refresh), rewrite in place, route on the *post-rewrite*
-/// destination, and decrement TTL. Non-VIP traffic behaves exactly like
-/// [`pipeline::route_frame_tracked`].
-///
-/// # Errors
-///
-/// The [`DropReason`] for any frame that fails validation, admission,
-/// backend selection, or routing.
-#[allow(clippy::too_many_lines)]
-pub fn route_frame_lb<T: Copy, R: Routes<T>>(
-    frame: &mut [u8],
-    table: &R,
-    cache: Option<&mut FlowCache<T>>,
-    ct: &mut Conntrack,
-    pool: &mut BackendPool,
-    now_ns: u64,
-) -> Result<T, DropReason> {
-    // Phase 1: immutable parse — lift out everything the decision needs.
-    let (src, dst, sport, dport, proto, seg) = {
-        let ipv4 = pipeline::validate_ipv4(frame)?;
-        let src = u32::from_be_bytes(ipv4.src());
-        let dst = ipv4.dst_u32();
-        match ipv4.protocol() {
-            IPPROTO_TCP => {
-                let tcp = ipv4.tcp().map_err(|_| DropReason::Malformed)?;
-                let seg = TcpSummary::from_view(&tcp);
-                (
-                    src,
-                    dst,
-                    tcp.src_port(),
-                    tcp.dst_port(),
-                    IPPROTO_TCP,
-                    Some(seg),
-                )
-            }
-            IPPROTO_UDP => {
-                let udp = ipv4.udp().map_err(|_| DropReason::Malformed)?;
-                (src, dst, udp.src_port(), udp.dst_port(), IPPROTO_UDP, None)
-            }
-            p => (src, dst, 0, 0, p, None),
-        }
-    };
-    // Phase 2: decide — conntrack admission and backend selection, one
-    // hash walk per packet (admission and the NAT lookup are fused).
-    let vip_dst = dst == pool.cfg.vip && dport == pool.cfg.vport;
-    let verdict = match (proto, seg) {
-        (IPPROTO_TCP, Some(seg)) => {
-            let key = FlowKey::canonical(src, dst, sport, dport, IPPROTO_TCP);
-            // VIP-destined flows are created by assignment only, never by
-            // plain admission — `create` is the guard.
-            match ct.admit_tcp_nat(&key, seg, now_ns, !vip_dst) {
-                Ok(Some(nat)) => classify(pool, &nat, src, sport, dst, dport),
-                Ok(None) => Verdict {
-                    rewrite: None,
-                    route_src: src,
-                    route_dst: dst,
-                },
-                // Only a flow-creating SYN may claim a backend; everything
-                // else to the VIP without state is shed like any other
-                // stateless TCP (the conntrack stance, applied to the VIP).
-                Err(DropReason::NoFlow) if vip_dst && seg.syn && !seg.ack => {
-                    assign(pool, ct, &key, src, sport, dst, dport, proto, now_ns)?
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        (IPPROTO_UDP, _) => {
-            let key = FlowKey::canonical(src, dst, sport, dport, IPPROTO_UDP);
-            if let Some(nat) = ct.refresh_nat(&key, now_ns) {
-                classify(pool, &nat, src, sport, dst, dport)
-            } else if vip_dst {
-                // UDP has no handshake: the first datagram claims a backend
-                // and the entry is born established.
-                assign(pool, ct, &key, src, sport, dst, dport, proto, now_ns)?
-            } else {
-                // Non-VIP UDP stays untracked, as on the plain tracked path.
-                Verdict {
-                    rewrite: None,
-                    route_src: src,
-                    route_dst: dst,
-                }
-            }
-        }
-        _ => Verdict {
-            rewrite: None,
-            route_src: src,
-            route_dst: dst,
-        },
-    };
-    // Phase 3: route on the post-rewrite pair, then mutate. Routing first
-    // keeps NoRoute drops from leaving a half-rewritten frame behind.
-    let hop = match cache {
-        Some(c) => c
-            .lookup_or_route(table, verdict.route_src, verdict.route_dst)
-            .ok_or(DropReason::NoRoute),
-        None => table.lookup(verdict.route_dst).ok_or(DropReason::NoRoute),
-    }?;
-    match verdict.rewrite {
-        Some((nat, dir)) => {
-            apply_rewrite_ttl(frame, &nat, dir)?;
-            match dir {
-                NatDir::ToBackend => pool.stats.rewrites_to_backend += 1,
-                NatDir::ToClient => pool.stats.rewrites_to_client += 1,
-                NatDir::Passthrough => {}
-            }
-        }
-        None => pipeline::decrement_ttl(frame)?,
-    }
-    Ok(hop)
-}
-
-/// Builds the verdict for a packet whose flow already carries a rewrite.
-fn classify(
-    pool: &mut BackendPool,
-    nat: &NatRewrite,
-    src: u32,
-    sport: u16,
-    dst: u32,
-    dport: u16,
-) -> Verdict {
-    match nat_dir(nat, src, sport, dst, dport) {
-        NatDir::ToBackend => Verdict {
-            rewrite: Some((*nat, NatDir::ToBackend)),
-            route_src: src,
-            route_dst: nat.backend_ip,
-        },
-        NatDir::ToClient => Verdict {
-            rewrite: Some((*nat, NatDir::ToClient)),
-            route_src: nat.vip,
-            route_dst: dst,
-        },
-        NatDir::Passthrough => {
-            pool.stats.hairpin_passthrough += 1;
-            Verdict {
-                rewrite: None,
-                route_src: src,
-                route_dst: dst,
-            }
-        }
-    }
-}
-
-/// Selects a backend for a new VIP flow and installs its twin NAT entries.
-#[allow(clippy::too_many_arguments)]
-fn assign(
-    pool: &mut BackendPool,
-    ct: &mut Conntrack,
-    key: &FlowKey,
-    src: u32,
-    sport: u16,
-    dst: u32,
-    dport: u16,
-    proto: u8,
-    now_ns: u64,
-) -> Result<Verdict, DropReason> {
-    let Some(idx) = pool.select(key.hash()) else {
-        pool.stats.no_backend += 1;
-        return Err(DropReason::NoBackend);
-    };
-    let b = pool.backend(idx);
-    let nat = NatRewrite {
-        client_ip: src,
-        client_port: sport,
-        vip: dst,
-        vport: dport,
-        backend_ip: b.ip,
-        backend_port: b.port,
-        backend: idx,
-    };
-    let reply = FlowKey::canonical(src, b.ip, sport, b.port, proto);
-    let state = if proto == IPPROTO_TCP {
-        FlowState::SynSeen
-    } else {
-        FlowState::Established
-    };
-    ct.insert_nat(key, &reply, nat, state, now_ns)?;
-    pool.stats.assigned += 1;
-    Ok(Verdict {
-        rewrite: Some((nat, NatDir::ToBackend)),
-        route_src: src,
-        route_dst: nat.backend_ip,
-    })
-}
-
-/// Runs a whole batch through [`route_frame_lb`] — the sharded router's
-/// path when load balancing is enabled. Mirrors batch counters and the
-/// pool's health gauges into the `sysobs` registry, one update per batch.
-pub fn process_batch_lb<T, R, B, F>(
-    frames: &mut [B],
-    table: &R,
-    cache: Option<&mut FlowCache<T>>,
-    ct: &mut Conntrack,
-    pool: &mut BackendPool,
-    now_ns: u64,
-    forward: F,
-) -> BatchStats
-where
-    T: Copy,
-    R: Routes<T>,
-    B: AsRef<[u8]> + AsMut<[u8]>,
-    F: FnMut(T),
-{
-    sysobs::obs_span!("net.batch");
-    let stats = process_batch_lb_uninstrumented(frames, table, cache, ct, pool, now_ns, forward);
-    pipeline::mirror_batch_stats(&stats);
-    if sysobs::metrics_on() {
-        #[allow(clippy::cast_possible_wrap)]
+impl Ends {
+    /// Classifies the packet against its flow's rewrite tuple. Reply
+    /// direction is checked first: on a degenerate hairpin (client ==
+    /// backend host) the reply's endpoints also match "client dialing the
+    /// backend", and replies must win that tie or the VIP source rewrite
+    /// never happens. `None`: tracked, but already addressed correctly
+    /// (hairpin) — forward as-is.
+    fn nat_dir(self, nat: &NatRewrite) -> Option<NatDir> {
+        if self.src == nat.backend_ip
+            && self.sport == nat.backend_port
+            && self.dst == nat.client_ip
+            && self.dport == nat.client_port
         {
-            sysobs::registry()
-                .gauge("net.lb.healthy_backends")
-                .set(pool.healthy() as i64);
-            sysobs::registry().gauge("net.ct.live").set(ct.len() as i64);
+            Some(NatDir::ToClient)
+        } else if self.dst == nat.vip && self.dport == nat.vport {
+            Some(NatDir::ToBackend)
+        } else {
+            None
         }
     }
-    stats
 }
 
-/// [`process_batch_lb`] with no observability hooks — the compiled-baseline
-/// balanced path the E17 bench measures.
-pub fn process_batch_lb_uninstrumented<T, R, B, F>(
-    frames: &mut [B],
-    table: &R,
-    mut cache: Option<&mut FlowCache<T>>,
+/// The balancer's stages of [`pipeline::route_frame`]: VIP
+/// classification and backend assignment during admission, and the NAT
+/// rewrite at egress.
+impl BackendPool {
+    fn is_vip(&self, ends: Ends) -> bool {
+        ends.dst == self.cfg.vip && ends.dport == self.cfg.vport
+    }
+
+    /// TCP admission with a pool: one fused conntrack walk decides
+    /// admission and returns the flow's stored rewrite. VIP-destined flows
+    /// are created by assignment only, never by plain admission, and only a
+    /// flow-creating SYN may claim a backend; everything else to the VIP
+    /// without state is shed like any other stateless TCP. Non-VIP traffic
+    /// is admitted exactly as with no pool.
+    pub(crate) fn admit_tcp(
+        &mut self,
+        ct: &mut Conntrack,
+        key: &FlowKey,
+        seg: TcpSummary,
+        ends: Ends,
+        now_ns: u64,
+    ) -> Result<Verdict, DropReason> {
+        let vip = self.is_vip(ends);
+        match ct.admit_tcp_nat(key, seg, now_ns, !vip) {
+            Ok(Some(nat)) => Ok(self.classify(&nat, ends)),
+            Ok(None) => Ok(Verdict::plain(ends.src, ends.dst)),
+            Err(DropReason::NoFlow) if vip && seg.syn && !seg.ack => {
+                self.assign(ct, key, ends, IPPROTO_TCP, now_ns)
+            }
+            Err(e) => Err(e),
+        }
+    }
+
+    /// UDP admission with a pool: a NAT'd flow refreshes its recency and
+    /// rewrites; UDP has no handshake, so the first datagram to the VIP
+    /// claims a backend and the entry is born established. Non-VIP UDP
+    /// stays untracked.
+    pub(crate) fn admit_udp(
+        &mut self,
+        ct: &mut Conntrack,
+        ends: Ends,
+        now_ns: u64,
+    ) -> Result<Verdict, DropReason> {
+        let key = FlowKey::canonical(ends.src, ends.dst, ends.sport, ends.dport, IPPROTO_UDP);
+        if let Some(nat) = ct.refresh_nat(&key, now_ns) {
+            Ok(self.classify(&nat, ends))
+        } else if self.is_vip(ends) {
+            self.assign(ct, &key, ends, IPPROTO_UDP, now_ns)
+        } else {
+            Ok(Verdict::plain(ends.src, ends.dst))
+        }
+    }
+
+    /// The verdict for a packet whose flow already carries a rewrite.
+    fn classify(&mut self, nat: &NatRewrite, ends: Ends) -> Verdict {
+        if let Some(dir) = ends.nat_dir(nat) {
+            return Verdict::rewritten(*nat, dir, ends);
+        }
+        self.stats.hairpin_passthrough += 1;
+        Verdict::plain(ends.src, ends.dst)
+    }
+
+    /// Selects a backend for a new VIP flow and installs its twin NAT
+    /// entries.
+    fn assign(
+        &mut self,
+        ct: &mut Conntrack,
+        key: &FlowKey,
+        ends: Ends,
+        proto: u8,
+        now_ns: u64,
+    ) -> Result<Verdict, DropReason> {
+        let Some(idx) = self.select(key.hash()) else {
+            self.stats.no_backend += 1;
+            return Err(DropReason::NoBackend);
+        };
+        let b = self.backend(idx);
+        let nat = NatRewrite {
+            client_ip: ends.src,
+            client_port: ends.sport,
+            vip: ends.dst,
+            vport: ends.dport,
+            backend_ip: b.ip,
+            backend_port: b.port,
+            backend: idx,
+        };
+        let reply = FlowKey::canonical(ends.src, b.ip, ends.sport, b.port, proto);
+        let state = if proto == IPPROTO_TCP {
+            FlowState::SynSeen
+        } else {
+            FlowState::Established
+        };
+        ct.insert_nat(key, &reply, nat, state, now_ns)?;
+        self.stats.assigned += 1;
+        Ok(Verdict::rewritten(nat, NatDir::ToBackend, ends))
+    }
+
+    /// Counts a rewrite the pipeline applied.
+    pub(crate) fn note_rewrite(&mut self, dir: NatDir) {
+        match dir {
+            NatDir::ToBackend => self.stats.rewrites_to_backend += 1,
+            NatDir::ToClient => self.stats.rewrites_to_client += 1,
+        }
+    }
+}
+
+/// Instrumented [`pipeline::process_batch`] through a tracker and a pool —
+/// kept for the `perfbench` workloads.
+pub fn process_batch_lb<T: Copy>(
+    frames: &mut [impl AsMut<[u8]>],
+    table: &impl Routes<T>,
+    cache: Option<&mut FlowCache<T>>,
     ct: &mut Conntrack,
     pool: &mut BackendPool,
     now_ns: u64,
-    mut forward: F,
-) -> BatchStats
-where
-    T: Copy,
-    R: Routes<T>,
-    B: AsRef<[u8]> + AsMut<[u8]>,
-    F: FnMut(T),
-{
-    let mut stats = BatchStats::default();
-    for frame in frames.iter_mut() {
-        pipeline::tally(
-            &mut stats,
-            route_frame_lb(
-                frame.as_mut(),
-                table,
-                cache.as_deref_mut(),
-                ct,
-                pool,
-                now_ns,
-            ),
-            &mut forward,
-        );
-    }
-    stats
+    forward: impl FnMut(T),
+) -> BatchStats {
+    pipeline::process_batch::<true, T>(
+        frames,
+        table,
+        cache,
+        Some((ct, Some(pool))),
+        now_ns,
+        forward,
+    )
 }
 
 #[cfg(test)]
@@ -778,6 +630,17 @@ mod tests {
         t.insert(u32::from_be_bytes([10, 9, 0, 0]), 16, 2).unwrap();
         t.insert(u32::from_be_bytes(VIP), 32, 3).unwrap();
         t
+    }
+
+    /// The balanced pipeline with no flow cache.
+    fn route_lb(
+        frame: &mut [u8],
+        t: &TrieTable<u16>,
+        ct: &mut Conntrack,
+        pool: &mut BackendPool,
+        now: u64,
+    ) -> Result<u16, DropReason> {
+        pipeline::route_frame::<false, _>(frame, t, None, Some((ct, Some(pool))), now)
     }
 
     fn syn(client: [u8; 4], sport: u16) -> Vec<u8> {
@@ -852,7 +715,7 @@ mod tests {
         let mut pool = BackendPool::new(pool_config());
         // Establish one flow; find which backend it landed on.
         let mut f = syn([10, 9, 0, 1], 40_000);
-        route_frame_lb(&mut f, &t, None, &mut ct, &mut pool, 0).unwrap();
+        route_lb(&mut f, &t, &mut ct, &mut pool, 0).unwrap();
         let key = FlowKey::canonical(
             u32::from_be_bytes([10, 9, 0, 1]),
             pool.cfg.vip,
@@ -866,7 +729,7 @@ mod tests {
         // New flows never land on the draining backend...
         for s in 0..200u16 {
             let mut f = syn([10, 9, 1, 1], 41_000 + s);
-            route_frame_lb(&mut f, &t, None, &mut ct, &mut pool, 1).unwrap();
+            route_lb(&mut f, &t, &mut ct, &mut pool, 1).unwrap();
             let k = FlowKey::canonical(
                 u32::from_be_bytes([10, 9, 1, 1]),
                 pool.cfg.vip,
@@ -885,7 +748,7 @@ mod tests {
             .tcp_flags(TCP_ACK)
             .build();
         assert_eq!(
-            route_frame_lb(&mut ack, &t, None, &mut ct, &mut pool, 2),
+            route_lb(&mut ack, &t, &mut ct, &mut pool, 2),
             Ok(1),
             "draining must not strand the established flow"
         );
@@ -900,7 +763,7 @@ mod tests {
         let client = [10, 9, 0, 7];
         let mut f = syn(client, 50_000);
         assert_eq!(
-            route_frame_lb(&mut f, &t, None, &mut ct, &mut pool, 0),
+            route_lb(&mut f, &t, &mut ct, &mut pool, 0),
             Ok(1),
             "rewritten SYN routes to the backend subnet"
         );
@@ -921,7 +784,7 @@ mod tests {
             .tcp_flags(TCP_ACK)
             .build();
         assert_eq!(
-            route_frame_lb(&mut reply, &t, None, &mut ct, &mut pool, 1),
+            route_lb(&mut reply, &t, &mut ct, &mut pool, 1),
             Ok(2),
             "reply routes to the client subnet"
         );
@@ -963,7 +826,7 @@ mod tests {
             .tcp_flags(TCP_ACK)
             .build();
         assert_eq!(
-            route_frame_lb(&mut ack, &t, None, &mut ct, &mut pool, 0),
+            route_lb(&mut ack, &t, &mut ct, &mut pool, 0),
             Err(DropReason::NoFlow)
         );
         assert_eq!(ct.len(), 0);
@@ -982,7 +845,7 @@ mod tests {
         assert_eq!(pool.healthy(), 0);
         let mut f = syn([10, 9, 0, 1], 40_000);
         assert_eq!(
-            route_frame_lb(&mut f, &t, None, &mut ct, &mut pool, 0),
+            route_lb(&mut f, &t, &mut ct, &mut pool, 0),
             Err(DropReason::NoBackend)
         );
         assert_eq!(pool.stats().no_backend, 1);
@@ -1001,10 +864,7 @@ mod tests {
             .dst_port(80)
             .payload(b"hello")
             .build();
-        assert_eq!(
-            route_frame_lb(&mut d, &t, None, &mut ct, &mut pool, 0),
-            Ok(1)
-        );
+        assert_eq!(route_lb(&mut d, &t, &mut ct, &mut pool, 0), Ok(1));
         assert_eq!(ct.len(), 2, "udp NAT flow stores its twin pair");
         // Second datagram: same flow, no new assignment.
         let mut d2 = PacketBuilder::udp()
@@ -1014,10 +874,7 @@ mod tests {
             .dst_port(80)
             .payload(b"again")
             .build();
-        assert_eq!(
-            route_frame_lb(&mut d2, &t, None, &mut ct, &mut pool, 1),
-            Ok(1)
-        );
+        assert_eq!(route_lb(&mut d2, &t, &mut ct, &mut pool, 1), Ok(1));
         assert_eq!(pool.stats.assigned, 1);
         assert_eq!(pool.stats.rewrites_to_backend, 2);
         ct.check_invariants().unwrap();
@@ -1038,7 +895,7 @@ mod tests {
         let mut victim = None;
         for s in 0..64u16 {
             let mut f = syn([10, 9, 0, 1], 30_000 + s);
-            route_frame_lb(&mut f, &t, None, &mut ct, &mut pool, 0).unwrap();
+            route_lb(&mut f, &t, &mut ct, &mut pool, 0).unwrap();
             let k = FlowKey::canonical(client, pool.cfg.vip, 30_000 + s, 80, IPPROTO_TCP);
             if ct.nat_of(&k).unwrap().backend == 2 {
                 victim = Some((k, 30_000 + s));
@@ -1069,7 +926,7 @@ mod tests {
         // backend — no waiting out an idle timeout on the stale rewrite.
         let mut retry = syn([10, 9, 0, 1], sport);
         assert_eq!(
-            route_frame_lb(&mut retry, &t, None, &mut ct, &mut pool, 3_000_000),
+            route_lb(&mut retry, &t, &mut ct, &mut pool, 3_000_000),
             Ok(1)
         );
         assert_ne!(
@@ -1092,7 +949,7 @@ mod tests {
         // New flows avoid the killed backend entirely.
         for s in 0..100u16 {
             let mut f = syn([10, 9, 2, 1], 42_000 + s);
-            route_frame_lb(&mut f, &t, None, &mut ct, &mut pool, 0).unwrap();
+            route_lb(&mut f, &t, &mut ct, &mut pool, 0).unwrap();
             let k = FlowKey::canonical(
                 u32::from_be_bytes([10, 9, 2, 1]),
                 pool.cfg.vip,
@@ -1160,12 +1017,11 @@ mod tests {
             vec![0u8; 5],
         ];
         let mut hops = Vec::new();
-        let stats = process_batch_lb_uninstrumented(
+        let stats = pipeline::process_batch::<false, _>(
             &mut frames,
             &t,
             None,
-            &mut ct,
-            &mut pool,
+            Some((&mut ct, Some(&mut pool))),
             0,
             |h: u16| hops.push(h),
         );

@@ -26,9 +26,9 @@
 
 use crate::conntrack::{Conntrack, ConntrackConfig, EvictCause, FlowKey};
 use crate::ctbench::FrameForge;
-use crate::lb::{route_frame_lb, BackendConfig, BackendPool, LbConfig, SITE_LB_PROBE_FAIL};
+use crate::lb::{BackendConfig, BackendPool, LbConfig, SITE_LB_PROBE_FAIL};
 use crate::lpm::TrieTable;
-use crate::pipeline::DropReason;
+use crate::pipeline::{route_frame, DropReason};
 use crate::router::{PortId, RouterConfig, ShardedRouter};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -590,7 +590,7 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverReport {
         let mut buf = [0u8; 256];
         let n = frame.len().min(buf.len());
         buf[..n].copy_from_slice(&frame[..n]);
-        route_frame_lb(&mut buf[..n], &table, None, ct, pool, now)
+        route_frame::<false, _>(&mut buf[..n], &table, None, Some((ct, Some(pool))), now)
     };
 
     // Establishment under the running probe clock (death_round is chosen

@@ -1,4 +1,12 @@
-//! The batched parse → validate → route fast path.
+//! The data-plane pipeline: one per-frame function and one batch loop.
+//!
+//! A frame goes validate → optional conntrack admission → optional
+//! load-balancer classify/assign → route (flow cache or table) → rewrite +
+//! TTL ([`route_frame`]); [`process_batch`] runs a batch through it. The
+//! stateless, tracked and load-balanced routers are the same code with
+//! stages switched off ([`Stages`]), and instrumentation is a const
+//! parameter, so the uninstrumented baseline is the same code compiled
+//! without it.
 //!
 //! Zero-copy all the way down: each frame is parsed in place with the
 //! [`sysrepr::packet`] views (total parsing — every header is validated
@@ -6,12 +14,13 @@
 //! any [`Routes`] source — an exclusive [`crate::lpm::TrieTable`], a
 //! mutex-held one, or a pinned copy-on-write snapshot
 //! ([`crate::cowtrie::RouteView`]). Nothing in this module allocates per
-//! packet; the only state is the [`BatchStats`] counters.
+//! packet.
 
 use crate::cache::FlowCache;
-use crate::conntrack::{Conntrack, FlowKey, TcpSummary};
+use crate::conntrack::{Conntrack, FlowKey, NatRewrite, TcpSummary};
+use crate::lb::{BackendPool, Ends, NatDir};
 use crate::lpm::Routes;
-use sysrepr::packet::{EthernetView, EthernetViewMut, Ipv4View, IPPROTO_TCP};
+use sysrepr::packet::{EthernetView, EthernetViewMut, Ipv4View, IPPROTO_TCP, IPPROTO_UDP};
 use sysrepr::ReprError;
 
 /// Why a packet was dropped instead of forwarded. The variants double as
@@ -125,19 +134,57 @@ impl BatchStats {
     }
 }
 
-/// Parses and validates one frame, returning the `(src, dst)` addresses a
-/// routing decision needs — the shared front half of [`route_frame`] and
-/// [`route_frame_cached`].
-#[inline]
-fn validate_frame(frame: &[u8]) -> Result<(u32, u32), DropReason> {
-    let ipv4 = validate_ipv4(frame)?;
-    Ok((u32::from_be_bytes(ipv4.src()), ipv4.dst_u32()))
+/// The optional stateful stages of the pipeline: a connection-tracking
+/// shard and, only alongside one, a load-balancer pool (its rewrite state
+/// lives in the shard's flow entries). `None` is the stateless router, a
+/// tracker alone the tracked router, a tracker with a pool the balancer.
+pub type Stages<'a> = Option<(&'a mut Conntrack, Option<&'a mut BackendPool>)>;
+
+/// Reborrows the stages for one frame.
+fn reborrow<'s>(stages: &'s mut Stages<'_>) -> Stages<'s> {
+    stages
+        .as_mut()
+        .map(|(ct, pool)| (&mut **ct, pool.as_deref_mut()))
 }
 
-/// The validation front half, keeping the IPv4 view alive so the tracked
-/// path can reach into the transport header.
+/// What the admission stages decided about one frame: the NAT rewrite to
+/// apply, if any, and the post-rewrite `(src, dst)` the route and the cache
+/// key use.
+pub(crate) struct Verdict {
+    pub(crate) rewrite: Option<(NatRewrite, NatDir)>,
+    pub(crate) src: u32,
+    pub(crate) dst: u32,
+}
+
+impl Verdict {
+    /// Route the frame as addressed, with no rewrite.
+    pub(crate) fn plain(src: u32, dst: u32) -> Self {
+        Verdict {
+            rewrite: None,
+            src,
+            dst,
+        }
+    }
+
+    /// Rewrite the frame toward the backend or back to the client, and
+    /// route on the rewritten pair.
+    pub(crate) fn rewritten(nat: NatRewrite, dir: NatDir, ends: Ends) -> Self {
+        let (src, dst) = match dir {
+            NatDir::ToBackend => (ends.src, nat.backend_ip),
+            NatDir::ToClient => (nat.vip, ends.dst),
+        };
+        Verdict {
+            rewrite: Some((nat, dir)),
+            src,
+            dst,
+        }
+    }
+}
+
+/// Total header validation down to IPv4: structure, checksum, and TTL on
+/// arrival.
 #[inline]
-pub(crate) fn validate_ipv4(frame: &[u8]) -> Result<Ipv4View<'_>, DropReason> {
+fn validate_ipv4(frame: &[u8]) -> Result<Ipv4View<'_>, DropReason> {
     let eth = EthernetView::parse(frame).map_err(|_| DropReason::Malformed)?;
     let ipv4 = eth.ipv4().map_err(|e| match e {
         ReprError::InvalidField {
@@ -154,387 +201,293 @@ pub(crate) fn validate_ipv4(frame: &[u8]) -> Result<Ipv4View<'_>, DropReason> {
     Ok(ipv4)
 }
 
-/// Decrements the TTL of an already-validated frame in place, patching the
-/// IPv4 header checksum incrementally (RFC 1624). A frame whose decrement
-/// would reach zero is dropped as [`DropReason::TtlExpired`] — the seed
-/// forwarded `ttl == 1` packets unchanged, so a routing loop never expired
-/// them. Runs only on frames that won a route: drops leave the buffer
-/// untouched.
-#[inline]
-pub(crate) fn decrement_ttl(frame: &mut [u8]) -> Result<(), DropReason> {
-    let mut ipv4 = EthernetViewMut::parse(frame)
+/// Validation plus the admission stages. The tracker reads TCP only; only a
+/// pool reads UDP headers (a VIP is an address and a port), so only with a
+/// pool does a truncated UDP header drop as [`DropReason::Malformed`].
+#[inline(always)]
+fn admit(frame: &[u8], stages: Stages<'_>, now_ns: u64) -> Result<Verdict, DropReason> {
+    let ipv4 = validate_ipv4(frame)?;
+    let (src, dst) = (u32::from_be_bytes(ipv4.src()), ipv4.dst_u32());
+    let Some((ct, pool)) = stages else {
+        return Ok(Verdict::plain(src, dst));
+    };
+    match (ipv4.protocol(), pool) {
+        (IPPROTO_TCP, pool) => {
+            let tcp = ipv4.tcp().map_err(|_| DropReason::Malformed)?;
+            let ends = Ends {
+                src,
+                sport: tcp.src_port(),
+                dst,
+                dport: tcp.dst_port(),
+            };
+            let key = FlowKey::canonical(src, dst, ends.sport, ends.dport, IPPROTO_TCP);
+            let seg = TcpSummary::from_view(&tcp);
+            match pool {
+                Some(pool) => pool.admit_tcp(ct, &key, seg, ends, now_ns),
+                None => ct
+                    .admit_tcp(&key, seg, now_ns)
+                    .map(|()| Verdict::plain(src, dst)),
+            }
+        }
+        (IPPROTO_UDP, Some(pool)) => {
+            let udp = ipv4.udp().map_err(|_| DropReason::Malformed)?;
+            let ends = Ends {
+                src,
+                sport: udp.src_port(),
+                dst,
+                dport: udp.dst_port(),
+            };
+            pool.admit_udp(ct, ends, now_ns)
+        }
+        _ => Ok(Verdict::plain(src, dst)),
+    }
+}
+
+/// The rewrite + TTL stage in one parse: the NAT rewrite, if any (address
+/// and port, incremental checksum fixup), then the TTL decrement (RFC
+/// 1624). A frame whose decrement would reach zero drops as
+/// [`DropReason::TtlExpired`] before anything is written, so a routing
+/// loop expires. The frame validated upstream: a parse failure here is a
+/// [`DropReason::Malformed`] bug guard.
+#[inline(always)]
+fn egress(frame: &mut [u8], rewrite: Option<(NatRewrite, NatDir)>) -> Result<(), DropReason> {
+    let mut ip = EthernetViewMut::parse(frame)
         .and_then(EthernetViewMut::ipv4_mut)
         .map_err(|_| DropReason::Malformed)?;
-    if ipv4.ttl() <= 1 {
+    if ip.ttl() <= 1 {
         return Err(DropReason::TtlExpired);
     }
-    ipv4.decrement_ttl().map_err(|_| DropReason::Malformed)?;
+    match rewrite {
+        Some((nat, NatDir::ToBackend)) => ip.dnat(nat.backend_ip.to_be_bytes(), nat.backend_port),
+        Some((nat, NatDir::ToClient)) => ip.snat(nat.vip.to_be_bytes(), nat.vport),
+        None => Ok(()),
+    }
+    .map_err(|_| DropReason::Malformed)?;
+    ip.decrement_ttl().map_err(|_| DropReason::Malformed)?;
     Ok(())
 }
 
-/// Parses, validates, and routes a single frame, decrementing its TTL in
-/// place on forward. Returns the next hop, or the reason the frame must be
-/// dropped.
-///
-/// # Errors
-///
-/// The [`DropReason`] for any frame that fails validation or routing.
-pub fn route_frame<T: Copy, R: Routes<T>>(frame: &mut [u8], table: &R) -> Result<T, DropReason> {
-    let (_, dst) = validate_frame(frame)?;
-    let hop = table.lookup(dst).ok_or(DropReason::NoRoute)?;
-    decrement_ttl(frame)?;
-    Ok(hop)
+/// Evaluates `$body` inside a `$name` span when the const `$trace` is set.
+macro_rules! stage {
+    ($trace:expr, $name:literal, $body:expr) => {
+        if $trace {
+            sysobs::obs_span!($name);
+            $body
+        } else {
+            $body
+        }
+    };
 }
 
-/// [`route_frame`] with the trie walk fronted by a per-worker
-/// [`FlowCache`]: repeated flows resolve in one hash-and-compare. Identical
-/// decisions to [`route_frame`] by construction (exact keys, generation
-/// invalidation) — a property the differential suite tests.
+/// The pipeline for one frame: validate → optional conntrack admission →
+/// optional load-balancer classify/assign → route (flow cache or table, on
+/// the post-rewrite pair) → rewrite + TTL decrement in place. Returns the
+/// next hop, or the reason the frame must be dropped. Routing happens
+/// before any mutation, so a dropped frame's buffer is untouched. `now_ns`
+/// is the caller's clock: workers pass monotonic time, tests and the
+/// deterministic benches virtual time, which makes timeouts replayable.
+///
+/// With `TRACE` the parse (validation + admission) and route stages run in
+/// spans and a forwarded frame leaves a `net.frame.egress` marker — the
+/// first frame of a batch whose dispatch won the sampling draw. Without
+/// it no observability code is compiled in.
 ///
 /// # Errors
 ///
-/// The [`DropReason`] for any frame that fails validation or routing.
-pub fn route_frame_cached<T: Copy, R: Routes<T>>(
+/// The [`DropReason`] for any frame that fails validation, admission,
+/// backend selection, or routing.
+#[inline(always)]
+pub fn route_frame<const TRACE: bool, T: Copy>(
     frame: &mut [u8],
-    table: &R,
-    cache: &mut FlowCache<T>,
-) -> Result<T, DropReason> {
-    let (src, dst) = validate_frame(frame)?;
-    let hop = cache
-        .lookup_or_route(table, src, dst)
-        .ok_or(DropReason::NoRoute)?;
-    decrement_ttl(frame)?;
-    Ok(hop)
-}
-
-/// The production tracked path: validate, consult the connection tracker
-/// for TCP (state machine + admission control), then route — optionally
-/// through the worker's [`FlowCache`]. Non-TCP traffic bypasses tracking
-/// (the tracker is an L4 layer; UDP and friends are stateless here).
-///
-/// `now_ns` is the caller's clock — workers pass monotonic time, tests and
-/// the deterministic bench pass virtual time, which is what makes eviction
-/// and timeout behavior replayable.
-///
-/// # Errors
-///
-/// The [`DropReason`] for any frame that fails validation, tracking
-/// admission, or routing.
-pub fn route_frame_tracked<T: Copy, R: Routes<T>>(
-    frame: &mut [u8],
-    table: &R,
+    table: &impl Routes<T>,
     cache: Option<&mut FlowCache<T>>,
-    ct: &mut Conntrack,
+    mut stages: Stages<'_>,
     now_ns: u64,
 ) -> Result<T, DropReason> {
-    let (src, dst) = {
-        let ipv4 = validate_ipv4(frame)?;
-        let src = u32::from_be_bytes(ipv4.src());
-        let dst = ipv4.dst_u32();
-        if ipv4.protocol() == IPPROTO_TCP {
-            let tcp = ipv4.tcp().map_err(|_| DropReason::Malformed)?;
-            let key = FlowKey::canonical(src, dst, tcp.src_port(), tcp.dst_port(), IPPROTO_TCP);
-            ct.admit_tcp(&key, TcpSummary::from_view(&tcp), now_ns)?;
-        }
-        (src, dst)
-    };
-    let hop = match cache {
-        Some(c) => c
-            .lookup_or_route(table, src, dst)
-            .ok_or(DropReason::NoRoute),
-        None => table.lookup(dst).ok_or(DropReason::NoRoute),
-    }?;
-    decrement_ttl(frame)?;
-    Ok(hop)
-}
-
-/// The causally traced twin of the single-frame paths: identical routing
-/// (and conntrack) decisions, with the parse and route stages wrapped in
-/// spans and a `net.frame.egress` marker on forward. Only the first frame
-/// of a batch whose dispatch won the sampling draw comes through here —
-/// the staged spans record under the batch's adopted context, so a sampled
-/// packet's postmortem shows `dispatch → parse → route → egress` across
-/// the dispatcher and worker threads, while untraced batches never reach
-/// this function at all.
-fn route_frame_traced<T: Copy, R: Routes<T>>(
-    frame: &mut [u8],
-    table: &R,
-    cache: Option<&mut FlowCache<T>>,
-    ct: Option<&mut Conntrack>,
-    now_ns: u64,
-) -> Result<T, DropReason> {
-    let (src, dst) = {
-        sysobs::obs_span!("net.frame.parse");
-        let ipv4 = validate_ipv4(frame)?;
-        let src = u32::from_be_bytes(ipv4.src());
-        let dst = ipv4.dst_u32();
-        // Conntrack admission rides in the parse stage: it reads the
-        // transport header the parse just validated.
-        if let Some(ct) = ct {
-            if ipv4.protocol() == IPPROTO_TCP {
-                let tcp = ipv4.tcp().map_err(|_| DropReason::Malformed)?;
-                let key = FlowKey::canonical(src, dst, tcp.src_port(), tcp.dst_port(), IPPROTO_TCP);
-                ct.admit_tcp(&key, TcpSummary::from_view(&tcp), now_ns)?;
-            }
-        }
-        (src, dst)
-    };
-    let hop = {
-        sysobs::obs_span!("net.frame.route");
+    let verdict = stage!(
+        TRACE,
+        "net.frame.parse",
+        admit(frame, reborrow(&mut stages), now_ns)
+    )?;
+    let hop = stage!(
+        TRACE,
+        "net.frame.route",
         match cache {
-            Some(c) => c.lookup_or_route(table, src, dst),
-            None => table.lookup(dst),
+            Some(c) => c.lookup_or_route(table, verdict.src, verdict.dst),
+            None => table.lookup(verdict.dst),
         }
-    }
+    )
     .ok_or(DropReason::NoRoute)?;
-    decrement_ttl(frame)?;
-    sysobs::obs_span_hot!("net.frame.egress");
+    egress(frame, verdict.rewrite)?;
+    if let (Some((_, dir)), Some((_, Some(pool)))) = (verdict.rewrite, stages) {
+        pool.note_rewrite(dir);
+    }
+    if TRACE {
+        sysobs::obs_span_hot!("net.frame.egress");
+    }
     Ok(hop)
 }
 
-/// True when this batch's first frame should take the staged-span path:
-/// a causal context is active (the dispatch draw was won upstream) and
-/// there is a frame to trace.
-#[inline]
-pub(crate) fn trace_first_frame<B>(frames: &[B]) -> bool {
-    !frames.is_empty() && sysobs::context::active()
-}
-
-/// Runs a whole batch through [`route_frame_tracked`] — the sharded
-/// router's path when connection tracking is enabled. Mirrors batch
-/// counters plus the tracker's live/half-open gauges into the `sysobs`
-/// registry, one update per batch.
-pub fn process_batch_tracked<T, R, B, F>(
-    frames: &mut [B],
-    table: &R,
-    mut cache: Option<&mut FlowCache<T>>,
+/// [`route_frame`] through a tracker with no pool — kept for the
+/// conntrack differential suite, which pins this frame path to
+/// [`Conntrack::admit_tcp`].
+///
+/// # Errors
+///
+/// As [`route_frame`].
+pub fn route_frame_tracked<T: Copy>(
+    frame: &mut [u8],
+    table: &impl Routes<T>,
+    cache: Option<&mut FlowCache<T>>,
     ct: &mut Conntrack,
     now_ns: u64,
-    mut forward: F,
-) -> BatchStats
-where
-    T: Copy,
-    R: Routes<T>,
-    B: AsRef<[u8]> + AsMut<[u8]>,
-    F: FnMut(T),
-{
+) -> Result<T, DropReason> {
+    route_frame::<false, T>(frame, table, cache, Some((ct, None)), now_ns)
+}
+
+/// Runs a batch through [`route_frame`], calling `forward(next_hop)` for
+/// every frame that survives, and returns the batch's counters (`parsed`
+/// counts frames whose headers validated, so a bad-checksum drop counts).
+///
+/// With `OBS` the batch runs in a `net.batch` span, its first frame is
+/// traced when a causal context is active, and the batch is mirrored into
+/// the `sysobs` registry (one update per batch, not per frame). Without it
+/// there is no observability code at all, not even the disabled-mode
+/// atomic load: the compiled baseline experiment E11 measures against.
+// Inlined with the loop and frame path into each caller, so stage `Option`s
+// passed as constants fold away and each configuration compiles to its own
+// loop; without it perfbench fwd-min loses ~9% throughput (2-vCPU x86-64).
+#[inline(always)]
+pub fn process_batch<const OBS: bool, T: Copy>(
+    frames: &mut [impl AsMut<[u8]>],
+    table: &impl Routes<T>,
+    mut cache: Option<&mut FlowCache<T>>,
+    mut stages: Stages<'_>,
+    now_ns: u64,
+    mut forward: impl FnMut(T),
+) -> BatchStats {
+    if !OBS {
+        return batch_loop(frames, table, cache, stages, now_ns, false, &mut forward);
+    }
     sysobs::obs_span!("net.batch");
-    let stats = if trace_first_frame(frames) {
-        let mut stats = BatchStats::default();
-        tally(
-            &mut stats,
-            route_frame_traced(
-                frames[0].as_mut(),
+    let cache_before = cache.as_deref().map(|c| (c.hits(), c.misses()));
+    let stats = batch_loop(
+        frames,
+        table,
+        cache.as_deref_mut(),
+        reborrow(&mut stages),
+        now_ns,
+        sysobs::context::active(),
+        &mut forward,
+    );
+    if sysobs::metrics_on() {
+        mirror(&stats, cache.as_deref().zip(cache_before), stages);
+    }
+    stats
+}
+
+/// The batch loop, tracing the first frame when `trace_first` is set.
+#[inline(always)]
+fn batch_loop<T: Copy>(
+    frames: &mut [impl AsMut<[u8]>],
+    table: &impl Routes<T>,
+    mut cache: Option<&mut FlowCache<T>>,
+    mut stages: Stages<'_>,
+    now_ns: u64,
+    trace_first: bool,
+    forward: &mut impl FnMut(T),
+) -> BatchStats {
+    let mut stats = BatchStats::default();
+    let mut frames = frames.iter_mut();
+    if trace_first {
+        if let Some(first) = frames.next() {
+            let outcome = route_frame::<true, T>(
+                first.as_mut(),
                 table,
                 cache.as_deref_mut(),
-                Some(&mut *ct),
+                reborrow(&mut stages),
                 now_ns,
-            ),
-            &mut forward,
-        );
-        stats.merge(&process_batch_tracked_uninstrumented(
-            &mut frames[1..],
-            table,
-            cache,
-            ct,
-            now_ns,
-            &mut forward,
-        ));
-        stats
-    } else {
-        process_batch_tracked_uninstrumented(frames, table, cache, ct, now_ns, &mut forward)
-    };
-    mirror_batch_stats(&stats);
-    if sysobs::metrics_on() {
-        sysobs::obs_count!("net.ct.batches", 1);
-        #[allow(clippy::cast_possible_wrap)]
-        {
-            sysobs::registry().gauge("net.ct.live").set(ct.len() as i64);
-            sysobs::registry()
-                .gauge("net.ct.half_open")
-                .set(ct.half_open_len() as i64);
+            );
+            tally(&mut stats, outcome, forward);
         }
+    }
+    for frame in frames {
+        let outcome = route_frame::<false, T>(
+            frame.as_mut(),
+            table,
+            cache.as_deref_mut(),
+            reborrow(&mut stages),
+            now_ns,
+        );
+        tally(&mut stats, outcome, forward);
     }
     stats
 }
 
-/// [`process_batch_tracked`] with no observability hooks — the
-/// compiled-baseline tracked path (`instrument: false` workers, and the
-/// E14 bench's measured configuration).
-pub fn process_batch_tracked_uninstrumented<T, R, B, F>(
-    frames: &mut [B],
-    table: &R,
-    mut cache: Option<&mut FlowCache<T>>,
+/// Mirrors one batch into the `sysobs` registry. The pipeline publishes
+/// its frame and drop counters; each stage that ran adds its own: the
+/// flow cache its hit/miss deltas, the tracker its batch count and its
+/// share of the live/half-open gauges, the pool its healthy-backend gauge.
+fn mirror<T: Copy>(
+    stats: &BatchStats,
+    cache: Option<(&FlowCache<T>, (u64, u64))>,
+    stages: Stages<'_>,
+) {
+    sysobs::obs_count!("net.parsed", stats.parsed);
+    sysobs::obs_count!("net.forwarded", stats.forwarded);
+    sysobs::obs_count!("net.batches", 1);
+    for (name, &n) in DROP_METRICS.iter().zip(stats.dropped.iter()) {
+        if n > 0 {
+            sysobs::registry().counter(name).add(n);
+        }
+    }
+    if let Some((c, (hits, misses))) = cache {
+        sysobs::obs_count!("net.cache.hits", c.hits() - hits);
+        sysobs::obs_count!("net.cache.misses", c.misses() - misses);
+    }
+    if let Some((ct, pool)) = stages {
+        sysobs::obs_count!("net.ct.batches", 1);
+        ct.publish_gauges();
+        if let Some(pool) = pool {
+            #[allow(clippy::cast_possible_wrap)]
+            let healthy = pool.healthy() as i64;
+            sysobs::registry()
+                .gauge("net.lb.healthy_backends")
+                .set(healthy);
+        }
+    }
+}
+
+/// Instrumented [`process_batch`] through a flow cache, with no stateful
+/// stages — kept for the `perfbench` workloads.
+pub fn process_batch_cached<T: Copy>(
+    frames: &mut [impl AsMut<[u8]>],
+    table: &impl Routes<T>,
+    cache: &mut FlowCache<T>,
+    forward: impl FnMut(T),
+) -> BatchStats {
+    process_batch::<true, T>(frames, table, Some(cache), None, 0, forward)
+}
+
+/// Instrumented [`process_batch`] through a tracker with no pool — kept
+/// for the `perfbench` stage ladder.
+pub fn process_batch_tracked<T: Copy>(
+    frames: &mut [impl AsMut<[u8]>],
+    table: &impl Routes<T>,
+    cache: Option<&mut FlowCache<T>>,
     ct: &mut Conntrack,
     now_ns: u64,
-    mut forward: F,
-) -> BatchStats
-where
-    T: Copy,
-    R: Routes<T>,
-    B: AsRef<[u8]> + AsMut<[u8]>,
-    F: FnMut(T),
-{
-    let mut stats = BatchStats::default();
-    for frame in frames.iter_mut() {
-        tally(
-            &mut stats,
-            route_frame_tracked(frame.as_mut(), table, cache.as_deref_mut(), ct, now_ns),
-            &mut forward,
-        );
-    }
-    stats
-}
-
-/// Runs a whole batch through [`route_frame`], invoking `forward(next_hop)`
-/// for every packet that survives, and returns the batch's counters.
-///
-/// `parsed` counts frames whose headers validated (checksum and TTL checks
-/// happen after parsing, so a bad-checksum frame is parsed but dropped).
-///
-/// Mirrors the batch's counters into the `sysobs` registry (amortized: one
-/// update per batch, not per frame) and opens a `net.batch` span under full
-/// tracing. For a compiled-out-baseline path with zero observability code,
-/// see [`process_batch_uninstrumented`].
-pub fn process_batch<T, R, B, F>(frames: &mut [B], table: &R, mut forward: F) -> BatchStats
-where
-    T: Copy,
-    R: Routes<T>,
-    B: AsRef<[u8]> + AsMut<[u8]>,
-    F: FnMut(T),
-{
-    sysobs::obs_span!("net.batch");
-    let stats = if trace_first_frame(frames) {
-        let mut stats = BatchStats::default();
-        tally(
-            &mut stats,
-            route_frame_traced(frames[0].as_mut(), table, None, None, 0),
-            &mut forward,
-        );
-        stats.merge(&process_batch_uninstrumented(
-            &mut frames[1..],
-            table,
-            &mut forward,
-        ));
-        stats
-    } else {
-        process_batch_uninstrumented(frames, table, &mut forward)
-    };
-    mirror_batch_stats(&stats);
-    stats
-}
-
-/// [`process_batch`] with the trie fronted by the worker's [`FlowCache`]:
-/// the production path the sharded router runs. Mirrors the batch counters
-/// *and* the cache's hit/miss deltas into the `sysobs` registry, one update
-/// per batch.
-pub fn process_batch_cached<T, R, B, F>(
-    frames: &mut [B],
-    table: &R,
-    cache: &mut FlowCache<T>,
-    mut forward: F,
-) -> BatchStats
-where
-    T: Copy,
-    R: Routes<T>,
-    B: AsRef<[u8]> + AsMut<[u8]>,
-    F: FnMut(T),
-{
-    sysobs::obs_span!("net.batch");
-    let (hits0, misses0) = (cache.hits(), cache.misses());
-    let stats = if trace_first_frame(frames) {
-        let mut stats = BatchStats::default();
-        tally(
-            &mut stats,
-            route_frame_traced(frames[0].as_mut(), table, Some(&mut *cache), None, 0),
-            &mut forward,
-        );
-        stats.merge(&process_batch_cached_uninstrumented(
-            &mut frames[1..],
-            table,
-            cache,
-            &mut forward,
-        ));
-        stats
-    } else {
-        process_batch_cached_uninstrumented(frames, table, cache, &mut forward)
-    };
-    mirror_batch_stats(&stats);
-    if sysobs::metrics_on() {
-        sysobs::obs_count!("net.cache.hits", cache.hits() - hits0);
-        sysobs::obs_count!("net.cache.misses", cache.misses() - misses0);
-    }
-    stats
-}
-
-/// Mirrors one batch's counters into the `sysobs` registry (amortized: one
-/// update per batch, not per frame).
-pub(crate) fn mirror_batch_stats(stats: &BatchStats) {
-    if sysobs::metrics_on() {
-        sysobs::obs_count!("net.parsed", stats.parsed);
-        sysobs::obs_count!("net.forwarded", stats.forwarded);
-        sysobs::obs_count!("net.batches", 1);
-        for (name, &n) in DROP_METRICS.iter().zip(stats.dropped.iter()) {
-            if n > 0 {
-                sysobs::registry().counter(name).add(n);
-            }
-        }
-    }
-}
-
-/// [`process_batch`] with no observability hooks at all — not even the
-/// disabled-mode atomic load. This is the compiled baseline experiment E11
-/// measures instrumentation overhead against.
-pub fn process_batch_uninstrumented<T, R, B, F>(
-    frames: &mut [B],
-    table: &R,
-    mut forward: F,
-) -> BatchStats
-where
-    T: Copy,
-    R: Routes<T>,
-    B: AsRef<[u8]> + AsMut<[u8]>,
-    F: FnMut(T),
-{
-    let mut stats = BatchStats::default();
-    for frame in frames.iter_mut() {
-        tally(&mut stats, route_frame(frame.as_mut(), table), &mut forward);
-    }
-    stats
-}
-
-/// [`process_batch_uninstrumented`] over [`route_frame_cached`] — the
-/// compiled-out-baseline path with the flow cache, used by the
-/// `instrument: false` router workers.
-pub fn process_batch_cached_uninstrumented<T, R, B, F>(
-    frames: &mut [B],
-    table: &R,
-    cache: &mut FlowCache<T>,
-    mut forward: F,
-) -> BatchStats
-where
-    T: Copy,
-    R: Routes<T>,
-    B: AsRef<[u8]> + AsMut<[u8]>,
-    F: FnMut(T),
-{
-    let mut stats = BatchStats::default();
-    for frame in frames.iter_mut() {
-        tally(
-            &mut stats,
-            route_frame_cached(frame.as_mut(), table, cache),
-            &mut forward,
-        );
-    }
-    stats
+    forward: impl FnMut(T),
+) -> BatchStats {
+    process_batch::<true, T>(frames, table, cache, Some((ct, None)), now_ns, forward)
 }
 
 /// Folds one frame's routing outcome into the batch counters.
-#[inline]
-pub(crate) fn tally<T: Copy, F: FnMut(T)>(
+#[inline(always)]
+fn tally<T: Copy>(
     stats: &mut BatchStats,
     outcome: Result<T, DropReason>,
-    forward: &mut F,
+    forward: &mut impl FnMut(T),
 ) {
     match outcome {
         Ok(hop) => {
@@ -567,6 +520,14 @@ mod tests {
         t
     }
 
+    /// The stateless pipeline with no flow cache.
+    fn stateless(
+        frame: &mut [u8],
+        t: &TrieTable<&'static str>,
+    ) -> Result<&'static str, DropReason> {
+        route_frame::<false, _>(frame, t, None, None, 0)
+    }
+
     fn udp_to(dst: [u8; 4]) -> Vec<u8> {
         PacketBuilder::udp().dst_ip(dst).payload(&[7; 32]).build()
     }
@@ -574,27 +535,27 @@ mod tests {
     #[test]
     fn clean_frames_forward_to_longest_match() {
         let t = table();
-        assert_eq!(route_frame(&mut udp_to([10, 1, 2, 3]), &t), Ok("edge"));
-        assert_eq!(route_frame(&mut udp_to([10, 8, 0, 1]), &t), Ok("core"));
+        assert_eq!(stateless(&mut udp_to([10, 1, 2, 3]), &t), Ok("edge"));
+        assert_eq!(stateless(&mut udp_to([10, 8, 0, 1]), &t), Ok("core"));
     }
 
     #[test]
     fn every_drop_reason_is_reachable() {
         let t = table();
-        assert_eq!(route_frame(&mut [0u8; 6], &t), Err(DropReason::Malformed));
+        assert_eq!(stateless(&mut [0u8; 6], &t), Err(DropReason::Malformed));
         let mut non_ip = udp_to([10, 0, 0, 1]);
         non_ip[12] = 0x86; // EtherType -> not IPv4
         non_ip[13] = 0xDD;
-        assert_eq!(route_frame(&mut non_ip, &t), Err(DropReason::NotIpv4));
+        assert_eq!(stateless(&mut non_ip, &t), Err(DropReason::NotIpv4));
         let mut corrupt = PacketBuilder::udp()
             .dst_ip([10, 0, 0, 1])
             .corrupt_checksum()
             .build();
-        assert_eq!(route_frame(&mut corrupt, &t), Err(DropReason::BadChecksum));
+        assert_eq!(stateless(&mut corrupt, &t), Err(DropReason::BadChecksum));
         let mut stale = PacketBuilder::udp().dst_ip([10, 0, 0, 1]).ttl(0).build();
-        assert_eq!(route_frame(&mut stale, &t), Err(DropReason::TtlExpired));
+        assert_eq!(stateless(&mut stale, &t), Err(DropReason::TtlExpired));
         assert_eq!(
-            route_frame(&mut udp_to([192, 168, 0, 1]), &t),
+            stateless(&mut udp_to([192, 168, 0, 1]), &t),
             Err(DropReason::NoRoute)
         );
     }
@@ -613,7 +574,7 @@ mod tests {
             vec![0u8; 3],
         ];
         let mut hops = Vec::new();
-        let stats = process_batch(&mut frames, &t, |h| hops.push(h));
+        let stats = process_batch::<true, _>(&mut frames, &t, None, None, 0, |h| hops.push(h));
         assert_eq!(stats.total(), frames.len() as u64);
         assert_eq!(stats.forwarded, 2);
         assert_eq!(hops, vec!["edge", "core"]);
@@ -637,7 +598,7 @@ mod tests {
             PacketBuilder::udp().dst_ip([10, 0, 0, 1]).ttl(0).build(),
             vec![0u8; 3],
         ];
-        let stats = process_batch(&mut frames, &t, |_| {});
+        let stats = process_batch::<true, _>(&mut frames, &t, None, None, 0, |_| {});
         let snap = stats.to_snapshot();
         // Conservation: every submitted frame is either forwarded or
         // attributed to exactly one drop-reason counter.
@@ -658,7 +619,7 @@ mod tests {
             PacketBuilder::udp().dst_ip([10, 0, 0, 1]).ttl(0).build(),
             vec![0u8; 3],
         ];
-        let bare = process_batch_uninstrumented(&mut frames2, &t, |_| {});
+        let bare = process_batch::<false, _>(&mut frames2, &t, None, None, 0, |_| {});
         assert_eq!(bare, stats);
     }
 
@@ -668,7 +629,7 @@ mod tests {
         // their TTL untouched, so a routing loop never expired them.
         let t = table();
         let mut frame = PacketBuilder::udp().dst_ip([10, 1, 2, 3]).ttl(64).build();
-        assert_eq!(route_frame(&mut frame, &t), Ok("edge"));
+        assert_eq!(stateless(&mut frame, &t), Ok("edge"));
         let ip = sysrepr::packet::EthernetView::parse(&frame)
             .unwrap()
             .ipv4()
@@ -677,7 +638,7 @@ mod tests {
         ip.verify_checksum()
             .expect("incremental fixup keeps the header checksum valid");
         // The decremented frame re-validates: it can be forwarded again.
-        assert_eq!(route_frame(&mut frame, &t), Ok("edge"));
+        assert_eq!(stateless(&mut frame, &t), Ok("edge"));
         assert_eq!(
             sysrepr::packet::EthernetView::parse(&frame)
                 .unwrap()
@@ -696,11 +657,11 @@ mod tests {
         let t = table();
         let mut frame = PacketBuilder::udp().dst_ip([10, 1, 2, 3]).ttl(1).build();
         let before = frame.clone();
-        assert_eq!(route_frame(&mut frame, &t), Err(DropReason::TtlExpired));
+        assert_eq!(stateless(&mut frame, &t), Err(DropReason::TtlExpired));
         assert_eq!(frame, before, "dropped frames are not mutated");
         let mut cache = FlowCache::new(16);
         assert_eq!(
-            route_frame_cached(&mut frame.clone(), &t, &mut cache),
+            route_frame::<false, _>(&mut frame.clone(), &t, Some(&mut cache), None, 0),
             Err(DropReason::TtlExpired)
         );
         let mut ct = Conntrack::new(ConntrackConfig::default());
@@ -709,7 +670,7 @@ mod tests {
             Err(DropReason::TtlExpired)
         );
         // Batch accounting attributes the drop to net.drop.ttl-expired.
-        let stats = process_batch(&mut [frame], &t, |_| {});
+        let stats = process_batch::<true, _>(&mut [frame], &t, None, None, 0, |_| {});
         assert_eq!(stats.forwarded, 0);
         assert_eq!(stats.dropped[DropReason::TtlExpired as usize], 1);
     }
@@ -795,11 +756,11 @@ mod tests {
         // Cached and uncached tracked paths agree (fresh tracker per run:
         // admission is stateful).
         let mut ct2 = Conntrack::new(ConntrackConfig::default());
-        let bare = process_batch_tracked_uninstrumented(
+        let bare = process_batch::<false, _>(
             &mut frames_fresh(),
             &t,
             None,
-            &mut ct2,
+            Some((&mut ct2, None)),
             0,
             |_| {},
         );
@@ -823,7 +784,7 @@ mod tests {
                 vec![0u8; 3],
             ]
         };
-        let plain = process_batch_uninstrumented(&mut frames_fresh(), &t, |_| {});
+        let plain = process_batch::<false, _>(&mut frames_fresh(), &t, None, None, 0, |_| {});
         let mut cache = FlowCache::new(256);
         let mut hops = Vec::new();
         let cached = process_batch_cached(&mut frames_fresh(), &t, &mut cache, |h| hops.push(h));
@@ -832,7 +793,7 @@ mod tests {
         assert!(cache.hits() >= 1, "the repeated flow must hit");
         let mut cache2 = FlowCache::new(256);
         let bare =
-            process_batch_cached_uninstrumented(&mut frames_fresh(), &t, &mut cache2, |_| {});
+            process_batch::<false, _>(&mut frames_fresh(), &t, Some(&mut cache2), None, 0, |_| {});
         assert_eq!(bare, plain);
     }
 }

@@ -14,9 +14,9 @@
 //!   containers the same way. After warm-up no `Vec` is allocated per
 //!   packet or per batch — Challenge 2's region-style reuse, measured as
 //!   `steady_allocs_per_packet` in the bench rather than asserted.
-//! * **Cached routing.** Each worker fronts the route source with its own
-//!   [`FlowCache`]: repeated flows resolve in one hash-and-compare instead
-//!   of a 32-level trie walk, and a generation counter on the source
+//! * **Cached routing.** Each worker runs [`pipeline::process_batch`] with
+//!   its own [`FlowCache`]: repeated flows resolve in one hash-and-compare
+//!   instead of a trie walk, and a generation counter on the source
 //!   invalidates the cache before any post-mutation packet is routed.
 //! * **Live route updates.** The routing table is no longer frozen at
 //!   startup: [`ShardedRouter::updater`] hands out a clonable control-plane
@@ -52,7 +52,7 @@ use crate::cache::FlowCache;
 use crate::conntrack::{Conntrack, ConntrackConfig, ConntrackShared, ConntrackStats, EvictCause};
 use crate::cowtrie::{CowRouteTable, RouteReader};
 use crate::lb::{BackendPool, LbConfig, LbStats};
-use crate::lpm::{RouteError, Routes, TrieTable};
+use crate::lpm::{RouteError, TrieTable};
 use crate::pipeline::{self, BatchStats, DROP_METRICS, DROP_REASONS};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -112,8 +112,8 @@ pub struct RouterConfig {
     /// and control cost via [`sysobs::set_mode`].
     pub instrument: bool,
     /// Per-worker connection-tracking shard config. `None` (the default)
-    /// runs the classic stateless pipeline; `Some` routes every batch
-    /// through [`pipeline::process_batch_tracked`] and sweeps each shard
+    /// runs the stateless pipeline; `Some` adds each worker's shard as the
+    /// pipeline's admission stage ([`pipeline::Stages`]) and sweeps it
     /// watchdog-style between batches. `max_flows` is the **router-wide**
     /// capacity: every shard charges the same [`ConntrackShared`] gauge,
     /// so the live-entry total never exceeds it no matter how flows shard.
@@ -575,68 +575,15 @@ enum WorkerRoutes {
     Locked(Arc<ShimMutex<TrieTable<PortId>>>),
 }
 
-/// Routes one batch against whatever [`Routes`] source the worker holds —
-/// the shared middle of [`worker_loop`], monomorphized per source and per
-/// `OBS` so both the pinned-view fast path and the locked baseline compile
-/// tight. With a conntrack shard the batch goes through the tracked
-/// pipeline, and the shard's watchdog sweep runs after the batch, never
-/// inside it (bounded extra work per batch, zero fast-path contention).
-fn run_batch<const OBS: bool, R: Routes<PortId>>(
-    frames: &mut [Vec<u8>],
-    table: &R,
-    cache: Option<&mut FlowCache<PortId>>,
-    ct: Option<&mut Conntrack>,
-    lb: Option<&mut BackendPool>,
-    now_ns: u64,
-    shared: &Counters,
-) -> BatchStats {
-    let forward = |port: PortId| {
-        if let Some(cell) = shared.per_port.get(usize::from(port)) {
-            cell.fetch_add(1, Ordering::Relaxed);
-        }
-    };
-    if let Some(ct) = ct {
-        let s = if let Some(pool) = lb {
-            if OBS {
-                crate::lb::process_batch_lb(frames, table, cache, ct, pool, now_ns, forward)
-            } else {
-                crate::lb::process_batch_lb_uninstrumented(
-                    frames, table, cache, ct, pool, now_ns, forward,
-                )
-            }
-        } else if OBS {
-            pipeline::process_batch_tracked(frames, table, cache, ct, now_ns, forward)
-        } else {
-            pipeline::process_batch_tracked_uninstrumented(
-                frames, table, cache, ct, now_ns, forward,
-            )
-        };
-        if ct.due_sweep(now_ns) {
-            ct.sweep(now_ns);
-        }
-        s
-    } else {
-        match (cache, OBS) {
-            (Some(c), true) => pipeline::process_batch_cached(frames, table, c, forward),
-            (Some(c), false) => {
-                pipeline::process_batch_cached_uninstrumented(frames, table, c, forward)
-            }
-            (None, true) => pipeline::process_batch(frames, table, forward),
-            (None, false) => pipeline::process_batch_uninstrumented(frames, table, forward),
-        }
-    }
-}
-
 /// One worker's receive-process loop, monomorphized on `OBS` so the
 /// `instrument: false` configuration compiles a fast path containing zero
-/// observability code — the E11 baseline — while the instrumented variant
-/// routes through [`pipeline::process_batch_cached`] (registry counters,
-/// spans). Each batch routes against one consistent route state: a pinned
-/// copy-on-write snapshot ([`RouteMode::CowEpoch`]) or the mutex-held trie
-/// ([`RouteMode::LockedGenerationClear`]) — see [`run_batch`] for the
-/// shared pipeline dispatch. Drained batches go back to the dispatcher
-/// through `recycle`; the send is best-effort because at shutdown the
-/// dispatcher drops its receiver first.
+/// observability code — the E11 baseline. Every batch runs
+/// [`pipeline::process_batch`] with the worker's stages (its conntrack
+/// shard and load-balancer pool, when configured) against one consistent
+/// route state: a pinned copy-on-write snapshot ([`RouteMode::CowEpoch`])
+/// or the mutex-held trie ([`RouteMode::LockedGenerationClear`]). Drained
+/// batches go back to the dispatcher through `recycle`; the send is
+/// best-effort because at shutdown the dispatcher drops its receiver first.
 #[allow(clippy::too_many_arguments)]
 fn worker_loop<const OBS: bool>(
     rx: &Receiver<Batch>,
@@ -650,6 +597,11 @@ fn worker_loop<const OBS: bool>(
 ) -> WorkerExit {
     let mut cache = (cache_slots > 0).then(|| FlowCache::new(cache_slots));
     let mut latencies = LogHistogram::new();
+    let mut forward = |port: PortId| {
+        if let Some(cell) = shared.per_port.get(usize::from(port)) {
+            cell.fetch_add(1, Ordering::Relaxed);
+        }
+    };
     let t0 = Instant::now();
     while let Ok(mut batch) = rx.recv() {
         if let Some(inj) = &mut injector {
@@ -667,37 +619,37 @@ fn worker_loop<const OBS: bool>(
         } else {
             None
         };
+        let frames = &mut batch.frames;
+        let stages = ct.as_mut().map(|ct| (ct, lb.as_mut()));
         let stats = match routes {
-            WorkerRoutes::Cow(reader) => {
-                // Pin once per batch: two SeqCst loads, then every lookup
-                // in the batch walks the frozen snapshot lock-free.
-                let view = reader.pin();
-                run_batch::<OBS, _>(
-                    &mut batch.frames,
-                    &view,
-                    cache.as_mut(),
-                    ct.as_mut(),
-                    lb.as_mut(),
-                    now_ns,
-                    shared,
-                )
-            }
-            WorkerRoutes::Locked(table) => {
-                let guard = table.lock().expect("route table poisoned");
-                run_batch::<OBS, _>(
-                    &mut batch.frames,
-                    &*guard,
-                    cache.as_mut(),
-                    ct.as_mut(),
-                    lb.as_mut(),
-                    now_ns,
-                    shared,
-                )
-            }
+            // Pin once per batch: two SeqCst loads, then every lookup in the
+            // batch walks the frozen snapshot lock-free.
+            WorkerRoutes::Cow(reader) => pipeline::process_batch::<OBS, PortId>(
+                frames,
+                &reader.pin(),
+                cache.as_mut(),
+                stages,
+                now_ns,
+                &mut forward,
+            ),
+            WorkerRoutes::Locked(table) => pipeline::process_batch::<OBS, PortId>(
+                frames,
+                &*table.lock().expect("route table poisoned"),
+                cache.as_mut(),
+                stages,
+                now_ns,
+                &mut forward,
+            ),
         };
-        // Health probes ride between batches, like the conntrack sweep:
-        // bounded control-plane work, never inside the per-packet loop. A
-        // death verdict ejects the backend's flows so retries re-select.
+        // Control-plane work rides between batches, never inside the
+        // per-packet loop: the shard's watchdog sweep, then the pool's
+        // health probes, whose death verdicts eject the backend's flows so
+        // retries re-select.
+        if let Some(ct) = ct.as_mut() {
+            if ct.due_sweep(now_ns) {
+                ct.sweep(now_ns);
+            }
+        }
         if let (Some(pool), Some(ct)) = (lb.as_mut(), ct.as_mut()) {
             let mut freed = 0usize;
             for &b in pool.maybe_probe(now_ns) {
@@ -721,6 +673,9 @@ fn worker_loop<const OBS: bool>(
     }
     let mut fault_digest = injector.map_or(0, |inj| inj.log().digest());
     let ct_stats = ct.map(|mut ct| {
+        if OBS {
+            ct.withdraw_gauges();
+        }
         // Shutdown audit: campaigns read invariant_violations out of the
         // merged stats, so a corrupted shard cannot exit silently.
         ct.audit();
@@ -937,33 +892,23 @@ impl ShardedRouter {
                 }
             });
             let worker_injector = derived_plan.map(FaultInjector::new);
-            let handle = if config.instrument {
-                spawn_named(&name, move || {
-                    worker_loop::<true>(
-                        &rx,
-                        &back_tx,
-                        &worker_routes,
-                        &shared,
-                        slots,
-                        worker_ct,
-                        worker_lb,
-                        worker_injector,
-                    )
-                })
+            let worker = if config.instrument {
+                worker_loop::<true>
             } else {
-                spawn_named(&name, move || {
-                    worker_loop::<false>(
-                        &rx,
-                        &back_tx,
-                        &worker_routes,
-                        &shared,
-                        slots,
-                        worker_ct,
-                        worker_lb,
-                        worker_injector,
-                    )
-                })
+                worker_loop::<false>
             };
+            let handle = spawn_named(&name, move || {
+                worker(
+                    &rx,
+                    &back_tx,
+                    &worker_routes,
+                    &shared,
+                    slots,
+                    worker_ct,
+                    worker_lb,
+                    worker_injector,
+                )
+            });
             senders.push(tx);
             recycle_rx.push(back_rx);
             handles.push(handle);
@@ -1278,14 +1223,7 @@ impl ShardedRouter {
             }
             faults.worker_digest = faults.worker_digest.rotate_left(1) ^ exit.fault_digest;
         }
-        let stats = {
-            let per_worker: Vec<WorkerStats> = self.counters.iter().map(|c| c.snapshot()).collect();
-            let mut totals = WorkerStats::default();
-            for w in &per_worker {
-                totals.merge(w);
-            }
-            RouterStats { per_worker, totals }
-        };
+        let stats = self.snapshot();
         faults.injected_stalls = stats.totals.injected_stalls;
         faults.dispatch_digest = self
             .dispatch_injector

@@ -25,9 +25,9 @@ use std::time::Instant;
 use sysfault::{FaultInjector, FaultPlan};
 use sysnet::conntrack::{Conntrack, ConntrackConfig, EvictCause, FlowKey};
 use sysnet::ctbench::FrameForge;
-use sysnet::lb::{route_frame_lb, BackendPool, LbConfig};
+use sysnet::lb::{BackendPool, LbConfig};
 use sysnet::lbbench::{lb_backends, lb_table, LB_VIP, LB_VPORT};
-use sysnet::pipeline::{DropReason, DROP_REASONS};
+use sysnet::pipeline::{route_frame, DropReason, DROP_REASONS};
 use sysnet::{CowRouteTable, FlowCache, RouteView, Routes, TrieTable};
 use sysrepr::endian::{internet_checksum, write_u16_be};
 use sysrepr::packet::{IPPROTO_TCP, TCP_ACK, TCP_SYN};
@@ -290,12 +290,11 @@ impl<'s> World<'s> {
         now: u64,
     ) -> Result<u16, DropReason> {
         self.routed += 1;
-        let r = route_frame_lb(
+        let r = route_frame::<false, _>(
             buf,
             table,
             self.cache.as_mut(),
-            &mut self.ct,
-            &mut self.pool,
+            Some((&mut self.ct, Some(&mut self.pool))),
             now,
         );
         if let Err(reason) = r {

@@ -11,10 +11,12 @@
 //!   the [`ScenarioOutcome::digest`] is the proof — so "the incident" and
 //!   "the replay of the incident" are the same artifact;
 //! * [`engine::run_scenario`] executes a scenario on the single-threaded
-//!   LB data path (`route_frame_lb`) exactly the way `lbbench`'s failover
-//!   harness does, with client handshake state machines, SYN-cookie
-//!   echoes, scripted backend kills/drains, route flaps, and held epoch
-//!   pins, and checks every forwarded frame's TTL decrement en passant;
+//!   load-balanced data path (`sysnet::pipeline::route_frame` with a
+//!   conntrack shard and a backend pool, untraced) exactly the way
+//!   `lbbench`'s failover harness does, with client handshake state
+//!   machines, SYN-cookie echoes, scripted backend kills/drains, route
+//!   flaps, and held epoch pins, and checks every forwarded frame's TTL
+//!   decrement en passant;
 //! * [`library::standard`] ships the campaign the acceptance bar names —
 //!   flash crowd, route-flap storm, cascading backend death with drain
 //!   coordination, slowloris trickle, mixed attack/benign — and

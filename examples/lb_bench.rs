@@ -20,40 +20,11 @@
 //! * goodput returns to 100 % within one health-probe interval of the
 //!   scripted backend death.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use plos06::alloc::{alloc_count, CountingAlloc};
 use sysnet::lbbench::{run_lb_bench, FailoverConfig, LbBenchConfig};
-
-/// Counts every heap allocation in the process, so the bench measures the
-/// balanced data plane's steady-state allocation rate instead of asserting it.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates allocation to `System` unchanged; the counter is a
-// relaxed atomic with no allocation of its own.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn alloc_count() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
-}
 
 fn main() {
     sysobs::install_panic_dump();

@@ -9,46 +9,17 @@
 //! The full sweep measures the linear-vs-trie lookup microbench and the
 //! end-to-end pipeline at 1/2/4 workers × batch 16/64/256 over a skewed
 //! flow population, then records packets/sec, p50/p99 per-packet latency,
-//! the flow-cache hit rate, and — via the counting global allocator below —
-//! steady-state heap allocations per packet, which the full run asserts is
-//! ≈ 0 (the router's buffer pool at work). `--quick` runs a small sweep and
-//! skips the file write so CI never clobbers the recorded trajectory with
-//! throwaway numbers.
+//! the flow-cache hit rate, and — via the counting global allocator it
+//! installs from `plos06::alloc` — steady-state heap allocations per
+//! packet, which the full run asserts is ≈ 0 (the router's buffer pool at
+//! work). `--quick` runs a small sweep and skips the file write so CI never
+//! clobbers the recorded trajectory with throwaway numbers.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use plos06::alloc::{alloc_count, CountingAlloc};
 use sysnet::bench::{run_sweep, SweepConfig};
-
-/// Counts every heap allocation in the process, so the sweep can measure
-/// the router's steady-state allocation rate instead of asserting it.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates allocation to `System` unchanged; the counter is a
-// relaxed atomic with no allocation of its own.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn alloc_count() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
-}
 
 fn main() {
     // A panicking bench run leaves its flight-recorder tail and metrics

@@ -26,4 +26,5 @@ pub use sysconc;
 pub use sysmem;
 pub use sysrepr;
 
+pub mod alloc;
 pub mod experiments;
