@@ -3,6 +3,29 @@
 set -eu
 
 cargo fmt --all -- --check
+
+# Bench JSON shapes: each quick bench's stdout must parse as JSON and carry
+# the top-level keys of its recorded BENCH_*.json, with the same row keys
+# in every array that has rows in both, so a renamed or dropped field
+# cannot drift away from the recorded schema. The quick runs write into a
+# scratch directory; their exit status still gates CI as before.
+quick_out=$(mktemp -d)
+trap 'rm -rf "$quick_out"' EXIT
+check_bench_shape() {
+    python3 - "$1" "$2" <<'EOF'
+import json, sys
+quick_path, recorded_path = sys.argv[1:3]
+quick = json.load(open(quick_path))
+recorded = json.load(open(recorded_path))
+assert set(quick) == set(recorded), (recorded_path, sorted(set(quick) ^ set(recorded)))
+for key, rows in recorded.items():
+    if isinstance(rows, list) and rows and quick[key]:
+        want = {frozenset(r) for r in rows}
+        got = {frozenset(r) for r in quick[key]}
+        diff = sorted(set().union(*want) ^ set().union(*got))
+        assert len(want) == 1 and got == want, (recorded_path, key, diff)
+EOF
+}
 cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
@@ -17,7 +40,8 @@ cargo run --release --example packet_router
 cargo run --release --example experiments -- e10 e12
 cargo test -q -p sysnet --test cache_properties
 cargo test -q -p sysnet --test pipeline_stages
-cargo run --release --example router_bench -- --quick
+cargo run --release --example router_bench -- --quick > "$quick_out/router.json"
+check_bench_shape "$quick_out/router.json" BENCH_router.json
 
 # Benchmark smoke: perfbench is a workspace of its own that builds against
 # sysnet by path, so nothing above compiles it and an API change could
@@ -62,7 +86,8 @@ cargo test -q -p sysnet --test conntrack_properties
 cargo test -q -p sysrepr --test tcp_adversarial
 cargo test -q -p sysnet --test conntrack_model
 cargo run --release --example experiments -- e14 e9net
-cargo run --release --example conntrack_bench -- --quick
+cargo run --release --example conntrack_bench -- --quick > "$quick_out/conntrack.json"
+check_bench_shape "$quick_out/conntrack.json" BENCH_conntrack.json
 
 # Postmortem smoke: seed a drop-rate spike under sampled mode (live drop
 # counters, the standard watch set, a frozen flight-recorder capture),
@@ -111,7 +136,8 @@ cargo run --release --example experiments -- e15
 # all four scenarios and a recovery within one probe interval.
 cargo test -q -p sysnet --test lb_model
 cargo run --release --example experiments -- e17
-cargo run --release --example lb_bench -- --quick
+cargo run --release --example lb_bench -- --quick > "$quick_out/lb.json"
+check_bench_shape "$quick_out/lb.json" BENCH_lb.json
 python3 - <<'EOF'
 import json
 bench = json.load(open("BENCH_lb.json"))

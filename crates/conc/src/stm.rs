@@ -32,6 +32,14 @@ static GLOBAL_CLOCK: AtomicU64 = AtomicU64::new(0);
 static COMMITS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 static ABORTS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
+#[cfg(test)]
+thread_local! {
+    /// Aborts noted on this thread. `ABORTS` also counts the aborts of every
+    /// other test running in parallel, so a test that pins an exact abort
+    /// count reads this tally instead.
+    static THREAD_ABORTS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Snapshot of global STM counters (commits and aborts since process start).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StmStats {
@@ -70,6 +78,8 @@ fn note_commit() {
 /// Bumps the abort counter (and its observability mirror).
 fn note_abort() {
     ABORTS.fetch_add(1, Ordering::Relaxed);
+    #[cfg(test)]
+    THREAD_ABORTS.with(|n| n.set(n.get() + 1));
     sysobs::obs_count!("stm.aborts", 1);
 }
 
@@ -484,6 +494,7 @@ fn atomically_with<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
     use std::sync::Arc as StdArc;
     use std::thread;
 
@@ -741,10 +752,14 @@ mod tests {
             FaultPlan::new(3).with_site(SITE_STM_ABORT, Schedule::OneShotAt(1)),
         );
         let v = TVar::new(10i64);
-        let before = stm_stats().aborts;
+        let before = THREAD_ABORTS.with(Cell::get);
         let got = atomically_faulted(RetryBudget::attempts(4), &inj, |tx| tx.read(&v));
         assert_eq!(got, Ok(10));
-        assert_eq!(stm_stats().aborts, before + 1, "injected abort was counted");
+        assert_eq!(
+            THREAD_ABORTS.with(Cell::get),
+            before + 1,
+            "injected abort was counted"
+        );
         assert_eq!(inj.faults_fired(), 1);
     }
 

@@ -17,10 +17,14 @@
 //! [`BenchReport::to_json`] renders the record `BENCH_router.json` at the
 //! repo root is built from (`cargo run --release --example router_bench`),
 //! so later PRs have a number to beat.
+//!
+//! Every timed router run, this sweep's and the conntrack and LB benches',
+//! goes through the router's trial driver, [`run_trial`], and [`best_of`]
+//! is the one best-of-N rule over trials.
 
 use crate::cowtrie::CowRouteTable;
 use crate::lpm::{LinearTable, Routes as _, TrieTable};
-use crate::router::{PortId, RouteMode, RouterConfig, ShardedRouter};
+use crate::router::{run_trial, PortId, RouteMode, RouterConfig, RouterReport, Timing};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
@@ -36,40 +40,37 @@ pub const PORTS: usize = 4;
 /// Port names, indexed by [`PortId`].
 pub const PORT_NAMES: [&str; PORTS] = ["core-a", "edge-b", "rack-c", "default-gw"];
 
-/// Sweep sizing.
+/// UDP payload bytes per sweep packet.
+const PAYLOAD_LEN: usize = 64;
+
+/// Every this-many-th sweep packet carries a corrupt checksum.
+const CORRUPT_EVERY: usize = 500;
+
+/// Seed for the synthetic sweep stream.
+pub const SEED: u64 = 0x5EED_0E10;
+
+/// Sweep sizing. Queue depth and (outside the swept sizes) batch size are
+/// [`RouterConfig::default`]'s.
 #[derive(Debug, Clone)]
 pub struct SweepConfig {
     /// Packets per (workers × batch) configuration.
     pub packets: usize,
     /// Routes to install (plus the default route).
     pub routes: usize,
-    /// UDP payload bytes per packet.
-    pub payload_len: usize,
-    /// Corrupt every Nth packet's checksum (0 = never).
-    pub corrupt_every: usize,
     /// Worker counts to sweep.
     pub worker_counts: Vec<usize>,
     /// Batch sizes to sweep.
     pub batch_sizes: Vec<usize>,
-    /// Bounded-queue depth (batches) per worker.
-    pub queue_depth: usize,
     /// Total lookups for the linear-vs-trie microbench.
     pub lookups: usize,
-    /// Seed for the synthetic stream.
-    pub seed: u64,
     /// Distinct flows in the stream (Zipf-ish: 87.5 % of packets come from
     /// the hottest `flows / 8`). `0` keeps the legacy stream where every
     /// packet is its own flow — the worst case for any flow cache.
     pub flows: usize,
     /// Process-wide allocation counter (e.g. a counting `#[global_allocator]`
-    /// in the bench binary). When set, the sweep reads it at the stream's
-    /// midpoint and end to report steady-state allocations per packet —
-    /// the measured form of the router's zero-alloc claim.
+    /// in the bench binary); see [`run_trial`].
     pub alloc_counter: Option<fn() -> u64>,
-    /// Timed trials per (workers × batch) configuration; the best trial is
-    /// recorded. Wall-clock throughput on a shared host is at the mercy of
-    /// the scheduler — best-of-N reports what the data plane can sustain,
-    /// not which trial drew the short straw.
+    /// Timed trials per (workers × batch) configuration; see [`best_of`].
     pub trials: usize,
     /// Target route-update rates (updates/sec) for the churn sweep; each
     /// rate runs once per [`RouteMode`]. Empty skips the churn sweep.
@@ -86,13 +87,9 @@ impl SweepConfig {
         SweepConfig {
             packets: 20_000,
             routes: 64,
-            payload_len: 64,
-            corrupt_every: 500,
             worker_counts: vec![1, 2, 4],
             batch_sizes: vec![64],
-            queue_depth: 8,
             lookups: 200_000,
-            seed: 0x5EED_0E10,
             flows: 1024,
             alloc_counter: None,
             trials: 1,
@@ -107,13 +104,9 @@ impl SweepConfig {
         SweepConfig {
             packets: 200_000,
             routes: 256,
-            payload_len: 64,
-            corrupt_every: 500,
             worker_counts: vec![1, 2, 4],
             batch_sizes: vec![16, 64, 256],
-            queue_depth: 8,
             lookups: 2_000_000,
-            seed: 0x5EED_0E10,
             flows: 4096,
             alloc_counter: None,
             trials: 3,
@@ -316,20 +309,20 @@ pub fn address_stream(n: usize, routes: usize, seed: u64) -> Vec<u32> {
 /// 20 %-anywhere rule, so drop and forward counters stay comparable.
 #[must_use]
 pub fn frame_stream(cfg: &SweepConfig) -> Vec<Vec<u8>> {
-    let payload = vec![0xAA_u8; cfg.payload_len];
+    let payload = vec![0xAA_u8; PAYLOAD_LEN];
     let build = |i: usize, src: [u8; 4], dst: [u8; 4]| {
         let mut b = PacketBuilder::udp()
             .src_ip(src)
             .dst_ip(dst)
             .dst_port(4789)
             .payload(&payload);
-        if cfg.corrupt_every != 0 && i.is_multiple_of(cfg.corrupt_every) {
+        if i.is_multiple_of(CORRUPT_EVERY) {
             b = b.corrupt_checksum();
         }
         b.build()
     };
     if cfg.flows == 0 {
-        let addrs = address_stream(cfg.packets, cfg.routes, cfg.seed);
+        let addrs = address_stream(cfg.packets, cfg.routes, SEED);
         return addrs
             .iter()
             .enumerate()
@@ -340,8 +333,8 @@ pub fn frame_stream(cfg: &SweepConfig) -> Vec<Vec<u8>> {
             })
             .collect();
     }
-    let dsts = address_stream(cfg.flows, cfg.routes, cfg.seed);
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x0F10_0F10);
+    let dsts = address_stream(cfg.flows, cfg.routes, SEED);
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0x0F10_0F10);
     let flows: Vec<([u8; 4], [u8; 4])> = dsts
         .iter()
         .map(|d| {
@@ -394,59 +387,14 @@ pub fn lookup_comparison(routes: usize, lookups: usize, seed: u64) -> LookupPoin
     }
 }
 
-/// Runs one timed trial of a single (workers × batch) configuration.
-#[allow(clippy::cast_precision_loss)]
-fn measure_point(
-    cfg: &SweepConfig,
-    frames: &[Vec<u8>],
-    workers: usize,
-    batch_size: usize,
-) -> SweepPoint {
-    let (trie, _) = build_tables(cfg.routes);
-    let rc = RouterConfig {
-        workers,
-        batch_size,
-        queue_depth: cfg.queue_depth,
-        ..RouterConfig::default()
-    };
-    // The stream runs in two halves within one router lifetime: the
-    // first half warms the buffer pool and flow caches, and the
-    // allocation counter (when supplied) brackets the second half —
-    // steady-state allocations per packet, measured not asserted.
-    let half = frames.len() / 2;
-    let t0 = Instant::now();
-    let mut router = ShardedRouter::start(trie, PORTS, rc);
-    for frame in &frames[..half] {
-        router.submit(frame);
-    }
-    let allocs_mid = cfg.alloc_counter.map(|f| f());
-    for frame in &frames[half..] {
-        router.submit(frame);
-    }
-    // Read before finish(): report assembly allocates, the steady
-    // state does not.
-    let allocs_end = cfg.alloc_counter.map(|f| f());
-    let report = router.finish();
-    let elapsed = t0.elapsed();
-    let secs = elapsed.as_secs_f64().max(1e-9);
-    let steady_allocs_per_packet = match (allocs_mid, allocs_end) {
-        (Some(a), Some(b)) if frames.len() > half => {
-            Some((b.saturating_sub(a)) as f64 / (frames.len() - half) as f64)
-        }
-        _ => None,
-    };
-    SweepPoint {
-        workers,
-        batch_size,
-        pps: report.packets() as f64 / secs,
-        p50_ns: report.latency_ns(0.50),
-        p99_ns: report.latency_ns(0.99),
-        p999_ns: report.latency_ns(0.999),
-        forwarded: report.stats.totals.forwarded,
-        dropped: report.stats.totals.dropped_total(),
-        cache_hit_rate: report.cache_hit_rate(),
-        steady_allocs_per_packet,
-    }
+/// Best of `trials` runs (at least one) by `pps`. Wall-clock throughput on
+/// a shared host is at the mercy of the scheduler: best-of-N reports what
+/// the data plane can sustain, not which trial drew the short straw.
+pub fn best_of<T>(trials: usize, pps: impl Fn(&T) -> f64, mut run: impl FnMut() -> T) -> T {
+    (0..trials.max(1))
+        .map(|_| run())
+        .max_by(|a, b| pps(a).total_cmp(&pps(b)))
+        .expect("at least one trial")
 }
 
 /// The churn target: a /30 outside [`route_set`]'s prefixes (the /16 arm
@@ -459,91 +407,68 @@ pub const FLAP_LEN: u8 = 30;
 /// An address inside the churn target (visibility microbench probe).
 const FLAP_ADDR: u32 = FLAP_PREFIX | 1;
 
-/// Runs one timed churn trial: the full stream through `mode` while an
-/// updater thread flaps [`FLAP_PREFIX`] at `rate` updates/sec.
-#[allow(clippy::cast_precision_loss)]
-fn churn_point(
+/// One timed trial of the sweep stream through `mode` while an updater
+/// thread flaps [`FLAP_PREFIX`] at `rate` updates/sec (0: no churn).
+/// Returns the report, the timing, and the updates applied.
+fn stream_trial(
     cfg: &SweepConfig,
     frames: &[Vec<u8>],
     workers: usize,
     batch_size: usize,
     mode: RouteMode,
     rate: u64,
-) -> ChurnPoint {
+) -> (RouterReport, Timing, u64) {
     let (trie, _) = build_tables(cfg.routes);
     let rc = RouterConfig {
         workers,
         batch_size,
-        queue_depth: cfg.queue_depth,
         route_mode: mode,
         ..RouterConfig::default()
     };
-    let half = frames.len() / 2;
-    let t0 = Instant::now();
-    let mut router = ShardedRouter::start(trie, PORTS, rc);
-    let stop = Arc::new(AtomicBool::new(false));
-    let churn = (rate > 0).then(|| {
-        let updater = router.updater();
-        let stop = Arc::clone(&stop);
-        let started = Arc::new(std::sync::Barrier::new(2));
-        let thread_started = Arc::clone(&started);
-        let handle = std::thread::spawn(move || {
-            thread_started.wait();
-            // Wall-clock pacing: apply however many updates the elapsed
-            // time says are due, then yield. The first update is due at
-            // t = 0, so even a stream shorter than one update period sees
-            // churn. Every insert changes the next hop, so every one is a
-            // real publication.
-            let start = Instant::now();
-            let mut applied = 0u64;
-            loop {
-                #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-                let due = (start.elapsed().as_secs_f64() * rate as f64) as u64 + 1;
-                while applied < due {
-                    let hop = PortId::try_from(applied as usize % PORTS).expect("fits");
-                    let _ = updater.insert(FLAP_PREFIX, FLAP_LEN, hop);
-                    applied += 1;
+    run_trial(trie, PORTS, rc, frames.len(), cfg.alloc_counter, |feed| {
+        let stop = Arc::new(AtomicBool::new(false));
+        let churn = (rate > 0).then(|| {
+            let updater = feed.updater();
+            let stop = Arc::clone(&stop);
+            let started = Arc::new(std::sync::Barrier::new(2));
+            let thread_started = Arc::clone(&started);
+            let handle = std::thread::spawn(move || {
+                thread_started.wait();
+                // Wall-clock pacing: apply however many updates the
+                // elapsed time says are due, then yield. The first update
+                // is due at t = 0, so even a stream shorter than one update
+                // period sees churn. Every insert changes the next hop, so
+                // every one is a real publication.
+                let start = Instant::now();
+                let mut applied = 0u64;
+                loop {
+                    #[allow(
+                        clippy::cast_possible_truncation,
+                        clippy::cast_sign_loss,
+                        clippy::cast_precision_loss
+                    )]
+                    let due = (start.elapsed().as_secs_f64() * rate as f64) as u64 + 1;
+                    while applied < due {
+                        let hop = PortId::try_from(applied as usize % PORTS).expect("fits");
+                        let _ = updater.insert(FLAP_PREFIX, FLAP_LEN, hop);
+                        applied += 1;
+                    }
+                    if stop.load(Ordering::Relaxed) {
+                        break applied;
+                    }
+                    std::thread::yield_now();
                 }
-                if stop.load(Ordering::Relaxed) {
-                    break applied;
-                }
-                std::thread::yield_now();
-            }
+            });
+            // Submit nothing until the updater runs: on a loaded host the
+            // whole stream can otherwise finish before it is first
+            // scheduled.
+            started.wait();
+            handle
         });
-        // Submit nothing until the updater runs: on a loaded host the
-        // whole stream can otherwise finish before it is first scheduled.
-        started.wait();
-        handle
-    });
-    for frame in &frames[..half] {
-        router.submit(frame);
-    }
-    let allocs_mid = cfg.alloc_counter.map(|f| f());
-    for frame in &frames[half..] {
-        router.submit(frame);
-    }
-    let allocs_end = cfg.alloc_counter.map(|f| f());
-    stop.store(true, Ordering::Relaxed);
-    let updates_applied = churn.map_or(0, |h| h.join().expect("churn thread panicked"));
-    let report = router.finish();
-    let secs = t0.elapsed().as_secs_f64().max(1e-9);
-    let steady_allocs_per_packet = match (allocs_mid, allocs_end) {
-        (Some(a), Some(b)) if frames.len() > half => {
-            Some((b.saturating_sub(a)) as f64 / (frames.len() - half) as f64)
-        }
-        _ => None,
-    };
-    ChurnPoint {
-        mode,
-        target_updates_per_sec: rate,
-        updates_applied,
-        pps: report.packets() as f64 / secs,
-        p50_ns: report.latency_ns(0.50),
-        p99_ns: report.latency_ns(0.99),
-        cache_hit_rate: report.cache_hit_rate(),
-        invalidation_misses: report.stats.totals.cache_invalidation_misses,
-        steady_allocs_per_packet,
-    }
+        feed.submit_all(frames);
+        stop.store(true, Ordering::Relaxed);
+        churn.map_or(0, |h| h.join().expect("churn thread panicked"))
+    })
 }
 
 /// Runs the churn sweep: each rate × each [`RouteMode`], best of
@@ -563,11 +488,25 @@ pub fn run_churn_sweep(cfg: &SweepConfig) -> Vec<ChurnPoint> {
     let mut churn = Vec::new();
     for &rate in &cfg.churn_rates {
         for mode in [RouteMode::CowEpoch, RouteMode::LockedGenerationClear] {
-            let best = (0..cfg.trials.max(1))
-                .map(|_| churn_point(cfg, &frames, workers, batch_size, mode, rate))
-                .max_by(|a, b| a.pps.total_cmp(&b.pps))
-                .expect("at least one trial");
-            churn.push(best);
+            churn.push(best_of(
+                cfg.trials,
+                |p: &ChurnPoint| p.pps,
+                || {
+                    let (report, t, updates_applied) =
+                        stream_trial(cfg, &frames, workers, batch_size, mode, rate);
+                    ChurnPoint {
+                        mode,
+                        target_updates_per_sec: rate,
+                        updates_applied,
+                        pps: t.pps,
+                        p50_ns: t.p50_ns,
+                        p99_ns: t.p99_ns,
+                        cache_hit_rate: report.cache_hit_rate(),
+                        invalidation_misses: report.stats.totals.cache_invalidation_misses,
+                        steady_allocs_per_packet: t.steady_allocs_per_packet,
+                    }
+                },
+            ));
         }
     }
     churn
@@ -680,16 +619,31 @@ pub fn update_visibility(samples: usize) -> Option<VisibilityPoint> {
 /// the churn sweep and visibility microbench when configured.
 #[must_use]
 pub fn run_sweep(cfg: &SweepConfig) -> BenchReport {
-    let lookup = lookup_comparison(cfg.routes, cfg.lookups, cfg.seed);
+    let lookup = lookup_comparison(cfg.routes, cfg.lookups, SEED);
     let frames = frame_stream(cfg);
     let mut sweep = Vec::new();
     for &workers in &cfg.worker_counts {
         for &batch_size in &cfg.batch_sizes {
-            let best = (0..cfg.trials.max(1))
-                .map(|_| measure_point(cfg, &frames, workers, batch_size))
-                .max_by(|a, b| a.pps.total_cmp(&b.pps))
-                .expect("at least one trial");
-            sweep.push(best);
+            sweep.push(best_of(
+                cfg.trials,
+                |p: &SweepPoint| p.pps,
+                || {
+                    let (report, t, _) =
+                        stream_trial(cfg, &frames, workers, batch_size, RouteMode::default(), 0);
+                    SweepPoint {
+                        workers,
+                        batch_size,
+                        pps: t.pps,
+                        p50_ns: t.p50_ns,
+                        p99_ns: t.p99_ns,
+                        p999_ns: t.p999_ns,
+                        forwarded: report.stats.totals.forwarded,
+                        dropped: report.stats.totals.dropped_total(),
+                        cache_hit_rate: report.cache_hit_rate(),
+                        steady_allocs_per_packet: t.steady_allocs_per_packet,
+                    }
+                },
+            ));
         }
     }
     BenchReport {
@@ -703,9 +657,33 @@ pub fn run_sweep(cfg: &SweepConfig) -> BenchReport {
     }
 }
 
+/// `Some(v)` to 4 decimals, or `null`: the records' optional-ratio format.
+pub(crate) fn opt4(v: Option<f64>) -> String {
+    v.map_or_else(|| "null".to_owned(), |a| format!("{a:.4}"))
+}
+
+/// Writes one row array of a hand-rolled record (the container has no
+/// serde): `  "name": [`, one `{"key": value, …}` line per item, `  ],`.
+pub(crate) fn write_rows<T>(
+    s: &mut String,
+    name: &str,
+    items: &[T],
+    row: impl Fn(&T) -> Vec<(&'static str, String)>,
+) {
+    let _ = writeln!(s, "  \"{name}\": [");
+    for (i, item) in items.iter().enumerate() {
+        let fields: Vec<String> = row(item)
+            .iter()
+            .map(|(k, v)| format!("\"{k}\": {v}"))
+            .collect();
+        let comma = if i + 1 == items.len() { "" } else { "," };
+        let _ = writeln!(s, "    {{{}}}{comma}", fields.join(", "));
+    }
+    s.push_str("  ],\n");
+}
+
 impl BenchReport {
-    /// Renders the report as the `BENCH_router.json` record (hand-rolled:
-    /// the container has no serde, and the schema is flat).
+    /// Renders the report as the `BENCH_router.json` record.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut s = String::new();
@@ -726,54 +704,36 @@ impl BenchReport {
         let _ = writeln!(s, "    \"trie_ns_per_lookup\": {:.2},", self.lookup.trie_ns);
         let _ = writeln!(s, "    \"trie_speedup\": {:.2}", self.lookup.speedup());
         let _ = writeln!(s, "  }},");
-        let _ = writeln!(s, "  \"sweep\": [");
-        for (i, p) in self.sweep.iter().enumerate() {
-            let comma = if i + 1 == self.sweep.len() { "" } else { "," };
-            let allocs = p
-                .steady_allocs_per_packet
-                .map_or_else(|| "null".to_owned(), |a| format!("{a:.4}"));
-            let _ = writeln!(
-                s,
-                "    {{\"workers\": {}, \"batch_size\": {}, \"pps\": {:.0}, \"p50_ns\": {}, \
-                 \"p99_ns\": {}, \"p999_ns\": {}, \"forwarded\": {}, \"dropped\": {}, \
-                 \"cache_hit_rate\": {:.4}, \"steady_allocs_per_packet\": {}}}{comma}",
-                p.workers,
-                p.batch_size,
-                p.pps,
-                p.p50_ns,
-                p.p99_ns,
-                p.p999_ns,
-                p.forwarded,
-                p.dropped,
-                p.cache_hit_rate,
-                allocs
-            );
-        }
-        s.push_str("  ],\n");
-        let _ = writeln!(s, "  \"churn\": [");
-        for (i, p) in self.churn.iter().enumerate() {
-            let comma = if i + 1 == self.churn.len() { "" } else { "," };
-            let allocs = p
-                .steady_allocs_per_packet
-                .map_or_else(|| "null".to_owned(), |a| format!("{a:.4}"));
-            let _ = writeln!(
-                s,
-                "    {{\"mode\": \"{}\", \"target_updates_per_sec\": {}, \
-                 \"updates_applied\": {}, \"pps\": {:.0}, \"p50_ns\": {}, \"p99_ns\": {}, \
-                 \"cache_hit_rate\": {:.4}, \"invalidation_misses\": {}, \
-                 \"steady_allocs_per_packet\": {}}}{comma}",
-                p.mode_name(),
-                p.target_updates_per_sec,
-                p.updates_applied,
-                p.pps,
-                p.p50_ns,
-                p.p99_ns,
-                p.cache_hit_rate,
-                p.invalidation_misses,
-                allocs
-            );
-        }
-        s.push_str("  ],\n");
+        write_rows(&mut s, "sweep", &self.sweep, |p| {
+            vec![
+                ("workers", p.workers.to_string()),
+                ("batch_size", p.batch_size.to_string()),
+                ("pps", format!("{:.0}", p.pps)),
+                ("p50_ns", p.p50_ns.to_string()),
+                ("p99_ns", p.p99_ns.to_string()),
+                ("p999_ns", p.p999_ns.to_string()),
+                ("forwarded", p.forwarded.to_string()),
+                ("dropped", p.dropped.to_string()),
+                ("cache_hit_rate", format!("{:.4}", p.cache_hit_rate)),
+                ("steady_allocs_per_packet", opt4(p.steady_allocs_per_packet)),
+            ]
+        });
+        write_rows(&mut s, "churn", &self.churn, |p| {
+            vec![
+                ("mode", format!("\"{}\"", p.mode_name())),
+                (
+                    "target_updates_per_sec",
+                    p.target_updates_per_sec.to_string(),
+                ),
+                ("updates_applied", p.updates_applied.to_string()),
+                ("pps", format!("{:.0}", p.pps)),
+                ("p50_ns", p.p50_ns.to_string()),
+                ("p99_ns", p.p99_ns.to_string()),
+                ("cache_hit_rate", format!("{:.4}", p.cache_hit_rate)),
+                ("invalidation_misses", p.invalidation_misses.to_string()),
+                ("steady_allocs_per_packet", opt4(p.steady_allocs_per_packet)),
+            ]
+        });
         match &self.visibility {
             Some(v) => {
                 let _ = writeln!(s, "  \"update_visibility\": {{");

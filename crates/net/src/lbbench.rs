@@ -19,21 +19,20 @@
 //!   ticks until every client delivers data again. The acceptance bar is
 //!   recovery within one health-probe interval.
 //!
-//! Router scenarios reuse the zero-alloc [`FrameForge`] generator from the
-//! conntrack bench, so the counting-allocator bracket measures the router,
-//! not the traffic source. [`LbBenchReport::to_json`] renders
-//! `BENCH_lb.json`.
+//! Both harnesses emit their traffic through the conntrack bench's TCP
+//! plan and zero-alloc [`FrameForge`], so the counting-allocator bracket
+//! measures the router, not the traffic source.
+//! [`LbBenchReport::to_json`] renders `BENCH_lb.json`.
 
-use crate::conntrack::{Conntrack, ConntrackConfig, EvictCause, FlowKey};
-use crate::ctbench::FrameForge;
+use crate::bench::{best_of, opt4, write_rows};
+use crate::conntrack::{Conntrack, ConntrackConfig, EvictCause};
+use crate::ctbench::{delivery, flood_source, CState, Endpoints, FrameForge, Seq, TcpPlan};
 use crate::lb::{BackendConfig, BackendPool, LbConfig, SITE_LB_PROBE_FAIL};
 use crate::lpm::TrieTable;
 use crate::pipeline::{route_frame, DropReason};
-use crate::router::{PortId, RouterConfig, ShardedRouter};
+use crate::router::{PortId, RouterConfig};
 use std::fmt::Write as _;
-use std::time::Instant;
 use sysfault::{FaultInjector, FaultPlan, Schedule};
-use sysrepr::packet::{IPPROTO_TCP, TCP_ACK, TCP_SYN};
 
 /// Ports the LB bench table spreads over: 1 backends, 2 clients, 3 the
 /// VIP host itself (where unrewritten storm SYNs land), 0 default.
@@ -77,27 +76,43 @@ pub fn lb_table() -> TrieTable<PortId> {
     t
 }
 
-/// Client flow `f`'s endpoint: unique `(ip, port)` under 10.9/16.
+/// Data rounds per flow after establishment (before the packet floor).
+pub const DATA_ROUNDS: usize = 6;
+/// Storm fraction of offered load in the port-scan scenario.
+pub const STORM_MIX: f64 = 0.5;
+/// Slowloris stride: each trickle round one flow in this many sends.
+pub const SLOWLORIS_STRIDE: usize = 32;
+/// Failover harness: virtual nanoseconds per tick (every flow offers one
+/// packet per tick).
+pub const TICK_NS: u64 = 100_000;
+/// Failover harness: health-probe interval, ns (the recovery budget).
+pub const PROBE_INTERVAL_NS: u64 = 1_000_000;
+
+/// Client flow `f` dialing the VIP: a unique `(ip, port)` under 10.9/16,
+/// which the bench table routes back to port 2.
 #[allow(clippy::cast_possible_truncation)]
-fn client_endpoint(f: usize) -> ([u8; 4], u16) {
-    let ip = [10, 9, (f >> 8) as u8, f as u8];
-    let port = 1024 + ((f >> 16) as u16 & 0x3FFF);
-    (ip, port)
+#[must_use]
+pub fn vip_client(f: usize) -> Endpoints {
+    Endpoints {
+        src: [10, 9, (f >> 8) as u8, f as u8],
+        dst: LB_VIP,
+        sport: 1024 + ((f >> 16) as u16 & 0x3FFF),
+        dport: LB_VPORT,
+    }
 }
 
-/// Storm SYN `j`'s endpoint: unique per packet, aimed at the VIP host's
-/// non-service ports so unrewritten scans route to port 3.
+/// Storm SYN `j`: the flood source aimed at the VIP host's non-service
+/// ports, so unrewritten scans route to port 3.
 #[allow(clippy::cast_possible_truncation)]
-fn storm_endpoint(j: u64) -> ([u8; 4], u16, u16) {
-    let src = [
-        198,
-        18 + ((j >> 30) as u8 & 1),
-        (j >> 22) as u8,
-        (j >> 14) as u8,
-    ];
-    let sport = 1024 + (j as u16 & 0x3FFF);
-    let dport = 8000 + (j % 997) as u16;
-    (src, sport, dport)
+#[must_use]
+pub fn storm_endpoints(j: u64) -> Endpoints {
+    let (src, sport) = flood_source(j);
+    Endpoints {
+        src,
+        dst: LB_VIP,
+        sport,
+        dport: 8000 + (j % 997) as u16,
+    }
 }
 
 /// Which traffic shape a router scenario runs.
@@ -132,31 +147,21 @@ impl LbScenario {
 pub struct LbBenchConfig {
     /// Client flows for the baseline / steady / storm scenarios.
     pub flows: usize,
-    /// Data packets per flow after establishment.
-    pub data_rounds: usize,
-    /// Benign-packet floor per scenario (extra data rounds amortize
-    /// warm-up, as in the conntrack bench).
+    /// Benign-packet floor per scenario: extra data rounds beyond
+    /// [`DATA_ROUNDS`] amortize warm-up, as in the conntrack bench.
     pub min_benign_packets: usize,
-    /// Storm fraction of offered load in the port-scan scenario.
-    pub storm_mix: f64,
     /// Held-open flows in the slowloris scenario.
     pub slowloris_flows: usize,
-    /// Trickle rounds; each round 1/`slowloris_stride` of flows send.
+    /// Trickle rounds; each round 1/[`SLOWLORIS_STRIDE`] of flows send.
     pub slowloris_rounds: usize,
-    /// Stride between talkative flows per trickle round.
-    pub slowloris_stride: usize,
-    /// Worker threads.
+    /// Worker threads (batch size and queue depth are
+    /// [`RouterConfig::default`]'s).
     pub workers: usize,
-    /// Frames per batch.
-    pub batch_size: usize,
-    /// Bounded-queue depth (batches) per worker.
-    pub queue_depth: usize,
     /// Per-shard half-open budget.
     pub syn_backlog: usize,
-    /// Timed trials per scenario; best by pps recorded.
+    /// Timed trials per scenario; see [`best_of`].
     pub trials: usize,
-    /// Process-wide allocation counter; brackets the second half of each
-    /// stream for allocs/packet.
+    /// Process-wide allocation counter; see [`crate::router::run_trial`].
     pub alloc_counter: Option<fn() -> u64>,
 }
 
@@ -166,15 +171,10 @@ impl LbBenchConfig {
     pub fn quick() -> Self {
         LbBenchConfig {
             flows: 4_000,
-            data_rounds: 6,
             min_benign_packets: 60_000,
-            storm_mix: 0.5,
             slowloris_flows: 8_000,
             slowloris_rounds: 192,
-            slowloris_stride: 32,
             workers: 2,
-            batch_size: 64,
-            queue_depth: 8,
             syn_backlog: 1_024,
             trials: 1,
             alloc_counter: None,
@@ -186,15 +186,10 @@ impl LbBenchConfig {
     pub fn full() -> Self {
         LbBenchConfig {
             flows: 50_000,
-            data_rounds: 6,
             min_benign_packets: 1_000_000,
-            storm_mix: 0.5,
             slowloris_flows: 250_000,
             slowloris_rounds: 128,
-            slowloris_stride: 32,
             workers: 4,
-            batch_size: 64,
-            queue_depth: 8,
             syn_backlog: 4_096,
             trials: 3,
             alloc_counter: None,
@@ -253,26 +248,16 @@ pub struct LbPoint {
 impl LbPoint {
     /// Fraction of offered benign packets forwarded.
     #[must_use]
-    #[allow(clippy::cast_precision_loss)]
     pub fn benign_delivery(&self) -> f64 {
-        if self.benign_sent == 0 {
-            0.0
-        } else {
-            self.benign_delivered as f64 / self.benign_sent as f64
-        }
+        delivery(self.benign_delivered, self.benign_sent)
     }
 }
 
 /// Runs one router scenario: establishes the client population (SYN then
-/// cookie-echo ACK, as in the conntrack bench), then streams data rounds,
-/// interleaving storm SYNs at the configured mix for the storm scenario.
+/// cookie-echo ACK, as in the conntrack bench), then streams data rounds
+/// (strided for slowloris), interleaving storm SYNs at [`STORM_MIX`] for
+/// the storm scenario.
 #[must_use]
-#[allow(
-    clippy::cast_precision_loss,
-    clippy::cast_possible_truncation,
-    clippy::cast_sign_loss,
-    clippy::too_many_lines
-)]
 pub fn run_lb_point(cfg: &LbBenchConfig, scenario: LbScenario) -> LbPoint {
     let flows = match scenario {
         LbScenario::Slowloris => cfg.slowloris_flows,
@@ -283,7 +268,6 @@ pub fn run_lb_point(cfg: &LbBenchConfig, scenario: LbScenario) -> LbPoint {
         syn_backlog: cfg.syn_backlog,
         ..ConntrackConfig::default()
     };
-    let cookie_ref = Conntrack::new(ct_cfg);
     let lb_cfg = LbConfig {
         vip: u32::from_be_bytes(LB_VIP),
         vport: LB_VPORT,
@@ -292,165 +276,56 @@ pub fn run_lb_point(cfg: &LbBenchConfig, scenario: LbScenario) -> LbPoint {
     };
     let rc = RouterConfig {
         workers: cfg.workers,
-        batch_size: cfg.batch_size,
-        queue_depth: cfg.queue_depth,
         conntrack: Some(ct_cfg),
-        lb: (scenario != LbScenario::BaselineNoLb).then(|| lb_cfg.clone()),
+        lb: (scenario != LbScenario::BaselineNoLb).then_some(lb_cfg),
         ..RouterConfig::default()
     };
     let backends = lb_backends();
-
-    // (dst ip, dst port) a client flow dials, per scenario.
-    let dial = |f: usize| -> ([u8; 4], u16) {
+    // The no-LB control dials the backends directly instead of the VIP.
+    let dial = |f: usize| {
+        let ep = vip_client(f);
         if scenario == LbScenario::BaselineNoLb {
             let b = backends[f % backends.len()];
-            (b.ip.to_be_bytes(), b.port)
-        } else {
-            (LB_VIP, LB_VPORT)
-        }
-    };
-
-    // The offered benign stream: 2 handshake packets per flow, then data.
-    let (rounds, benign_total) = if scenario == LbScenario::Slowloris {
-        let per_round = flows.div_ceil(cfg.slowloris_stride.max(1));
-        (
-            cfg.slowloris_rounds,
-            2 * flows + cfg.slowloris_rounds * per_round,
-        )
-    } else {
-        let r = cfg
-            .data_rounds
-            .max((cfg.min_benign_packets / flows.max(1)).saturating_sub(2));
-        (r, flows * (2 + r))
-    };
-    let ratio = if scenario == LbScenario::PortScanStorm && cfg.storm_mix > 0.0 {
-        cfg.storm_mix / (1.0 - cfg.storm_mix)
-    } else {
-        0.0
-    };
-    let est_total = benign_total + (benign_total as f64 * ratio) as usize;
-    let half = est_total / 2;
-
-    let mut forge = FrameForge::new(64);
-    let mut router = ShardedRouter::start(lb_table(), LB_PORTS, rc);
-    let mut acc = 0.0f64;
-    let mut storm_sent = 0u64;
-    let mut benign_sent = 0u64;
-    let mut submitted = 0usize;
-    let mut allocs_mid = None;
-    let stride = cfg.slowloris_stride.max(1);
-    let t0 = Instant::now();
-    let mut offer = |router: &mut ShardedRouter,
-                     forge: &mut FrameForge,
-                     f: usize,
-                     kind: usize,
-                     storm_sent: &mut u64,
-                     submitted: &mut usize,
-                     allocs_mid: &mut Option<u64>| {
-        acc += ratio;
-        while acc >= 1.0 {
-            acc -= 1.0;
-            let (src, sport, dport) = storm_endpoint(*storm_sent);
-            let frame = forge.shape(false, src, LB_VIP, sport, dport, TCP_SYN, 3, 0);
-            router.submit(frame);
-            *storm_sent += 1;
-            *submitted += 1;
-            if *submitted == half {
-                *allocs_mid = cfg.alloc_counter.map(|c| c());
+            Endpoints {
+                dst: b.ip.to_be_bytes(),
+                dport: b.port,
+                ..ep
             }
-        }
-        let (src, sport) = client_endpoint(f);
-        let (dst, dport) = dial(f);
-        let frame = match kind {
-            0 => forge.shape(false, src, dst, sport, dport, TCP_SYN, f as u32, 0),
-            _ => {
-                let key = FlowKey::canonical(
-                    u32::from_be_bytes(src),
-                    u32::from_be_bytes(dst),
-                    sport,
-                    dport,
-                    IPPROTO_TCP,
-                );
-                let ack_no = cookie_ref.cookie(&key).wrapping_add(1);
-                forge.shape(
-                    kind == 2,
-                    src,
-                    dst,
-                    sport,
-                    dport,
-                    TCP_ACK,
-                    f as u32 + 1,
-                    ack_no,
-                )
-            }
-        };
-        router.submit(frame);
-        *submitted += 1;
-        if *submitted == half {
-            *allocs_mid = cfg.alloc_counter.map(|c| c());
+        } else {
+            ep
         }
     };
-    // Establishment: SYN then handshake ACK, back to back per flow.
-    for f in 0..flows {
-        for kind in 0..2 {
-            offer(
-                &mut router,
-                &mut forge,
-                f,
-                kind,
-                &mut storm_sent,
-                &mut submitted,
-                &mut allocs_mid,
-            );
-            benign_sent += 1;
-        }
-    }
-    // Data rounds: everyone each round, or a rotating stride for slowloris.
-    for r in 0..rounds {
-        let mut f = if scenario == LbScenario::Slowloris {
-            r % stride
+    let (rounds, stride) = if scenario == LbScenario::Slowloris {
+        (cfg.slowloris_rounds, SLOWLORIS_STRIDE)
+    } else {
+        let floor = (cfg.min_benign_packets / flows.max(1)).saturating_sub(2);
+        (DATA_ROUNDS.max(floor), 1)
+    };
+    let plan = TcpPlan {
+        flows,
+        rounds,
+        stride,
+        flood_mix: if scenario == LbScenario::PortScanStorm {
+            STORM_MIX
         } else {
-            0
-        };
-        let step = if scenario == LbScenario::Slowloris {
-            stride
-        } else {
-            1
-        };
-        while f < flows {
-            offer(
-                &mut router,
-                &mut forge,
-                f,
-                2,
-                &mut storm_sent,
-                &mut submitted,
-                &mut allocs_mid,
-            );
-            benign_sent += 1;
-            f += step;
-        }
-    }
-    let allocs_end = cfg.alloc_counter.map(|c| c());
-    let report = router.finish();
-    let secs = t0.elapsed().as_secs_f64().max(1e-9);
+            0.0
+        },
+    };
+    let (report, timing, storm_sent) =
+        plan.trial(lb_table(), LB_PORTS, rc, cfg.alloc_counter, dial, |j| {
+            (storm_endpoints(j), 3)
+        });
 
     let t = &report.stats.totals;
     let ct = report.conntrack.as_ref().expect("tracking ran");
     let lb = report.lb.as_ref().copied().unwrap_or_default();
-    let steady_allocs_per_packet = match (allocs_mid, allocs_end) {
-        (Some(a), Some(b)) if submitted > half => {
-            Some(b.saturating_sub(a) as f64 / (submitted - half) as f64)
-        }
-        _ => None,
-    };
     LbPoint {
         scenario,
         flows,
-        pps: submitted as f64 / secs,
-        p50_ns: report.latency_ns(0.50),
-        p99_ns: report.latency_ns(0.99),
-        benign_sent,
+        pps: timing.pps,
+        p50_ns: timing.p50_ns,
+        p99_ns: timing.p99_ns,
+        benign_sent: plan.segments() as u64,
         benign_delivered: t.per_port.get(1).copied().unwrap_or(0),
         storm_sent,
         storm_forwarded: t.per_port.get(3).copied().unwrap_or(0),
@@ -460,7 +335,7 @@ pub fn run_lb_point(cfg: &LbBenchConfig, scenario: LbScenario) -> LbPoint {
         peak_flows: ct.peak_flows,
         dropped_no_flow: t.dropped[DropReason::NoFlow as usize],
         dropped_table_full: t.dropped[DropReason::FlowTableFull as usize],
-        steady_allocs_per_packet,
+        steady_allocs_per_packet: timing.steady_allocs_per_packet,
     }
 }
 
@@ -469,12 +344,8 @@ pub fn run_lb_point(cfg: &LbBenchConfig, scenario: LbScenario) -> LbPoint {
 pub struct FailoverConfig {
     /// Client flows held established through the death.
     pub flows: usize,
-    /// Measurement ticks after establishment.
+    /// Measurement ticks ([`TICK_NS`] each) after establishment.
     pub rounds: usize,
-    /// Virtual nanoseconds per tick (every flow offers one packet per tick).
-    pub tick_ns: u64,
-    /// Health-probe interval, ns (the recovery budget).
-    pub probe_interval_ns: u64,
     /// 1-based probe round whose backend-2 probe fails (`fall` = 1, so
     /// this round *is* the death).
     pub death_round: u64,
@@ -485,8 +356,6 @@ impl Default for FailoverConfig {
         FailoverConfig {
             flows: 256,
             rounds: 400,
-            tick_ns: 100_000,
-            probe_interval_ns: 1_000_000,
             death_round: 20,
         }
     }
@@ -525,14 +394,6 @@ impl FailoverReport {
     }
 }
 
-/// A virtual client's handshake position.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CState {
-    NeedSyn,
-    NeedAck,
-    Established,
-}
-
 /// Runs the scripted-death failover harness on the single-threaded LB
 /// path under a virtual clock: establish `flows` clients against the VIP,
 /// kill backend 2 via `Schedule::OneShotAt` on the probe site (`fall` = 1,
@@ -548,7 +409,7 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverReport {
         vip: u32::from_be_bytes(LB_VIP),
         vport: LB_VPORT,
         backends: lb_backends(),
-        probe_interval_ns: cfg.probe_interval_ns,
+        probe_interval_ns: PROBE_INTERVAL_NS,
         fall: 1,
         // The dead backend stays dead for the whole run: recovery is the
         // clients' story here, not the backend's.
@@ -567,26 +428,14 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverReport {
     });
     let mut forge = FrameForge::new(32);
     let mut now = 0u64;
-    let vip = u32::from_be_bytes(LB_VIP);
 
-    let key_of = |f: usize| {
-        let (src, sport) = client_endpoint(f);
-        FlowKey::canonical(u32::from_be_bytes(src), vip, sport, LB_VPORT, IPPROTO_TCP)
-    };
     let send = |state: CState,
                 f: usize,
                 ct: &mut Conntrack,
                 pool: &mut BackendPool,
                 forge: &mut FrameForge,
                 now: u64| {
-        let (src, sport) = client_endpoint(f);
-        let (flags, payload) = match state {
-            CState::NeedSyn => (TCP_SYN, false),
-            CState::NeedAck => (TCP_ACK, false),
-            CState::Established => (TCP_ACK, true),
-        };
-        let ack_no = ct.cookie(&key_of(f)).wrapping_add(1);
-        let frame = forge.shape(payload, src, LB_VIP, sport, LB_VPORT, flags, 1, ack_no);
+        let frame = forge.client(ct, vip_client(f), state, Seq::One);
         let mut buf = [0u8; 256];
         let n = frame.len().min(buf.len());
         buf[..n].copy_from_slice(&frame[..n]);
@@ -597,37 +446,34 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverReport {
     // well past it; the assert below keeps configs honest).
     let mut states = vec![CState::NeedSyn; cfg.flows];
     while states.iter().any(|&s| s != CState::Established) {
-        now += cfg.tick_ns;
+        now += TICK_NS;
         assert!(
             pool.maybe_probe(now).is_empty(),
             "death_round must land after establishment"
         );
         for (f, st) in states.iter_mut().enumerate() {
-            let s = *st;
-            if s == CState::Established {
-                continue;
-            }
-            if send(s, f, &mut ct, &mut pool, &mut forge, now).is_ok() {
-                *st = match s {
-                    CState::NeedSyn => CState::NeedAck,
-                    _ => CState::Established,
-                };
+            if *st != CState::Established
+                && send(*st, f, &mut ct, &mut pool, &mut forge, now).is_ok()
+            {
+                *st = st.next();
             }
         }
     }
     let victims = (0..cfg.flows)
-        .filter(|&f| ct.nat_of(&key_of(f)).is_some_and(|n| n.backend == 2))
+        .filter(|&f| {
+            ct.nat_of(&vip_client(f).key())
+                .is_some_and(|n| n.backend == 2)
+        })
         .count() as u64;
 
     // Measured ticks: every flow offers one packet per tick; orphans spend
     // ticks re-handshaking.
     let mut death_ns = None;
     let mut recovery_ns = None;
-    let mut pre = (0u64, 0u64); // (delivered, offered)
-    let mut during = (0u64, 0u64);
-    let mut post = (0u64, 0u64);
+    // (delivered, offered) before the death, until recovery, and after.
+    let mut phases = [(0u64, 0u64); 3];
     for _ in 0..cfg.rounds {
-        now += cfg.tick_ns;
+        now += TICK_NS;
         let downed = pool.maybe_probe(now).to_vec();
         for &b in &downed {
             let freed = ct.eject_backend(b, EvictCause::BackendDead);
@@ -638,31 +484,22 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverReport {
         for (f, st) in states.iter_mut().enumerate() {
             let s = *st;
             match (s, send(s, f, &mut ct, &mut pool, &mut forge, now)) {
-                (CState::NeedSyn, Ok(_)) => *st = CState::NeedAck,
-                (CState::NeedAck, Ok(_)) => *st = CState::Established,
                 (CState::Established, Ok(_)) => delivered += 1,
                 (CState::Established, Err(DropReason::NoFlow)) => *st = CState::NeedSyn,
+                (_, Ok(_)) => *st = s.next(),
                 _ => {}
             }
         }
         let offered = cfg.flows as u64;
-        let recovered = delivered == offered;
-        match (death_ns, recovery_ns) {
-            (None, _) => {
-                pre.0 += delivered;
-                pre.1 += offered;
-            }
-            (Some(d), None) => {
-                during.0 += delivered;
-                during.1 += offered;
-                if recovered {
-                    recovery_ns = Some(now - d);
-                }
-            }
-            (Some(_), Some(_)) => {
-                post.0 += delivered;
-                post.1 += offered;
-            }
+        let phase = match (death_ns, recovery_ns) {
+            (None, _) => 0,
+            (Some(_), None) => 1,
+            (Some(_), Some(_)) => 2,
+        };
+        phases[phase].0 += delivered;
+        phases[phase].1 += offered;
+        if let (1, Some(d), true) = (phase, death_ns, delivered == offered) {
+            recovery_ns = Some(now - d);
         }
     }
     ct.check_invariants().expect("post-failover audit");
@@ -673,10 +510,10 @@ pub fn run_failover(cfg: &FailoverConfig) -> FailoverReport {
         flows_ejected: pool.stats().flows_ejected,
         death_ns: death_ns.unwrap_or(0),
         recovery_ns,
-        probe_interval_ns: cfg.probe_interval_ns,
-        goodput_pre: frac(pre),
-        goodput_during: frac(during),
-        goodput_post: frac(post),
+        probe_interval_ns: PROBE_INTERVAL_NS,
+        goodput_pre: frac(phases[0]),
+        goodput_during: frac(phases[1]),
+        goodput_post: frac(phases[2]),
     }
 }
 
@@ -696,33 +533,22 @@ pub struct LbBenchReport {
 }
 
 impl LbBenchReport {
-    /// The no-LB control scenario.
-    #[must_use]
-    pub fn baseline(&self) -> Option<&LbPoint> {
-        self.scenarios
-            .iter()
-            .find(|p| p.scenario == LbScenario::BaselineNoLb)
-    }
-
-    /// The rewriting steady-state scenario.
-    #[must_use]
-    pub fn steady(&self) -> Option<&LbPoint> {
-        self.scenarios
-            .iter()
-            .find(|p| p.scenario == LbScenario::Steady)
+    /// The point `scenario` measured, if it ran.
+    fn point(&self, scenario: LbScenario) -> Option<&LbPoint> {
+        self.scenarios.iter().find(|p| p.scenario == scenario)
     }
 
     /// Headline ratio: rewriting steady-state pps over the no-LB control.
     #[must_use]
     pub fn rewrite_pps_ratio(&self) -> Option<f64> {
-        match (self.baseline(), self.steady()) {
+        let point = |s| self.point(s);
+        match (point(LbScenario::BaselineNoLb), point(LbScenario::Steady)) {
             (Some(b), Some(s)) if b.pps > 0.0 => Some(s.pps / b.pps),
             _ => None,
         }
     }
 
-    /// Renders the `BENCH_lb.json` record (hand-rolled: no serde in the
-    /// container, and the schema is flat).
+    /// Renders the `BENCH_lb.json` record.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut s = String::new();
@@ -732,45 +558,27 @@ impl LbBenchReport {
         let _ = writeln!(s, "  \"host_cores\": {},", self.host_cores);
         let _ = writeln!(s, "  \"workers\": {},", self.workers);
         let _ = writeln!(s, "  \"backends\": {},", self.backends);
-        let _ = writeln!(s, "  \"scenarios\": [");
-        for (i, p) in self.scenarios.iter().enumerate() {
-            let comma = if i + 1 == self.scenarios.len() {
-                ""
-            } else {
-                ","
-            };
-            let allocs = p
-                .steady_allocs_per_packet
-                .map_or_else(|| "null".to_owned(), |a| format!("{a:.4}"));
-            let _ = writeln!(
-                s,
-                "    {{\"name\": \"{}\", \"flows\": {}, \"pps\": {:.0}, \
-                 \"p50_ns\": {}, \"p99_ns\": {}, \"benign_sent\": {}, \
-                 \"benign_delivered\": {}, \"benign_delivery\": {:.4}, \
-                 \"storm_sent\": {}, \"storm_forwarded\": {}, \"assigned\": {}, \
-                 \"rewrites_to_backend\": {}, \"no_backend\": {}, \
-                 \"peak_flows\": {}, \"dropped_no_flow\": {}, \
-                 \"dropped_table_full\": {}, \
-                 \"steady_allocs_per_packet\": {allocs}}}{comma}",
-                p.scenario.name(),
-                p.flows,
-                p.pps,
-                p.p50_ns,
-                p.p99_ns,
-                p.benign_sent,
-                p.benign_delivered,
-                p.benign_delivery(),
-                p.storm_sent,
-                p.storm_forwarded,
-                p.assigned,
-                p.rewrites_to_backend,
-                p.no_backend,
-                p.peak_flows,
-                p.dropped_no_flow,
-                p.dropped_table_full,
-            );
-        }
-        let _ = writeln!(s, "  ],");
+        write_rows(&mut s, "scenarios", &self.scenarios, |p| {
+            vec![
+                ("name", format!("\"{}\"", p.scenario.name())),
+                ("flows", p.flows.to_string()),
+                ("pps", format!("{:.0}", p.pps)),
+                ("p50_ns", p.p50_ns.to_string()),
+                ("p99_ns", p.p99_ns.to_string()),
+                ("benign_sent", p.benign_sent.to_string()),
+                ("benign_delivered", p.benign_delivered.to_string()),
+                ("benign_delivery", format!("{:.4}", p.benign_delivery())),
+                ("storm_sent", p.storm_sent.to_string()),
+                ("storm_forwarded", p.storm_forwarded.to_string()),
+                ("assigned", p.assigned.to_string()),
+                ("rewrites_to_backend", p.rewrites_to_backend.to_string()),
+                ("no_backend", p.no_backend.to_string()),
+                ("peak_flows", p.peak_flows.to_string()),
+                ("dropped_no_flow", p.dropped_no_flow.to_string()),
+                ("dropped_table_full", p.dropped_table_full.to_string()),
+                ("steady_allocs_per_packet", opt4(p.steady_allocs_per_packet)),
+            ]
+        });
         let f = &self.failover;
         let recovery = f
             .recovery_ns
@@ -791,13 +599,11 @@ impl LbBenchReport {
             f.recovered_within_probe_interval()
         );
         let _ = writeln!(s, "  }},");
-        let steady_allocs = self
-            .steady()
-            .and_then(|p| p.steady_allocs_per_packet)
-            .map_or_else(|| "null".to_owned(), |a| format!("{a:.4}"));
-        let ratio = self
-            .rewrite_pps_ratio()
-            .map_or_else(|| "null".to_owned(), |r| format!("{r:.4}"));
+        let steady_allocs = opt4(
+            self.point(LbScenario::Steady)
+                .and_then(|p| p.steady_allocs_per_packet),
+        );
+        let ratio = opt4(self.rewrite_pps_ratio());
         let _ = writeln!(s, "  \"headline\": {{");
         let _ = writeln!(s, "    \"rewrite_pps_ratio\": {ratio},");
         let _ = writeln!(s, "    \"steady_allocs_per_packet\": {steady_allocs},");
@@ -812,14 +618,6 @@ impl LbBenchReport {
     }
 }
 
-/// Best of `cfg.trials` runs of one scenario, by pps.
-fn best_of(cfg: &LbBenchConfig, scenario: LbScenario) -> LbPoint {
-    (0..cfg.trials.max(1))
-        .map(|_| run_lb_point(cfg, scenario))
-        .max_by(|a, b| a.pps.total_cmp(&b.pps))
-        .expect("at least one trial")
-}
-
 /// Runs the full LB bench: all four router scenarios plus the
 /// virtual-clock failover harness.
 #[must_use]
@@ -831,7 +629,7 @@ pub fn run_lb_bench(cfg: &LbBenchConfig, failover: &FailoverConfig) -> LbBenchRe
         LbScenario::Slowloris,
     ]
     .iter()
-    .map(|&sc| best_of(cfg, sc))
+    .map(|&sc| best_of(cfg.trials, |p: &LbPoint| p.pps, || run_lb_point(cfg, sc)))
     .collect();
     LbBenchReport {
         host_cores: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
@@ -849,11 +647,9 @@ mod tests {
     fn tiny() -> LbBenchConfig {
         LbBenchConfig {
             flows: 600,
-            data_rounds: 4,
             min_benign_packets: 0,
             slowloris_flows: 1_200,
             slowloris_rounds: 8,
-            slowloris_stride: 8,
             syn_backlog: 256,
             ..LbBenchConfig::quick()
         }
@@ -862,7 +658,7 @@ mod tests {
     #[test]
     fn steady_scenario_delivers_and_rewrites_everything() {
         let p = run_lb_point(&tiny(), LbScenario::Steady);
-        assert_eq!(p.benign_sent, 600 * (2 + 4));
+        assert_eq!(p.benign_sent, 600 * (2 + 6));
         assert_eq!(
             p.benign_delivered, p.benign_sent,
             "every balanced packet lands on the backend port"
@@ -910,7 +706,6 @@ mod tests {
             flows: 128,
             rounds: 120,
             death_round: 10,
-            ..FailoverConfig::default()
         };
         let r = run_failover(&cfg);
         assert!(r.victims > 0, "weight-2 backend 2 must hold flows");
@@ -937,7 +732,6 @@ mod tests {
                 flows: 200,
                 slowloris_flows: 200,
                 slowloris_rounds: 4,
-                data_rounds: 2,
                 min_benign_packets: 0,
                 syn_backlog: 64,
                 ..LbBenchConfig::quick()
@@ -946,7 +740,6 @@ mod tests {
                 flows: 64,
                 rounds: 80,
                 death_round: 8,
-                ..FailoverConfig::default()
             },
         );
         assert_eq!(report.scenarios.len(), 4);

@@ -328,23 +328,6 @@ pub fn route_frame<const TRACE: bool, T: Copy>(
     Ok(hop)
 }
 
-/// [`route_frame`] through a tracker with no pool — kept for the
-/// conntrack differential suite, which pins this frame path to
-/// [`Conntrack::admit_tcp`].
-///
-/// # Errors
-///
-/// As [`route_frame`].
-pub fn route_frame_tracked<T: Copy>(
-    frame: &mut [u8],
-    table: &impl Routes<T>,
-    cache: Option<&mut FlowCache<T>>,
-    ct: &mut Conntrack,
-    now_ns: u64,
-) -> Result<T, DropReason> {
-    route_frame::<false, T>(frame, table, cache, Some((ct, None)), now_ns)
-}
-
 /// Runs a batch through [`route_frame`], calling `forward(next_hop)` for
 /// every frame that survives, and returns the batch's counters (`parsed`
 /// counts frames whose headers validated, so a bad-checksum drop counts).
@@ -666,7 +649,7 @@ mod tests {
         );
         let mut ct = Conntrack::new(ConntrackConfig::default());
         assert_eq!(
-            route_frame_tracked(&mut frame.clone(), &t, None, &mut ct, 0),
+            route_frame::<false, _>(&mut frame.clone(), &t, None, Some((&mut ct, None)), 0),
             Err(DropReason::TtlExpired)
         );
         // Batch accounting attributes the drop to net.drop.ttl-expired.
@@ -691,31 +674,31 @@ mod tests {
         let mut ct = Conntrack::new(ConntrackConfig::default());
         // A bare ACK with no flow is shed; a SYN opens one; then data flows.
         assert_eq!(
-            route_frame_tracked(
+            route_frame::<false, _>(
                 &mut tcp_to([10, 1, 0, 1], 5000, TCP_ACK),
                 &t,
                 None,
-                &mut ct,
+                Some((&mut ct, None)),
                 0
             ),
             Err(DropReason::NoFlow)
         );
         assert_eq!(
-            route_frame_tracked(
+            route_frame::<false, _>(
                 &mut tcp_to([10, 1, 0, 1], 5000, TCP_SYN),
                 &t,
                 None,
-                &mut ct,
+                Some((&mut ct, None)),
                 1
             ),
             Ok("edge")
         );
         assert_eq!(
-            route_frame_tracked(
+            route_frame::<false, _>(
                 &mut tcp_to([10, 1, 0, 1], 5000, TCP_ACK),
                 &t,
                 None,
-                &mut ct,
+                Some((&mut ct, None)),
                 2
             ),
             Ok("edge")
@@ -723,7 +706,13 @@ mod tests {
         assert_eq!(ct.len(), 1);
         // UDP bypasses tracking entirely.
         assert_eq!(
-            route_frame_tracked(&mut udp_to([10, 1, 0, 2]), &t, None, &mut ct, 3),
+            route_frame::<false, _>(
+                &mut udp_to([10, 1, 0, 2]),
+                &t,
+                None,
+                Some((&mut ct, None)),
+                3
+            ),
             Ok("edge")
         );
         assert_eq!(ct.len(), 1, "udp creates no flow state");

@@ -1251,10 +1251,124 @@ impl ShardedRouter {
     }
 }
 
-/// Convenience driver: starts a router, feeds it the whole stream, and
-/// returns the report plus the wall-clock duration (for throughput math).
-/// Frames are borrowed — the router copies each into its pooled buffers,
-/// so the caller's stream can be reused across runs without cloning.
+/// The timing record of one [`run_trial`] run, computed the same way for
+/// every harness.
+#[derive(Debug, Clone, Copy)]
+pub struct Timing {
+    /// Wall clock from router start to the joined workers' report.
+    pub elapsed: Duration,
+    /// Frames submitted per wall-clock second.
+    pub pps: f64,
+    /// Median per-packet latency (submit → batch completion), ns.
+    pub p50_ns: u64,
+    /// 99th-percentile per-packet latency, ns.
+    pub p99_ns: u64,
+    /// 99.9th-percentile per-packet latency, ns.
+    pub p999_ns: u64,
+    /// Heap allocations per frame over the second half of the stream (pool
+    /// warm by then); `None` without an allocation counter.
+    pub steady_allocs_per_packet: Option<f64>,
+}
+
+/// The dispatcher side of a running trial: the feed submits every frame
+/// through it, and it reads the allocation counter once, just before the
+/// first frame of the stream's second half.
+pub struct Feed {
+    router: ShardedRouter,
+    submitted: usize,
+    half: usize,
+    alloc_counter: Option<fn() -> u64>,
+    allocs_mid: Option<u64>,
+}
+
+impl Feed {
+    /// Submits one frame to the router.
+    pub fn submit(&mut self, frame: &[u8]) {
+        if self.submitted == self.half {
+            self.allocs_mid = self.alloc_counter.map(|f| f());
+        }
+        self.router.submit(frame);
+        self.submitted += 1;
+    }
+
+    /// Submits every frame of `frames`, in order.
+    pub fn submit_all(&mut self, frames: &[Vec<u8>]) {
+        for frame in frames {
+            self.submit(frame);
+        }
+    }
+
+    /// A control-plane handle into the running router.
+    #[must_use]
+    pub fn updater(&self) -> RouteUpdater {
+        self.router.updater()
+    }
+}
+
+/// The trial driver: starts a router over `table`, lets `feed` submit the
+/// stream, finishes the router, and returns its report, the shared
+/// [`Timing`], and whatever `feed` returned. `frames` is the stream length
+/// the feed expects to offer: the allocation counter, when supplied, is
+/// read after `frames / 2` of them and again before finish, so it brackets
+/// the second half — the pool and caches are warm by then, and the
+/// steady state's allocations are measured, not asserted.
+///
+/// # Panics
+///
+/// Panics if packets were not conserved: forwarded frames plus every typed
+/// drop plus the frames the dispatcher's fault site dropped must equal the
+/// frames submitted.
+#[allow(clippy::cast_precision_loss)]
+pub fn run_trial<R>(
+    table: TrieTable<PortId>,
+    ports: usize,
+    config: RouterConfig,
+    frames: usize,
+    alloc_counter: Option<fn() -> u64>,
+    feed: impl FnOnce(&mut Feed) -> R,
+) -> (RouterReport, Timing, R) {
+    let t0 = Instant::now();
+    let mut f = Feed {
+        router: ShardedRouter::start(table, ports, config),
+        submitted: 0,
+        half: frames / 2,
+        alloc_counter,
+        allocs_mid: None,
+    };
+    let out = feed(&mut f);
+    // Read before finish(): report assembly allocates, the steady state
+    // does not.
+    let allocs_end = alloc_counter.map(|c| c());
+    let report = f.router.finish();
+    let elapsed = t0.elapsed();
+    let t = &report.stats.totals;
+    assert_eq!(
+        t.forwarded + t.dropped_total() + report.faults.injected_frame_drops,
+        f.submitted as u64,
+        "packet conservation: forwarded + typed drops + injected drops != submitted"
+    );
+    let steady_allocs_per_packet = match (f.allocs_mid, allocs_end) {
+        (Some(a), Some(b)) if f.submitted > f.half => {
+            Some(b.saturating_sub(a) as f64 / (f.submitted - f.half) as f64)
+        }
+        _ => None,
+    };
+    let timing = Timing {
+        elapsed,
+        pps: f.submitted as f64 / elapsed.as_secs_f64().max(1e-9),
+        p50_ns: report.latency_ns(0.50),
+        p99_ns: report.latency_ns(0.99),
+        p999_ns: report.latency_ns(0.999),
+        steady_allocs_per_packet,
+    };
+    (report, timing, out)
+}
+
+/// Convenience driver: one [`run_trial`] that feeds the
+/// whole stream, returning the report plus the wall-clock duration (for
+/// throughput math). Frames are borrowed — the router copies each into its
+/// pooled buffers, so the caller's stream can be reused across runs
+/// without cloning.
 #[must_use]
 pub fn run_stream(
     table: TrieTable<PortId>,
@@ -1262,13 +1376,10 @@ pub fn run_stream(
     config: RouterConfig,
     frames: &[Vec<u8>],
 ) -> (RouterReport, Duration) {
-    let t0 = Instant::now();
-    let mut router = ShardedRouter::start(table, ports, config);
-    for frame in frames {
-        router.submit(frame);
-    }
-    let report = router.finish();
-    (report, t0.elapsed())
+    let (report, timing, ()) = run_trial(table, ports, config, frames.len(), None, |feed| {
+        feed.submit_all(frames);
+    });
+    (report, timing.elapsed)
 }
 
 #[cfg(test)]

@@ -6,14 +6,14 @@
 //! segment sequences, hostile flag combinations, time jumps past every
 //! timeout, and sweeps at random moments, with [`Conntrack::check_invariants`]
 //! auditing the whole structure along the way. A differential property
-//! pins the zero-copy frame path ([`route_frame_tracked`]) to the direct
+//! pins the zero-copy frame path ([`route_frame`]) to the direct
 //! [`Conntrack::admit_tcp`] summary path: same inputs, same verdicts, same
 //! final table.
 
 use proptest::prelude::*;
 use sysnet::conntrack::{EvictCause, FlowState, NatRewrite, TcpSummary};
 use sysnet::lpm::TrieTable;
-use sysnet::pipeline::route_frame_tracked;
+use sysnet::pipeline::route_frame;
 use sysnet::{Conntrack, ConntrackConfig, FlowKey};
 use sysrepr::packet::{PacketBuilder, IPPROTO_TCP, TCP_ACK, TCP_FIN, TCP_RST, TCP_SYN};
 
@@ -171,7 +171,7 @@ proptest! {
     /// Differential: the zero-copy frame path and the direct summary path
     /// agree packet by packet — same admit/shed verdicts, same live set,
     /// same counters. Catches key-canonicalization or parse drift between
-    /// `route_frame_tracked` and `admit_tcp`.
+    /// `route_frame` (tracker, no pool) and `admit_tcp`.
     #[test]
     fn frame_path_matches_summary_path(
         ops in proptest::collection::vec(arb_op(), 1..120),
@@ -202,7 +202,7 @@ proptest! {
                         .ack_no(ack)
                         .build();
                     let via_frame =
-                        route_frame_tracked(&mut frame, &table, None, &mut by_frame, now)
+                        route_frame::<false, _>(&mut frame, &table, None, Some((&mut by_frame, None)), now)
                             .map(|_| ());
                     let via_summary = by_summary.admit_tcp(&key, summary_of(flags, ack), now);
                     prop_assert_eq!(via_frame, via_summary, "paths disagree on a packet");

@@ -23,14 +23,13 @@ use crate::spec::{Arrival, ControlEvent, Expectation, PinHold, PlaneSpec, Scenar
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 use sysfault::{FaultInjector, FaultPlan};
-use sysnet::conntrack::{Conntrack, ConntrackConfig, EvictCause, FlowKey};
-use sysnet::ctbench::FrameForge;
+use sysnet::conntrack::{Conntrack, ConntrackConfig, EvictCause};
+use sysnet::ctbench::{trickle_turn, CState, FrameForge, Interleave, Seq};
 use sysnet::lb::{BackendPool, LbConfig};
-use sysnet::lbbench::{lb_backends, lb_table, LB_VIP, LB_VPORT};
+use sysnet::lbbench::{lb_backends, lb_table, storm_endpoints, vip_client, LB_VIP, LB_VPORT};
 use sysnet::pipeline::{route_frame, DropReason, DROP_REASONS};
 use sysnet::{CowRouteTable, FlowCache, RouteView, Routes, TrieTable};
 use sysrepr::endian::{internet_checksum, write_u16_be};
-use sysrepr::packet::{IPPROTO_TCP, TCP_ACK, TCP_SYN};
 
 /// The engine's own fault site: benign client frames lost on the wire
 /// before reaching the router (schedule it in [`Scenario::faults`]).
@@ -67,38 +66,6 @@ impl Rng {
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         z ^ (z >> 31)
     }
-}
-
-/// A virtual client's handshake position (as in the failover harness).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CState {
-    NeedSyn,
-    NeedAck,
-    Established,
-}
-
-/// Client flow `f`'s endpoint: unique `(ip, port)` under 10.9/16 — must
-/// match the LB bench convention so the standard table routes it.
-#[allow(clippy::cast_possible_truncation)]
-fn client_endpoint(f: usize) -> ([u8; 4], u16) {
-    let ip = [10, 9, (f >> 8) as u8, f as u8];
-    let port = 1024 + ((f >> 16) as u16 & 0x3FFF);
-    (ip, port)
-}
-
-/// Attack SYN `j`'s endpoint: unique spoofed source aimed at the VIP
-/// host's non-service ports (unrewritten scans route to port 3).
-#[allow(clippy::cast_possible_truncation)]
-fn storm_endpoint(j: u64) -> ([u8; 4], u16, u16) {
-    let src = [
-        198,
-        18 + ((j >> 30) as u8 & 1),
-        (j >> 22) as u8,
-        (j >> 14) as u8,
-    ];
-    let sport = 1024 + (j as u16 & 0x3FFF);
-    let dport = 8000 + (j % 997) as u16;
-    (src, sport, dport)
 }
 
 /// Stamps `ttl` into a frame's IP header and repairs the header checksum.
@@ -206,7 +173,7 @@ struct World<'s> {
     forge: FrameForge,
     wire: FaultInjector,
     states: Vec<CState>,
-    acc: f64,
+    flood: Interleave,
     attack_seq: u64,
     offered: u64,
     delivered: u64,
@@ -254,7 +221,7 @@ impl<'s> World<'s> {
             forge: FrameForge::new(s.traffic.payload_len.min(256)),
             wire: FaultInjector::new(plan),
             states: vec![CState::NeedSyn; s.traffic.flows],
-            acc: 0.0,
+            flood: Interleave::new(s.traffic.attack_mix),
             attack_seq: 0,
             offered: 0,
             delivered: 0,
@@ -269,17 +236,6 @@ impl<'s> World<'s> {
             routed: 0,
             per_tick: Vec::with_capacity(s.ticks as usize),
         }
-    }
-
-    fn key_of(&self, f: usize) -> FlowKey {
-        let (src, sport) = client_endpoint(f);
-        FlowKey::canonical(
-            u32::from_be_bytes(src),
-            u32::from_be_bytes(LB_VIP),
-            sport,
-            LB_VPORT,
-            IPPROTO_TCP,
-        )
     }
 
     /// Routes one frame, tallying drops and the routed-packet count.
@@ -319,18 +275,9 @@ impl<'s> World<'s> {
         st: CState,
         now: u64,
     ) -> Result<u16, DropReason> {
-        let (src, sport) = client_endpoint(f);
-        let (flags, payload) = match st {
-            CState::NeedSyn => (TCP_SYN, false),
-            CState::NeedAck => (TCP_ACK, false),
-            CState::Established => (TCP_ACK, true),
-        };
-        let ack_no = self.ct.cookie(&self.key_of(f)).wrapping_add(1);
         let mut buf = [0u8; 512];
         let n = {
-            let frame = self
-                .forge
-                .shape(payload, src, LB_VIP, sport, LB_VPORT, flags, 1, ack_no);
+            let frame = self.forge.client(&self.ct, vip_client(f), st, Seq::One);
             let n = frame.len().min(buf.len());
             buf[..n].copy_from_slice(&frame[..n]);
             n
@@ -343,29 +290,15 @@ impl<'s> World<'s> {
         r
     }
 
-    /// Interleaves attack SYNs at the configured mix (error-accumulator
-    /// pacing, as in the LB bench storm).
+    /// Interleaves the LB bench's storm SYNs at the configured mix.
     fn maybe_attack<R: Routes<u16>>(&mut self, table: &R, now: u64) {
-        let mix = self.s.traffic.attack_mix;
-        let ratio = if mix >= 1.0 {
-            1.0
-        } else if mix > 0.0 {
-            mix / (1.0 - mix)
-        } else {
-            return;
-        };
-        self.acc += ratio;
-        while self.acc >= 1.0 {
-            self.acc -= 1.0;
+        for _ in 0..self.flood.due() {
             let j = self.attack_seq;
             self.attack_seq += 1;
-            let (src, sport, dport) = storm_endpoint(j);
             let mut buf = [0u8; 512];
             let n = {
                 #[allow(clippy::cast_possible_truncation)]
-                let frame = self
-                    .forge
-                    .shape(false, src, LB_VIP, sport, dport, TCP_SYN, j as u32, 0);
+                let frame = self.forge.syn(storm_endpoints(j), j as u32);
                 let n = frame.len().min(buf.len());
                 buf[..n].copy_from_slice(&frame[..n]);
                 n
@@ -440,10 +373,7 @@ impl<'s> World<'s> {
                     continue;
                 }
                 if self.send_client(table, f, st, *now).is_ok() {
-                    self.states[f] = match st {
-                        CState::NeedSyn => CState::NeedAck,
-                        _ => CState::Established,
-                    };
+                    self.states[f] = st.next();
                 }
             }
         }
@@ -474,7 +404,7 @@ impl<'s> World<'s> {
             let st = self.states[f];
             // Established trickle flows only talk on their stride turn;
             // re-handshakes (post-ejection) go immediately.
-            if st == CState::Established && stride > 1 && f % stride != (tick as usize) % stride {
+            if st == CState::Established && !trickle_turn(f, tick as usize, stride) {
                 continue;
             }
             off += 1;

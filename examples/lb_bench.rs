@@ -21,7 +21,7 @@
 //!   scripted backend death.
 
 use plos06::alloc::{alloc_count, CountingAlloc};
-use sysnet::lbbench::{run_lb_bench, FailoverConfig, LbBenchConfig};
+use sysnet::lbbench::{run_lb_bench, FailoverConfig, LbBenchConfig, PROBE_INTERVAL_NS, STORM_MIX};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -40,11 +40,11 @@ fn main() {
         "lb bench: {} flows steady, storm mix {:.0} %, {} slowloris flows, \
          {} workers; failover {} flows, probe {} ms...",
         cfg.flows,
-        cfg.storm_mix * 100.0,
+        STORM_MIX * 100.0,
         cfg.slowloris_flows,
         cfg.workers,
         failover.flows,
-        failover.probe_interval_ns / 1_000_000
+        PROBE_INTERVAL_NS / 1_000_000
     );
     let report = run_lb_bench(&cfg, &failover);
     let json = report.to_json();

@@ -23,8 +23,10 @@
 
 use super::{fmt_ns, fmt_rate, Scale, Table};
 use std::time::Instant;
-use sysnet::bench::{address_stream, build_tables, frame_stream, SweepConfig, PORTS};
-use sysnet::router::{PoolStats, RouterConfig, ShardedRouter};
+use sysnet::bench::{
+    address_stream, best_of, build_tables, frame_stream, SweepConfig, PORTS, SEED,
+};
+use sysnet::router::{run_trial, PoolStats, RouterConfig};
 use sysnet::FlowCache;
 
 /// One measured configuration.
@@ -34,8 +36,6 @@ struct Point {
     p99_ns: u64,
     hit_rate: f64,
     pool: PoolStats,
-    forwarded: u64,
-    dropped: u64,
 }
 
 fn stream_config(scale: Scale, flows: usize) -> SweepConfig {
@@ -49,38 +49,30 @@ fn stream_config(scale: Scale, flows: usize) -> SweepConfig {
 
 /// Routes `frames` through a 2-worker router with the given cache sizing;
 /// best of `trials` trials (wall-clock on a shared host is scheduler-noisy).
-#[allow(clippy::cast_precision_loss)]
 fn measure(frames: &[Vec<u8>], routes: usize, cache_slots: usize, trials: usize) -> Point {
-    let mut best: Option<Point> = None;
-    for _ in 0..trials.max(1) {
-        let (trie, _) = build_tables(routes);
-        let config = RouterConfig {
-            workers: 2,
-            batch_size: 64,
-            cache_slots,
-            ..RouterConfig::default()
-        };
-        let t0 = Instant::now();
-        let mut router = ShardedRouter::start(trie, PORTS, config);
-        for frame in frames {
-            router.submit(frame);
-        }
-        let report = router.finish();
-        let secs = t0.elapsed().as_secs_f64().max(1e-9);
-        let point = Point {
-            pps: report.packets() as f64 / secs,
-            p50_ns: report.latency_ns(0.50),
-            p99_ns: report.latency_ns(0.99),
-            hit_rate: report.cache_hit_rate(),
-            pool: report.pool,
-            forwarded: report.stats.totals.forwarded,
-            dropped: report.stats.totals.dropped_total(),
-        };
-        if best.as_ref().is_none_or(|b| point.pps > b.pps) {
-            best = Some(point);
-        }
-    }
-    best.expect("at least one trial")
+    best_of(
+        trials,
+        |p: &Point| p.pps,
+        || {
+            let (trie, _) = build_tables(routes);
+            let config = RouterConfig {
+                workers: 2,
+                batch_size: 64,
+                cache_slots,
+                ..RouterConfig::default()
+            };
+            let (report, t, ()) = run_trial(trie, PORTS, config, frames.len(), None, |feed| {
+                feed.submit_all(frames);
+            });
+            Point {
+                pps: t.pps,
+                p50_ns: t.p50_ns,
+                p99_ns: t.p99_ns,
+                hit_rate: report.cache_hit_rate(),
+                pool: report.pool,
+            }
+        },
+    )
 }
 
 /// Times route resolution alone — the path the cache shortcuts — over a
@@ -156,8 +148,7 @@ pub fn run(scale: Scale) -> Table {
     let skewed = stream_config(scale, flows);
     let unique = stream_config(scale, 0);
 
-    let (trie_ns, cached_ns, probe_hits) =
-        lookup_comparison(skewed.routes, flows, lookups, skewed.seed);
+    let (trie_ns, cached_ns, probe_hits) = lookup_comparison(skewed.routes, flows, lookups, SEED);
     for (name, ns, hits) in [
         ("lookup: trie walk", trie_ns, None),
         ("lookup: flow cache", cached_ns, Some(probe_hits)),
@@ -181,12 +172,8 @@ pub fn run(scale: Scale) -> Table {
     for (stream_name, cfg) in [("skewed flows", &skewed), ("unique flows", &unique)] {
         let frames = frame_stream(cfg);
         for (cache_name, slots) in [("on (4096)", 4096usize), ("off", 0)] {
+            // The trial driver asserts conservation for every run.
             let p = measure(&frames, cfg.routes, slots, trials);
-            assert_eq!(
-                p.forwarded + p.dropped,
-                frames.len() as u64,
-                "conservation: every frame accounted for"
-            );
             if stream_name == "skewed flows" && slots > 0 {
                 reuse = p.pool.frame_reuse_rate();
             }

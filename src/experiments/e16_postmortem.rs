@@ -121,7 +121,6 @@ fn router_pps(cfg: &SweepConfig, frames: &[Vec<u8>], instrument: bool) -> f64 {
     let rc = RouterConfig {
         workers: 2,
         batch_size: 64,
-        queue_depth: cfg.queue_depth,
         instrument,
         ..RouterConfig::default()
     };
