@@ -58,6 +58,22 @@ assert r["correct"] is True and r["failed"] == 0, {k: r[k] for k in ("correct", 
 '
 done
 
+# Heap smoke: the shadow-model differential suite over the five reclaiming
+# managers (reference links, and retired handles that must stay dead after
+# their table slot is reused), E1/E6/E9 at quick scale, and a 3-s traced
+# ipc-rt run that must be correct and must not grow per round trip: the
+# kernel heap recycles handle slots, and a wake never queues a pid twice.
+cargo test -q -p sysmem --test shadow_model
+cargo run --release --example experiments -- e1 e6 e9
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload ipc-rt --seconds 3 --trace 1 | tail -n 1 | python3 -c '
+import json, sys
+r = json.loads(sys.stdin.read())
+assert r["correct"] is True and r["failed"] == 0, {k: r[k] for k in ("correct", "attempted", "failed")}
+growth = r["metrics"]["kernel.rss_growth_b_per_rt"]["value"]
+assert growth <= 1, f"ipc-rt RSS grows {growth} B per round trip"
+'
+
 # Observability smoke: E11 at quick scale, the obs bench without the budget
 # gate (a loaded CI box can't referee a 5% throughput claim — obs_bench
 # --quick never rewrites BENCH_obs.json), and the flight-recorder dump

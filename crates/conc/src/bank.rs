@@ -425,10 +425,13 @@ pub fn run_contention(bank: &dyn Bank, threads: usize, ops: usize) -> BankReport
     let audits = AtomicU64::new(0);
     let anomalies = AtomicU64::new(0);
     let done = std::sync::atomic::AtomicBool::new(false);
+    // The transfer threads and the auditor leave one start line together.
+    let start_line = std::sync::Barrier::new(threads + 1);
     std::thread::scope(|scope| {
         for t in 0..threads {
             let transfers = &transfers;
             let bank = &bank;
+            let start_line = &start_line;
             scope.spawn(move || {
                 // Cheap deterministic LCG per thread.
                 let mut state = (t as u64).wrapping_mul(0x9e37_79b9) + 1;
@@ -438,6 +441,7 @@ pub fn run_contention(bank: &dyn Bank, threads: usize, ops: usize) -> BankReport
                         .wrapping_add(1);
                     (state >> 33) as usize
                 };
+                start_line.wait();
                 for _ in 0..ops {
                     let from = next() % n;
                     let to = next() % n;
@@ -451,12 +455,19 @@ pub fn run_contention(bank: &dyn Bank, threads: usize, ops: usize) -> BankReport
         let anomalies = &anomalies;
         let done = &done;
         let bank = &bank;
+        let start_line = &start_line;
         scope.spawn(move || {
-            while !done.load(Ordering::Acquire) {
+            start_line.wait();
+            // Audit at least once after the start line, however the
+            // threads are scheduled.
+            loop {
                 let total = bank.audit();
                 audits.fetch_add(1, Ordering::Relaxed);
                 if total != expected {
                     anomalies.fetch_add(1, Ordering::Relaxed);
+                }
+                if done.load(Ordering::Acquire) {
+                    break;
                 }
             }
         });

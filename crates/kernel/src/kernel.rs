@@ -161,6 +161,9 @@ struct Process {
     timed_out: bool,
     /// Essential processes are never chosen by [`Kernel::shed_for_memory`].
     essential: bool,
+    /// The pid is in the run queue: set on push, cleared when
+    /// [`Kernel::schedule`] drops it, so a wake never queues it twice.
+    queued: bool,
 }
 
 #[derive(Debug)]
@@ -319,8 +322,29 @@ impl Kernel {
     /// `ipc-copy`, `watchdog-reap`), with the offending pid/endpoint.
     #[allow(clippy::missing_panics_doc)] // u32 conversions cannot fail below
     pub fn check_invariants(&self) -> std::result::Result<(), String> {
+        let mut in_queue = vec![0usize; self.processes.len()];
+        for pid in &self.run_queue {
+            match in_queue.get_mut(pid.0 as usize) {
+                Some(n) => *n += 1,
+                None => return Err(format!("sched-block: unknown {pid} in the run queue")),
+            }
+        }
         for (i, proc) in self.processes.iter().enumerate() {
             let pid = Pid(u32::try_from(i).expect("pids fit u32"));
+            // sched-block: the run queue holds a pid at most once, and
+            // exactly when its `queued` flag says so.
+            if in_queue[i] > 1 {
+                return Err(format!(
+                    "sched-block: {pid} queued {} times in the run queue",
+                    in_queue[i]
+                ));
+            }
+            if proc.queued != (in_queue[i] == 1) {
+                return Err(format!(
+                    "sched-block: {pid} queued flag {} disagrees with the run queue",
+                    proc.queued
+                ));
+            }
             // cspace-lookup: every slot stays inside the table bounds.
             if proc.cspace.len() > CSPACE_CAPACITY {
                 return Err(format!("cspace-lookup: {pid} c-space exceeds capacity"));
@@ -343,7 +367,7 @@ impl Kernel {
             }
             // sched-block: a ready process must be schedulable (stale
             // blocked/dead queue entries are fine — schedule() drops them).
-            if proc.state == ProcState::Ready && !self.run_queue.contains(&pid) {
+            if proc.state == ProcState::Ready && !proc.queued {
                 return Err(format!("sched-block: {pid} ready but not in the run queue"));
             }
             // watchdog-reap: reaping always wakes — a timed-out process must
@@ -466,6 +490,7 @@ impl Kernel {
             blocked_at: 0,
             timed_out: false,
             essential: false,
+            queued: true,
         });
         self.new_object(ObjectKind::Process, pid.0);
         self.run_queue.push_back(pid);
@@ -660,17 +685,23 @@ impl Kernel {
                 return Some(pid);
             }
             // Blocked/dead processes drop off; they re-enter on wake.
+            if let Ok(proc) = self.process_mut(pid) {
+                proc.queued = false;
+            }
         }
         None
     }
 
+    /// Makes `pid` ready, queueing it unless it is already queued.
     fn wake(&mut self, pid: Pid) {
         let Ok(proc) = self.process_mut(pid) else {
             return;
         };
         if proc.state != ProcState::Dead {
             proc.state = ProcState::Ready;
-            self.run_queue.push_back(pid);
+            if !std::mem::replace(&mut proc.queued, true) {
+                self.run_queue.push_back(pid);
+            }
         }
     }
 
@@ -1585,6 +1616,47 @@ mod tests {
             )
             .unwrap();
         assert!(cycles_big > cycles);
+    }
+
+    #[test]
+    fn wake_never_queues_a_pid_twice() {
+        let (mut k, server, client, ep_server, ep_client) = setup();
+        let reply_server = k.create_endpoint(server).unwrap();
+        let reply_client = k
+            .grant_cap(server, reply_server, client, Rights::RECV)
+            .unwrap();
+        for _ in 0..10_000 {
+            k.ping_pong(
+                client,
+                server,
+                (ep_server, ep_client),
+                (reply_server, reply_client),
+                4,
+            )
+            .unwrap();
+        }
+        assert!(
+            k.run_queue.len() <= k.processes.len(),
+            "{}",
+            k.run_queue.len()
+        );
+        k.check_invariants().unwrap();
+        // A blocked pid leaves the queue when the scheduler passes it and
+        // re-enters exactly once on wake.
+        k.syscall(server, Syscall::Recv { cap: ep_server }).unwrap();
+        assert_eq!(k.schedule(), Some(client));
+        assert_eq!(k.run_queue.len(), 1);
+        k.check_invariants().unwrap();
+        k.syscall(
+            client,
+            Syscall::Send {
+                cap: ep_client,
+                msg: Message::empty(),
+            },
+        )
+        .unwrap();
+        assert_eq!(k.run_queue.len(), 2);
+        k.check_invariants().unwrap();
     }
 
     #[test]

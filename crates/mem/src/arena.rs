@@ -6,8 +6,9 @@
 //! O(1) per region, and the scope structure statically bounds object
 //! lifetimes — the model later adopted by Cyclone regions and Rust lifetimes.
 
+use crate::handle::{object_accessors, HandleTable, Obj, Objects};
 use crate::stats::MemStats;
-use crate::{Handle, Manager, MemError, WORD_BYTES};
+use crate::{Handle, Manager, MemError, Word, WORD_BYTES};
 
 /// Identifier of an open region. Regions form a stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -18,14 +19,6 @@ struct Region {
     data: Vec<u64>,
     live_bytes: usize,
     closed: bool,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    region: u32,
-    off: usize,
-    nrefs: u32,
-    nwords: u32,
 }
 
 /// A stack-of-regions heap.
@@ -53,7 +46,9 @@ struct Entry {
 pub struct RegionHeap {
     regions: Vec<Region>,
     stack: Vec<u32>,
-    entries: Vec<Entry>,
+    /// Objects by (region, offset). Slots are never released: an object
+    /// dies with its region, which the liveness check reads.
+    table: HandleTable<(u32, usize)>,
     stats: MemStats,
     capacity_words: usize,
     used_words: usize,
@@ -67,7 +62,7 @@ impl RegionHeap {
         let mut heap = RegionHeap {
             regions: Vec::new(),
             stack: Vec::new(),
-            entries: Vec::new(),
+            table: HandleTable::new(),
             stats: MemStats::new(),
             capacity_words: capacity_bytes / WORD_BYTES,
             used_words: 0,
@@ -153,32 +148,41 @@ impl RegionHeap {
         r.data.resize(off + payload, 0);
         r.live_bytes += payload * WORD_BYTES;
         self.used_words += payload;
-        let h = Handle(u32::try_from(self.entries.len()).expect("handle space exhausted"));
-        self.entries.push(Entry {
-            region: region.0,
-            off,
-            nrefs: u32::try_from(nrefs).expect("nrefs fits"),
-            nwords: u32::try_from(nwords).expect("nwords fits"),
-        });
         self.stats.allocs += 1;
         self.stats.bytes_allocated += (payload * WORD_BYTES) as u64;
-        Ok(h)
+        Ok(self.table.insert((region.0, off), nrefs, nwords, ()))
+    }
+}
+
+impl Objects for RegionHeap {
+    type Loc = (u32, usize);
+    type Meta = ();
+
+    fn table(&self) -> &HandleTable<(u32, usize)> {
+        &self.table
     }
 
-    fn entry(&self, h: Handle) -> Result<Entry, MemError> {
-        let e = self
-            .entries
-            .get(h.0 as usize)
-            .copied()
-            .ok_or(MemError::InvalidHandle(h))?;
-        if self.regions[e.region as usize].closed {
+    fn read(&self, (region, off): (u32, usize), i: usize) -> Word {
+        self.regions[region as usize].data[off + i]
+    }
+
+    fn write(&mut self, (region, off): (u32, usize), i: usize, w: Word) {
+        self.regions[region as usize].data[off + i] = w;
+    }
+
+    /// Bulk liveness: an object of a closed region is dead.
+    fn object(&self, h: Handle) -> Result<&Obj<(u32, usize)>, MemError> {
+        let o = self.table.get(h)?;
+        if self.regions[o.loc.0 as usize].closed {
             return Err(MemError::InvalidHandle(h));
         }
-        Ok(e)
+        Ok(o)
     }
 }
 
 impl Manager for RegionHeap {
+    object_accessors!(except set_ref);
+
     fn name(&self) -> &'static str {
         "region"
     }
@@ -200,70 +204,17 @@ impl Manager for RegionHeap {
         slot: usize,
         target: Option<Handle>,
     ) -> Result<(), MemError> {
-        let e = self.entry(obj)?;
-        if slot >= e.nrefs as usize {
-            return Err(MemError::IndexOutOfBounds {
-                handle: obj,
-                index: slot,
-                len: e.nrefs as usize,
-            });
-        }
+        // Region discipline: an object may only point *inward-to-outward*
+        // (toward longer-lived regions); this is the aliasing rule a
+        // region type system enforces statically.
         if let Some(t) = target {
-            let te = self.entry(t)?;
-            // Region discipline: an object may only point *inward-to-outward*
-            // (toward longer-lived regions); this is the aliasing rule a
-            // region type system enforces statically.
-            if te.region > e.region {
+            if self.object(obj)?.loc.0 < self.object(t)?.loc.0 {
                 return Err(MemError::Unsupported(
                     "region discipline violation: reference into shorter-lived region",
                 ));
             }
         }
-        self.regions[e.region as usize].data[e.off + slot] =
-            target.map_or(0, |t| u64::from(t.0) + 1);
-        Ok(())
-    }
-
-    fn get_ref(&self, obj: Handle, slot: usize) -> Result<Option<Handle>, MemError> {
-        let e = self.entry(obj)?;
-        if slot >= e.nrefs as usize {
-            return Err(MemError::IndexOutOfBounds {
-                handle: obj,
-                index: slot,
-                len: e.nrefs as usize,
-            });
-        }
-        let raw = self.regions[e.region as usize].data[e.off + slot];
-        Ok(if raw == 0 {
-            None
-        } else {
-            Some(Handle(u32::try_from(raw - 1).expect("fits")))
-        })
-    }
-
-    fn set_word(&mut self, obj: Handle, idx: usize, val: u64) -> Result<(), MemError> {
-        let e = self.entry(obj)?;
-        if idx >= e.nwords as usize {
-            return Err(MemError::IndexOutOfBounds {
-                handle: obj,
-                index: idx,
-                len: e.nwords as usize,
-            });
-        }
-        self.regions[e.region as usize].data[e.off + e.nrefs as usize + idx] = val;
-        Ok(())
-    }
-
-    fn get_word(&self, obj: Handle, idx: usize) -> Result<u64, MemError> {
-        let e = self.entry(obj)?;
-        if idx >= e.nwords as usize {
-            return Err(MemError::IndexOutOfBounds {
-                handle: obj,
-                index: idx,
-                len: e.nwords as usize,
-            });
-        }
-        Ok(self.regions[e.region as usize].data[e.off + e.nrefs as usize + idx])
+        self.write_ref(obj, slot, target).map(drop)
     }
 
     fn add_root(&mut self, _obj: Handle) {}
@@ -271,10 +222,6 @@ impl Manager for RegionHeap {
     fn remove_root(&mut self, _obj: Handle) {}
 
     fn collect(&mut self) {}
-
-    fn is_live(&self, h: Handle) -> bool {
-        self.entry(h).is_ok()
-    }
 
     fn stats(&self) -> &MemStats {
         &self.stats

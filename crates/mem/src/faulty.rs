@@ -35,7 +35,11 @@ struct Shape {
 pub struct FaultyHeap {
     inner: Box<dyn Manager>,
     injector: SharedInjector,
+    /// Shapes of the live objects allocated through the wrapper.
     shapes: HashMap<Handle, Shape>,
+    /// Handles freed through the wrapper. Inner managers never reissue a
+    /// handle, so this set is what tells a poison hit from a handle that
+    /// was never issued.
     freed: HashSet<Handle>,
     poison_hits: u64,
     injected_oom: u64,
@@ -114,7 +118,6 @@ impl Manager for FaultyHeap {
     fn alloc(&mut self, nrefs: usize, nwords: usize) -> Result<Handle, MemError> {
         let h = self.inner.alloc(nrefs, nwords)?;
         self.shapes.insert(h, Shape { nrefs, nwords });
-        self.freed.remove(&h);
         Ok(h)
     }
 
@@ -148,6 +151,7 @@ impl Manager for FaultyHeap {
         }
         match self.inner.free(h) {
             Ok(()) => {
+                self.shapes.remove(&h);
                 self.freed.insert(h);
                 Ok(())
             }
@@ -295,6 +299,20 @@ mod tests {
         // freed-set rejects the stale handle while the heap stays coherent.
         let fresh = h.try_alloc(0, 3).unwrap();
         assert_eq!(h.get_word(fresh, 1).unwrap(), 0, "no stale data leaks");
+    }
+
+    #[test]
+    fn a_freed_handle_stays_poisoned_after_its_slot_is_reused() {
+        let mut h = faulty(FaultPlan::new(0));
+        let old = h.try_alloc(0, 1).unwrap();
+        h.free(old).unwrap();
+        let fresh = h.try_alloc(0, 1).unwrap();
+        assert_ne!(fresh, old);
+        h.set_word(fresh, 0, 5).unwrap();
+        assert_eq!(h.set_word(old, 0, 1), Err(MemError::InvalidHandle(old)));
+        assert_eq!(h.poison_hits(), 1);
+        assert_eq!(h.get_word(fresh, 0), Ok(5));
+        assert_eq!(h.shapes.len(), 1, "the freed handle's shape is dropped");
     }
 
     #[test]

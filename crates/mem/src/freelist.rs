@@ -6,8 +6,9 @@
 //! mark-sweep and generational collectors as their underlying block
 //! allocator, so all non-moving managers share identical allocation costs.
 
+use crate::handle::{object_accessors, HandleTable, Objects};
 use crate::stats::MemStats;
-use crate::{Handle, Manager, MemError, WORD_BYTES};
+use crate::{Handle, Manager, MemError, Word, WORD_BYTES};
 
 const NONE: u64 = u64::MAX;
 const USED_BIT: u64 = 1;
@@ -114,7 +115,9 @@ impl WordPool {
     }
 
     /// Allocates a block with at least `payload_words` of payload and returns
-    /// the payload offset, or `None` if no block fits.
+    /// the payload offset, or `None` if no block fits. The first
+    /// `payload_words` are zeroed: a recycled block must not leak stale data
+    /// (the same hygiene rule a kernel allocator follows).
     pub fn alloc(&mut self, payload_words: usize) -> Option<usize> {
         let want = (payload_words + 2).max(MIN_BLOCK);
         let mut class = class_of(want - 2);
@@ -134,6 +137,7 @@ impl WordPool {
                         self.set_header(h, size, true);
                         self.free_words -= size;
                     }
+                    self.data[h + 1..h + 1 + payload_words].fill(0);
                     return Some(h + 1);
                 }
                 cur = self.data[h + 1];
@@ -233,14 +237,6 @@ impl WordPool {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    off: usize,
-    nrefs: u32,
-    nwords: u32,
-    live: bool,
-}
-
 /// A malloc/free-style manager: explicit deallocation, no tracing.
 ///
 /// ```
@@ -256,9 +252,8 @@ struct Entry {
 #[derive(Debug)]
 pub struct FreeListHeap {
     pool: WordPool,
-    entries: Vec<Entry>,
+    table: HandleTable<usize>,
     stats: MemStats,
-    live_bytes: usize,
 }
 
 impl FreeListHeap {
@@ -267,16 +262,8 @@ impl FreeListHeap {
     pub fn new(capacity_bytes: usize) -> Self {
         FreeListHeap {
             pool: WordPool::new((capacity_bytes / WORD_BYTES).max(MIN_BLOCK)),
-            entries: Vec::new(),
+            table: HandleTable::new(),
             stats: MemStats::new(),
-            live_bytes: 0,
-        }
-    }
-
-    fn entry(&self, h: Handle) -> Result<&Entry, MemError> {
-        match self.entries.get(h.0 as usize) {
-            Some(e) if e.live => Ok(e),
-            _ => Err(MemError::InvalidHandle(h)),
         }
     }
 
@@ -287,7 +274,26 @@ impl FreeListHeap {
     }
 }
 
+impl Objects for FreeListHeap {
+    type Loc = usize;
+    type Meta = ();
+
+    fn table(&self) -> &HandleTable<usize> {
+        &self.table
+    }
+
+    fn read(&self, at: usize, i: usize) -> Word {
+        self.pool.read(at + i)
+    }
+
+    fn write(&mut self, at: usize, i: usize, w: Word) {
+        self.pool.write(at + i, w);
+    }
+}
+
 impl Manager for FreeListHeap {
+    object_accessors!();
+
     fn name(&self) -> &'static str {
         "freelist"
     }
@@ -297,95 +303,16 @@ impl Manager for FreeListHeap {
         let off = self.pool.alloc(payload).ok_or(MemError::OutOfMemory {
             requested: payload * WORD_BYTES,
         })?;
-        // Zero the whole payload: recycled blocks must not leak stale data
-        // (the same hygiene rule a kernel allocator follows).
-        for i in 0..payload {
-            self.pool.write(off + i, 0);
-        }
-        let h = Handle(u32::try_from(self.entries.len()).expect("handle space exhausted"));
-        self.entries.push(Entry {
-            off,
-            nrefs: u32::try_from(nrefs).expect("nrefs fits u32"),
-            nwords: u32::try_from(nwords).expect("nwords fits u32"),
-            live: true,
-        });
         self.stats.allocs += 1;
         self.stats.bytes_allocated += (payload * WORD_BYTES) as u64;
-        self.live_bytes += payload * WORD_BYTES;
-        Ok(h)
+        Ok(self.table.insert(off, nrefs, nwords, ()))
     }
 
     fn free(&mut self, h: Handle) -> Result<(), MemError> {
-        let e = *self.entry(h)?;
-        self.pool.free(e.off);
-        self.entries[h.0 as usize].live = false;
+        let o = self.table.release(h).ok_or(MemError::InvalidHandle(h))?;
+        self.pool.free(o.loc);
         self.stats.frees += 1;
-        self.live_bytes -= (e.nrefs + e.nwords) as usize * WORD_BYTES;
         Ok(())
-    }
-
-    fn set_ref(
-        &mut self,
-        obj: Handle,
-        slot: usize,
-        target: Option<Handle>,
-    ) -> Result<(), MemError> {
-        let e = *self.entry(obj)?;
-        if slot >= e.nrefs as usize {
-            return Err(MemError::IndexOutOfBounds {
-                handle: obj,
-                index: slot,
-                len: e.nrefs as usize,
-            });
-        }
-        if let Some(t) = target {
-            self.entry(t)?;
-        }
-        self.pool
-            .write(e.off + slot, target.map_or(0, |t| u64::from(t.0) + 1));
-        Ok(())
-    }
-
-    fn get_ref(&self, obj: Handle, slot: usize) -> Result<Option<Handle>, MemError> {
-        let e = self.entry(obj)?;
-        if slot >= e.nrefs as usize {
-            return Err(MemError::IndexOutOfBounds {
-                handle: obj,
-                index: slot,
-                len: e.nrefs as usize,
-            });
-        }
-        let raw = self.pool.read(e.off + slot);
-        Ok(if raw == 0 {
-            None
-        } else {
-            Some(Handle(u32::try_from(raw - 1).expect("handle fits")))
-        })
-    }
-
-    fn set_word(&mut self, obj: Handle, idx: usize, val: u64) -> Result<(), MemError> {
-        let e = *self.entry(obj)?;
-        if idx >= e.nwords as usize {
-            return Err(MemError::IndexOutOfBounds {
-                handle: obj,
-                index: idx,
-                len: e.nwords as usize,
-            });
-        }
-        self.pool.write(e.off + e.nrefs as usize + idx, val);
-        Ok(())
-    }
-
-    fn get_word(&self, obj: Handle, idx: usize) -> Result<u64, MemError> {
-        let e = self.entry(obj)?;
-        if idx >= e.nwords as usize {
-            return Err(MemError::IndexOutOfBounds {
-                handle: obj,
-                index: idx,
-                len: e.nwords as usize,
-            });
-        }
-        Ok(self.pool.read(e.off + e.nrefs as usize + idx))
     }
 
     fn add_root(&mut self, _obj: Handle) {}
@@ -394,16 +321,12 @@ impl Manager for FreeListHeap {
 
     fn collect(&mut self) {}
 
-    fn is_live(&self, h: Handle) -> bool {
-        self.entry(h).is_ok()
-    }
-
     fn stats(&self) -> &MemStats {
         &self.stats
     }
 
     fn live_bytes(&self) -> usize {
-        self.live_bytes
+        self.table.live_bytes()
     }
 }
 
@@ -572,5 +495,16 @@ mod tests {
                 prop_assert_eq!(h.get(keep, i), seed.wrapping_mul(i as u64 + 1));
             }
         }
+    }
+
+    #[test]
+    fn churn_reuses_handle_slots() {
+        let mut h = FreeListHeap::new(1 << 16);
+        let peak = crate::handle::tests::churn(&mut h, true);
+        assert!(
+            h.table.slots() <= peak,
+            "{} slots for {peak} live",
+            h.table.slots()
+        );
     }
 }

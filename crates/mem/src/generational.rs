@@ -7,24 +7,16 @@
 //! measures whether its pause profile approaches region allocation.
 
 use crate::freelist::WordPool;
+use crate::handle::{object_accessors, HandleTable, Objects};
 use crate::stats::MemStats;
-use crate::{Handle, Manager, MemError, WORD_BYTES};
+use crate::{Handle, Manager, MemError, Word, WORD_BYTES};
 use std::collections::HashSet;
 use std::time::Instant;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Loc {
+pub(crate) enum Loc {
     Nursery(usize),
     Mature(usize),
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    loc: Loc,
-    nrefs: u32,
-    nwords: u32,
-    live: bool,
-    marked: bool,
 }
 
 /// A two-generation collector with write barrier.
@@ -47,13 +39,12 @@ pub struct GenerationalHeap {
     nursery_bump: usize,
     nursery_words: usize,
     mature: WordPool,
-    entries: Vec<Entry>,
+    /// Objects by location, each with its mark bit.
+    table: HandleTable<Loc, bool>,
     nursery_list: Vec<Handle>,
-    mature_list: Vec<Handle>,
     roots: Vec<Handle>,
     remembered: HashSet<Handle>,
     stats: MemStats,
-    live_bytes: usize,
 }
 
 impl GenerationalHeap {
@@ -66,34 +57,11 @@ impl GenerationalHeap {
             nursery_bump: 0,
             nursery_words: (nursery_bytes / WORD_BYTES).max(4),
             mature: WordPool::new((mature_bytes / WORD_BYTES).max(4)),
-            entries: Vec::new(),
+            table: HandleTable::new(),
             nursery_list: Vec::new(),
-            mature_list: Vec::new(),
             roots: Vec::new(),
             remembered: HashSet::new(),
             stats: MemStats::new(),
-            live_bytes: 0,
-        }
-    }
-
-    fn entry(&self, h: Handle) -> Result<&Entry, MemError> {
-        match self.entries.get(h.0 as usize) {
-            Some(e) if e.live => Ok(e),
-            _ => Err(MemError::InvalidHandle(h)),
-        }
-    }
-
-    fn read_at(&self, loc: Loc, idx: usize) -> u64 {
-        match loc {
-            Loc::Nursery(off) => self.nursery[off + idx],
-            Loc::Mature(off) => self.mature.read(off + idx),
-        }
-    }
-
-    fn write_at(&mut self, loc: Loc, idx: usize, val: u64) {
-        match loc {
-            Loc::Nursery(off) => self.nursery[off + idx] = val,
-            Loc::Mature(off) => self.mature.write(off + idx, val),
         }
     }
 
@@ -116,23 +84,27 @@ impl GenerationalHeap {
         })
     }
 
-    /// Copies a nursery object into the mature space; returns false if it was
-    /// already mature.
-    fn promote(&mut self, h: Handle) -> Result<bool, MemError> {
-        let e = self.entries[h.0 as usize];
-        let Loc::Nursery(off) = e.loc else {
-            return Ok(false);
+    /// Copies a live nursery object into the mature space; returns false if
+    /// it was already mature or is dead.
+    fn promote(&mut self, h: Handle) -> bool {
+        let Ok(o) = self.table.get(h) else {
+            return false;
         };
-        let len = (e.nrefs + e.nwords) as usize;
-        let new_off = self.mature_alloc(len)?;
+        let (Loc::Nursery(off), len) = (o.loc, o.len()) else {
+            return false;
+        };
+        let new_off = self
+            .mature_alloc(len)
+            .expect("promotion failed: mature space exhausted");
         for i in 0..len {
-            let w = self.nursery[off + i];
-            self.mature.write(new_off + i, w);
+            self.mature.write(new_off + i, self.nursery[off + i]);
         }
-        self.entries[h.0 as usize].loc = Loc::Mature(new_off);
-        self.mature_list.push(h);
+        self.table
+            .get_mut(h)
+            .expect("sweeps spare nursery objects")
+            .loc = Loc::Mature(new_off);
         self.stats.bytes_copied += (len * WORD_BYTES) as u64;
-        Ok(true)
+        true
     }
 
     /// Runs a minor (nursery) collection: promotes reachable nursery objects
@@ -150,107 +122,52 @@ impl GenerationalHeap {
             self.mark_and_sweep_mature();
         }
         let t0 = Instant::now();
-        // Scan queue: promoted objects whose refs may reach nursery objects,
-        // plus remembered mature objects.
-        let mut queue: Vec<Handle> = Vec::new();
-        let roots: Vec<Handle> = self.roots.clone();
-        for h in roots {
-            if self.entries[h.0 as usize].live {
-                match self.entries[h.0 as usize].loc {
-                    Loc::Nursery(_) => {
-                        self.promote(h)
-                            .expect("promotion failed: mature space exhausted");
-                        queue.push(h);
-                    }
-                    Loc::Mature(_) => {}
-                }
-            }
+        // Promote nursery objects reachable from the roots or from remembered
+        // mature objects, scanning every promoted object in turn.
+        let mut pending: Vec<Handle> = self.roots.clone();
+        for h in std::mem::take(&mut self.remembered) {
+            pending.extend(self.refs(h));
         }
-        for h in self.remembered.iter().copied().collect::<Vec<_>>() {
-            if self.entries[h.0 as usize].live {
-                queue.push(h);
-            }
-        }
-        let mut scan = 0;
-        while scan < queue.len() {
-            let h = queue[scan];
-            scan += 1;
-            let e = self.entries[h.0 as usize];
-            for slot in 0..e.nrefs as usize {
-                let raw = self.read_at(e.loc, slot);
-                if raw == 0 {
-                    continue;
-                }
-                let child = Handle(u32::try_from(raw - 1).expect("fits"));
-                let ce = self.entries[child.0 as usize];
-                if ce.live && matches!(ce.loc, Loc::Nursery(_)) {
-                    self.promote(child)
-                        .expect("promotion failed: mature space exhausted");
-                    queue.push(child);
-                }
+        while let Some(h) = pending.pop() {
+            if self.promote(h) {
+                pending.extend(self.refs(h));
             }
         }
         // Unpromoted nursery objects are dead.
         for h in std::mem::take(&mut self.nursery_list) {
-            let e = &mut self.entries[h.0 as usize];
-            if e.live && matches!(e.loc, Loc::Nursery(_)) {
-                e.live = false;
-                self.live_bytes -= (e.nrefs + e.nwords) as usize * WORD_BYTES;
+            if matches!(self.table.get(h), Ok(o) if matches!(o.loc, Loc::Nursery(_))) {
+                self.table.release(h);
                 self.stats.collected_objects += 1;
             }
         }
         self.nursery_bump = 0;
-        self.remembered.clear();
         self.stats.collections += 1;
         self.stats.record_gc_pause(t0.elapsed());
     }
 
     /// Marks from the roots (traversing nursery and mature objects alike)
     /// and sweeps unmarked *mature* objects. Safe to run at any point,
-    /// including mid-promotion: every mark bit set here is cleared before
-    /// returning, so no stale marks survive on nursery objects.
+    /// including mid-promotion: the sweep clears every mark, so no stale
+    /// marks survive on nursery objects.
     fn mark_and_sweep_mature(&mut self) {
         let t0 = Instant::now();
-        let mut marked: Vec<Handle> = Vec::new();
         let mut worklist: Vec<Handle> = self.roots.clone();
         while let Some(h) = worklist.pop() {
-            let e = &mut self.entries[h.0 as usize];
-            if !e.live || e.marked {
-                continue;
+            match self.table.get_mut(h) {
+                Ok(o) if !o.meta => o.meta = true,
+                _ => continue,
             }
-            e.marked = true;
-            marked.push(h);
-            let (loc, nrefs) = (e.loc, e.nrefs as usize);
-            for slot in 0..nrefs {
-                let raw = self.read_at(loc, slot);
-                if raw != 0 {
-                    worklist.push(Handle(u32::try_from(raw - 1).expect("fits")));
-                }
-            }
+            worklist.extend(self.refs(h));
         }
-        let mut survivors = Vec::with_capacity(self.mature_list.len());
-        for &h in &self.mature_list.clone() {
-            let e = &mut self.entries[h.0 as usize];
-            if !e.live {
-                continue;
-            }
-            if e.marked {
-                survivors.push(h);
-            } else {
-                e.live = false;
-                let bytes = (e.nrefs + e.nwords) as usize * WORD_BYTES;
-                self.live_bytes -= bytes;
-                self.stats.collected_objects += 1;
-                if let Loc::Mature(off) = e.loc {
+        self.table
+            .retain(|o| match (o.loc, std::mem::take(&mut o.meta)) {
+                (Loc::Mature(off), false) => {
+                    self.stats.collected_objects += 1;
                     self.mature.free(off);
+                    false
                 }
-            }
-        }
-        self.mature_list = survivors;
-        // Clear every mark we set (nursery objects included).
-        for h in marked {
-            self.entries[h.0 as usize].marked = false;
-        }
+                _ => true,
+            });
         self.stats.collections += 1;
         self.stats.record_gc_pause(t0.elapsed());
     }
@@ -265,7 +182,32 @@ impl GenerationalHeap {
     }
 }
 
+impl Objects for GenerationalHeap {
+    type Loc = Loc;
+    type Meta = bool;
+
+    fn table(&self) -> &HandleTable<Loc, bool> {
+        &self.table
+    }
+
+    fn read(&self, at: Loc, i: usize) -> Word {
+        match at {
+            Loc::Nursery(off) => self.nursery[off + i],
+            Loc::Mature(off) => self.mature.read(off + i),
+        }
+    }
+
+    fn write(&mut self, at: Loc, i: usize, w: Word) {
+        match at {
+            Loc::Nursery(off) => self.nursery[off + i] = w,
+            Loc::Mature(off) => self.mature.write(off + i, w),
+        }
+    }
+}
+
 impl Manager for GenerationalHeap {
+    object_accessors!(except set_ref);
+
     fn name(&self) -> &'static str {
         "generational"
     }
@@ -282,21 +224,11 @@ impl Manager for GenerationalHeap {
         }
         let off = self.nursery_bump;
         self.nursery_bump += payload;
-        for i in 0..payload {
-            self.nursery[off + i] = 0;
-        }
-        let h = Handle(u32::try_from(self.entries.len()).expect("handle space exhausted"));
-        self.entries.push(Entry {
-            loc: Loc::Nursery(off),
-            nrefs: u32::try_from(nrefs).expect("fits"),
-            nwords: u32::try_from(nwords).expect("fits"),
-            live: true,
-            marked: false,
-        });
+        self.nursery[off..off + payload].fill(0);
+        let h = self.table.insert(Loc::Nursery(off), nrefs, nwords, false);
         self.nursery_list.push(h);
         self.stats.allocs += 1;
         self.stats.bytes_allocated += (payload * WORD_BYTES) as u64;
-        self.live_bytes += payload * WORD_BYTES;
         Ok(h)
     }
 
@@ -312,66 +244,17 @@ impl Manager for GenerationalHeap {
         slot: usize,
         target: Option<Handle>,
     ) -> Result<(), MemError> {
-        let e = *self.entry(obj)?;
-        if slot >= e.nrefs as usize {
-            return Err(MemError::IndexOutOfBounds {
-                handle: obj,
-                index: slot,
-                len: e.nrefs as usize,
-            });
-        }
+        self.write_ref(obj, slot, target)?;
+        // Write barrier: record old→young pointers.
         if let Some(t) = target {
-            let te = *self.entry(t)?;
-            // Write barrier: record old→young pointers.
-            if matches!(e.loc, Loc::Mature(_)) && matches!(te.loc, Loc::Nursery(_)) {
+            if matches!(self.table.get(obj)?.loc, Loc::Mature(_))
+                && matches!(self.table.get(t)?.loc, Loc::Nursery(_))
+            {
                 self.remembered.insert(obj);
                 self.stats.barrier_hits += 1;
             }
         }
-        self.write_at(e.loc, slot, target.map_or(0, |t| u64::from(t.0) + 1));
         Ok(())
-    }
-
-    fn get_ref(&self, obj: Handle, slot: usize) -> Result<Option<Handle>, MemError> {
-        let e = self.entry(obj)?;
-        if slot >= e.nrefs as usize {
-            return Err(MemError::IndexOutOfBounds {
-                handle: obj,
-                index: slot,
-                len: e.nrefs as usize,
-            });
-        }
-        let raw = self.read_at(e.loc, slot);
-        Ok(if raw == 0 {
-            None
-        } else {
-            Some(Handle(u32::try_from(raw - 1).expect("fits")))
-        })
-    }
-
-    fn set_word(&mut self, obj: Handle, idx: usize, val: u64) -> Result<(), MemError> {
-        let e = *self.entry(obj)?;
-        if idx >= e.nwords as usize {
-            return Err(MemError::IndexOutOfBounds {
-                handle: obj,
-                index: idx,
-                len: e.nwords as usize,
-            });
-        }
-        self.write_at(e.loc, e.nrefs as usize + idx, val);
-        Ok(())
-    }
-
-    fn get_word(&self, obj: Handle, idx: usize) -> Result<u64, MemError> {
-        let e = self.entry(obj)?;
-        if idx >= e.nwords as usize {
-            return Err(MemError::IndexOutOfBounds {
-                handle: obj,
-                index: idx,
-                len: e.nwords as usize,
-            });
-        }
-        Ok(self.read_at(e.loc, e.nrefs as usize + idx))
     }
 
     fn add_root(&mut self, obj: Handle) {
@@ -389,16 +272,12 @@ impl Manager for GenerationalHeap {
         self.major_collect();
     }
 
-    fn is_live(&self, h: Handle) -> bool {
-        self.entry(h).is_ok()
-    }
-
     fn stats(&self) -> &MemStats {
         &self.stats
     }
 
     fn live_bytes(&self) -> usize {
-        self.live_bytes
+        self.table.live_bytes()
     }
 }
 
@@ -531,5 +410,16 @@ mod tests {
         for i in 0..4 {
             assert_eq!(h.get(keep, i), 1000 + i as u64);
         }
+    }
+
+    #[test]
+    fn churn_reuses_handle_slots() {
+        let mut h = GenerationalHeap::new(1 << 16, 1 << 12);
+        let peak = crate::handle::tests::churn(&mut h, false);
+        assert!(
+            h.table.slots() <= peak,
+            "{} slots for {peak} live",
+            h.table.slots()
+        );
     }
 }

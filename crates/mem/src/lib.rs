@@ -30,6 +30,16 @@
 //! without invalidating user handles — the same device used by early Smalltalk
 //! and some JVMs.
 //!
+//! All six managers keep their objects in one kind of table (the crate-private
+//! `handle` module), which also owns the shared bounds-checked accessors. A
+//! handle is `slot | generation << 32`. Freeing or collecting an object bumps
+//! its slot's generation and recycles the slot, so the table stays as large as
+//! the peak live population and a stale handle fails the generation check
+//! rather than aliasing the object that reused its slot (a slot whose
+//! generation would wrap is retired instead). The region heap is the one
+//! exception to recycling: its objects die in bulk when their region closes,
+//! so it decides liveness by region and never releases a slot.
+//!
 //! [`workload`] generates allocation traces with controlled size and lifetime
 //! distributions, and [`stats::PauseHistogram`] records per-operation pause
 //! times so experiments E1/E6 can report tail latencies.
@@ -50,6 +60,7 @@ pub mod epoch;
 pub mod faulty;
 pub mod freelist;
 pub mod generational;
+mod handle;
 pub mod marksweep;
 pub mod rc;
 pub mod semispace;
@@ -65,15 +76,10 @@ pub type Word = u64;
 ///
 /// Handles are indirect: moving collectors may relocate the underlying
 /// storage, but the handle remains valid until the object is freed or
-/// collected.
+/// collected. After that it stays invalid for good, even once the manager
+/// reuses its table slot for a new object. It displays as `h<slot>.<generation>`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Handle(pub u32);
-
-impl fmt::Display for Handle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "h{}", self.0)
-    }
-}
+pub struct Handle(pub u64);
 
 /// Errors returned by memory managers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -285,7 +291,7 @@ mod tests {
 
     #[test]
     fn handle_display_is_compact() {
-        assert_eq!(Handle(7).to_string(), "h7");
+        assert_eq!(Handle(7 | 3 << 32).to_string(), "h7.3");
     }
 
     #[test]

@@ -8,18 +8,10 @@
 //! experiment E1 can report the tail the paper worries about.
 
 use crate::freelist::WordPool;
+use crate::handle::{object_accessors, HandleTable, Objects};
 use crate::stats::MemStats;
-use crate::{Handle, Manager, MemError, WORD_BYTES};
+use crate::{Handle, Manager, MemError, Word, WORD_BYTES};
 use std::time::Instant;
-
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    off: usize,
-    nrefs: u32,
-    nwords: u32,
-    live: bool,
-    marked: bool,
-}
 
 /// A tracing mark-sweep collector.
 ///
@@ -40,11 +32,10 @@ struct Entry {
 #[derive(Debug)]
 pub struct MarkSweepHeap {
     pool: WordPool,
-    entries: Vec<Entry>,
-    live_list: Vec<Handle>,
+    /// Objects by pool offset, each with its mark bit.
+    table: HandleTable<usize, bool>,
     roots: Vec<Handle>,
     stats: MemStats,
-    live_bytes: usize,
     bytes_since_gc: usize,
     gc_threshold: usize,
 }
@@ -57,62 +48,57 @@ impl MarkSweepHeap {
     pub fn new(capacity_bytes: usize) -> Self {
         MarkSweepHeap {
             pool: WordPool::new((capacity_bytes / WORD_BYTES).max(4)),
-            entries: Vec::new(),
-            live_list: Vec::new(),
+            table: HandleTable::new(),
             roots: Vec::new(),
             stats: MemStats::new(),
-            live_bytes: 0,
             bytes_since_gc: 0,
             gc_threshold: capacity_bytes / 2,
-        }
-    }
-
-    fn entry(&self, h: Handle) -> Result<&Entry, MemError> {
-        match self.entries.get(h.0 as usize) {
-            Some(e) if e.live => Ok(e),
-            _ => Err(MemError::InvalidHandle(h)),
         }
     }
 
     fn mark_from_roots(&mut self) {
         let mut worklist: Vec<Handle> = self.roots.clone();
         while let Some(h) = worklist.pop() {
-            let e = &mut self.entries[h.0 as usize];
-            if !e.live || e.marked {
-                continue;
+            match self.table.get_mut(h) {
+                Ok(o) if !o.meta => o.meta = true,
+                _ => continue,
             }
-            e.marked = true;
-            let (off, nrefs) = (e.off, e.nrefs as usize);
-            for slot in 0..nrefs {
-                let raw = self.pool.read(off + slot);
-                if raw != 0 {
-                    worklist.push(Handle(u32::try_from(raw - 1).expect("handle fits")));
-                }
-            }
+            worklist.extend(self.refs(h));
         }
     }
 
     fn sweep(&mut self) {
-        let mut survivors = Vec::with_capacity(self.live_list.len());
-        for &h in &self.live_list {
-            let e = &mut self.entries[h.0 as usize];
-            if e.marked {
-                e.marked = false;
-                survivors.push(h);
-            } else {
-                e.live = false;
-                let bytes = (e.nrefs + e.nwords) as usize * WORD_BYTES;
-                self.live_bytes -= bytes;
+        self.table.retain(|o| {
+            let marked = std::mem::take(&mut o.meta);
+            if !marked {
                 self.stats.collected_objects += 1;
-                let off = e.off;
-                self.pool.free(off);
+                self.pool.free(o.loc);
             }
-        }
-        self.live_list = survivors;
+            marked
+        });
+    }
+}
+
+impl Objects for MarkSweepHeap {
+    type Loc = usize;
+    type Meta = bool;
+
+    fn table(&self) -> &HandleTable<usize, bool> {
+        &self.table
+    }
+
+    fn read(&self, at: usize, i: usize) -> Word {
+        self.pool.read(at + i)
+    }
+
+    fn write(&mut self, at: usize, i: usize, w: Word) {
+        self.pool.write(at + i, w);
     }
 }
 
 impl Manager for MarkSweepHeap {
+    object_accessors!();
+
     fn name(&self) -> &'static str {
         "mark-sweep"
     }
@@ -131,93 +117,14 @@ impl Manager for MarkSweepHeap {
                 })?
             }
         };
-        // Zero the whole payload: recycled blocks must not leak stale data
-        // (the same hygiene rule a kernel allocator follows).
-        for i in 0..payload {
-            self.pool.write(off + i, 0);
-        }
-        let h = Handle(u32::try_from(self.entries.len()).expect("handle space exhausted"));
-        self.entries.push(Entry {
-            off,
-            nrefs: u32::try_from(nrefs).expect("fits"),
-            nwords: u32::try_from(nwords).expect("fits"),
-            live: true,
-            marked: false,
-        });
-        self.live_list.push(h);
         self.stats.allocs += 1;
         self.stats.bytes_allocated += (payload * WORD_BYTES) as u64;
-        self.live_bytes += payload * WORD_BYTES;
         self.bytes_since_gc += payload * WORD_BYTES;
-        Ok(h)
+        Ok(self.table.insert(off, nrefs, nwords, false))
     }
 
     fn free(&mut self, _h: Handle) -> Result<(), MemError> {
         Err(MemError::Unsupported("mark-sweep reclaims automatically"))
-    }
-
-    fn set_ref(
-        &mut self,
-        obj: Handle,
-        slot: usize,
-        target: Option<Handle>,
-    ) -> Result<(), MemError> {
-        let e = *self.entry(obj)?;
-        if slot >= e.nrefs as usize {
-            return Err(MemError::IndexOutOfBounds {
-                handle: obj,
-                index: slot,
-                len: e.nrefs as usize,
-            });
-        }
-        if let Some(t) = target {
-            self.entry(t)?;
-        }
-        self.pool
-            .write(e.off + slot, target.map_or(0, |t| u64::from(t.0) + 1));
-        Ok(())
-    }
-
-    fn get_ref(&self, obj: Handle, slot: usize) -> Result<Option<Handle>, MemError> {
-        let e = self.entry(obj)?;
-        if slot >= e.nrefs as usize {
-            return Err(MemError::IndexOutOfBounds {
-                handle: obj,
-                index: slot,
-                len: e.nrefs as usize,
-            });
-        }
-        let raw = self.pool.read(e.off + slot);
-        Ok(if raw == 0 {
-            None
-        } else {
-            Some(Handle(u32::try_from(raw - 1).expect("fits")))
-        })
-    }
-
-    fn set_word(&mut self, obj: Handle, idx: usize, val: u64) -> Result<(), MemError> {
-        let e = *self.entry(obj)?;
-        if idx >= e.nwords as usize {
-            return Err(MemError::IndexOutOfBounds {
-                handle: obj,
-                index: idx,
-                len: e.nwords as usize,
-            });
-        }
-        self.pool.write(e.off + e.nrefs as usize + idx, val);
-        Ok(())
-    }
-
-    fn get_word(&self, obj: Handle, idx: usize) -> Result<u64, MemError> {
-        let e = self.entry(obj)?;
-        if idx >= e.nwords as usize {
-            return Err(MemError::IndexOutOfBounds {
-                handle: obj,
-                index: idx,
-                len: e.nwords as usize,
-            });
-        }
-        Ok(self.pool.read(e.off + e.nrefs as usize + idx))
     }
 
     fn add_root(&mut self, obj: Handle) {
@@ -240,16 +147,12 @@ impl Manager for MarkSweepHeap {
         self.stats.record_gc_pause(t0.elapsed());
     }
 
-    fn is_live(&self, h: Handle) -> bool {
-        self.entry(h).is_ok()
-    }
-
     fn stats(&self) -> &MemStats {
         &self.stats
     }
 
     fn live_bytes(&self) -> usize {
-        self.live_bytes
+        self.table.live_bytes()
     }
 }
 
@@ -367,5 +270,16 @@ mod tests {
         }
         h.collect();
         assert_eq!(h.stats().gc_pauses.count(), 1);
+    }
+
+    #[test]
+    fn churn_reuses_handle_slots() {
+        let mut h = MarkSweepHeap::new(1 << 16);
+        let peak = crate::handle::tests::churn(&mut h, false);
+        assert!(
+            h.table.slots() <= peak,
+            "{} slots for {peak} live",
+            h.table.slots()
+        );
     }
 }

@@ -9,8 +9,10 @@
 //! notes that carried the paper.
 
 use crate::freelist::WordPool;
+use crate::handle::{object_accessors, HandleTable, Objects};
 use crate::stats::MemStats;
-use crate::{Handle, Manager, MemError, WORD_BYTES};
+use crate::{Handle, Manager, MemError, Word, WORD_BYTES};
+use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,13 +27,10 @@ enum Color {
     Purple,
 }
 
+/// An object's count and cycle-collector state.
 #[derive(Debug, Clone, Copy)]
-struct Entry {
-    off: usize,
-    nrefs: u32,
-    nwords: u32,
+pub(crate) struct Count {
     strong: u32,
-    live: bool,
     color: Color,
     buffered: bool,
 }
@@ -58,10 +57,9 @@ struct Entry {
 #[derive(Debug)]
 pub struct RcHeap {
     pool: WordPool,
-    entries: Vec<Entry>,
+    table: HandleTable<usize, Count>,
     candidates: Vec<Handle>,
     stats: MemStats,
-    live_bytes: usize,
 }
 
 impl RcHeap {
@@ -70,84 +68,75 @@ impl RcHeap {
     pub fn new(capacity_bytes: usize) -> Self {
         RcHeap {
             pool: WordPool::new((capacity_bytes / WORD_BYTES).max(4)),
-            entries: Vec::new(),
+            table: HandleTable::new(),
             candidates: Vec::new(),
             stats: MemStats::new(),
-            live_bytes: 0,
         }
     }
 
-    fn entry(&self, h: Handle) -> Result<&Entry, MemError> {
-        match self.entries.get(h.0 as usize) {
-            Some(e) if e.live => Ok(e),
-            _ => Err(MemError::InvalidHandle(h)),
-        }
-    }
-
-    fn children(&self, h: Handle) -> Vec<Handle> {
-        let e = self.entries[h.0 as usize];
-        (0..e.nrefs as usize)
-            .filter_map(|slot| {
-                let raw = self.pool.read(e.off + slot);
-                (raw != 0).then(|| Handle(u32::try_from(raw - 1).expect("fits")))
-            })
-            .collect()
+    /// Releases `h`'s object (if live) and its storage.
+    fn reclaim(&mut self, h: Handle) -> bool {
+        let Some(o) = self.table.release(h) else {
+            return false;
+        };
+        self.pool.free(o.loc);
+        true
     }
 
     fn release(&mut self, h: Handle) {
         // Iterative cascade free.
         let mut worklist = vec![h];
         while let Some(h) = worklist.pop() {
-            let e = self.entries[h.0 as usize];
-            if !e.live {
+            let children: Vec<Handle> = self.refs(h).collect();
+            if !self.reclaim(h) {
                 continue;
             }
-            for child in self.children(h) {
-                let ce = &mut self.entries[child.0 as usize];
-                if ce.live {
-                    ce.strong = ce.strong.saturating_sub(1);
-                    if ce.strong == 0 {
+            self.stats.frees += 1;
+            for child in children {
+                if let Ok(c) = self.table.get_mut(child) {
+                    c.meta.strong = c.meta.strong.saturating_sub(1);
+                    if c.meta.strong == 0 {
                         worklist.push(child);
                     } else {
                         // A decrement that does not reach zero may have
                         // severed a cycle edge: buffer as candidate.
-                        if !ce.buffered {
-                            ce.buffered = true;
-                            ce.color = Color::Purple;
-                            self.candidates.push(child);
-                        }
+                        self.suspect(child);
                     }
                 }
             }
-            let e = &mut self.entries[h.0 as usize];
-            e.live = false;
-            let bytes = (e.nrefs + e.nwords) as usize * WORD_BYTES;
-            let off = e.off;
-            self.live_bytes -= bytes;
-            self.stats.frees += 1;
-            self.pool.free(off);
+        }
+    }
+
+    /// Marks a live `h` as a possible root of a garbage cycle, buffering it
+    /// unless it already is. The colour is set even when it is buffered: an
+    /// increment since it was buffered turned it black, and a black
+    /// candidate is dropped by [`Manager::collect`] unscanned.
+    fn suspect(&mut self, h: Handle) {
+        if let Ok(o) = self.table.get_mut(h) {
+            o.meta.color = Color::Purple;
+            if !std::mem::replace(&mut o.meta.buffered, true) {
+                self.candidates.push(h);
+            }
         }
     }
 
     fn dec(&mut self, h: Handle) {
-        let e = &mut self.entries[h.0 as usize];
-        if !e.live {
+        let Ok(o) = self.table.get_mut(h) else {
             return;
-        }
-        e.strong = e.strong.saturating_sub(1);
-        if e.strong == 0 {
+        };
+        o.meta.strong = o.meta.strong.saturating_sub(1);
+        if o.meta.strong == 0 {
             self.release(h);
-        } else if !e.buffered {
-            e.buffered = true;
-            e.color = Color::Purple;
-            self.candidates.push(h);
+        } else {
+            self.suspect(h);
         }
     }
 
     fn inc(&mut self, h: Handle) {
-        let e = &mut self.entries[h.0 as usize];
-        e.strong += 1;
-        e.color = Color::Black;
+        if let Ok(o) = self.table.get_mut(h) {
+            o.meta.strong += 1;
+            o.meta.color = Color::Black;
+        }
     }
 
     /// Bytes held by objects whose reference counts are nonzero but which a
@@ -158,49 +147,41 @@ impl RcHeap {
     pub fn cyclic_garbage_bytes(&self) -> usize {
         // Shadow mark from "externally rooted" objects: strong count greater
         // than the number of live internal references to the object.
-        let mut internal = vec![0u32; self.entries.len()];
-        for (i, e) in self.entries.iter().enumerate() {
-            if !e.live {
-                continue;
-            }
-            for child in self.children(Handle(u32::try_from(i).expect("fits"))) {
-                internal[child.0 as usize] += 1;
+        let mut internal: HashMap<Handle, u32> = HashMap::new();
+        for (h, _) in self.table.iter() {
+            for child in self.refs(h) {
+                *internal.entry(child).or_default() += 1;
             }
         }
-        let mut marked = vec![false; self.entries.len()];
+        let mut marked = HashSet::new();
         let mut worklist: Vec<Handle> = self
-            .entries
+            .table
             .iter()
-            .enumerate()
-            .filter(|(i, e)| e.live && e.strong > internal[*i])
-            .map(|(i, _)| Handle(u32::try_from(i).expect("fits")))
+            .filter(|(h, o)| o.meta.strong > internal.get(h).copied().unwrap_or(0))
+            .map(|(h, _)| h)
             .collect();
         while let Some(h) = worklist.pop() {
-            if std::mem::replace(&mut marked[h.0 as usize], true) {
-                continue;
+            if marked.insert(h) {
+                worklist.extend(self.refs(h));
             }
-            worklist.extend(self.children(h));
         }
-        self.entries
+        self.table
             .iter()
-            .enumerate()
-            .filter(|(i, e)| e.live && !marked[*i])
-            .map(|(_, e)| (e.nrefs + e.nwords) as usize * WORD_BYTES)
+            .filter(|(h, _)| !marked.contains(h))
+            .map(|(_, o)| o.bytes())
             .sum()
     }
 
     fn mark_gray(&mut self, start: Handle) {
         let mut stack = vec![start];
         while let Some(h) = stack.pop() {
-            let e = &mut self.entries[h.0 as usize];
-            if !e.live || e.color == Color::Gray {
-                continue;
+            match self.table.get_mut(h) {
+                Ok(o) if o.meta.color != Color::Gray => o.meta.color = Color::Gray,
+                _ => continue,
             }
-            e.color = Color::Gray;
-            for child in self.children(h) {
-                let ce = &mut self.entries[child.0 as usize];
-                if ce.live {
-                    ce.strong = ce.strong.saturating_sub(1);
+            for child in self.refs(h).collect::<Vec<_>>() {
+                if let Ok(c) = self.table.get_mut(child) {
+                    c.meta.strong = c.meta.strong.saturating_sub(1);
                     stack.push(child);
                 }
             }
@@ -210,29 +191,32 @@ impl RcHeap {
     fn scan(&mut self, start: Handle) {
         let mut stack = vec![start];
         while let Some(h) = stack.pop() {
-            let e = self.entries[h.0 as usize];
-            if !e.live || e.color != Color::Gray {
+            let Ok(o) = self.table.get_mut(h) else {
+                continue;
+            };
+            if o.meta.color != Color::Gray {
                 continue;
             }
-            if e.strong > 0 {
+            if o.meta.strong > 0 {
                 self.scan_black(h);
             } else {
-                self.entries[h.0 as usize].color = Color::White;
-                stack.extend(self.children(h));
+                o.meta.color = Color::White;
+                stack.extend(self.refs(h));
             }
         }
     }
 
     fn scan_black(&mut self, start: Handle) {
         let mut stack = vec![start];
-        self.entries[start.0 as usize].color = Color::Black;
+        if let Ok(o) = self.table.get_mut(start) {
+            o.meta.color = Color::Black;
+        }
         while let Some(h) = stack.pop() {
-            for child in self.children(h) {
-                let ce = &mut self.entries[child.0 as usize];
-                if ce.live {
-                    ce.strong += 1;
-                    if ce.color != Color::Black {
-                        ce.color = Color::Black;
+            for child in self.refs(h).collect::<Vec<_>>() {
+                if let Ok(c) = self.table.get_mut(child) {
+                    c.meta.strong += 1;
+                    if c.meta.color != Color::Black {
+                        c.meta.color = Color::Black;
                         stack.push(child);
                     }
                 }
@@ -244,29 +228,43 @@ impl RcHeap {
         let mut to_free = Vec::new();
         let mut stack = vec![start];
         while let Some(h) = stack.pop() {
-            let e = &mut self.entries[h.0 as usize];
-            if !e.live || e.color != Color::White || e.buffered {
-                continue;
+            match self.table.get_mut(h) {
+                Ok(o) if o.meta.color == Color::White && !o.meta.buffered => {
+                    o.meta.color = Color::Black;
+                }
+                _ => continue,
             }
-            e.color = Color::Black;
-            stack.extend(self.children(h));
+            stack.extend(self.refs(h));
             to_free.push(h);
         }
         for h in to_free {
-            let e = &mut self.entries[h.0 as usize];
-            if e.live {
-                e.live = false;
-                let bytes = (e.nrefs + e.nwords) as usize * WORD_BYTES;
-                let off = e.off;
-                self.live_bytes -= bytes;
+            if self.reclaim(h) {
                 self.stats.collected_objects += 1;
-                self.pool.free(off);
             }
         }
     }
 }
 
+impl Objects for RcHeap {
+    type Loc = usize;
+    type Meta = Count;
+
+    fn table(&self) -> &HandleTable<usize, Count> {
+        &self.table
+    }
+
+    fn read(&self, at: usize, i: usize) -> Word {
+        self.pool.read(at + i)
+    }
+
+    fn write(&mut self, at: usize, i: usize, w: Word) {
+        self.pool.write(at + i, w);
+    }
+}
+
 impl Manager for RcHeap {
+    object_accessors!(except set_ref);
+
     fn name(&self) -> &'static str {
         "refcount"
     }
@@ -276,25 +274,14 @@ impl Manager for RcHeap {
         let off = self.pool.alloc(payload).ok_or(MemError::OutOfMemory {
             requested: payload * WORD_BYTES,
         })?;
-        // Zero the whole payload: recycled blocks must not leak stale data
-        // (the same hygiene rule a kernel allocator follows).
-        for i in 0..payload {
-            self.pool.write(off + i, 0);
-        }
-        let h = Handle(u32::try_from(self.entries.len()).expect("handle space exhausted"));
-        self.entries.push(Entry {
-            off,
-            nrefs: u32::try_from(nrefs).expect("fits"),
-            nwords: u32::try_from(nwords).expect("fits"),
-            strong: 0,
-            live: true,
-            color: Color::Black,
-            buffered: false,
-        });
         self.stats.allocs += 1;
         self.stats.bytes_allocated += (payload * WORD_BYTES) as u64;
-        self.live_bytes += payload * WORD_BYTES;
-        Ok(h)
+        let count = Count {
+            strong: 0,
+            color: Color::Black,
+            buffered: false,
+        };
+        Ok(self.table.insert(off, nrefs, nwords, count))
     }
 
     fn free(&mut self, _h: Handle) -> Result<(), MemError> {
@@ -309,95 +296,36 @@ impl Manager for RcHeap {
         slot: usize,
         target: Option<Handle>,
     ) -> Result<(), MemError> {
-        let e = *self.entry(obj)?;
-        if slot >= e.nrefs as usize {
-            return Err(MemError::IndexOutOfBounds {
-                handle: obj,
-                index: slot,
-                len: e.nrefs as usize,
-            });
-        }
-        if let Some(t) = target {
-            self.entry(t)?;
-        }
-        let old_raw = self.pool.read(e.off + slot);
+        let old = self.write_ref(obj, slot, target)?;
         if let Some(t) = target {
             self.inc(t);
         }
-        self.pool
-            .write(e.off + slot, target.map_or(0, |t| u64::from(t.0) + 1));
-        if old_raw != 0 {
-            self.dec(Handle(u32::try_from(old_raw - 1).expect("fits")));
+        if let Some(old) = old {
+            self.dec(old);
         }
         Ok(())
-    }
-
-    fn get_ref(&self, obj: Handle, slot: usize) -> Result<Option<Handle>, MemError> {
-        let e = self.entry(obj)?;
-        if slot >= e.nrefs as usize {
-            return Err(MemError::IndexOutOfBounds {
-                handle: obj,
-                index: slot,
-                len: e.nrefs as usize,
-            });
-        }
-        let raw = self.pool.read(e.off + slot);
-        Ok(if raw == 0 {
-            None
-        } else {
-            Some(Handle(u32::try_from(raw - 1).expect("fits")))
-        })
-    }
-
-    fn set_word(&mut self, obj: Handle, idx: usize, val: u64) -> Result<(), MemError> {
-        let e = *self.entry(obj)?;
-        if idx >= e.nwords as usize {
-            return Err(MemError::IndexOutOfBounds {
-                handle: obj,
-                index: idx,
-                len: e.nwords as usize,
-            });
-        }
-        self.pool.write(e.off + e.nrefs as usize + idx, val);
-        Ok(())
-    }
-
-    fn get_word(&self, obj: Handle, idx: usize) -> Result<u64, MemError> {
-        let e = self.entry(obj)?;
-        if idx >= e.nwords as usize {
-            return Err(MemError::IndexOutOfBounds {
-                handle: obj,
-                index: idx,
-                len: e.nwords as usize,
-            });
-        }
-        Ok(self.pool.read(e.off + e.nrefs as usize + idx))
     }
 
     fn add_root(&mut self, obj: Handle) {
-        if self.entries.get(obj.0 as usize).is_some_and(|e| e.live) {
-            self.inc(obj);
-        }
+        self.inc(obj);
     }
 
     fn remove_root(&mut self, obj: Handle) {
-        if self.entries.get(obj.0 as usize).is_some_and(|e| e.live) {
-            self.dec(obj);
-        }
+        self.dec(obj);
     }
 
     /// Runs the trial-deletion cycle collector over buffered candidates.
     fn collect(&mut self) {
         sysobs::obs_span!("mem.collect.rc");
         let t0 = Instant::now();
-        let candidates: Vec<Handle> = std::mem::take(&mut self.candidates);
         let mut retained = Vec::new();
-        for &h in &candidates {
-            let e = &mut self.entries[h.0 as usize];
-            if e.live && e.color == Color::Purple {
-                retained.push(h);
-            } else if e.live {
-                e.buffered = false;
+        for h in std::mem::take(&mut self.candidates) {
+            if let Ok(o) = self.table.get_mut(h) {
+                if o.meta.color == Color::Purple {
+                    retained.push(h);
+                } else {
+                    o.meta.buffered = false;
+                }
             }
         }
         for &h in &retained {
@@ -407,7 +335,9 @@ impl Manager for RcHeap {
             self.scan(h);
         }
         for &h in &retained {
-            self.entries[h.0 as usize].buffered = false;
+            if let Ok(o) = self.table.get_mut(h) {
+                o.meta.buffered = false;
+            }
         }
         for &h in &retained {
             self.collect_white(h);
@@ -416,16 +346,12 @@ impl Manager for RcHeap {
         self.stats.record_gc_pause(t0.elapsed());
     }
 
-    fn is_live(&self, h: Handle) -> bool {
-        self.entry(h).is_ok()
-    }
-
     fn stats(&self) -> &MemStats {
         &self.stats
     }
 
     fn live_bytes(&self) -> usize {
-        self.live_bytes
+        self.table.live_bytes()
     }
 }
 
@@ -535,6 +461,19 @@ mod tests {
     }
 
     #[test]
+    fn a_candidate_blackened_by_an_increment_is_recoloured_on_the_next_decrement() {
+        let mut h = RcHeap::new(4096);
+        let a = h.alloc(1, 0).unwrap();
+        h.add_root(a);
+        h.add_root(a);
+        h.remove_root(a); // buffered purple
+        h.link(a, 0, Some(a)); // the increment turns it black, still buffered
+        h.remove_root(a); // only the self-loop holds it now
+        h.collect();
+        assert!(!h.is_live(a), "the self-loop must be collected");
+    }
+
+    #[test]
     fn shared_target_freed_only_after_all_owners() {
         let mut h = RcHeap::new(4096);
         let a = h.alloc(1, 0).unwrap();
@@ -559,5 +498,16 @@ mod tests {
             h.remove_root(o);
         }
         assert_eq!(h.live_bytes(), 0);
+    }
+
+    #[test]
+    fn churn_reuses_handle_slots() {
+        let mut h = RcHeap::new(1 << 16);
+        let peak = crate::handle::tests::churn(&mut h, false);
+        assert!(
+            h.table.slots() <= peak,
+            "{} slots for {peak} live",
+            h.table.slots()
+        );
     }
 }

@@ -6,33 +6,11 @@
 //! maps handle → current offset), copying updates only the table — reference
 //! slots hold handles and never need rewriting.
 
+use crate::handle::{object_accessors, HandleTable, Objects};
 use crate::stats::MemStats;
-use crate::{Handle, Manager, MemError, WORD_BYTES};
+use crate::{Handle, Manager, MemError, Word, WORD_BYTES};
+use std::collections::VecDeque;
 use std::time::Instant;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Space {
-    A,
-    B,
-}
-
-impl Space {
-    fn other(self) -> Space {
-        match self {
-            Space::A => Space::B,
-            Space::B => Space::A,
-        }
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    off: usize,
-    nrefs: u32,
-    nwords: u32,
-    space: Space,
-    live: bool,
-}
 
 /// A two-space copying collector.
 ///
@@ -48,16 +26,15 @@ struct Entry {
 /// ```
 #[derive(Debug)]
 pub struct SemiSpaceHeap {
-    space_a: Vec<u64>,
-    space_b: Vec<u64>,
-    active: Space,
+    spaces: [Vec<Word>; 2],
+    /// Index of the space allocation bumps into.
+    active: usize,
     bump: usize,
     space_words: usize,
-    entries: Vec<Entry>,
-    live_list: Vec<Handle>,
+    /// Objects by (space, offset).
+    table: HandleTable<(usize, usize)>,
     roots: Vec<Handle>,
     stats: MemStats,
-    live_bytes: usize,
 }
 
 impl SemiSpaceHeap {
@@ -67,71 +44,57 @@ impl SemiSpaceHeap {
     pub fn new(capacity_bytes: usize) -> Self {
         let space_words = (capacity_bytes / WORD_BYTES / 2).max(4);
         SemiSpaceHeap {
-            space_a: vec![0; space_words],
-            space_b: vec![0; space_words],
-            active: Space::A,
+            spaces: [vec![0; space_words], vec![0; space_words]],
+            active: 0,
             bump: 0,
             space_words,
-            entries: Vec::new(),
-            live_list: Vec::new(),
+            table: HandleTable::new(),
             roots: Vec::new(),
             stats: MemStats::new(),
-            live_bytes: 0,
         }
-    }
-
-    fn space(&self, s: Space) -> &Vec<u64> {
-        match s {
-            Space::A => &self.space_a,
-            Space::B => &self.space_b,
-        }
-    }
-
-    fn space_mut(&mut self, s: Space) -> &mut Vec<u64> {
-        match s {
-            Space::A => &mut self.space_a,
-            Space::B => &mut self.space_b,
-        }
-    }
-
-    fn entry(&self, h: Handle) -> Result<&Entry, MemError> {
-        match self.entries.get(h.0 as usize) {
-            Some(e) if e.live => Ok(e),
-            _ => Err(MemError::InvalidHandle(h)),
-        }
-    }
-
-    fn read(&self, e: &Entry, idx: usize) -> u64 {
-        self.space(e.space)[e.off + idx]
-    }
-
-    fn write(&mut self, e: Entry, idx: usize, val: u64) {
-        self.space_mut(e.space)[e.off + idx] = val;
     }
 
     /// Copies `h` into to-space if it still resides in from-space; returns
     /// whether a copy happened.
-    fn evacuate(&mut self, h: Handle, to: Space, to_bump: &mut usize) -> bool {
-        let e = self.entries[h.0 as usize];
-        if !e.live || e.space == to {
+    fn evacuate(&mut self, h: Handle, to: usize, to_bump: &mut usize) -> bool {
+        let Ok(o) = self.table.get(h) else {
+            return false;
+        };
+        let ((from, off), len) = (o.loc, o.len());
+        if from == to {
             return false;
         }
-        let len = (e.nrefs + e.nwords) as usize;
         debug_assert!(*to_bump + len <= self.space_words, "to-space overflow");
         for i in 0..len {
-            let w = self.space(e.space)[e.off + i];
-            self.space_mut(to)[*to_bump + i] = w;
+            self.spaces[to][*to_bump + i] = self.spaces[from][off + i];
         }
-        let entry = &mut self.entries[h.0 as usize];
-        entry.off = *to_bump;
-        entry.space = to;
+        self.table.get_mut(h).expect("live above").loc = (to, *to_bump);
         *to_bump += len;
         self.stats.bytes_copied += (len * WORD_BYTES) as u64;
         true
     }
 }
 
+impl Objects for SemiSpaceHeap {
+    type Loc = (usize, usize);
+    type Meta = ();
+
+    fn table(&self) -> &HandleTable<(usize, usize)> {
+        &self.table
+    }
+
+    fn read(&self, (space, off): (usize, usize), i: usize) -> Word {
+        self.spaces[space][off + i]
+    }
+
+    fn write(&mut self, (space, off): (usize, usize), i: usize, w: Word) {
+        self.spaces[space][off + i] = w;
+    }
+}
+
 impl Manager for SemiSpaceHeap {
+    object_accessors!();
+
     fn name(&self) -> &'static str {
         "semispace"
     }
@@ -148,90 +111,14 @@ impl Manager for SemiSpaceHeap {
         }
         let off = self.bump;
         self.bump += payload;
-        let active = self.active;
-        for i in 0..payload {
-            self.space_mut(active)[off + i] = 0;
-        }
-        let h = Handle(u32::try_from(self.entries.len()).expect("handle space exhausted"));
-        self.entries.push(Entry {
-            off,
-            nrefs: u32::try_from(nrefs).expect("fits"),
-            nwords: u32::try_from(nwords).expect("fits"),
-            space: active,
-            live: true,
-        });
-        self.live_list.push(h);
+        self.spaces[self.active][off..off + payload].fill(0);
         self.stats.allocs += 1;
         self.stats.bytes_allocated += (payload * WORD_BYTES) as u64;
-        self.live_bytes += payload * WORD_BYTES;
-        Ok(h)
+        Ok(self.table.insert((self.active, off), nrefs, nwords, ()))
     }
 
     fn free(&mut self, _h: Handle) -> Result<(), MemError> {
         Err(MemError::Unsupported("semispace reclaims automatically"))
-    }
-
-    fn set_ref(
-        &mut self,
-        obj: Handle,
-        slot: usize,
-        target: Option<Handle>,
-    ) -> Result<(), MemError> {
-        let e = *self.entry(obj)?;
-        if slot >= e.nrefs as usize {
-            return Err(MemError::IndexOutOfBounds {
-                handle: obj,
-                index: slot,
-                len: e.nrefs as usize,
-            });
-        }
-        if let Some(t) = target {
-            self.entry(t)?;
-        }
-        self.write(e, slot, target.map_or(0, |t| u64::from(t.0) + 1));
-        Ok(())
-    }
-
-    fn get_ref(&self, obj: Handle, slot: usize) -> Result<Option<Handle>, MemError> {
-        let e = self.entry(obj)?;
-        if slot >= e.nrefs as usize {
-            return Err(MemError::IndexOutOfBounds {
-                handle: obj,
-                index: slot,
-                len: e.nrefs as usize,
-            });
-        }
-        let raw = self.read(e, slot);
-        Ok(if raw == 0 {
-            None
-        } else {
-            Some(Handle(u32::try_from(raw - 1).expect("fits")))
-        })
-    }
-
-    fn set_word(&mut self, obj: Handle, idx: usize, val: u64) -> Result<(), MemError> {
-        let e = *self.entry(obj)?;
-        if idx >= e.nwords as usize {
-            return Err(MemError::IndexOutOfBounds {
-                handle: obj,
-                index: idx,
-                len: e.nwords as usize,
-            });
-        }
-        self.write(e, e.nrefs as usize + idx, val);
-        Ok(())
-    }
-
-    fn get_word(&self, obj: Handle, idx: usize) -> Result<u64, MemError> {
-        let e = self.entry(obj)?;
-        if idx >= e.nwords as usize {
-            return Err(MemError::IndexOutOfBounds {
-                handle: obj,
-                index: idx,
-                len: e.nwords as usize,
-            });
-        }
-        Ok(self.read(e, e.nrefs as usize + idx))
     }
 
     fn add_root(&mut self, obj: Handle) {
@@ -247,53 +134,28 @@ impl Manager for SemiSpaceHeap {
     fn collect(&mut self) {
         sysobs::obs_span!("mem.collect.semispace");
         let t0 = Instant::now();
-        let to = self.active.other();
+        let to = 1 - self.active;
         let mut to_bump = 0usize;
-        // Cheney's algorithm with an explicit scan queue of handles.
-        let mut queue: Vec<Handle> = Vec::new();
-        let roots = self.roots.clone();
-        for h in roots {
+        // Cheney's order: roots first, then the children of each copied
+        // object in the order the objects were copied.
+        let mut pending: VecDeque<Handle> = self.roots.iter().copied().collect();
+        while let Some(h) = pending.pop_front() {
             if self.evacuate(h, to, &mut to_bump) {
-                queue.push(h);
-            }
-        }
-        let mut scan = 0;
-        while scan < queue.len() {
-            let h = queue[scan];
-            scan += 1;
-            let e = self.entries[h.0 as usize];
-            for slot in 0..e.nrefs as usize {
-                let raw = self.space(to)[e.off + slot];
-                if raw != 0 {
-                    let child = Handle(u32::try_from(raw - 1).expect("fits"));
-                    if self.evacuate(child, to, &mut to_bump) {
-                        queue.push(child);
-                    }
-                }
+                pending.extend(self.refs(h));
             }
         }
         // Anything still in from-space is garbage.
-        let from = self.active;
-        let mut survivors = Vec::with_capacity(queue.len());
-        for &h in &self.live_list {
-            let e = &mut self.entries[h.0 as usize];
-            if e.space == from && e.live {
-                e.live = false;
-                self.live_bytes -= (e.nrefs + e.nwords) as usize * WORD_BYTES;
+        self.table.retain(|o| {
+            let copied = o.loc.0 == to;
+            if !copied {
                 self.stats.collected_objects += 1;
-            } else if e.live {
-                survivors.push(h);
             }
-        }
-        self.live_list = survivors;
+            copied
+        });
         self.active = to;
         self.bump = to_bump;
         self.stats.collections += 1;
         self.stats.record_gc_pause(t0.elapsed());
-    }
-
-    fn is_live(&self, h: Handle) -> bool {
-        self.entry(h).is_ok()
     }
 
     fn stats(&self) -> &MemStats {
@@ -301,7 +163,7 @@ impl Manager for SemiSpaceHeap {
     }
 
     fn live_bytes(&self) -> usize {
-        self.live_bytes
+        self.table.live_bytes()
     }
 }
 
@@ -415,5 +277,16 @@ mod tests {
         for i in 0..4 {
             assert_eq!(h.get(keep, i), i as u64 + 100);
         }
+    }
+
+    #[test]
+    fn churn_reuses_handle_slots() {
+        let mut h = SemiSpaceHeap::new(1 << 16);
+        let peak = crate::handle::tests::churn(&mut h, false);
+        assert!(
+            h.table.slots() <= peak,
+            "{} slots for {peak} live",
+            h.table.slots()
+        );
     }
 }

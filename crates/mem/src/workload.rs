@@ -119,7 +119,7 @@ impl WorkloadReport {
 }
 
 fn sentinel(h: Handle, seed: u64) -> u64 {
-    u64::from(h.0).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ seed
+    h.0.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ seed
 }
 
 /// Runs `spec` against `mgr` using the given reclaim strategy.

@@ -379,9 +379,17 @@ pub fn run(scale: Scale) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, PoisonError};
+
+    /// Both tests switch the process-wide observability mode; run them one
+    /// at a time so neither reads the mode mid-way through the other.
+    static MODE_SWITCHING: Mutex<()> = Mutex::new(());
 
     #[test]
     fn e11_measures_all_configurations() {
+        let _serial = MODE_SWITCHING
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         let t = run(Scale::Quick);
         assert_eq!(t.rows.len(), 9, "5 router configs + 4 ipc modes");
         assert_eq!(
@@ -393,6 +401,9 @@ mod tests {
 
     #[test]
     fn e11_report_json_is_well_formed() {
+        let _serial = MODE_SWITCHING
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         let r = measure(Scale::Quick);
         let json = r.to_json();
         assert_eq!(json.matches('{').count(), json.matches('}').count());
