@@ -149,14 +149,19 @@ cargo run --release --example experiments -- e15
 # the ≥90% rewrite-ratio floor only on full runs (tiny CI streams are too
 # noisy to referee it) and lb_bench --quick never rewrites the recorded
 # BENCH_lb.json. The recorded artifact must keep its schema-1 shape with
-# all four scenarios and a recovery within one probe interval.
+# all four scenarios and a recovery within one probe interval. The
+# failover run is a deterministic virtual-clock scenario with the same
+# config at every scale, so the quick run's `failover` object must equal
+# the recorded one exactly.
 cargo test -q -p sysnet --test lb_model
 cargo run --release --example experiments -- e17
 cargo run --release --example lb_bench -- --quick > "$quick_out/lb.json"
 check_bench_shape "$quick_out/lb.json" BENCH_lb.json
-python3 - <<'EOF'
-import json
+python3 - "$quick_out/lb.json" <<'EOF'
+import json, sys
 bench = json.load(open("BENCH_lb.json"))
+quick = json.load(open(sys.argv[1]))
+assert quick["failover"] == bench["failover"], (quick["failover"], bench["failover"])
 assert bench["schema"] == 1, bench["schema"]
 names = {s["name"] for s in bench["scenarios"]}
 assert names >= {"baseline_no_lb", "steady", "portscan_storm", "slowloris"}, names

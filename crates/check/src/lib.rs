@@ -53,9 +53,10 @@ pub mod trace;
 
 mod rt;
 
-use rt::{Chooser, SplitMix64};
+use rt::Chooser;
 use std::collections::HashSet;
 use std::sync::Arc;
+use sysfault::SplitMix64;
 use trace::Trace;
 
 /// Exploration limits and bounds.
@@ -306,11 +307,11 @@ where
     F: Fn() -> u64 + Send + Sync + 'static,
 {
     let f = Arc::new(f);
-    let mut sm = SplitMix64(base_seed);
+    let mut sm = SplitMix64::new(base_seed);
     let mut distinct = HashSet::new();
     for k in 0..cfg.max_schedules {
-        let seed = sm.next();
-        let out = run_once(cfg, Chooser::Random(SplitMix64(seed)), Arc::clone(&f));
+        let seed = sm.next_u64();
+        let out = run_once(cfg, Chooser::Random(SplitMix64::new(seed)), Arc::clone(&f));
         if out.failure.is_some() {
             let failure = failure_from(&out, Some(seed));
             return Exploration {
@@ -338,7 +339,7 @@ pub fn replay_seed<F>(cfg: &Config, seed: u64, f: F) -> Report
 where
     F: Fn() -> u64 + Send + Sync + 'static,
 {
-    let out = run_once(cfg, Chooser::Random(SplitMix64(seed)), Arc::new(f));
+    let out = run_once(cfg, Chooser::Random(SplitMix64::new(seed)), Arc::new(f));
     Report {
         failure: failure_from(&out, Some(seed)),
         digest: out.digest,

@@ -22,6 +22,7 @@ use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar as StdCondvar, Mutex as StdMutex, MutexGuard as StdMutexGuard};
 use std::sync::{PoisonError, TryLockError};
+use sysfault::SplitMix64;
 
 /// Shared slot a spawned model thread writes its (possibly panicked) result
 /// into; the matching `JoinHandle` takes it out after the model-time join.
@@ -31,21 +32,6 @@ pub(crate) type ResultSlot<T> = Arc<StdMutex<Option<std::thread::Result<T>>>>;
 /// aborts (failure recorded or budget exhausted). Never escapes the checker:
 /// thread wrappers catch it and finish quietly.
 pub(crate) struct SchedAbort;
-
-/// SplitMix64 — the same tiny PRNG `sysfault` seeds its per-site streams
-/// with; one instance drives each random schedule.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SplitMix64(pub u64);
-
-impl SplitMix64 {
-    pub(crate) fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-}
 
 /// What a blocked model thread is waiting for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,7 +119,7 @@ impl Chooser {
                 idx
             }
             Chooser::Random(rng) => {
-                usize::try_from(rng.next() % allowed.len() as u64).expect("index fits usize")
+                usize::try_from(rng.next_u64() % allowed.len() as u64).expect("index fits usize")
             }
             Chooser::Fixed { choices, cursor } => {
                 let want = choices.get(*cursor).copied();
@@ -784,7 +770,7 @@ impl Runtime {
     pub(crate) fn harvest(&self) -> Harvest {
         let mut g = self.lock();
         Harvest {
-            chooser: std::mem::replace(&mut g.chooser, Chooser::Random(SplitMix64(0))),
+            chooser: std::mem::replace(&mut g.chooser, Chooser::Random(SplitMix64::new(0))),
             decisions: std::mem::take(&mut g.decisions),
             trace: std::mem::take(&mut g.trace),
             failure: g.failure.take(),

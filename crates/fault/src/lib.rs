@@ -46,6 +46,7 @@ pub mod shrink;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, PoisonError};
+use sysobs::{fnv_fold, FNV_OFFSET};
 
 /// FNV-1a hash of a byte string; used to derive per-site seeds and log
 /// digests. Stable across platforms and runs by construction. The
@@ -54,16 +55,21 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// keep their import path.
 pub use sysobs::fnv1a;
 
-/// SplitMix64: tiny, fast, well-distributed PRNG. One per site.
+/// SplitMix64: tiny, fast, well-distributed PRNG. One per fault site; the
+/// concurrency checker's random schedules, the scenario engine's probe
+/// addresses and the fuzzer's mutations draw from it too.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SplitMix64(u64);
+pub struct SplitMix64(u64);
 
 impl SplitMix64 {
-    fn new(seed: u64) -> Self {
+    /// A stream starting from `seed`.
+    #[must_use]
+    pub fn new(seed: u64) -> Self {
         SplitMix64(seed)
     }
 
-    fn next(&mut self) -> u64 {
+    /// The next 64 pseudo-random bits.
+    pub fn next_u64(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -72,9 +78,9 @@ impl SplitMix64 {
     }
 
     /// Uniform f64 in [0, 1).
-    fn next_f64(&mut self) -> f64 {
+    pub fn next_f64(&mut self) -> f64 {
         // 53 high bits -> [0,1) with full double precision.
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 }
 
@@ -215,16 +221,10 @@ impl FaultLog {
     /// digests fired the same faults at the same points.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for r in &self.records {
-            h ^= fnv1a(r.site.as_bytes());
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            h ^= r.site_call;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            h ^= r.seq;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+        self.records.iter().fold(FNV_OFFSET, |h, r| {
+            let h = fnv_fold(h, fnv1a(r.site.as_bytes()));
+            fnv_fold(fnv_fold(h, r.site_call), r.seq)
+        })
     }
 
     fn push(&mut self, site: &str, site_call: u64) {

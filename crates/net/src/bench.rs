@@ -3,8 +3,8 @@
 //!
 //! Four measurements, all deterministic in the sweep seed:
 //!
-//! * **lookup** — ns/lookup for the linear-scan reference vs the binary
-//!   trie over the same ≥64-route table and address stream;
+//! * **lookup** — ns/lookup for the linear-scan reference vs the stride-4
+//!   multibit trie over the same ≥64-route table and address stream;
 //! * **sweep** — end-to-end pipeline throughput (packets/sec) and
 //!   per-packet p50/p99 latency across worker counts and batch sizes;
 //! * **churn** — experiment E15's A/B arm: throughput under live route-flap

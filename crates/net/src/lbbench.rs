@@ -13,26 +13,29 @@
 //!   slowloris population (many held-open flows, each trickling data)
 //!   measures the per-packet cost of a large resident NAT table.
 //! * **Failover** — when a backend dies, how fast does goodput come back?
-//!   A virtual-clock harness scripts the death through the seeded
-//!   [`SITE_LB_PROBE_FAIL`] site (`Schedule::OneShotAt`, exactly
-//!   replayable), ejects the victim flows, and counts handshake-retry
-//!   ticks until every client delivers data again. The acceptance bar is
-//!   recovery within one health-probe interval.
+//!   The run is a `sysscenario` scenario (`sysscenario::library::failover`,
+//!   on the repo's one virtual-clock LB loop): it scripts the death through
+//!   the seeded [`crate::lb::SITE_LB_PROBE_FAIL`] site
+//!   (`Schedule::OneShotAt`, exactly replayable), ejects the victim flows,
+//!   and counts handshake-retry ticks until every client delivers data
+//!   again. This module keeps the run's sizing ([`FailoverConfig`]) and
+//!   record ([`FailoverReport`]), since `sysnet` cannot depend on
+//!   `sysscenario`. The acceptance bar is recovery within one
+//!   health-probe interval.
 //!
-//! Both harnesses emit their traffic through the conntrack bench's TCP
-//! plan and zero-alloc [`FrameForge`], so the counting-allocator bracket
-//! measures the router, not the traffic source.
+//! The router scenarios emit their traffic through the conntrack bench's
+//! TCP plan and zero-alloc [`crate::ctbench::FrameForge`], so the
+//! counting-allocator bracket measures the router, not the traffic source.
 //! [`LbBenchReport::to_json`] renders `BENCH_lb.json`.
 
 use crate::bench::{best_of, opt4, write_rows};
-use crate::conntrack::{Conntrack, ConntrackConfig, EvictCause};
-use crate::ctbench::{delivery, flood_source, CState, Endpoints, FrameForge, Seq, TcpPlan};
-use crate::lb::{BackendConfig, BackendPool, LbConfig, SITE_LB_PROBE_FAIL};
+use crate::conntrack::ConntrackConfig;
+use crate::ctbench::{delivery, flood_source, Endpoints, TcpPlan};
+use crate::lb::{BackendConfig, LbConfig};
 use crate::lpm::TrieTable;
-use crate::pipeline::{route_frame, DropReason};
+use crate::pipeline::DropReason;
 use crate::router::{PortId, RouterConfig};
 use std::fmt::Write as _;
-use sysfault::{FaultInjector, FaultPlan, Schedule};
 
 /// Ports the LB bench table spreads over: 1 backends, 2 clients, 3 the
 /// VIP host itself (where unrewritten storm SYNs land), 0 default.
@@ -82,10 +85,10 @@ pub const DATA_ROUNDS: usize = 6;
 pub const STORM_MIX: f64 = 0.5;
 /// Slowloris stride: each trickle round one flow in this many sends.
 pub const SLOWLORIS_STRIDE: usize = 32;
-/// Failover harness: virtual nanoseconds per tick (every flow offers one
+/// Failover run: virtual nanoseconds per tick (every flow offers one
 /// packet per tick).
 pub const TICK_NS: u64 = 100_000;
-/// Failover harness: health-probe interval, ns (the recovery budget).
+/// Failover run: health-probe interval, ns (the recovery budget).
 pub const PROBE_INTERVAL_NS: u64 = 1_000_000;
 
 /// Client flow `f` dialing the VIP: a unique `(ip, port)` under 10.9/16,
@@ -339,7 +342,7 @@ pub fn run_lb_point(cfg: &LbBenchConfig, scenario: LbScenario) -> LbPoint {
     }
 }
 
-/// Sizing for the virtual-clock failover harness.
+/// Sizing for the virtual-clock failover run.
 #[derive(Debug, Clone)]
 pub struct FailoverConfig {
     /// Client flows held established through the death.
@@ -361,7 +364,7 @@ impl Default for FailoverConfig {
     }
 }
 
-/// What the failover harness measured.
+/// What the failover run measured.
 #[derive(Debug, Clone, Copy)]
 pub struct FailoverReport {
     /// Client flows in the run.
@@ -391,129 +394,6 @@ impl FailoverReport {
     pub fn recovered_within_probe_interval(&self) -> bool {
         self.recovery_ns
             .is_some_and(|r| r <= self.probe_interval_ns)
-    }
-}
-
-/// Runs the scripted-death failover harness on the single-threaded LB
-/// path under a virtual clock: establish `flows` clients against the VIP,
-/// kill backend 2 via `Schedule::OneShotAt` on the probe site (`fall` = 1,
-/// deterministic and replayable), eject its flows, and let every orphaned
-/// client re-handshake. Goodput is data packets delivered over packets
-/// offered; handshake retries spend offered slots without delivering,
-/// which is exactly the cost failover should be charged.
-#[must_use]
-#[allow(clippy::cast_precision_loss, clippy::too_many_lines)]
-pub fn run_failover(cfg: &FailoverConfig) -> FailoverReport {
-    let table = lb_table();
-    let lb_cfg = LbConfig {
-        vip: u32::from_be_bytes(LB_VIP),
-        vport: LB_VPORT,
-        backends: lb_backends(),
-        probe_interval_ns: PROBE_INTERVAL_NS,
-        fall: 1,
-        // The dead backend stays dead for the whole run: recovery is the
-        // clients' story here, not the backend's.
-        rise: u32::MAX,
-    };
-    // Probes run in backend order, so call 3k of the probe site is round
-    // k's backend-2 probe: OneShotAt(3 * death_round) is a scripted,
-    // single-backend death.
-    let plan = FaultPlan::new(0xE17)
-        .with_site(SITE_LB_PROBE_FAIL, Schedule::OneShotAt(3 * cfg.death_round));
-    let mut pool = BackendPool::new(lb_cfg).with_injector(FaultInjector::new(plan));
-    let mut ct = Conntrack::new(ConntrackConfig {
-        max_flows: 4 * cfg.flows,
-        syn_backlog: cfg.flows.max(64),
-        ..ConntrackConfig::default()
-    });
-    let mut forge = FrameForge::new(32);
-    let mut now = 0u64;
-
-    let send = |state: CState,
-                f: usize,
-                ct: &mut Conntrack,
-                pool: &mut BackendPool,
-                forge: &mut FrameForge,
-                now: u64| {
-        let frame = forge.client(ct, vip_client(f), state, Seq::One);
-        let mut buf = [0u8; 256];
-        let n = frame.len().min(buf.len());
-        buf[..n].copy_from_slice(&frame[..n]);
-        route_frame::<false, _>(&mut buf[..n], &table, None, Some((ct, Some(pool))), now)
-    };
-
-    // Establishment under the running probe clock (death_round is chosen
-    // well past it; the assert below keeps configs honest).
-    let mut states = vec![CState::NeedSyn; cfg.flows];
-    while states.iter().any(|&s| s != CState::Established) {
-        now += TICK_NS;
-        assert!(
-            pool.maybe_probe(now).is_empty(),
-            "death_round must land after establishment"
-        );
-        for (f, st) in states.iter_mut().enumerate() {
-            if *st != CState::Established
-                && send(*st, f, &mut ct, &mut pool, &mut forge, now).is_ok()
-            {
-                *st = st.next();
-            }
-        }
-    }
-    let victims = (0..cfg.flows)
-        .filter(|&f| {
-            ct.nat_of(&vip_client(f).key())
-                .is_some_and(|n| n.backend == 2)
-        })
-        .count() as u64;
-
-    // Measured ticks: every flow offers one packet per tick; orphans spend
-    // ticks re-handshaking.
-    let mut death_ns = None;
-    let mut recovery_ns = None;
-    // (delivered, offered) before the death, until recovery, and after.
-    let mut phases = [(0u64, 0u64); 3];
-    for _ in 0..cfg.rounds {
-        now += TICK_NS;
-        let downed = pool.maybe_probe(now).to_vec();
-        for &b in &downed {
-            let freed = ct.eject_backend(b, EvictCause::BackendDead);
-            pool.note_flows_ejected(freed);
-            death_ns.get_or_insert(now);
-        }
-        let mut delivered = 0u64;
-        for (f, st) in states.iter_mut().enumerate() {
-            let s = *st;
-            match (s, send(s, f, &mut ct, &mut pool, &mut forge, now)) {
-                (CState::Established, Ok(_)) => delivered += 1,
-                (CState::Established, Err(DropReason::NoFlow)) => *st = CState::NeedSyn,
-                (_, Ok(_)) => *st = s.next(),
-                _ => {}
-            }
-        }
-        let offered = cfg.flows as u64;
-        let phase = match (death_ns, recovery_ns) {
-            (None, _) => 0,
-            (Some(_), None) => 1,
-            (Some(_), Some(_)) => 2,
-        };
-        phases[phase].0 += delivered;
-        phases[phase].1 += offered;
-        if let (1, Some(d), true) = (phase, death_ns, delivered == offered) {
-            recovery_ns = Some(now - d);
-        }
-    }
-    ct.check_invariants().expect("post-failover audit");
-    let frac = |(d, o): (u64, u64)| if o == 0 { 1.0 } else { d as f64 / o as f64 };
-    FailoverReport {
-        flows: cfg.flows,
-        victims,
-        flows_ejected: pool.stats().flows_ejected,
-        death_ns: death_ns.unwrap_or(0),
-        recovery_ns,
-        probe_interval_ns: PROBE_INTERVAL_NS,
-        goodput_pre: frac(phases[0]),
-        goodput_during: frac(phases[1]),
-        goodput_post: frac(phases[2]),
     }
 }
 
@@ -618,10 +498,10 @@ impl LbBenchReport {
     }
 }
 
-/// Runs the full LB bench: all four router scenarios plus the
-/// virtual-clock failover harness.
+/// Runs the full LB bench: all four router scenarios, recorded next to the
+/// virtual-clock failover run's `failover` report.
 #[must_use]
-pub fn run_lb_bench(cfg: &LbBenchConfig, failover: &FailoverConfig) -> LbBenchReport {
+pub fn run_lb_bench(cfg: &LbBenchConfig, failover: FailoverReport) -> LbBenchReport {
     let scenarios = [
         LbScenario::BaselineNoLb,
         LbScenario::Steady,
@@ -636,7 +516,7 @@ pub fn run_lb_bench(cfg: &LbBenchConfig, failover: &FailoverConfig) -> LbBenchRe
         workers: cfg.workers,
         backends: lb_backends().len(),
         scenarios,
-        failover: run_failover(failover),
+        failover,
     }
 }
 
@@ -701,31 +581,6 @@ mod tests {
     }
 
     #[test]
-    fn failover_recovers_within_one_probe_interval() {
-        let cfg = FailoverConfig {
-            flows: 128,
-            rounds: 120,
-            death_round: 10,
-        };
-        let r = run_failover(&cfg);
-        assert!(r.victims > 0, "weight-2 backend 2 must hold flows");
-        assert_eq!(r.flows_ejected, 2 * r.victims, "twins ejected in pairs");
-        assert!(r.death_ns > 0);
-        assert!(
-            (r.goodput_pre - 1.0).abs() < 1e-9,
-            "steady state is lossless"
-        );
-        assert!(r.goodput_during < 1.0, "death costs handshake ticks");
-        assert!((r.goodput_post - 1.0).abs() < 1e-9, "recovery is complete");
-        assert!(
-            r.recovered_within_probe_interval(),
-            "recovery {:?} must beat the probe interval {}",
-            r.recovery_ns,
-            r.probe_interval_ns
-        );
-    }
-
-    #[test]
     fn report_json_is_well_formed_and_carries_the_headline() {
         let report = run_lb_bench(
             &LbBenchConfig {
@@ -736,10 +591,16 @@ mod tests {
                 syn_backlog: 64,
                 ..LbBenchConfig::quick()
             },
-            &FailoverConfig {
-                flows: 64,
-                rounds: 80,
-                death_round: 8,
+            FailoverReport {
+                flows: 256,
+                victims: 116,
+                flows_ejected: 232,
+                death_ns: 19_100_000,
+                recovery_ns: Some(300_000),
+                probe_interval_ns: PROBE_INTERVAL_NS,
+                goodput_pre: 1.0,
+                goodput_during: 0.660_156_25,
+                goodput_post: 1.0,
             },
         );
         assert_eq!(report.scenarios.len(), 4);

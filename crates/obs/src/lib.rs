@@ -125,18 +125,29 @@ pub fn trace_path_on() -> bool {
     MODE.load(Ordering::Relaxed) >= Mode::Sampled as u8
 }
 
+/// The FNV-1a offset basis: the starting state of every FNV digest.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// One FNV-1a step, `(h ^ v) · prime`, over a whole word. Order-sensitive
+/// digests (fault logs, trace shapes, scenario outcomes) fold their
+/// observables through this from [`FNV_OFFSET`].
+#[inline]
+#[must_use]
+pub const fn fnv_fold(h: u64, v: u64) -> u64 {
+    (h ^ v).wrapping_mul(FNV_PRIME)
+}
+
 /// FNV-1a over a byte slice — the one hash shared by `sysfault` digests,
 /// `sysnet` flow hashing, sysobs name interning checks, and the trace shape
 /// digest. Deduplicated here so the constants exist exactly once.
 #[inline]
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    bytes
+        .iter()
+        .fold(FNV_OFFSET, |h, &b| fnv_fold(h, u64::from(b)))
 }
 
 /// The text dump the last panic captured, if any (see

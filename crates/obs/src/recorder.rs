@@ -21,7 +21,7 @@
 //! caching (see [`crate::obs_span!`]) makes interning a one-time cost.
 
 use crate::clock::now_ns;
-use crate::fnv1a;
+use crate::{fnv1a, fnv_fold, FNV_OFFSET};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -376,16 +376,10 @@ pub fn clear() {
 /// test checks.
 #[must_use]
 pub fn shape_digest() -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for e in collect_events() {
-        h ^= u64::from(e.kind as u8);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        h ^= fnv1a(e.name.as_bytes());
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        h ^= e.value;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    collect_events().iter().fold(FNV_OFFSET, |h, e| {
+        let h = fnv_fold(h, u64::from(e.kind as u8));
+        fnv_fold(fnv_fold(h, fnv1a(e.name.as_bytes())), e.value)
+    })
 }
 
 /// Renders the current rings as Chrome `trace_event` JSON (load in

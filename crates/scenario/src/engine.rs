@@ -1,34 +1,36 @@
 //! The virtual-clock scenario engine.
 //!
-//! [`run_scenario`] executes a [`Scenario`] the way `lbbench`'s failover
-//! harness drives the single-threaded LB path: client handshake state
-//! machines dialing the VIP, SYN-cookie echoes, one packet per active flow
-//! per tick, with the conntrack, backend-pool, and wire-loss fault
-//! injectors all drawing from one [`FaultPlan`] seeded by the scenario.
-//! Two oracles run *en passant* on every forwarded frame:
+//! [`run_scenario`] is the repo's one virtual-clock run loop for the
+//! single-threaded LB path (E17's failover run is
+//! [`crate::library::failover`]): client handshake state machines dialing
+//! the VIP, SYN-cookie echoes, one packet per active flow per tick, over an
+//! epoch-protected [`CowRouteTable`] that control events publish to, with
+//! the conntrack, backend-pool, and wire-loss fault injectors all drawing
+//! from one [`FaultPlan`] seeded by the scenario. Two oracles run *en
+//! passant*:
 //!
 //! * **TTL decrement** — every benign frame is re-parsed after routing and
 //!   must carry exactly `offered_ttl - 1` (the forwarding-loop regression);
-//! * **held-pin consistency** — on the COW plane a scenario may pin a
-//!   [`RouteView`] and cross-check probe lookups against a pin-time
-//!   snapshot while churn publishes over it (the premature-epoch-free
-//!   regression).
+//! * **held-pin consistency** — a scenario may pin a [`RouteView`] and
+//!   cross-check probe lookups against a pin-time snapshot while churn
+//!   publishes over it (the premature-epoch-free regression).
 //!
 //! Everything deterministic folds into [`ScenarioOutcome::digest`];
 //! wall-clock latency is reported but excluded, so the digest is a replay
 //! proof: same spec + seed ⇒ same digest, across runs and across
 //! observability modes ([`run_campaign`] verifies both).
 
-use crate::spec::{Arrival, ControlEvent, Expectation, PinHold, PlaneSpec, Scenario};
+use crate::spec::{Arrival, ControlEvent, Expectation, Scenario};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
-use sysfault::{FaultInjector, FaultPlan};
+use sysfault::{FaultInjector, FaultPlan, SplitMix64};
 use sysnet::conntrack::{Conntrack, ConntrackConfig, EvictCause};
 use sysnet::ctbench::{trickle_turn, CState, FrameForge, Interleave, Seq};
 use sysnet::lb::{BackendPool, LbConfig};
 use sysnet::lbbench::{lb_backends, lb_table, storm_endpoints, vip_client, LB_VIP, LB_VPORT};
 use sysnet::pipeline::{route_frame, DropReason, DROP_REASONS};
 use sysnet::{CowRouteTable, FlowCache, RouteView, Routes, TrieTable};
+use sysobs::{fnv_fold as fold, FNV_OFFSET};
 use sysrepr::endian::{internet_checksum, write_u16_be};
 
 /// The engine's own fault site: benign client frames lost on the wire
@@ -39,34 +41,6 @@ pub const SITE_WIRE_LOSS: &str = "scenario.wire_loss";
 const ETH: usize = 14;
 /// TTL carried by attack frames (the `FrameForge` template default).
 const ATTACK_TTL: u8 = 64;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// One FNV-1a style fold step for the outcome digest.
-#[inline]
-fn fold(h: u64, v: u64) -> u64 {
-    (h ^ v).wrapping_mul(FNV_PRIME)
-}
-
-/// SplitMix64 — the engine's only PRNG besides the fault streams, used for
-/// held-pin probe addresses. Seeded from the scenario seed, so probes are
-/// part of the replay.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed)
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-}
 
 /// Stamps `ttl` into a frame's IP header and repairs the header checksum.
 fn patch_ttl(buf: &mut [u8], ttl: u8) {
@@ -117,7 +91,7 @@ pub struct ScenarioOutcome {
     pub no_backend: u64,
     /// Peak live conntrack entries (twin slots included).
     pub peak_flows: usize,
-    /// Route-table generation advance (COW plane: publication count).
+    /// Route-table publications over the measured ticks.
     pub generation_delta: u64,
     /// Flow-cache misses attributed to invalidation (0 if no cache).
     pub invalidation_misses: u64,
@@ -127,6 +101,8 @@ pub struct ScenarioOutcome {
     pub stale_view_mismatches: u64,
     /// `Conntrack::check_invariants` verdict after the run.
     pub audit_ok: bool,
+    /// `(delivered, offered)` on each measured tick, in order.
+    pub per_tick: Vec<(u64, u64)>,
     /// Lowest per-tick delivered/offered over measured ticks.
     pub worst_tick_goodput: f64,
     /// Delivered/offered on the final tick (did the system recover?).
@@ -164,7 +140,7 @@ impl ScenarioOutcome {
     }
 }
 
-/// The mutable run state shared by both plane drivers.
+/// The mutable run state, everything but the route table.
 struct World<'s> {
     s: &'s Scenario,
     ct: Conntrack,
@@ -239,9 +215,9 @@ impl<'s> World<'s> {
     }
 
     /// Routes one frame, tallying drops and the routed-packet count.
-    fn route_buf<R: Routes<u16>>(
+    fn route_buf(
         &mut self,
-        table: &R,
+        table: &RouteView<'_, u16>,
         buf: &mut [u8],
         now: u64,
     ) -> Result<u16, DropReason> {
@@ -268,9 +244,9 @@ impl<'s> World<'s> {
     }
 
     /// Sends client `f`'s packet for its current handshake state.
-    fn send_client<R: Routes<u16>>(
+    fn send_client(
         &mut self,
-        table: &R,
+        table: &RouteView<'_, u16>,
         f: usize,
         st: CState,
         now: u64,
@@ -291,7 +267,7 @@ impl<'s> World<'s> {
     }
 
     /// Interleaves the LB bench's storm SYNs at the configured mix.
-    fn maybe_attack<R: Routes<u16>>(&mut self, table: &R, now: u64) {
+    fn maybe_attack(&mut self, table: &RouteView<'_, u16>, now: u64) {
         for _ in 0..self.flood.due() {
             let j = self.attack_seq;
             self.attack_seq += 1;
@@ -329,10 +305,21 @@ impl<'s> World<'s> {
         }
     }
 
-    /// Applies the backend-side of a control event (route events are the
-    /// plane driver's job).
-    fn apply_backend_event(&mut self, ev: ControlEvent) {
+    /// Applies a control event: route events publish to `table`, backend
+    /// events go to the pool.
+    fn apply_event(&mut self, table: &CowRouteTable<u16>, ev: ControlEvent) {
         match ev {
+            ControlEvent::RouteInsert { prefix, len, port } => {
+                let _ = table.insert(u32::from_be_bytes(prefix), len, port);
+            }
+            ControlEvent::RouteRemove { prefix, len } => {
+                let _ = table.remove(u32::from_be_bytes(prefix), len);
+            }
+            ControlEvent::RouteNoopReinsertAll => {
+                for (p, l, v) in table.routes() {
+                    let _ = table.insert(p, l, v);
+                }
+            }
             ControlEvent::BackendDrain { idx } => self.pool.drain(idx),
             ControlEvent::BackendKill { idx } => {
                 let newly_down = self.pool.force_down(idx);
@@ -343,13 +330,12 @@ impl<'s> World<'s> {
             ControlEvent::BackendRevive { idx } => {
                 self.pool.revive(idx);
             }
-            _ => {}
         }
     }
 
     /// Pre-establishes the whole population (trickle arrivals measure a
     /// resident table, not a handshake wall). Returns the ticks it took.
-    fn maybe_establish<R: Routes<u16>>(&mut self, table: &R, now: &mut u64) -> u64 {
+    fn maybe_establish(&mut self, table: &RouteView<'_, u16>, now: &mut u64) -> u64 {
         if !matches!(self.s.traffic.arrival, Arrival::Trickle { .. }) {
             return 0;
         }
@@ -382,7 +368,7 @@ impl<'s> World<'s> {
 
     /// One measured tick of traffic. Returns `(delivered, offered)`.
     #[allow(clippy::cast_possible_truncation)]
-    fn traffic_tick<R: Routes<u16>>(&mut self, table: &R, tick: u64, now: u64) -> (u64, u64) {
+    fn traffic_tick(&mut self, table: &RouteView<'_, u16>, tick: u64, now: u64) -> (u64, u64) {
         let flows = self.s.traffic.flows;
         let active = match self.s.traffic.arrival {
             Arrival::Steady | Arrival::Trickle { .. } => flows,
@@ -523,6 +509,7 @@ impl<'s> World<'s> {
             audit_ok,
             worst_tick_goodput,
             final_tick_goodput,
+            per_tick: self.per_tick,
             outage_ticks,
             establish_ticks,
             fault_digest,
@@ -650,46 +637,10 @@ fn trace_event(ev: ControlEvent, tick: u64) {
     }
 }
 
-/// Applies a route event to the exclusive trie plane.
-fn apply_route_event_trie(t: &mut TrieTable<u16>, ev: ControlEvent) {
-    match ev {
-        ControlEvent::RouteInsert { prefix, len, port } => {
-            let _ = t.insert(u32::from_be_bytes(prefix), len, port);
-        }
-        ControlEvent::RouteRemove { prefix, len } => {
-            let _ = t.remove(u32::from_be_bytes(prefix), len);
-        }
-        ControlEvent::RouteNoopReinsertAll => {
-            for (p, l, v) in t.routes() {
-                let _ = t.insert(p, l, v);
-            }
-        }
-        _ => {}
-    }
-}
-
-/// Applies a route event to the COW plane.
-fn apply_route_event_cow(t: &CowRouteTable<u16>, ev: ControlEvent) {
-    match ev {
-        ControlEvent::RouteInsert { prefix, len, port } => {
-            let _ = t.insert(u32::from_be_bytes(prefix), len, port);
-        }
-        ControlEvent::RouteRemove { prefix, len } => {
-            let _ = t.remove(u32::from_be_bytes(prefix), len);
-        }
-        ControlEvent::RouteNoopReinsertAll => {
-            for (p, l, v) in t.routes() {
-                let _ = t.insert(p, l, v);
-            }
-        }
-        _ => {}
-    }
-}
-
 /// A held-pin probe address: biased toward the routed subnets so churn is
 /// actually visible (uniform u32 would mostly hit the default route).
-fn probe_addr(rng: &mut Rng) -> u32 {
-    let r = rng.next();
+fn probe_addr(rng: &mut SplitMix64) -> u32 {
+    let r = rng.next_u64();
     #[allow(clippy::cast_possible_truncation)]
     let low16 = (r >> 8) as u32 & 0xFFFF;
     match r % 4 {
@@ -706,36 +657,19 @@ fn elapsed_ns(t0: Instant) -> u64 {
     t0.elapsed().as_nanos() as u64
 }
 
-/// Runs one scenario on the exclusive-trie plane.
-fn run_trie(s: &Scenario) -> ScenarioOutcome {
-    let mut table = lb_table();
-    let gen0 = table.generation();
-    let mut w = World::new(s);
-    let mut now = 0u64;
-    let establish_ticks = w.maybe_establish(&table, &mut now);
-    let t0 = Instant::now();
-    for tick in 1..=s.ticks {
-        now += s.tick_ns;
-        for i in 0..s.events.len() {
-            if s.events[i].tick == tick {
-                let ev = s.events[i].event;
-                trace_event(ev, tick);
-                apply_route_event_trie(&mut table, ev);
-                w.apply_backend_event(ev);
-            }
-        }
-        w.probe(now);
-        let (d, o) = w.traffic_tick(&table, tick, now);
-        w.per_tick.push((d, o));
-    }
-    let ns = elapsed_ns(t0);
-    let generation_delta = table.generation() - gen0;
-    w.finish(establish_ticks, generation_delta, 0, ns)
+/// Runs a scenario to completion. Deterministic in `(spec, seed)`: the
+/// returned [`ScenarioOutcome::digest`] is bit-identical across runs.
+#[must_use]
+pub fn run_scenario(s: &Scenario) -> ScenarioOutcome {
+    let _g = TRACE_LOCK
+        .read()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    run_scenario_unlocked(s)
 }
 
-/// Runs one scenario on the COW plane, optionally with the held-pin
-/// oracle.
-fn run_cow(s: &Scenario, pin: Option<PinHold>) -> ScenarioOutcome {
+/// The tick loop over the COW plane, with the held-pin oracle
+/// when [`Scenario::pin`] is set.
+fn run_scenario_unlocked(s: &Scenario) -> ScenarioOutcome {
     let table = Arc::new(CowRouteTable::from_trie(&lb_table()));
     let pub0 = table.publications();
     let data_reader = table.reader();
@@ -749,7 +683,7 @@ fn run_cow(s: &Scenario, pin: Option<PinHold>) -> ScenarioOutcome {
     let mut snapshot: Option<TrieTable<u16>> = None;
     let mut held: Option<RouteView<'_, u16>> = None;
     let mut stale = 0u64;
-    let mut rng = Rng::new(s.seed ^ 0x9e37_79b9_7f4a_7c15);
+    let mut rng = SplitMix64::new(s.seed ^ 0x9e37_79b9_7f4a_7c15);
     let t0 = Instant::now();
     for tick in 1..=s.ticks {
         now += s.tick_ns;
@@ -757,11 +691,10 @@ fn run_cow(s: &Scenario, pin: Option<PinHold>) -> ScenarioOutcome {
             if s.events[i].tick == tick {
                 let ev = s.events[i].event;
                 trace_event(ev, tick);
-                apply_route_event_cow(&table, ev);
-                w.apply_backend_event(ev);
+                w.apply_event(&table, ev);
             }
         }
-        if let Some(p) = pin {
+        if let Some(p) = s.pin {
             if tick == p.pin_tick {
                 let mut snap = TrieTable::new();
                 for (pr, l, v) in table.routes() {
@@ -792,23 +725,6 @@ fn run_cow(s: &Scenario, pin: Option<PinHold>) -> ScenarioOutcome {
     drop(held);
     let generation_delta = table.publications() - pub0;
     w.finish(establish_ticks, generation_delta, stale, ns)
-}
-
-/// Runs a scenario to completion. Deterministic in `(spec, seed)`: the
-/// returned [`ScenarioOutcome::digest`] is bit-identical across runs.
-#[must_use]
-pub fn run_scenario(s: &Scenario) -> ScenarioOutcome {
-    let _g = TRACE_LOCK
-        .read()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    run_scenario_unlocked(s)
-}
-
-fn run_scenario_unlocked(s: &Scenario) -> ScenarioOutcome {
-    match s.plane {
-        PlaneSpec::Trie => run_trie(s),
-        PlaneSpec::Cow { pin } => run_cow(s, pin),
-    }
 }
 
 /// The recorder and mode are process-global: traced runs take this
@@ -879,7 +795,7 @@ pub fn run_campaign(scenarios: &[Scenario]) -> Vec<CampaignEntry> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{CtSpec, ScheduledEvent, TrafficSpec};
+    use crate::spec::{CtSpec, PinHold, ScheduledEvent, TrafficSpec};
     use sysfault::Schedule;
 
     fn small(name: &str, seed: u64) -> Scenario {
@@ -961,13 +877,11 @@ mod tests {
     #[test]
     fn cow_plane_runs_with_held_pin_and_sees_no_stale_reads() {
         let mut s = small("cow", 11);
-        s.plane = PlaneSpec::Cow {
-            pin: Some(PinHold {
-                pin_tick: 5,
-                hold_ticks: 20,
-                probes: 16,
-            }),
-        };
+        s.pin = Some(PinHold {
+            pin_tick: 5,
+            hold_ticks: 20,
+            probes: 16,
+        });
         for t in 6..20 {
             s.events.push(ScheduledEvent {
                 tick: t,

@@ -30,40 +30,17 @@ use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 use sysfault::shrink::minimize_bytes;
+use sysfault::SplitMix64;
+use sysobs::{fnv1a, fnv_fold as fold, FNV_OFFSET};
 use sysrepr::dns;
 use sysrepr::packet::{
     EthernetView, Ipv4View, PacketBuilder, ETHERTYPE_IPV4, IPPROTO_TCP, IPPROTO_UDP,
 };
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-#[inline]
-fn fold(h: u64, v: u64) -> u64 {
-    (h ^ v).wrapping_mul(FNV_PRIME)
-}
-
-/// FNV-1a over a string — stable across runs, unlike `DefaultHasher`.
-fn fnv_str(s: &str) -> u64 {
-    s.bytes().fold(FNV_OFFSET, |h, b| fold(h, u64::from(b)))
-}
-
-/// SplitMix64 mutation stream.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    #[allow(clippy::cast_possible_truncation)]
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n.max(1) as u64) as usize
-    }
+/// A uniform draw in `0..n` (`0` when `n` is 0) from the mutation stream.
+#[allow(clippy::cast_possible_truncation)]
+fn below(rng: &mut SplitMix64, n: usize) -> usize {
+    (rng.next_u64() % n.max(1) as u64) as usize
 }
 
 /// What the fuzzer drives.
@@ -143,7 +120,7 @@ impl CrashArtifact {
         format!(
             "CRASH_{}_{:08x}.json",
             self.target.name(),
-            fnv_str(&crash_class(&self.message)) as u32
+            fnv1a(crash_class(&self.message).as_bytes()) as u32
         )
     }
 
@@ -251,11 +228,11 @@ fn err_class(e: &sysrepr::ReprError) -> u64 {
         sysrepr::ReprError::Truncated { needed, got } => {
             fold(fold(1, u64::from(*needed > 64)), u64::from(*got == 0))
         }
-        sysrepr::ReprError::InvalidField { field, .. } => fold(2, fnv_str(field)),
-        _ => fold(
-            3,
-            fnv_str(&format!("{e:?}")[..4.min(format!("{e:?}").len())]),
-        ),
+        sysrepr::ReprError::InvalidField { field, .. } => fold(2, fnv1a(field.as_bytes())),
+        _ => {
+            let name = format!("{e:?}");
+            fold(3, fnv1a(&name.as_bytes()[..name.len().min(4)]))
+        }
     }
 }
 
@@ -393,7 +370,7 @@ fn execute_bitc(input: &[u8]) -> (u64, Option<String>) {
             Err(e) => {
                 let msg = e.to_string();
                 let head: String = msg.chars().take(24).collect();
-                fold(fold(FNV_OFFSET, 41), fnv_str(&head))
+                fold(fold(FNV_OFFSET, 41), fnv1a(head.as_bytes()))
             }
         }
     }));
@@ -486,49 +463,49 @@ pub fn packet_seed_corpus() -> Vec<Vec<u8>> {
 }
 
 /// One seeded mutation.
-fn mutate(rng: &mut Rng, parent: &[u8], population: &[Vec<u8>], max_len: usize) -> Vec<u8> {
+fn mutate(rng: &mut SplitMix64, parent: &[u8], population: &[Vec<u8>], max_len: usize) -> Vec<u8> {
     let mut child = parent.to_vec();
-    let ops = 1 + rng.below(3);
+    let ops = 1 + below(rng, 3);
     for _ in 0..ops {
-        match rng.below(8) {
+        match below(rng, 8) {
             // Bit flip.
             0 if !child.is_empty() => {
-                let i = rng.below(child.len());
-                child[i] ^= 1 << rng.below(8);
+                let i = below(rng, child.len());
+                child[i] ^= 1 << below(rng, 8);
             }
             // Interesting byte.
             1 if !child.is_empty() => {
-                let i = rng.below(child.len());
-                child[i] = [0x00, 0xFF, 0x7F, 0x80, 0x01, 0x45, 0x46, 0x06][rng.below(8)];
+                let i = below(rng, child.len());
+                child[i] = [0x00, 0xFF, 0x7F, 0x80, 0x01, 0x45, 0x46, 0x06][below(rng, 8)];
             }
             // Random byte.
             #[allow(clippy::cast_possible_truncation)]
             2 if !child.is_empty() => {
-                let i = rng.below(child.len());
-                child[i] = rng.next() as u8;
+                let i = below(rng, child.len());
+                child[i] = rng.next_u64() as u8;
             }
             // Truncate.
             3 if child.len() > 1 => {
-                let n = 1 + rng.below(child.len() - 1);
+                let n = 1 + below(rng, child.len() - 1);
                 child.truncate(n);
             }
             // Extend.
             #[allow(clippy::cast_possible_truncation)]
             4 => {
-                let n = 1 + rng.below(16);
+                let n = 1 + below(rng, 16);
                 for _ in 0..n {
                     if child.len() >= max_len {
                         break;
                     }
-                    child.push(rng.next() as u8);
+                    child.push(rng.next_u64() as u8);
                 }
             }
             // Chunk duplication (length-field confusion food).
             5 if !child.is_empty() => {
-                let start = rng.below(child.len());
-                let len = (1 + rng.below(8)).min(child.len() - start);
+                let start = below(rng, child.len());
+                let len = (1 + below(rng, 8)).min(child.len() - start);
                 let chunk: Vec<u8> = child[start..start + len].to_vec();
-                let at = rng.below(child.len() + 1);
+                let at = below(rng, child.len() + 1);
                 for (k, b) in chunk.into_iter().enumerate() {
                     if child.len() >= max_len {
                         break;
@@ -538,10 +515,10 @@ fn mutate(rng: &mut Rng, parent: &[u8], population: &[Vec<u8>], max_len: usize) 
             }
             // Splice with another resident.
             6 if !population.is_empty() => {
-                let other = &population[rng.below(population.len())];
+                let other = &population[below(rng, population.len())];
                 if !other.is_empty() && !child.is_empty() {
-                    let cut_a = rng.below(child.len());
-                    let cut_b = rng.below(other.len());
+                    let cut_a = below(rng, child.len());
+                    let cut_b = below(rng, other.len());
                     child.truncate(cut_a);
                     child.extend_from_slice(&other[cut_b..]);
                 }
@@ -549,8 +526,8 @@ fn mutate(rng: &mut Rng, parent: &[u8], population: &[Vec<u8>], max_len: usize) 
             // 16-bit length-ish field patch at a word boundary.
             #[allow(clippy::cast_possible_truncation)]
             _ if child.len() >= 2 => {
-                let i = rng.below(child.len() - 1);
-                let v = (rng.next() as u16).to_be_bytes();
+                let i = below(rng, child.len() - 1);
+                let v = (rng.next_u64() as u16).to_be_bytes();
                 child[i] = v[0];
                 child[i + 1] = v[1];
             }
@@ -600,7 +577,7 @@ fn hush_panics() -> HushGuard {
 #[must_use]
 pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
     let _hush = hush_panics();
-    let mut rng = Rng(cfg.seed ^ fnv_str(cfg.target.name()));
+    let mut rng = SplitMix64::new(cfg.seed ^ fnv1a(cfg.target.name().as_bytes()));
     let mut executions = 0u64;
     let mut features = BTreeSet::new();
     let mut population = Vec::new();
@@ -613,7 +590,7 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
                  population: &mut Vec<Vec<u8>>,
                  crashes: &mut Vec<CrashArtifact>,
                  seen: &mut BTreeSet<String>,
-                 rng: &mut Rng| {
+                 rng: &mut SplitMix64| {
         *executions += 1;
         let (feature, crash) = execute(cfg.target, &input);
         if let Some(message) = crash {
@@ -633,7 +610,7 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
             }
         } else if features.insert(feature) {
             if population.len() >= cfg.population_cap {
-                let victim = rng.below(population.len());
+                let victim = below(rng, population.len());
                 population.swap_remove(victim);
             }
             population.push(input);
@@ -652,7 +629,7 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
         );
     }
     for _ in 0..cfg.iterations {
-        let parent = population[rng.below(population.len())].clone();
+        let parent = population[below(&mut rng, population.len())].clone();
         let child = mutate(&mut rng, &parent, &population, cfg.max_len);
         admit(
             child,

@@ -12,13 +12,18 @@
 //! | `regress-premature-epoch-free` | pinned readers seeing reclaimed trie nodes | `StaleViewMismatchesZero` under churn |
 //! | `regress-half-pair-nat` | forward NAT twin inserted without its reply twin | `AuditClean` under table-full pressure |
 //! | `regress-parser-overread` | length-trusting parse (the seeded C idiom) | injected fixture drops as `Malformed` |
+//!
+//! [`failover`] is experiment E17's scripted backend death, run as a
+//! scenario and read back into `sysnet`'s [`FailoverReport`].
 
-use crate::engine::SITE_WIRE_LOSS;
+use crate::engine::{run_scenario, SITE_WIRE_LOSS};
 use crate::spec::{
-    Arrival, ControlEvent, CtSpec, Expectation, PinHold, PlaneSpec, Scenario, ScheduledEvent,
+    Arrival, ControlEvent, CtSpec, Expectation, LbSpec, PinHold, Scenario, ScheduledEvent,
     TrafficSpec,
 };
 use sysfault::Schedule;
+use sysnet::lb::SITE_LB_PROBE_FAIL;
+use sysnet::lbbench::{FailoverConfig, FailoverReport, PROBE_INTERVAL_NS, TICK_NS};
 use sysnet::pipeline::DropReason;
 
 /// The 34-byte trusting-parser fixture: a well-framed Ethernet header
@@ -276,13 +281,11 @@ fn regress_noop_insert_cache_nuke() -> Scenario {
 fn regress_premature_epoch_free() -> Scenario {
     let mut s = Scenario::named("regress-premature-epoch-free", 0xEF0C);
     s.ticks = 60;
-    s.plane = PlaneSpec::Cow {
-        pin: Some(PinHold {
-            pin_tick: 10,
-            hold_ticks: 30,
-            probes: 64,
-        }),
-    };
+    s.pin = Some(PinHold {
+        pin_tick: 10,
+        hold_ticks: 30,
+        probes: 64,
+    });
     s.traffic = TrafficSpec {
         flows: 64,
         arrival: Arrival::Trickle { stride: 1 },
@@ -345,6 +348,90 @@ fn regress_parser_overread() -> Scenario {
     s
 }
 
+/// Runs E17's failover scenario and reads its record off the per-tick
+/// `(delivered, offered)` series.
+///
+/// `cfg.flows` clients establish up front and then every flow talks every
+/// tick (`Trickle` at stride 1), until backend 2 dies on probe round
+/// `cfg.death_round`. Probes run in backend order, so call 3k of the probe
+/// site is round k's backend-2 probe: `OneShotAt(3 * death_round)` is a
+/// scripted, single-backend death. `fall` = 1 makes that round the death,
+/// and `rise` = never keeps the backend dead: recovery is the clients'
+/// story, not the backend's.
+///
+/// The death is the first tick that failed to deliver and its shortfall is
+/// the victims; recovery is the first later tick on which every flow
+/// delivered again. Goodput is data packets delivered over packets
+/// offered: handshake retries spend offered slots without delivering,
+/// which is exactly the cost failover should be charged.
+///
+/// # Panics
+///
+/// If the scenario's oracles failed (TTL decrement, conntrack audit), or
+/// if the ejection freed anything but the victims' twin pairs — which is
+/// what a death landing during establishment looks like.
+#[must_use]
+#[allow(clippy::cast_precision_loss)]
+pub fn failover(cfg: &FailoverConfig) -> FailoverReport {
+    let mut s = Scenario::named("failover", 0xE17);
+    s.ticks = cfg.rounds as u64;
+    s.tick_ns = TICK_NS;
+    s.traffic = TrafficSpec {
+        flows: cfg.flows,
+        arrival: Arrival::Trickle { stride: 1 },
+        ..TrafficSpec::default()
+    };
+    s.faults.push((
+        SITE_LB_PROBE_FAIL.to_owned(),
+        Schedule::OneShotAt(3 * cfg.death_round),
+    ));
+    s.lb = LbSpec {
+        probe_interval_ticks: PROBE_INTERVAL_NS / TICK_NS,
+        fall: 1,
+        rise: u32::MAX,
+    };
+    s.ct = CtSpec {
+        max_flows: 4 * cfg.flows,
+        syn_backlog: cfg.flows.max(64),
+    };
+    let out = run_scenario(&s);
+    assert!(out.failures.is_empty(), "failover: {:?}", out.failures);
+    let ticks = &out.per_tick;
+    let death = ticks.iter().position(|&(d, o)| d < o);
+    let recovery = death.and_then(|k| (k + 1..ticks.len()).find(|&t| ticks[t].0 == ticks[t].1));
+    let victims = death.map_or(0, |k| ticks[k].1 - ticks[k].0);
+    assert_eq!(
+        out.flows_ejected,
+        2 * victims,
+        "the death must land after establishment and eject exactly the victims' twins"
+    );
+    let goodput = |ticks: &[(u64, u64)]| {
+        let (d, o) = ticks
+            .iter()
+            .fold((0, 0), |(d, o), &(td, to)| (d + td, o + to));
+        if o == 0 {
+            1.0
+        } else {
+            d as f64 / o as f64
+        }
+    };
+    // Before the death, the death tick through recovery, and after.
+    let start = death.unwrap_or(ticks.len());
+    let end = recovery.map_or(ticks.len(), |r| r + 1);
+    let (pre, during, post) = (&ticks[..start], &ticks[start..end], &ticks[end..]);
+    FailoverReport {
+        flows: cfg.flows,
+        victims,
+        flows_ejected: out.flows_ejected,
+        death_ns: death.map_or(0, |k| (out.establish_ticks + k as u64 + 1) * s.tick_ns),
+        recovery_ns: death.zip(recovery).map(|(k, r)| (r - k) as u64 * s.tick_ns),
+        probe_interval_ns: PROBE_INTERVAL_NS,
+        goodput_pre: goodput(pre),
+        goodput_during: goodput(during),
+        goodput_post: goodput(post),
+    }
+}
+
 /// Tick/flow scaledown for CI: same shapes, same seeds, same oracles,
 /// smaller populations.
 #[must_use]
@@ -366,7 +453,6 @@ pub fn quick_scale(mut scenarios: Vec<Scenario>) -> Vec<Scenario> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::run_scenario;
 
     #[test]
     fn standard_campaign_has_the_five_named_shapes() {
@@ -421,6 +507,59 @@ mod tests {
             crate::fuzz::replay(crate::fuzz::FuzzTarget::Packet, &fixture).is_some(),
             "the trusting parser must panic on it"
         );
+    }
+
+    #[test]
+    fn failover_recovers_within_one_probe_interval() {
+        // (config, victims, flows_ejected, death_ns, goodput_during)
+        let pinned = [
+            (
+                FailoverConfig::default(),
+                116,
+                232,
+                19_100_000,
+                0.660_156_25,
+            ),
+            (
+                FailoverConfig {
+                    flows: 128,
+                    rounds: 120,
+                    death_round: 10,
+                },
+                57,
+                114,
+                9_100_000,
+                0.666_015_625,
+            ),
+        ];
+        for (cfg, victims, ejected, death_ns, during) in pinned {
+            let r = failover(&cfg);
+            assert!(r.victims > 0, "weight-2 backend 2 must hold flows");
+            assert_eq!(r.flows_ejected, 2 * r.victims, "twins ejected in pairs");
+            assert!(r.death_ns > 0);
+            assert!(
+                (r.goodput_pre - 1.0).abs() < 1e-9,
+                "steady state is lossless"
+            );
+            assert!(r.goodput_during < 1.0, "death costs handshake ticks");
+            assert!((r.goodput_post - 1.0).abs() < 1e-9, "recovery is complete");
+            assert!(
+                r.recovered_within_probe_interval(),
+                "recovery {:?} must beat the probe interval {}",
+                r.recovery_ns,
+                r.probe_interval_ns
+            );
+            assert_eq!(
+                (r.flows, r.victims, r.flows_ejected, r.death_ns),
+                (cfg.flows, victims, ejected, death_ns)
+            );
+            assert_eq!(r.recovery_ns, Some(300_000));
+            assert_eq!(r.probe_interval_ns, PROBE_INTERVAL_NS);
+            assert_eq!(
+                (r.goodput_pre, r.goodput_during, r.goodput_post),
+                (1.0, during, 1.0)
+            );
+        }
     }
 
     #[test]

@@ -174,19 +174,6 @@ pub struct PinHold {
     pub probes: usize,
 }
 
-/// Which route plane the scenario runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlaneSpec {
-    /// Exclusive [`sysnet::TrieTable`] (single-owner, generation-counted).
-    Trie,
-    /// Epoch-protected [`sysnet::CowRouteTable`], optionally with a held
-    /// pin cross-checked against a snapshot.
-    Cow {
-        /// Optional held-pin oracle.
-        pin: Option<PinHold>,
-    },
-}
-
 /// An acceptance check evaluated against the finished
 /// [`crate::ScenarioOutcome`]. A scenario with a failed expectation fails
 /// the campaign.
@@ -203,8 +190,7 @@ pub enum Expectation {
     DropsAtLeast(DropReason, u64),
     /// At most this many drops for the reason.
     DropsAtMost(DropReason, u64),
-    /// Route-table generation (or COW publication count) advanced by at
-    /// most this much.
+    /// The route table published at most this many times.
     GenerationDeltaAtMost(u64),
     /// Flow-cache misses attributed to invalidation ≤ this.
     InvalidationMissesAtMost(u64),
@@ -249,8 +235,8 @@ pub struct Scenario {
     pub ct: CtSpec,
     /// Flow-cache slots (0 = no cache).
     pub cache_slots: usize,
-    /// Route plane.
-    pub plane: PlaneSpec,
+    /// Held-pin oracle on the route table, if any.
+    pub pin: Option<PinHold>,
     /// Acceptance checks.
     pub expect: Vec<Expectation>,
 }
@@ -272,7 +258,7 @@ impl Scenario {
             lb: LbSpec::default(),
             ct: CtSpec::default(),
             cache_slots: 0,
-            plane: PlaneSpec::Trie,
+            pin: None,
             expect: vec![Expectation::TtlViolationsZero, Expectation::AuditClean],
         }
     }

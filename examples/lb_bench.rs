@@ -9,8 +9,9 @@
 //! Four router scenarios — the no-LB tracked control, the rewriting steady
 //! state, a port-scan storm riding on the steady population, and a large
 //! slowloris population trickling data — plus the virtual-clock failover
-//! harness that scripts a backend death through the seeded probe site and
-//! measures goodput recovery in handshake-retry ticks.
+//! scenario (`sysscenario::library::failover`) that scripts a backend
+//! death through the seeded probe site and measures goodput recovery in
+//! handshake-retry ticks.
 //!
 //! Acceptance floors asserted here (full run):
 //!
@@ -22,6 +23,7 @@
 
 use plos06::alloc::{alloc_count, CountingAlloc};
 use sysnet::lbbench::{run_lb_bench, FailoverConfig, LbBenchConfig, PROBE_INTERVAL_NS, STORM_MIX};
+use sysscenario::library::failover;
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -35,7 +37,7 @@ fn main() {
         LbBenchConfig::full()
     };
     cfg.alloc_counter = Some(alloc_count);
-    let failover = FailoverConfig::default();
+    let failover_cfg = FailoverConfig::default();
     eprintln!(
         "lb bench: {} flows steady, storm mix {:.0} %, {} slowloris flows, \
          {} workers; failover {} flows, probe {} ms...",
@@ -43,10 +45,10 @@ fn main() {
         STORM_MIX * 100.0,
         cfg.slowloris_flows,
         cfg.workers,
-        failover.flows,
+        failover_cfg.flows,
         PROBE_INTERVAL_NS / 1_000_000
     );
-    let report = run_lb_bench(&cfg, &failover);
+    let report = run_lb_bench(&cfg, failover(&failover_cfg));
     let json = report.to_json();
     print!("{json}");
 

@@ -14,11 +14,14 @@
 //!   probe site, so the run replays), how fast does goodput return?
 //!   (the failover notes; the budget is one health-probe interval).
 //!
-//! `examples/lb_bench.rs` runs the same harness with a counting allocator
-//! and records `BENCH_lb.json`; this table is the EXPERIMENTS.md rendering.
+//! The failover run is the `sysscenario` scenario
+//! [`sysscenario::library::failover`]. `examples/lb_bench.rs` runs the
+//! same harness with a counting allocator and records `BENCH_lb.json`;
+//! this table is the EXPERIMENTS.md rendering.
 
 use super::{fmt_ns, fmt_rate, Scale, Table};
 use sysnet::lbbench::{run_lb_bench, FailoverConfig, LbBenchConfig, LbPoint};
+use sysscenario::library::failover;
 
 fn config_for(scale: Scale) -> LbBenchConfig {
     match scale {
@@ -60,7 +63,7 @@ fn row_of(t: &mut Table, p: &LbPoint) {
 #[must_use]
 pub fn run(scale: Scale) -> Table {
     let cfg = config_for(scale);
-    let report = run_lb_bench(&cfg, &FailoverConfig::default());
+    let report = run_lb_bench(&cfg, failover(&FailoverConfig::default()));
     let mut t = Table::new(
         "E17 — L4 load balancing: rewrite cost, churn, failover",
         &[
