@@ -3,9 +3,9 @@
 //! A trie walk is up to eight dependent loads (one per stride-4 node); real
 //! traffic is a handful of hot flows repeating the same destinations, so
 //! the sharded router fronts its [`TrieTable`] with a direct-mapped cache: the flow key indexes a slot
-//! through the shared FNV-1a hash (the same [`sysobs::fnv1a`] the
-//! dispatcher shards flows with), and a hit is one hash of eight bytes plus
-//! one exact compare — no walk at all.
+//! through the low bits of the shared FNV-1a hash (the same
+//! [`sysobs::fnv1a`] whose high bits the dispatcher shards flows with), and
+//! a hit is one hash of eight bytes plus one exact compare — no walk at all.
 //!
 //! Two properties keep it *correct*, not just fast:
 //!
@@ -131,8 +131,7 @@ impl<T: Copy> FlowCache<T> {
             self.invalidate(table.generation());
         }
         let key = (u64::from(src) << 32) | u64::from(dst);
-        #[allow(clippy::cast_possible_truncation)]
-        let idx = (sysobs::fnv1a(&key.to_be_bytes()) & self.mask) as usize;
+        let idx = self.slot_of(src, dst);
         match self.slots[idx] {
             Some((cached_key, hop)) if cached_key == key => {
                 self.hits += 1;
@@ -157,6 +156,16 @@ impl<T: Copy> FlowCache<T> {
         let hop = table.lookup(dst);
         self.slots[idx] = Some((key, hop));
         hop
+    }
+
+    /// The slot `(src, dst)` maps to: the low bits of [`sysobs::fnv1a`] over
+    /// the big-endian `(src, dst)` key. The router shards on the high bits
+    /// of the same hash, so a worker's flows spread over all its slots.
+    #[inline]
+    #[allow(clippy::cast_possible_truncation)]
+    pub(crate) fn slot_of(&self, src: u32, dst: u32) -> usize {
+        let key = (u64::from(src) << 32) | u64::from(dst);
+        (sysobs::fnv1a(&key.to_be_bytes()) & self.mask) as usize
     }
 
     /// Drops every entry and adopts the table's generation. The destroyed

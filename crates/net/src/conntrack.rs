@@ -579,10 +579,11 @@ impl Conntrack {
     }
 
     fn move_gauge_share(&mut self, to: (i64, i64)) {
-        let registry = sysobs::registry();
-        registry.gauge("net.ct.live").add(to.0 - self.gauge_share.0);
-        registry
-            .gauge("net.ct.half_open")
+        static LIVE: sysobs::GaugeCell = sysobs::GaugeCell::new();
+        static HALF_OPEN: sysobs::GaugeCell = sysobs::GaugeCell::new();
+        LIVE.get("net.ct.live").add(to.0 - self.gauge_share.0);
+        HALF_OPEN
+            .get("net.ct.half_open")
             .add(to.1 - self.gauge_share.1);
         self.gauge_share = to;
     }

@@ -26,7 +26,7 @@ use crate::conntrack::{Conntrack, FlowKey, FlowState, NatRewrite, TcpSummary};
 use crate::lpm::Routes;
 use crate::pipeline::{self, BatchStats, DropReason, Verdict};
 use sysfault::FaultInjector;
-use sysobs::fnv1a;
+use sysobs::{fnv1a, fnv_fold};
 use sysrepr::packet::{IPPROTO_TCP, IPPROTO_UDP};
 
 /// Fault site: one backend's health probe fails (the backend looks dead to
@@ -336,20 +336,26 @@ impl BackendPool {
     /// the up set.
     #[must_use]
     pub fn select(&self, flow_hash: u64) -> Option<u16> {
+        // The hashed bytes are the flow hash, then the backend's identity;
+        // the flow-hash prefix is the same for every backend, so it is
+        // folded once and each backend continues from it.
+        let prefix = fnv1a(&flow_hash.to_le_bytes());
         let mut best: Option<(f64, u16)> = None;
         for (i, b) in self.backends.iter().enumerate() {
             if b.state != BackendState::Up {
                 continue;
             }
-            let mut seed = [0u8; 16];
-            seed[..8].copy_from_slice(&flow_hash.to_le_bytes());
-            seed[8..12].copy_from_slice(&b.cfg.ip.to_be_bytes());
-            seed[12..14].copy_from_slice(&b.cfg.port.to_be_bytes());
-            seed[14..].copy_from_slice(&u16::try_from(i).expect("len checked").to_le_bytes());
+            let mut id = [0u8; 8];
+            id[..4].copy_from_slice(&b.cfg.ip.to_be_bytes());
+            id[4..6].copy_from_slice(&b.cfg.port.to_be_bytes());
+            id[6..].copy_from_slice(&u16::try_from(i).expect("len checked").to_le_bytes());
+            let h = id
+                .iter()
+                .fold(prefix, |h, &byte| fnv_fold(h, u64::from(byte)));
             // 53 high bits -> u in (0, 1]; nudge off exact zero so ln(u)
             // stays finite.
             #[allow(clippy::cast_precision_loss)]
-            let u = ((fnv1a(&seed) >> 11) as f64 + 1.0) / (1u64 << 53) as f64;
+            let u = ((h >> 11) as f64 + 1.0) / (1u64 << 53) as f64;
             let score = f64::from(b.cfg.weight) / -u.ln();
             #[allow(clippy::cast_possible_truncation)]
             let idx = i as u16;
@@ -681,6 +687,54 @@ mod tests {
             counts[2] > counts[0] && counts[2] > counts[1],
             "weight 2 must attract the largest share: {counts:?}"
         );
+    }
+
+    /// `select` as first written: one FNV-1a over the whole 16-byte
+    /// `(flow hash, backend identity)` seed per up backend.
+    fn select_by_full_seed(pool: &BackendPool, flow_hash: u64) -> Option<u16> {
+        let mut best: Option<(f64, u16)> = None;
+        for (i, b) in pool.backends.iter().enumerate() {
+            if b.state != BackendState::Up {
+                continue;
+            }
+            let mut seed = [0u8; 16];
+            seed[..8].copy_from_slice(&flow_hash.to_le_bytes());
+            seed[8..12].copy_from_slice(&b.cfg.ip.to_be_bytes());
+            seed[12..14].copy_from_slice(&b.cfg.port.to_be_bytes());
+            seed[14..].copy_from_slice(&u16::try_from(i).unwrap().to_le_bytes());
+            let u = ((fnv1a(&seed) >> 11) as f64 + 1.0) / (1u64 << 53) as f64;
+            let score = f64::from(b.cfg.weight) / -u.ln();
+            if best.is_none_or(|(s, _)| score > s) {
+                best = Some((score, i as u16));
+            }
+        }
+        best.map(|(_, i)| i)
+    }
+
+    #[test]
+    fn select_folds_the_prefix_once_and_picks_as_the_full_seed_hash() {
+        let mut cfg = pool_config();
+        cfg.backends.push(BackendConfig {
+            ip: u32::from_be_bytes([10, 50, 0, 13]),
+            port: 9090,
+            weight: 3,
+        });
+        let mut pool = BackendPool::new(cfg);
+        let same_picks = |pool: &BackendPool| {
+            (0..10_000u64).all(|f| {
+                let h = sysobs::fnv1a(&f.to_le_bytes());
+                pool.select(h) == select_by_full_seed(pool, h)
+            })
+        };
+        assert!(same_picks(&pool), "all backends up");
+        pool.drain(1);
+        assert!(same_picks(&pool), "one draining");
+        assert!(pool.force_down(3));
+        assert!(same_picks(&pool), "one draining, one down");
+        pool.drain(0);
+        pool.drain(2);
+        assert!(same_picks(&pool), "none up");
+        assert_eq!(pool.select(1), None);
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! parameter, so the uninstrumented baseline is the same code compiled
 //! without it.
 //!
-//! Zero-copy all the way down: each frame is parsed in place with the
-//! [`sysrepr::packet`] views (total parsing — every header is validated
-//! before any field is used), checksummed, TTL-checked, and routed through
+//! Zero-copy all the way down: each frame is parsed once, in place, with
+//! the [`sysrepr::packet`] views (total parsing — every header is validated
+//! before any field is used); admission reads that one view and the rewrite
+//! writes through it. The frame is checksummed, TTL-checked, and routed through
 //! any [`Routes`] source — an exclusive [`crate::lpm::TrieTable`], a
 //! mutex-held one, or a pinned copy-on-write snapshot
 //! ([`crate::cowtrie::RouteView`]). Nothing in this module allocates per
@@ -20,7 +21,7 @@ use crate::cache::FlowCache;
 use crate::conntrack::{Conntrack, FlowKey, NatRewrite, TcpSummary};
 use crate::lb::{BackendPool, Ends, NatDir};
 use crate::lpm::Routes;
-use sysrepr::packet::{EthernetView, EthernetViewMut, Ipv4View, IPPROTO_TCP, IPPROTO_UDP};
+use sysrepr::packet::{EthernetViewMut, Ipv4View, Ipv4ViewMut, IPPROTO_TCP, IPPROTO_UDP};
 use sysrepr::ReprError;
 
 /// Why a packet was dropped instead of forwarded. The variants double as
@@ -182,31 +183,34 @@ impl Verdict {
 }
 
 /// Total header validation down to IPv4: structure, checksum, and TTL on
-/// arrival.
+/// arrival. This is the frame's only parse: admission reads the returned
+/// view through [`Ipv4ViewMut::as_view`], and egress rewrites through it.
 #[inline]
-fn validate_ipv4(frame: &[u8]) -> Result<Ipv4View<'_>, DropReason> {
-    let eth = EthernetView::parse(frame).map_err(|_| DropReason::Malformed)?;
-    let ipv4 = eth.ipv4().map_err(|e| match e {
-        ReprError::InvalidField {
-            field: "ethertype", ..
-        } => DropReason::NotIpv4,
-        _ => DropReason::Malformed,
-    })?;
-    if ipv4.verify_checksum().is_err() {
+fn validate_ipv4(frame: &mut [u8]) -> Result<Ipv4ViewMut<'_>, DropReason> {
+    let ip = EthernetViewMut::parse(frame)
+        .map_err(|_| DropReason::Malformed)?
+        .ipv4_mut()
+        .map_err(|e| match e {
+            ReprError::InvalidField {
+                field: "ethertype", ..
+            } => DropReason::NotIpv4,
+            _ => DropReason::Malformed,
+        })?;
+    if ip.as_view().verify_checksum().is_err() {
         return Err(DropReason::BadChecksum);
     }
-    if ipv4.ttl() == 0 {
+    if ip.ttl() == 0 {
         return Err(DropReason::TtlExpired);
     }
-    Ok(ipv4)
+    Ok(ip)
 }
 
-/// Validation plus the admission stages. The tracker reads TCP only; only a
-/// pool reads UDP headers (a VIP is an address and a port), so only with a
-/// pool does a truncated UDP header drop as [`DropReason::Malformed`].
+/// The admission stages over a validated header. The tracker reads TCP
+/// only; only a pool reads UDP headers (a VIP is an address and a port), so
+/// only with a pool does a truncated UDP header drop as
+/// [`DropReason::Malformed`].
 #[inline(always)]
-fn admit(frame: &[u8], stages: Stages<'_>, now_ns: u64) -> Result<Verdict, DropReason> {
-    let ipv4 = validate_ipv4(frame)?;
+fn admit(ipv4: Ipv4View<'_>, stages: Stages<'_>, now_ns: u64) -> Result<Verdict, DropReason> {
     let (src, dst) = (u32::from_be_bytes(ipv4.src()), ipv4.dst_u32());
     let Some((ct, pool)) = stages else {
         return Ok(Verdict::plain(src, dst));
@@ -243,17 +247,16 @@ fn admit(frame: &[u8], stages: Stages<'_>, now_ns: u64) -> Result<Verdict, DropR
     }
 }
 
-/// The rewrite + TTL stage in one parse: the NAT rewrite, if any (address
-/// and port, incremental checksum fixup), then the TTL decrement (RFC
-/// 1624). A frame whose decrement would reach zero drops as
-/// [`DropReason::TtlExpired`] before anything is written, so a routing
-/// loop expires. The frame validated upstream: a parse failure here is a
-/// [`DropReason::Malformed`] bug guard.
+/// The rewrite + TTL stage on the view validation produced: the NAT
+/// rewrite, if any (address and port, incremental checksum fixup), then the
+/// TTL decrement (RFC 1624). A frame whose decrement would reach zero drops
+/// as [`DropReason::TtlExpired`] before anything is written, so a routing
+/// loop expires.
 #[inline(always)]
-fn egress(frame: &mut [u8], rewrite: Option<(NatRewrite, NatDir)>) -> Result<(), DropReason> {
-    let mut ip = EthernetViewMut::parse(frame)
-        .and_then(EthernetViewMut::ipv4_mut)
-        .map_err(|_| DropReason::Malformed)?;
+fn egress(
+    mut ip: Ipv4ViewMut<'_>,
+    rewrite: Option<(NatRewrite, NatDir)>,
+) -> Result<(), DropReason> {
     if ip.ttl() <= 1 {
         return Err(DropReason::TtlExpired);
     }
@@ -304,11 +307,11 @@ pub fn route_frame<const TRACE: bool, T: Copy>(
     mut stages: Stages<'_>,
     now_ns: u64,
 ) -> Result<T, DropReason> {
-    let verdict = stage!(
-        TRACE,
-        "net.frame.parse",
-        admit(frame, reborrow(&mut stages), now_ns)
-    )?;
+    let (ip, verdict) = stage!(TRACE, "net.frame.parse", {
+        let ip = validate_ipv4(frame)?;
+        let verdict = admit(ip.as_view(), reborrow(&mut stages), now_ns)?;
+        (ip, verdict)
+    });
     let hop = stage!(
         TRACE,
         "net.frame.route",
@@ -318,7 +321,7 @@ pub fn route_frame<const TRACE: bool, T: Copy>(
         }
     )
     .ok_or(DropReason::NoRoute)?;
-    egress(frame, verdict.rewrite)?;
+    egress(ip, verdict.rewrite)?;
     if let (Some((_, dir)), Some((_, Some(pool)))) = (verdict.rewrite, stages) {
         pool.note_rewrite(dir);
     }
@@ -419,9 +422,11 @@ fn mirror<T: Copy>(
     sysobs::obs_count!("net.parsed", stats.parsed);
     sysobs::obs_count!("net.forwarded", stats.forwarded);
     sysobs::obs_count!("net.batches", 1);
-    for (name, &n) in DROP_METRICS.iter().zip(stats.dropped.iter()) {
+    static DROP_CELLS: [sysobs::CounterCell; DROP_REASONS] =
+        [const { sysobs::CounterCell::new() }; DROP_REASONS];
+    for ((cell, name), &n) in DROP_CELLS.iter().zip(DROP_METRICS).zip(&stats.dropped) {
         if n > 0 {
-            sysobs::registry().counter(name).add(n);
+            cell.get(name).add(n);
         }
     }
     if let Some((c, (hits, misses))) = cache {
@@ -432,11 +437,10 @@ fn mirror<T: Copy>(
         sysobs::obs_count!("net.ct.batches", 1);
         ct.publish_gauges();
         if let Some(pool) = pool {
+            static HEALTHY: sysobs::GaugeCell = sysobs::GaugeCell::new();
             #[allow(clippy::cast_possible_wrap)]
             let healthy = pool.healthy() as i64;
-            sysobs::registry()
-                .gauge("net.lb.healthy_backends")
-                .set(healthy);
+            HEALTHY.get("net.lb.healthy_backends").set(healthy);
         }
     }
 }
@@ -491,8 +495,11 @@ fn tally<T: Copy>(
 mod tests {
     use super::*;
     use crate::conntrack::ConntrackConfig;
+    use crate::lb::{BackendConfig, LbConfig};
     use crate::lpm::TrieTable;
-    use sysrepr::packet::{PacketBuilder, TCP_ACK, TCP_SYN};
+    use proptest::prelude::*;
+    use sysrepr::endian::{internet_checksum, transport_checksum_v4};
+    use sysrepr::packet::{EthernetView, PacketBuilder, TCP_ACK, TCP_SYN};
 
     fn table() -> TrieTable<&'static str> {
         let mut t = TrieTable::new();
@@ -755,6 +762,141 @@ mod tests {
         );
         assert_eq!(bare, stats);
         ct.check_invariants().unwrap();
+    }
+
+    /// The transport checksum a frame should carry, recomputed from its
+    /// bytes, and the one it carries; `None` when it has no TCP/UDP segment
+    /// long enough to hold the field.
+    fn transport_checksums(frame: &[u8]) -> Option<(u16, u16)> {
+        let ip = EthernetView::parse(frame).ok()?.ipv4().ok()?;
+        let (off, udp) = match ip.protocol() {
+            IPPROTO_TCP => (16, false),
+            IPPROTO_UDP => (6, true),
+            _ => return None,
+        };
+        let mut seg = ip.payload().to_vec();
+        if seg.len() < off + 2 {
+            return None;
+        }
+        let stored = u16::from_be_bytes([seg[off], seg[off + 1]]);
+        seg[off..off + 2].fill(0);
+        let src = u32::from_be_bytes(ip.src());
+        let c = transport_checksum_v4(src, ip.dst_u32(), ip.protocol(), &seg);
+        Some((if udp && c == 0 { 0xFFFF } else { c }, stored))
+    }
+
+    /// Rewrites the checksums a mutation broke, where the mutated headers
+    /// still bound them: the IPv4 header's when `ip` is set, the
+    /// transport's always.
+    fn reseal(frame: &mut [u8], ip: bool) {
+        let hl = usize::from(frame.get(14).map_or(0, |b| b & 0x0F)) * 4;
+        if ip && hl >= 20 && frame.len() >= 14 + hl {
+            frame[24..26].fill(0);
+            let ck = internet_checksum(&frame[14..14 + hl]);
+            frame[24..26].copy_from_slice(&ck.to_be_bytes());
+        }
+        if let Some((want, _)) = transport_checksums(frame) {
+            let off = 14 + hl + if frame[23] == IPPROTO_TCP { 16 } else { 6 };
+            frame[off..off + 2].copy_from_slice(&want.to_be_bytes());
+        }
+    }
+
+    const VIP: [u8; 4] = [10, 200, 0, 1];
+
+    fn balancer() -> (Conntrack, BackendPool) {
+        let backend = |last, weight| BackendConfig {
+            ip: u32::from_be_bytes([10, 50, 0, last]),
+            port: 8080,
+            weight,
+        };
+        let pool = BackendPool::new(LbConfig {
+            vip: u32::from_be_bytes(VIP),
+            vport: 80,
+            backends: vec![backend(10, 1), backend(11, 2)],
+            ..LbConfig::default()
+        });
+        (Conntrack::new(ConntrackConfig::default()), pool)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// One parse serves admission and rewrite: whatever a mutation does
+        /// to a valid frame, each configuration leaves a dropped frame
+        /// byte-identical and a forwarded one with a valid IPv4 checksum,
+        /// its TTL decremented, and a transport checksum equal to the one
+        /// recomputed from its bytes.
+        #[test]
+        fn dropped_frames_stay_intact_and_forwarded_frames_stay_consistent(
+            mode in 0u8..3,
+            tcp: bool,
+            syn: bool,
+            to_vip: bool,
+            reply: bool,
+            ttl in 0u8..6,
+            payload in proptest::collection::vec(any::<u8>(), 0..40),
+            mutations in proptest::collection::vec((any::<u16>(), any::<u8>()), 0..4),
+            reseal_ip: bool,
+        ) {
+            let t = table();
+            let (mut ct, mut pool) = balancer();
+            let client = [10, 9, 0, 7];
+            let mut ends = (client, if to_vip { VIP } else { [10, 1, 2, 3] }, 40_000, 80);
+            if mode == 2 && reply {
+                // A reply needs the flow the client's SYN opened: send one
+                // and answer from the backend it was rewritten toward.
+                let builder = if tcp { PacketBuilder::tcp() } else { PacketBuilder::udp() };
+                let mut open = builder
+                    .src_ip(client)
+                    .dst_ip(VIP)
+                    .src_port(40_000)
+                    .dst_port(80)
+                    .tcp_flags(TCP_SYN)
+                    .build();
+                let opened = route_frame::<false, _>(&mut open, &t, None, Some((&mut ct, Some(&mut pool))), 0);
+                prop_assert!(opened.is_ok());
+                let ip = EthernetView::parse(&open).unwrap().ipv4().unwrap();
+                let dport = if tcp { ip.tcp().unwrap().dst_port() } else { ip.udp().unwrap().dst_port() };
+                ends = (ip.dst(), client, dport, 40_000);
+            }
+            let builder = if tcp { PacketBuilder::tcp() } else { PacketBuilder::udp() };
+            let mut frame = builder
+                .src_ip(ends.0)
+                .dst_ip(ends.1)
+                .src_port(ends.2)
+                .dst_port(ends.3)
+                .tcp_flags(match (syn, mode == 2 && reply) {
+                    (true, true) => TCP_SYN | TCP_ACK,
+                    (true, false) => TCP_SYN,
+                    (false, _) => TCP_ACK,
+                })
+                .ttl(ttl)
+                .payload(&payload)
+                .compute_transport_checksum()
+                .build();
+            for &(at, byte) in &mutations {
+                let at = usize::from(at) % frame.len();
+                frame[at] = byte;
+            }
+            reseal(&mut frame, reseal_ip);
+            let before = frame.clone();
+            let outcome = match mode {
+                0 => route_frame::<false, _>(&mut frame, &t, None, None, 1),
+                1 => route_frame::<false, _>(&mut frame, &t, None, Some((&mut ct, None)), 1),
+                _ => route_frame::<false, _>(&mut frame, &t, None, Some((&mut ct, Some(&mut pool))), 1),
+            };
+            if outcome.is_err() {
+                prop_assert_eq!(&frame, &before);
+                return Ok(());
+            }
+            let ip = EthernetView::parse(&frame).unwrap().ipv4().unwrap();
+            prop_assert!(ip.verify_checksum().is_ok());
+            let old_ttl = EthernetView::parse(&before).unwrap().ipv4().unwrap().ttl();
+            prop_assert_eq!(ip.ttl(), old_ttl - 1);
+            if let Some((want, stored)) = transport_checksums(&frame) {
+                prop_assert_eq!(stored, want);
+            }
+        }
     }
 
     #[test]

@@ -528,15 +528,21 @@ impl WorkerStats {
     }
 }
 
-/// FNV-1a over the IPv4 src/dst addresses (bytes 26..34 of a minimal
-/// Ethernet+IPv4 frame); shorter or odd frames hash whole. Same flow, same
-/// worker — without parsing (the worker does the real validation). The hash
-/// itself is the shared [`sysobs::fnv1a`] (one FNV implementation for flow
-/// hashing, fault digests, and trace digests), which preserves the exact
-/// sharding this router has always produced.
+/// The worker a frame belongs to: the high half of FNV-1a over the IPv4
+/// src/dst addresses (bytes 26..34 of a minimal Ethernet+IPv4 frame),
+/// modulo the worker count; shorter or odd frames hash whole. Same flow,
+/// same worker — without parsing (the worker does the real validation).
+///
+/// Each worker's [`FlowCache`] indexes its slots with the *low* bits of the
+/// same [`sysobs::fnv1a`] of the same eight bytes. Sharding on the low bits
+/// too would hand every worker only the flows whose slot index agrees with
+/// its shard number — a quarter of its cache at 4 workers — so the two
+/// read disjoint halves of the hash.
 #[must_use]
-fn flow_hash(frame: &[u8]) -> u64 {
-    sysobs::fnv1a(frame.get(26..34).unwrap_or(frame))
+#[allow(clippy::cast_possible_truncation)]
+fn shard_of(frame: &[u8], workers: usize) -> usize {
+    let h = sysobs::fnv1a(frame.get(26..34).unwrap_or(frame)) >> 32;
+    (h % workers as u64) as usize
 }
 
 /// Sizes one worker's conntrack slab from the router-wide config: flows
@@ -963,8 +969,7 @@ impl ShardedRouter {
                 return;
             }
         }
-        #[allow(clippy::cast_possible_truncation)]
-        let w = (flow_hash(frame) % self.senders.len() as u64) as usize;
+        let w = shard_of(frame, self.senders.len());
         let mut buf = self.take_frame_buf();
         buf.clear();
         buf.extend_from_slice(frame);
@@ -1472,6 +1477,40 @@ mod tests {
             .filter(|w| w.total_frames() > 0)
             .count();
         assert!(active > 1, "flow hashing must spread flows across workers");
+    }
+
+    #[test]
+    fn one_shard_spreads_over_its_whole_flow_cache() {
+        // 16 384 flows over 4 workers: one shard's ~4 096 flows should fill
+        // about as many of a 4 096-slot cache as a uniform hash would
+        // (1 − 1/e of them), not the quarter whose index bits equal the
+        // shard number.
+        const WORKERS: usize = 4;
+        let cache = FlowCache::<PortId>::new(4096);
+        let mut slots = std::collections::HashSet::new();
+        let mut flows = 0usize;
+        for i in 0..16_384u32 {
+            let (src, dst) = (
+                0x0A09_0000 | i,
+                0x0A01_0000 | (i.wrapping_mul(7919) & 0xFFFF),
+            );
+            let frame = PacketBuilder::udp()
+                .src_ip(src.to_be_bytes())
+                .dst_ip(dst.to_be_bytes())
+                .build();
+            if shard_of(&frame, WORKERS) == 0 {
+                flows += 1;
+                slots.insert(cache.slot_of(src, dst));
+            }
+        }
+        let m = cache.capacity() as f64;
+        let uniform = m * (1.0 - (1.0 - 1.0 / m).powf(flows as f64));
+        assert!(
+            slots.len() as f64 >= 0.9 * uniform,
+            "{} flows filled {} slots; a uniform hash fills {uniform:.0}",
+            flows,
+            slots.len()
+        );
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub use clock::now_ns;
 pub use context::{CtxGuard, TraceCtx};
 pub use hist::{LogHistogram, BUCKETS};
 pub use metrics::{
-    registry, AtomicHistogram, Counter, CounterCell, Gauge, HistCell, Registry, Snapshot,
+    registry, AtomicHistogram, Counter, CounterCell, Gauge, GaugeCell, HistCell, Registry, Snapshot,
 };
 pub use postmortem::{CausalTrace, Postmortem};
 pub use recorder::{

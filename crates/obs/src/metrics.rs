@@ -262,6 +262,30 @@ impl Default for CounterCell {
     }
 }
 
+/// Per-site cache of a gauge handle, like [`CounterCell`]: the name lookup
+/// (registry mutex + map) happens once, every later update is one relaxed
+/// atomic operation.
+pub struct GaugeCell(OnceLock<&'static Gauge>);
+
+impl GaugeCell {
+    /// An empty cell, for `static` position.
+    #[must_use]
+    pub const fn new() -> Self {
+        GaugeCell(OnceLock::new())
+    }
+
+    /// The cached handle, registering `name` on first use.
+    pub fn get(&self, name: &'static str) -> &'static Gauge {
+        self.0.get_or_init(|| registry().gauge(name))
+    }
+}
+
+impl Default for GaugeCell {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 /// Per-macro-site cache of a histogram handle.
 pub struct HistCell(OnceLock<&'static AtomicHistogram>);
 

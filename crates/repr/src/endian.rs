@@ -2,7 +2,10 @@
 //!
 //! C leaves byte order to convention (`ntohs` sprinkled by hand); a systems
 //! language should make the order part of the access. These helpers are the
-//! primitive layer used by [`crate::packet`] and [`crate::layout`].
+//! primitive layer used by [`crate::packet`] and [`crate::layout`], and,
+//! like the packet views, `#[inline]` so they compile into their callers
+//! across the crate boundary.
+#![warn(clippy::missing_inline_in_public_items)]
 
 use crate::ReprError;
 
@@ -13,6 +16,7 @@ macro_rules! read_write {
         /// # Errors
         ///
         /// Returns [`ReprError::Truncated`] if the buffer is too short.
+        #[inline]
         pub fn $read_be(buf: &[u8], off: usize) -> Result<$t, ReprError> {
             let n = std::mem::size_of::<$t>();
             let end = off.checked_add(n).ok_or(ReprError::Truncated {
@@ -33,6 +37,7 @@ macro_rules! read_write {
         /// # Errors
         ///
         /// Returns [`ReprError::Truncated`] if the buffer is too short.
+        #[inline]
         pub fn $write_be(buf: &mut [u8], off: usize, v: $t) -> Result<(), ReprError> {
             let n = std::mem::size_of::<$t>();
             let end = off.checked_add(n).ok_or(ReprError::Truncated {
@@ -53,6 +58,7 @@ macro_rules! read_write {
         /// # Errors
         ///
         /// Returns [`ReprError::Truncated`] if the buffer is too short.
+        #[inline]
         pub fn $read_le(buf: &[u8], off: usize) -> Result<$t, ReprError> {
             let n = std::mem::size_of::<$t>();
             let end = off.checked_add(n).ok_or(ReprError::Truncated {
@@ -73,6 +79,7 @@ macro_rules! read_write {
         /// # Errors
         ///
         /// Returns [`ReprError::Truncated`] if the buffer is too short.
+        #[inline]
         pub fn $write_le(buf: &mut [u8], off: usize, v: $t) -> Result<(), ReprError> {
             let n = std::mem::size_of::<$t>();
             let end = off.checked_add(n).ok_or(ReprError::Truncated {
@@ -97,6 +104,7 @@ read_write!(read_u64_be, write_u64_be, read_u64_le, write_u64_le, u64);
 /// Computes the Internet checksum (RFC 1071) over `data`.
 ///
 /// Used by IPv4 headers and UDP/TCP pseudo-header checksums.
+#[inline]
 #[must_use]
 pub fn internet_checksum(data: &[u8]) -> u16 {
     let mut sum: u32 = 0;
@@ -120,6 +128,7 @@ pub fn internet_checksum(data: &[u8]) -> u16 {
 /// `check` is the checksum as stored in the header (already complemented).
 /// The returned value is likewise ready to store. Folding is done in a
 /// `u32` accumulator so a chain of fixups never loses carries.
+#[inline]
 #[must_use]
 pub fn checksum_fixup16(check: u16, old: u16, new: u16) -> u16 {
     let mut sum = u32::from(!check) + u32::from(!old) + u32::from(new);
@@ -132,6 +141,7 @@ pub fn checksum_fixup16(check: u16, old: u16, new: u16) -> u16 {
 /// Incrementally updates an Internet checksum after a 32-bit field (e.g. an
 /// IPv4 address) changed from `old` to `new`, by applying
 /// [`checksum_fixup16`] to each 16-bit half.
+#[inline]
 #[must_use]
 pub fn checksum_fixup32(check: u16, old: u32, new: u32) -> u16 {
     let check = checksum_fixup16(check, (old >> 16) as u16, (new >> 16) as u16);
@@ -145,6 +155,10 @@ pub fn checksum_fixup32(check: u16, old: u32, new: u32) -> u16 {
 ///
 /// Used by tests and builders as the from-scratch reference the incremental
 /// fixups are checked against.
+#[allow(
+    clippy::missing_inline_in_public_items,
+    reason = "allocating from-scratch reference, off the per-packet path"
+)]
 #[must_use]
 pub fn transport_checksum_v4(src: u32, dst: u32, proto: u8, segment: &[u8]) -> u16 {
     let mut pseudo = Vec::with_capacity(12 + segment.len());

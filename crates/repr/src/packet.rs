@@ -5,6 +5,13 @@
 //! This is the style of code the paper says systems programmers cannot give
 //! up (Challenge 3); [`crate::boxed`] implements the same protocols in the
 //! allocating "managed" style for experiment E8's comparison.
+//!
+//! Every function a frame passes through is `#[inline]`: consumers in
+//! other crates (the `sysnet` pipeline, the benchmark) compile the views
+//! into their own loops rather than calling out to this crate and taking
+//! each `Result` back through memory, and no crate has to build with LTO
+//! for that. The lint below keeps a new public accessor from missing it.
+#![warn(clippy::missing_inline_in_public_items)]
 
 use crate::endian::{
     checksum_fixup16, checksum_fixup32, internet_checksum, read_u16_be, read_u32_be,
@@ -45,6 +52,7 @@ impl<'a> EthernetView<'a> {
     /// # Errors
     ///
     /// Returns [`ReprError::Truncated`] for frames under 14 bytes.
+    #[inline]
     pub fn parse(buf: &'a [u8]) -> Result<Self, ReprError> {
         if buf.len() < ETH_HEADER {
             return Err(ReprError::Truncated {
@@ -57,24 +65,28 @@ impl<'a> EthernetView<'a> {
 
     /// Destination MAC address.
     #[must_use]
+    #[inline]
     pub fn dst_mac(&self) -> [u8; 6] {
         self.buf[0..6].try_into().expect("validated length")
     }
 
     /// Source MAC address.
     #[must_use]
+    #[inline]
     pub fn src_mac(&self) -> [u8; 6] {
         self.buf[6..12].try_into().expect("validated length")
     }
 
     /// EtherType field.
     #[must_use]
+    #[inline]
     pub fn ethertype(&self) -> u16 {
         read_u16_be(self.buf, 12).expect("validated length")
     }
 
     /// Frame payload after the Ethernet header.
     #[must_use]
+    #[inline]
     pub fn payload(&self) -> &'a [u8] {
         &self.buf[ETH_HEADER..]
     }
@@ -85,6 +97,7 @@ impl<'a> EthernetView<'a> {
     ///
     /// Returns [`ReprError::InvalidField`] if the EtherType is not IPv4, or
     /// any IPv4 validation error.
+    #[inline]
     pub fn ipv4(&self) -> Result<Ipv4View<'a>, ReprError> {
         if self.ethertype() != ETHERTYPE_IPV4 {
             return Err(ReprError::InvalidField {
@@ -112,6 +125,7 @@ impl<'a> Ipv4View<'a> {
     /// Returns [`ReprError::Truncated`] or [`ReprError::InvalidField`] on
     /// malformed headers — total parsing, LangSec style: no field is exposed
     /// until the whole header is known to be in bounds.
+    #[inline]
     pub fn parse(buf: &'a [u8]) -> Result<Self, ReprError> {
         if buf.len() < IPV4_MIN_HEADER {
             return Err(ReprError::Truncated {
@@ -181,6 +195,10 @@ impl<'a> Ipv4View<'a> {
     /// [`ReprError::InvalidField`] for a bad version or IHL < 5 — the
     /// length-vs-buffer checks [`Self::parse`] performs are deliberately
     /// missing.
+    #[allow(
+        clippy::missing_inline_in_public_items,
+        reason = "the seeded-bug parser is fuzzer-only, never on the data path"
+    )]
     pub fn parse_trusting_lengths(buf: &'a [u8]) -> Result<Self, ReprError> {
         if buf.len() < IPV4_MIN_HEADER {
             return Err(ReprError::Truncated {
@@ -212,90 +230,105 @@ impl<'a> Ipv4View<'a> {
 
     /// Header length in bytes.
     #[must_use]
+    #[inline]
     pub fn header_len(&self) -> usize {
         self.header_len
     }
 
     /// Total packet length in bytes (header + payload).
     #[must_use]
+    #[inline]
     pub fn total_len(&self) -> usize {
         self.total_len
     }
 
     /// Differentiated services code point.
     #[must_use]
+    #[inline]
     pub fn dscp(&self) -> u8 {
         self.buf[1] >> 2
     }
 
     /// Identification field.
     #[must_use]
+    #[inline]
     pub fn identification(&self) -> u16 {
         read_u16_be(self.buf, 4).expect("validated length")
     }
 
     /// Don't-fragment flag.
     #[must_use]
+    #[inline]
     pub fn dont_fragment(&self) -> bool {
         self.buf[6] & 0x40 != 0
     }
 
     /// More-fragments flag.
     #[must_use]
+    #[inline]
     pub fn more_fragments(&self) -> bool {
         self.buf[6] & 0x20 != 0
     }
 
     /// Fragment offset in 8-byte units.
     #[must_use]
+    #[inline]
     pub fn fragment_offset(&self) -> u16 {
         read_u16_be(self.buf, 6).expect("validated length") & 0x1FFF
     }
 
     /// Time to live.
     #[must_use]
+    #[inline]
     pub fn ttl(&self) -> u8 {
         self.buf[8]
     }
 
     /// Protocol number of the payload.
     #[must_use]
+    #[inline]
     pub fn protocol(&self) -> u8 {
         self.buf[9]
     }
 
     /// Header checksum field.
     #[must_use]
+    #[inline]
     pub fn checksum(&self) -> u16 {
         read_u16_be(self.buf, 10).expect("validated length")
     }
 
     /// Source address.
     #[must_use]
+    #[inline]
     pub fn src(&self) -> [u8; 4] {
         self.buf[12..16].try_into().expect("validated length")
     }
 
     /// Destination address.
     #[must_use]
+    #[inline]
     pub fn dst(&self) -> [u8; 4] {
         self.buf[16..20].try_into().expect("validated length")
     }
 
     /// Destination address as a `u32` (for routing-table lookups).
     #[must_use]
+    #[inline]
     pub fn dst_u32(&self) -> u32 {
         read_u32_be(self.buf, 16).expect("validated length")
     }
 
     /// Options bytes (empty when IHL = 5).
     #[must_use]
+    #[inline]
     pub fn options(&self) -> &'a [u8] {
         &self.buf[IPV4_MIN_HEADER..self.header_len]
     }
 
     /// Payload after the header, bounded by `total_len`.
     #[must_use]
+    #[inline]
     pub fn payload(&self) -> &'a [u8] {
         &self.buf[self.header_len..self.total_len]
     }
@@ -305,6 +338,7 @@ impl<'a> Ipv4View<'a> {
     /// # Errors
     ///
     /// Returns [`ReprError::BadChecksum`] on mismatch.
+    #[inline]
     pub fn verify_checksum(&self) -> Result<(), ReprError> {
         let computed = internet_checksum(&self.buf[..self.header_len]);
         if computed == 0 {
@@ -323,6 +357,7 @@ impl<'a> Ipv4View<'a> {
     ///
     /// Returns [`ReprError::InvalidField`] if the protocol is not UDP, or a
     /// UDP validation error.
+    #[inline]
     pub fn udp(&self) -> Result<UdpView<'a>, ReprError> {
         if self.protocol() != IPPROTO_UDP {
             return Err(ReprError::InvalidField {
@@ -339,6 +374,7 @@ impl<'a> Ipv4View<'a> {
     ///
     /// Returns [`ReprError::InvalidField`] if the protocol is not TCP, or a
     /// TCP validation error.
+    #[inline]
     pub fn tcp(&self) -> Result<TcpView<'a>, ReprError> {
         if self.protocol() != IPPROTO_TCP {
             return Err(ReprError::InvalidField {
@@ -363,6 +399,7 @@ impl<'a> UdpView<'a> {
     /// # Errors
     ///
     /// Returns [`ReprError::Truncated`] or [`ReprError::InvalidField`].
+    #[inline]
     pub fn parse(buf: &'a [u8]) -> Result<Self, ReprError> {
         if buf.len() < UDP_HEADER {
             return Err(ReprError::Truncated {
@@ -388,30 +425,35 @@ impl<'a> UdpView<'a> {
 
     /// Source port.
     #[must_use]
+    #[inline]
     pub fn src_port(&self) -> u16 {
         read_u16_be(self.buf, 0).expect("validated length")
     }
 
     /// Destination port.
     #[must_use]
+    #[inline]
     pub fn dst_port(&self) -> u16 {
         read_u16_be(self.buf, 2).expect("validated length")
     }
 
     /// Datagram length (header + payload).
     #[must_use]
+    #[inline]
     pub fn length(&self) -> usize {
         self.length
     }
 
     /// UDP checksum field (0 means "not computed").
     #[must_use]
+    #[inline]
     pub fn checksum(&self) -> u16 {
         read_u16_be(self.buf, 6).expect("validated length")
     }
 
     /// Payload bytes.
     #[must_use]
+    #[inline]
     pub fn payload(&self) -> &'a [u8] {
         &self.buf[UDP_HEADER..self.length]
     }
@@ -430,6 +472,7 @@ impl<'a> TcpView<'a> {
     /// # Errors
     ///
     /// Returns [`ReprError::Truncated`] or [`ReprError::InvalidField`].
+    #[inline]
     pub fn parse(buf: &'a [u8]) -> Result<Self, ReprError> {
         if buf.len() < TCP_MIN_HEADER {
             return Err(ReprError::Truncated {
@@ -455,60 +498,70 @@ impl<'a> TcpView<'a> {
 
     /// Source port.
     #[must_use]
+    #[inline]
     pub fn src_port(&self) -> u16 {
         read_u16_be(self.buf, 0).expect("validated length")
     }
 
     /// Destination port.
     #[must_use]
+    #[inline]
     pub fn dst_port(&self) -> u16 {
         read_u16_be(self.buf, 2).expect("validated length")
     }
 
     /// Sequence number.
     #[must_use]
+    #[inline]
     pub fn seq(&self) -> u32 {
         read_u32_be(self.buf, 4).expect("validated length")
     }
 
     /// Acknowledgment number.
     #[must_use]
+    #[inline]
     pub fn ack(&self) -> u32 {
         read_u32_be(self.buf, 8).expect("validated length")
     }
 
     /// True if the SYN flag is set.
     #[must_use]
+    #[inline]
     pub fn syn(&self) -> bool {
         self.buf[13] & 0x02 != 0
     }
 
     /// True if the ACK flag is set.
     #[must_use]
+    #[inline]
     pub fn ack_flag(&self) -> bool {
         self.buf[13] & 0x10 != 0
     }
 
     /// True if the FIN flag is set.
     #[must_use]
+    #[inline]
     pub fn fin(&self) -> bool {
         self.buf[13] & 0x01 != 0
     }
 
     /// True if the RST flag is set.
     #[must_use]
+    #[inline]
     pub fn rst(&self) -> bool {
         self.buf[13] & 0x04 != 0
     }
 
     /// Receive window.
     #[must_use]
+    #[inline]
     pub fn window(&self) -> u16 {
         read_u16_be(self.buf, 14).expect("validated length")
     }
 
     /// Payload after the header (and options).
     #[must_use]
+    #[inline]
     pub fn payload(&self) -> &'a [u8] {
         &self.buf[self.data_offset..]
     }
@@ -530,6 +583,7 @@ impl<'a> EthernetViewMut<'a> {
     /// # Errors
     ///
     /// Returns [`ReprError::Truncated`] for frames under 14 bytes.
+    #[inline]
     pub fn parse(buf: &'a mut [u8]) -> Result<Self, ReprError> {
         EthernetView::parse(&*buf)?;
         Ok(EthernetViewMut { buf })
@@ -542,6 +596,7 @@ impl<'a> EthernetViewMut<'a> {
     ///
     /// Returns [`ReprError::InvalidField`] if the EtherType is not IPv4, or
     /// any IPv4 validation error.
+    #[inline]
     pub fn ipv4_mut(self) -> Result<Ipv4ViewMut<'a>, ReprError> {
         let ethertype = read_u16_be(self.buf, 12).expect("validated length");
         if ethertype != ETHERTYPE_IPV4 {
@@ -573,6 +628,7 @@ impl<'a> Ipv4ViewMut<'a> {
     ///
     /// Returns [`ReprError::Truncated`] or [`ReprError::InvalidField`] on
     /// malformed headers.
+    #[inline]
     pub fn parse(buf: &'a mut [u8]) -> Result<Self, ReprError> {
         let (header_len, total_len) = {
             let v = Ipv4View::parse(&*buf)?;
@@ -587,6 +643,7 @@ impl<'a> Ipv4ViewMut<'a> {
 
     /// Read-only view over the same bytes (for field access mid-edit).
     #[must_use]
+    #[inline]
     pub fn as_view(&self) -> Ipv4View<'_> {
         Ipv4View {
             buf: &*self.buf,
@@ -597,12 +654,14 @@ impl<'a> Ipv4ViewMut<'a> {
 
     /// Time to live.
     #[must_use]
+    #[inline]
     pub fn ttl(&self) -> u8 {
         self.buf[8]
     }
 
     /// Protocol number of the payload.
     #[must_use]
+    #[inline]
     pub fn protocol(&self) -> u8 {
         self.buf[9]
     }
@@ -616,6 +675,7 @@ impl<'a> Ipv4ViewMut<'a> {
     ///
     /// Returns [`ReprError::InvalidField`] if the TTL is already 0 — the
     /// packet should have been dropped, never decremented past expiry.
+    #[inline]
     pub fn decrement_ttl(&mut self) -> Result<u8, ReprError> {
         let ttl = self.buf[8];
         if ttl == 0 {
@@ -636,15 +696,18 @@ impl<'a> Ipv4ViewMut<'a> {
     /// Rewrites the source address, fixing both the IPv4 header checksum and
     /// the transport pseudo-header checksum (TCP always; UDP unless its
     /// checksum is 0, i.e. "not computed").
+    #[inline]
     pub fn set_src(&mut self, ip: [u8; 4]) {
         self.set_addr(12, ip);
     }
 
     /// Rewrites the destination address; checksum handling as [`Self::set_src`].
+    #[inline]
     pub fn set_dst(&mut self, ip: [u8; 4]) {
         self.set_addr(16, ip);
     }
 
+    #[inline]
     fn set_addr(&mut self, offset: usize, ip: [u8; 4]) {
         let old = read_u32_be(self.buf, offset).expect("validated length");
         let new = u32::from_be_bytes(ip);
@@ -661,6 +724,7 @@ impl<'a> Ipv4ViewMut<'a> {
     /// transport checksum. UDP zero-checksum datagrams are skipped, and a
     /// computed UDP checksum that folds to zero is stored as `0xFFFF` —
     /// `0x0000` on the wire would claim "no checksum".
+    #[inline]
     fn fixup_transport_for_addr(&mut self, old: u32, new: u32) {
         let (offset, is_udp) = match self.buf[9] {
             IPPROTO_TCP => (self.header_len + 16, false),
@@ -695,6 +759,7 @@ impl<'a> Ipv4ViewMut<'a> {
     /// Returns [`ReprError::InvalidField`] if the protocol is neither TCP
     /// nor UDP, or [`ReprError::Truncated`] if the port and checksum words
     /// fall outside `total_len`.
+    #[inline]
     pub fn dnat(&mut self, ip: [u8; 4], port: u16) -> Result<(), ReprError> {
         self.nat_rewrite(16, 2, ip, port)
     }
@@ -705,10 +770,12 @@ impl<'a> Ipv4ViewMut<'a> {
     /// # Errors
     ///
     /// As [`Self::dnat`].
+    #[inline]
     pub fn snat(&mut self, ip: [u8; 4], port: u16) -> Result<(), ReprError> {
         self.nat_rewrite(12, 0, ip, port)
     }
 
+    #[inline]
     fn nat_rewrite(
         &mut self,
         addr_off: usize,
@@ -761,6 +828,7 @@ impl<'a> Ipv4ViewMut<'a> {
     ///
     /// Returns [`ReprError::InvalidField`] if the protocol is not UDP, or a
     /// UDP validation error.
+    #[inline]
     pub fn udp_mut(&mut self) -> Result<UdpViewMut<'_>, ReprError> {
         if self.buf[9] != IPPROTO_UDP {
             return Err(ReprError::InvalidField {
@@ -777,6 +845,7 @@ impl<'a> Ipv4ViewMut<'a> {
     ///
     /// Returns [`ReprError::InvalidField`] if the protocol is not TCP, or a
     /// TCP validation error.
+    #[inline]
     pub fn tcp_mut(&mut self) -> Result<TcpViewMut<'_>, ReprError> {
         if self.buf[9] != IPPROTO_TCP {
             return Err(ReprError::InvalidField {
@@ -805,6 +874,7 @@ impl<'a> UdpViewMut<'a> {
     /// # Errors
     ///
     /// Returns [`ReprError::Truncated`] or [`ReprError::InvalidField`].
+    #[inline]
     pub fn parse(buf: &'a mut [u8]) -> Result<Self, ReprError> {
         UdpView::parse(&*buf)?;
         Ok(UdpViewMut { buf })
@@ -812,32 +882,38 @@ impl<'a> UdpViewMut<'a> {
 
     /// Source port.
     #[must_use]
+    #[inline]
     pub fn src_port(&self) -> u16 {
         read_u16_be(self.buf, 0).expect("validated length")
     }
 
     /// Destination port.
     #[must_use]
+    #[inline]
     pub fn dst_port(&self) -> u16 {
         read_u16_be(self.buf, 2).expect("validated length")
     }
 
     /// UDP checksum field (0 means "not computed").
     #[must_use]
+    #[inline]
     pub fn checksum(&self) -> u16 {
         read_u16_be(self.buf, 6).expect("validated length")
     }
 
     /// Rewrites the source port with incremental checksum fixup.
+    #[inline]
     pub fn set_src_port(&mut self, port: u16) {
         self.set_port(0, port);
     }
 
     /// Rewrites the destination port with incremental checksum fixup.
+    #[inline]
     pub fn set_dst_port(&mut self, port: u16) {
         self.set_port(2, port);
     }
 
+    #[inline]
     fn set_port(&mut self, offset: usize, port: u16) {
         let old = read_u16_be(self.buf, offset).expect("validated length");
         if old == port {
@@ -869,6 +945,7 @@ impl<'a> TcpViewMut<'a> {
     /// # Errors
     ///
     /// Returns [`ReprError::Truncated`] or [`ReprError::InvalidField`].
+    #[inline]
     pub fn parse(buf: &'a mut [u8]) -> Result<Self, ReprError> {
         TcpView::parse(&*buf)?;
         Ok(TcpViewMut { buf })
@@ -876,32 +953,38 @@ impl<'a> TcpViewMut<'a> {
 
     /// Source port.
     #[must_use]
+    #[inline]
     pub fn src_port(&self) -> u16 {
         read_u16_be(self.buf, 0).expect("validated length")
     }
 
     /// Destination port.
     #[must_use]
+    #[inline]
     pub fn dst_port(&self) -> u16 {
         read_u16_be(self.buf, 2).expect("validated length")
     }
 
     /// TCP checksum field.
     #[must_use]
+    #[inline]
     pub fn checksum(&self) -> u16 {
         read_u16_be(self.buf, 16).expect("validated length")
     }
 
     /// Rewrites the source port with incremental checksum fixup.
+    #[inline]
     pub fn set_src_port(&mut self, port: u16) {
         self.set_port(0, port);
     }
 
     /// Rewrites the destination port with incremental checksum fixup.
+    #[inline]
     pub fn set_dst_port(&mut self, port: u16) {
         self.set_port(2, port);
     }
 
+    #[inline]
     fn set_port(&mut self, offset: usize, port: u16) {
         let old = read_u16_be(self.buf, offset).expect("validated length");
         if old == port {
@@ -933,6 +1016,10 @@ pub struct PacketBuilder {
     transport_checksum: bool,
 }
 
+#[allow(
+    clippy::missing_inline_in_public_items,
+    reason = "test and generator setup, not the per-packet path"
+)]
 impl PacketBuilder {
     /// Starts a UDP packet with loopback-ish defaults.
     #[must_use]
