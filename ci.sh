@@ -134,9 +134,9 @@ cargo run --release --example experiments -- e16
 # Route-churn smoke: the epoch-reclamation models (safe domain exhaustive
 # at preemption bound 2; the seeded premature free found and shrunk), the
 # COW publication-visibility models, the epoch unit tests, and E15 at
-# quick scale — churn A/B both route modes plus the model rows. The
-# recorded BENCH_router.json is only rewritten by a full router_bench run,
-# never here.
+# quick scale — the churn sweep through the cow-epoch table plus the
+# model rows. The recorded BENCH_router.json is only rewritten by a full
+# router_bench run, never here.
 cargo test -q -p sysmem --test epoch_model
 cargo test -q -p sysmem --lib epoch
 cargo test -q -p sysnet --test cowtrie_model

@@ -1233,7 +1233,7 @@ impl Kernel {
     /// Worst collection pause observed in the kernel heap, in nanoseconds.
     #[must_use]
     pub fn heap_max_pause_ns(&self) -> u64 {
-        self.mem.stats().gc_pauses.max_ns()
+        self.mem.stats().gc_pauses.max()
     }
 
     /// Number of collections the kernel heap has run.

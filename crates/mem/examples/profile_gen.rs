@@ -53,7 +53,7 @@ fn main() {
             "semispace: {:?} rate={:.0}/s maxpause={}us",
             t.elapsed(),
             r.throughput(),
-            r.op_pauses.max_ns() / 1000
+            r.op_pauses.max() / 1000
         );
     }
     let t = std::time::Instant::now();
@@ -63,7 +63,7 @@ fn main() {
         "generational: {:?} rate={:.0}/s maxpause={}us gcs={}",
         t.elapsed(),
         r.throughput(),
-        r.op_pauses.max_ns() / 1000,
+        r.op_pauses.max() / 1000,
         r.collections
     );
 }

@@ -41,8 +41,8 @@
 //! so it decides liveness by region and never releases a slot.
 //!
 //! [`workload`] generates allocation traces with controlled size and lifetime
-//! distributions, and [`stats::PauseHistogram`] records per-operation pause
-//! times so experiments E1/E6 can report tail latencies.
+//! distributions, and records per-operation pause times in a
+//! [`sysobs::LogHistogram`] so experiments E1/E6 can report tail latencies.
 //!
 //! ```
 //! use sysmem::{Manager, ManagerExt, arena::RegionHeap};

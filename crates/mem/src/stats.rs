@@ -1,96 +1,13 @@
-//! Accounting and pause-time statistics shared by all managers.
+//! Allocation and collection accounting shared by all managers.
 //!
-//! The pause histogram is now a thin wrapper over [`sysobs::LogHistogram`] —
-//! the same log-bucketed structure the router's latency distribution and the
-//! metrics registry use — so GC pauses, packet latencies, and registry
-//! histograms all merge, compare, and print through one implementation. The
-//! `*_ns`-suffixed API is kept so collector code and existing callers read
-//! unchanged.
+//! Collection pauses go into a [`sysobs::LogHistogram`], the same
+//! log-bucketed structure the router's latency distribution and the metrics
+//! registry use, so GC pauses, packet latencies and registry histograms all
+//! merge, compare and print through one implementation.
 
 use std::fmt;
 use std::time::Duration;
 use sysobs::LogHistogram;
-
-/// A fixed-bucket log-scale histogram of pause times in nanoseconds.
-///
-/// Buckets are powers of two from 1 ns up to ~17 s, which is plenty for
-/// allocation and collection pauses. Recording is O(1) and allocation-free so
-/// it can run inside the measured region.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PauseHistogram {
-    inner: LogHistogram,
-}
-
-impl PauseHistogram {
-    /// Creates an empty histogram.
-    #[must_use]
-    pub fn new() -> Self {
-        PauseHistogram {
-            inner: LogHistogram::new(),
-        }
-    }
-
-    /// Records one pause.
-    pub fn record(&mut self, d: Duration) {
-        self.inner.record_duration(d);
-    }
-
-    /// Records one pause expressed in nanoseconds.
-    pub fn record_ns(&mut self, ns: u64) {
-        self.inner.record(ns);
-    }
-
-    /// Number of recorded pauses.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.inner.count()
-    }
-
-    /// Largest recorded pause in nanoseconds.
-    #[must_use]
-    pub fn max_ns(&self) -> u64 {
-        self.inner.max()
-    }
-
-    /// Mean pause in nanoseconds (0 if empty).
-    #[must_use]
-    pub fn mean_ns(&self) -> u64 {
-        self.inner.mean()
-    }
-
-    /// Approximate percentile (0.0–1.0) in nanoseconds, resolved to the upper
-    /// edge of the containing power-of-two bucket and clamped to the observed
-    /// maximum.
-    #[must_use]
-    pub fn percentile_ns(&self, p: f64) -> u64 {
-        self.inner.percentile(p)
-    }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &PauseHistogram) {
-        self.inner.merge(&other.inner);
-    }
-
-    /// The underlying shared histogram (for metrics snapshots).
-    #[must_use]
-    pub fn as_log(&self) -> &LogHistogram {
-        &self.inner
-    }
-}
-
-impl fmt::Display for PauseHistogram {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} mean={}ns p50={}ns p99={}ns max={}ns",
-            self.count(),
-            self.mean_ns(),
-            self.percentile_ns(0.50),
-            self.percentile_ns(0.99),
-            self.max_ns()
-        )
-    }
-}
 
 /// Allocation and collection accounting for one manager instance.
 #[derive(Debug, Clone, Default)]
@@ -109,8 +26,8 @@ pub struct MemStats {
     pub bytes_copied: u64,
     /// Write-barrier triggers (generational).
     pub barrier_hits: u64,
-    /// Pause histogram for collection pauses only.
-    pub gc_pauses: PauseHistogram,
+    /// Collection pauses only, in nanoseconds.
+    pub gc_pauses: LogHistogram,
 }
 
 impl MemStats {
@@ -125,7 +42,7 @@ impl MemStats {
     /// registry histogram so every manager's pauses aggregate in one place.
     pub fn record_gc_pause(&mut self, elapsed: Duration) {
         let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        self.gc_pauses.record_ns(ns);
+        self.gc_pauses.record(ns);
         sysobs::obs_hist!("mem.gc_pause_ns", ns);
         sysobs::obs_count!("mem.collections", 1);
     }
@@ -146,10 +63,7 @@ impl MemStats {
         );
         snap.set_counter(format!("{prefix}.bytes_copied"), self.bytes_copied);
         snap.set_counter(format!("{prefix}.barrier_hits"), self.barrier_hits);
-        snap.set_hist(
-            format!("{prefix}.gc_pause_ns"),
-            self.gc_pauses.as_log().clone(),
-        );
+        snap.set_hist(format!("{prefix}.gc_pause_ns"), self.gc_pauses.clone());
         snap
     }
 }
@@ -174,106 +88,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn empty_histogram_reports_zeros() {
-        let h = PauseHistogram::new();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.mean_ns(), 0);
-        assert_eq!(h.percentile_ns(0.99), 0);
-        assert_eq!(h.percentile_ns(0.0), 0);
-        assert_eq!(h.percentile_ns(1.0), 0);
-        assert_eq!(h.max_ns(), 0);
-    }
-
-    #[test]
-    fn single_sample_dominates_all_percentiles() {
-        let mut h = PauseHistogram::new();
-        h.record_ns(1000);
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.mean_ns(), 1000);
-        // Every percentile of a one-sample distribution is that sample.
-        assert_eq!(h.percentile_ns(0.0), 1000);
-        assert_eq!(h.percentile_ns(0.5), 1000);
-        assert_eq!(h.percentile_ns(1.0), 1000);
-        assert_eq!(h.max_ns(), 1000);
-    }
-
-    #[test]
-    fn percentiles_are_monotone() {
-        let mut h = PauseHistogram::new();
-        for i in 1..=1000u64 {
-            h.record_ns(i * 17);
-        }
-        let p50 = h.percentile_ns(0.50);
-        let p90 = h.percentile_ns(0.90);
-        let p99 = h.percentile_ns(0.99);
-        assert!(p50 <= p90, "p50 {p50} > p90 {p90}");
-        assert!(p90 <= p99, "p90 {p90} > p99 {p99}");
-        assert!(p99 <= h.max_ns().next_power_of_two());
-    }
-
-    #[test]
-    fn merge_adds_counts_and_keeps_max() {
-        let mut a = PauseHistogram::new();
-        let mut b = PauseHistogram::new();
-        a.record_ns(10);
-        b.record_ns(1_000_000);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.max_ns(), 1_000_000);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity_both_ways() {
-        let mut a = PauseHistogram::new();
-        a.record_ns(500);
-        let before = a.clone();
-        a.merge(&PauseHistogram::new());
-        assert_eq!(a, before, "merging an empty histogram changes nothing");
-        let mut empty = PauseHistogram::new();
-        empty.merge(&before);
-        assert_eq!(empty, before, "merging into empty copies the source");
-    }
-
-    #[test]
-    fn zero_pause_is_recorded() {
-        let mut h = PauseHistogram::new();
-        h.record_ns(0);
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.max_ns(), 0);
-        // Non-empty data clamps percentiles to max(observed max, 1), so an
-        // all-zero distribution answers at most 1 ns.
-        assert!(h.percentile_ns(0.5) <= 1, "p50 of all-zero pauses is ~0");
-        assert_eq!(h.mean_ns(), 0);
-    }
-
-    #[test]
-    fn saturating_pause_lands_at_u64_max_without_wrapping() {
-        let mut h = PauseHistogram::new();
-        h.record(Duration::from_secs(u64::MAX / 1_000_000_000 + 1)); // > u64::MAX ns, saturates
-        h.record_ns(u64::MAX);
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.max_ns(), u64::MAX);
-        // total_ns saturates rather than wrapping, so the mean stays huge
-        // instead of collapsing toward zero.
-        assert!(h.mean_ns() >= u64::MAX / 2);
-        assert_eq!(h.percentile_ns(0.99), u64::MAX);
-    }
-
-    #[test]
-    fn display_contains_key_fields() {
-        let mut h = PauseHistogram::new();
-        h.record(Duration::from_nanos(64));
-        let s = h.to_string();
-        assert!(s.contains("n=1"));
-        assert!(s.contains("max=64ns"));
-    }
-
-    #[test]
     fn mem_stats_snapshot_carries_counters_and_pauses() {
         let mut stats = MemStats::new();
         stats.allocs = 7;
         stats.collections = 2;
-        stats.gc_pauses.record_ns(4096);
+        stats.gc_pauses.record(4096);
         let snap = stats.to_snapshot("mem.test");
         assert_eq!(snap.counter("mem.test.allocs"), 7);
         assert_eq!(snap.counter("mem.test.collections"), 2);

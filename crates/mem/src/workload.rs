@@ -6,13 +6,13 @@
 //! caught *inside* the benchmark — performance numbers from a corrupting
 //! manager are meaningless.
 
-use crate::stats::PauseHistogram;
 use crate::{Handle, Manager, ManagerExt, MemError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::Instant;
+use sysobs::LogHistogram;
 
 /// Object-lifetime distribution for a workload.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -89,7 +89,7 @@ pub struct WorkloadReport {
     /// Total wall time in nanoseconds.
     pub elapsed_ns: u64,
     /// Per-operation latency histogram (alloc + any embedded GC pause).
-    pub op_pauses: PauseHistogram,
+    pub op_pauses: LogHistogram,
     /// Successful allocations.
     pub allocs: u64,
     /// Allocations that failed with out-of-memory.
@@ -143,7 +143,7 @@ pub fn run_workload(
     let mut report = WorkloadReport {
         manager: mgr.name(),
         elapsed_ns: 0,
-        op_pauses: PauseHistogram::new(),
+        op_pauses: LogHistogram::new(),
         allocs: 0,
         oom: 0,
         peak_live_bytes: 0,
@@ -209,7 +209,7 @@ pub fn run_workload(
                 continue;
             }
         };
-        report.op_pauses.record(t0.elapsed());
+        report.op_pauses.record_duration(t0.elapsed());
         report.allocs += 1;
         mgr.put(h, 0, sentinel(h, spec.seed));
         if strategy == ReclaimStrategy::RootRelease {
@@ -247,7 +247,7 @@ pub fn run_workload(
     }
     report.elapsed_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
     report.collections = mgr.stats().collections;
-    report.max_gc_pause_ns = mgr.stats().gc_pauses.max_ns();
+    report.max_gc_pause_ns = mgr.stats().gc_pauses.max();
     report
 }
 
@@ -265,7 +265,7 @@ pub fn run_region_workload(
     let mut report = WorkloadReport {
         manager: "region",
         elapsed_ns: 0,
-        op_pauses: PauseHistogram::new(),
+        op_pauses: LogHistogram::new(),
         allocs: 0,
         oom: 0,
         peak_live_bytes: 0,
@@ -282,7 +282,7 @@ pub fn run_region_workload(
         let t0 = Instant::now();
         match heap.alloc(spec.nrefs, nwords) {
             Ok(h) => {
-                report.op_pauses.record(t0.elapsed());
+                report.op_pauses.record_duration(t0.elapsed());
                 report.allocs += 1;
                 heap.put(h, 0, sentinel(h, spec.seed));
                 batch_handles.push(h);

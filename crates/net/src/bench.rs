@@ -7,12 +7,12 @@
 //!   multibit trie over the same ≥64-route table and address stream;
 //! * **sweep** — end-to-end pipeline throughput (packets/sec) and
 //!   per-packet p50/p99 latency across worker counts and batch sizes;
-//! * **churn** — experiment E15's A/B arm: throughput under live route-flap
+//! * **churn** — experiment E15's sweep: throughput under live route-flap
 //!   churn (a wall-clock-paced updater thread flapping a route the traffic
-//!   never hits), copy-on-write epoch publication vs the locked
-//!   generation-clear baseline, at each target update rate;
-//! * **update visibility** — how long after a route publication a reader
-//!   first observes it, for both publication mechanisms.
+//!   never hits) through the copy-on-write epoch table, at each target
+//!   update rate;
+//! * **update visibility** — how long after a route publication a fresh
+//!   epoch pin first observes it.
 //!
 //! [`BenchReport::to_json`] renders the record `BENCH_router.json` at the
 //! repo root is built from (`cargo run --release --example router_bench`),
@@ -24,14 +24,13 @@
 
 use crate::cowtrie::CowRouteTable;
 use crate::lpm::{LinearTable, Routes as _, TrieTable};
-use crate::router::{run_trial, PortId, RouteMode, RouterConfig, RouterReport, Timing};
+use crate::router::{run_trial, PortId, RouterConfig, RouterReport, Timing};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use syscheck::shim::Mutex as ShimMutex;
 use sysrepr::packet::PacketBuilder;
 
 /// Number of next-hop ports the synthetic route set spreads over.
@@ -72,8 +71,8 @@ pub struct SweepConfig {
     pub alloc_counter: Option<fn() -> u64>,
     /// Timed trials per (workers × batch) configuration; see [`best_of`].
     pub trials: usize,
-    /// Target route-update rates (updates/sec) for the churn sweep; each
-    /// rate runs once per [`RouteMode`]. Empty skips the churn sweep.
+    /// Target route-update rates (updates/sec) for the churn sweep. Empty
+    /// skips the churn sweep.
     pub churn_rates: Vec<u64>,
     /// Publish → first-observation samples for the update-visibility
     /// microbench. `0` skips it.
@@ -169,12 +168,10 @@ pub struct SweepPoint {
     pub steady_allocs_per_packet: Option<f64>,
 }
 
-/// One churn-sweep measurement: one [`RouteMode`] forwarding the full
-/// stream while an updater thread flaps a route at a target rate.
+/// One churn-sweep measurement: the router forwarding the full stream
+/// while an updater thread flaps a route at a target rate.
 #[derive(Debug, Clone, Copy)]
 pub struct ChurnPoint {
-    /// Route-publication mechanism under test.
-    pub mode: RouteMode,
     /// Target update rate the churn thread paced itself to (updates/sec).
     pub target_updates_per_sec: u64,
     /// Updates actually applied during the run (wall-clock × rate).
@@ -195,30 +192,15 @@ pub struct ChurnPoint {
     pub steady_allocs_per_packet: Option<f64>,
 }
 
-impl ChurnPoint {
-    /// Short mode name for tables and JSON.
-    #[must_use]
-    pub fn mode_name(&self) -> &'static str {
-        match self.mode {
-            RouteMode::CowEpoch => "cow-epoch",
-            RouteMode::LockedGenerationClear => "locked-gen-clear",
-        }
-    }
-}
-
-/// Publish → first-observation latency for both publication mechanisms.
+/// Publish → first-observation latency of a copy-on-write route update.
 #[derive(Debug, Clone, Copy)]
 pub struct VisibilityPoint {
-    /// Samples per mechanism.
+    /// Publications timed.
     pub samples: usize,
     /// Median ns from COW publication to a fresh pin observing it.
     pub cow_p50_ns: u64,
-    /// 99th-percentile ns for the COW path.
+    /// 99th-percentile ns for the same.
     pub cow_p99_ns: u64,
-    /// Median ns from a locked-table update to a locking reader observing it.
-    pub locked_p50_ns: u64,
-    /// 99th-percentile ns for the locked path.
-    pub locked_p99_ns: u64,
 }
 
 /// The full bench record.
@@ -234,7 +216,7 @@ pub struct BenchReport {
     pub lookup: LookupPoint,
     /// The pipeline sweep, in (workers, batch) order.
     pub sweep: Vec<SweepPoint>,
-    /// The route-flap churn sweep, in (rate, mode) order; empty when
+    /// The route-flap churn sweep, in rate order; empty when
     /// [`SweepConfig::churn_rates`] is.
     pub churn: Vec<ChurnPoint>,
     /// The update-visibility microbench; `None` when
@@ -400,29 +382,27 @@ pub fn best_of<T>(trials: usize, pps: impl Fn(&T) -> f64, mut run: impl FnMut() 
 /// The churn target: a /30 outside [`route_set`]'s prefixes (the /16 arm
 /// stops at 10.199), so flapping its next hop exercises publication and
 /// cache invalidation without changing any measured packet's routing
-/// decision — the A and B arms forward identical streams.
+/// decision — every rate forwards the identical stream.
 pub const FLAP_PREFIX: u32 = (10 << 24) | (200 << 16);
 /// Prefix length of the churn target.
 pub const FLAP_LEN: u8 = 30;
 /// An address inside the churn target (visibility microbench probe).
 const FLAP_ADDR: u32 = FLAP_PREFIX | 1;
 
-/// One timed trial of the sweep stream through `mode` while an updater
-/// thread flaps [`FLAP_PREFIX`] at `rate` updates/sec (0: no churn).
+/// One timed trial of the sweep stream while an updater thread flaps
+/// [`FLAP_PREFIX`] at `rate` updates/sec (0: no churn).
 /// Returns the report, the timing, and the updates applied.
 fn stream_trial(
     cfg: &SweepConfig,
     frames: &[Vec<u8>],
     workers: usize,
     batch_size: usize,
-    mode: RouteMode,
     rate: u64,
 ) -> (RouterReport, Timing, u64) {
     let (trie, _) = build_tables(cfg.routes);
     let rc = RouterConfig {
         workers,
         batch_size,
-        route_mode: mode,
         ..RouterConfig::default()
     };
     run_trial(trie, PORTS, rc, frames.len(), cfg.alloc_counter, |feed| {
@@ -471,8 +451,8 @@ fn stream_trial(
     })
 }
 
-/// Runs the churn sweep: each rate × each [`RouteMode`], best of
-/// [`SweepConfig::trials`] trials, at the largest worker count.
+/// Runs the churn sweep: each rate, best of [`SweepConfig::trials`]
+/// trials, at the largest worker count.
 #[must_use]
 pub fn run_churn_sweep(cfg: &SweepConfig) -> Vec<ChurnPoint> {
     if cfg.churn_rates.is_empty() {
@@ -485,17 +465,16 @@ pub fn run_churn_sweep(cfg: &SweepConfig) -> Vec<ChurnPoint> {
     } else {
         cfg.batch_sizes.last().copied().unwrap_or(64)
     };
-    let mut churn = Vec::new();
-    for &rate in &cfg.churn_rates {
-        for mode in [RouteMode::CowEpoch, RouteMode::LockedGenerationClear] {
-            churn.push(best_of(
+    cfg.churn_rates
+        .iter()
+        .map(|&rate| {
+            best_of(
                 cfg.trials,
                 |p: &ChurnPoint| p.pps,
                 || {
                     let (report, t, updates_applied) =
-                        stream_trial(cfg, &frames, workers, batch_size, mode, rate);
+                        stream_trial(cfg, &frames, workers, batch_size, rate);
                     ChurnPoint {
-                        mode,
                         target_updates_per_sec: rate,
                         updates_applied,
                         pps: t.pps,
@@ -506,21 +485,26 @@ pub fn run_churn_sweep(cfg: &SweepConfig) -> Vec<ChurnPoint> {
                         steady_allocs_per_packet: t.steady_allocs_per_packet,
                     }
                 },
-            ));
-        }
-    }
-    churn
+            )
+        })
+        .collect()
 }
 
-/// Publish-to-observation protocol: the writer bumps `seq` (arming the
-/// reader's spin), stamps the publish time, applies the update; the reader
-/// spins on its read closure until the new hop appears and stamps that.
-/// Sequential samples — no overlap between publications.
-fn measure_visibility<W, R>(samples: usize, write: W, read: R) -> (u64, u64)
-where
-    W: Fn(PortId),
-    R: Fn() -> Option<PortId> + Send + 'static,
-{
+/// Measures publish → first-observation latency of the copy-on-write
+/// table: the writer bumps `seq` (arming the reader's spin), stamps the
+/// publish time and inserts; the reader spins on a fresh epoch pin until
+/// the new hop appears and stamps that. Sequential samples — no overlap
+/// between publications.
+#[must_use]
+pub fn update_visibility(samples: usize) -> Option<VisibilityPoint> {
+    if samples == 0 {
+        return None;
+    }
+    // Pre-seed with the default-gw hop (3): the first sample's hop is 0,
+    // and consecutive hops cycle 0..4, so every insert changes the value.
+    let cow: Arc<CowRouteTable<PortId>> = Arc::new(CowRouteTable::new());
+    cow.insert(FLAP_PREFIX, FLAP_LEN, 3).expect("valid route");
+    let routes = cow.reader();
     let origin = Instant::now();
     let seq = Arc::new(AtomicU64::new(0));
     let (tx, rx) = std::sync::mpsc::channel::<u64>();
@@ -532,7 +516,7 @@ where
                 while seq.load(Ordering::Acquire) <= i as u64 {
                     std::hint::spin_loop();
                 }
-                while read() != Some(want) {
+                while routes.pin().lookup(FLAP_ADDR) != Some(want) {
                     std::hint::spin_loop();
                 }
                 #[allow(clippy::cast_possible_truncation)]
@@ -547,7 +531,7 @@ where
         seq.store(i as u64 + 1, Ordering::Release);
         #[allow(clippy::cast_possible_truncation)]
         let published = origin.elapsed().as_nanos() as u64;
-        write(hop);
+        let _ = cow.insert(FLAP_PREFIX, FLAP_LEN, hop);
         let seen = rx.recv().expect("visibility reader died");
         lat.push(seen.saturating_sub(published));
     }
@@ -558,59 +542,10 @@ where
         let idx = ((lat.len() - 1) as f64 * f) as usize;
         lat[idx]
     };
-    (q(0.50), q(0.99))
-}
-
-/// Measures publish → first-observation latency for both publication
-/// mechanisms: a fresh epoch pin against the COW table, and a lock
-/// round-trip against the mutex-guarded trie (the per-batch cost a worker
-/// pays in [`RouteMode::LockedGenerationClear`]).
-#[must_use]
-pub fn update_visibility(samples: usize) -> Option<VisibilityPoint> {
-    if samples == 0 {
-        return None;
-    }
-    // Pre-seed with the default-gw hop (3): the first sample's hop is 0,
-    // and consecutive hops cycle 0..4, so every insert changes the value.
-    let cow: Arc<CowRouteTable<PortId>> = Arc::new(CowRouteTable::new());
-    cow.insert(FLAP_PREFIX, FLAP_LEN, 3).expect("valid route");
-    let reader = cow.reader();
-    let (cow_p50_ns, cow_p99_ns) = measure_visibility(
-        samples,
-        |hop| {
-            let _ = cow.insert(FLAP_PREFIX, FLAP_LEN, hop);
-        },
-        move || reader.pin().lookup(FLAP_ADDR),
-    );
-
-    let locked = Arc::new(ShimMutex::new(TrieTable::<PortId>::new()));
-    locked
-        .lock()
-        .expect("fresh mutex")
-        .insert(FLAP_PREFIX, FLAP_LEN, 3)
-        .expect("valid route");
-    let table = Arc::clone(&locked);
-    let (locked_p50_ns, locked_p99_ns) = measure_visibility(
-        samples,
-        |hop| {
-            let _ = locked
-                .lock()
-                .expect("route table poisoned")
-                .insert(FLAP_PREFIX, FLAP_LEN, hop);
-        },
-        move || {
-            table
-                .lock()
-                .expect("route table poisoned")
-                .lookup(FLAP_ADDR)
-        },
-    );
     Some(VisibilityPoint {
         samples,
-        cow_p50_ns,
-        cow_p99_ns,
-        locked_p50_ns,
-        locked_p99_ns,
+        cow_p50_ns: q(0.50),
+        cow_p99_ns: q(0.99),
     })
 }
 
@@ -628,8 +563,7 @@ pub fn run_sweep(cfg: &SweepConfig) -> BenchReport {
                 cfg.trials,
                 |p: &SweepPoint| p.pps,
                 || {
-                    let (report, t, _) =
-                        stream_trial(cfg, &frames, workers, batch_size, RouteMode::default(), 0);
+                    let (report, t, _) = stream_trial(cfg, &frames, workers, batch_size, 0);
                     SweepPoint {
                         workers,
                         batch_size,
@@ -689,7 +623,7 @@ impl BenchReport {
         let mut s = String::new();
         s.push_str("{\n");
         let _ = writeln!(s, "  \"bench\": \"router\",");
-        let _ = writeln!(s, "  \"schema\": 4,");
+        let _ = writeln!(s, "  \"schema\": 5,");
         let _ = writeln!(s, "  \"host_cores\": {},", self.host_cores);
         let _ = writeln!(s, "  \"packets_per_config\": {},", self.packets);
         let _ = writeln!(s, "  \"flows\": {},", self.flows);
@@ -720,7 +654,6 @@ impl BenchReport {
         });
         write_rows(&mut s, "churn", &self.churn, |p| {
             vec![
-                ("mode", format!("\"{}\"", p.mode_name())),
                 (
                     "target_updates_per_sec",
                     p.target_updates_per_sec.to_string(),
@@ -739,9 +672,7 @@ impl BenchReport {
                 let _ = writeln!(s, "  \"update_visibility\": {{");
                 let _ = writeln!(s, "    \"samples\": {},", v.samples);
                 let _ = writeln!(s, "    \"cow_p50_ns\": {},", v.cow_p50_ns);
-                let _ = writeln!(s, "    \"cow_p99_ns\": {},", v.cow_p99_ns);
-                let _ = writeln!(s, "    \"locked_p50_ns\": {},", v.locked_p50_ns);
-                let _ = writeln!(s, "    \"locked_p99_ns\": {}", v.locked_p99_ns);
+                let _ = writeln!(s, "    \"cow_p99_ns\": {}", v.cow_p99_ns);
                 let _ = writeln!(s, "  }}");
             }
             None => {
@@ -820,7 +751,6 @@ mod tests {
                 },
             ],
             churn: vec![ChurnPoint {
-                mode: RouteMode::CowEpoch,
                 target_updates_per_sec: 10_000,
                 updates_applied: 312,
                 pps: 2e6,
@@ -834,19 +764,18 @@ mod tests {
                 samples: 64,
                 cow_p50_ns: 180,
                 cow_p99_ns: 950,
-                locked_p50_ns: 210,
-                locked_p99_ns: 1400,
             }),
         };
         let json = report.to_json();
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(json.contains("\"schema\": 4,"));
-        assert!(json.contains("\"mode\": \"cow-epoch\""));
+        assert!(json.contains("\"schema\": 5,"));
+        assert!(!json.contains("\"mode\""));
         assert!(json.contains("\"target_updates_per_sec\": 10000"));
         assert!(json.contains("\"invalidation_misses\": 42"));
         assert!(json.contains("\"cow_p50_ns\": 180"));
-        assert!(json.contains("\"locked_p99_ns\": 1400"));
+        assert!(json.contains("\"cow_p99_ns\": 950\n"));
+        assert!(!json.contains("locked"));
         assert!(json.contains("\"p999_ns\": 1800"));
         assert!(json.contains("\"trie_speedup\": 4.00"));
         assert!(json.contains("\"pps\": 1000000"));
@@ -884,7 +813,7 @@ mod tests {
     }
 
     #[test]
-    fn churn_sweep_runs_both_modes_at_every_rate() {
+    fn churn_sweep_runs_every_rate() {
         let cfg = SweepConfig {
             packets: 4_000,
             worker_counts: vec![2],
@@ -892,28 +821,24 @@ mod tests {
             ..SweepConfig::quick()
         };
         let points = run_churn_sweep(&cfg);
-        assert_eq!(points.len(), 4, "2 rates × 2 modes");
+        let rates: Vec<u64> = points.iter().map(|p| p.target_updates_per_sec).collect();
+        assert_eq!(rates, [0, 20_000], "one point per rate, in rate order");
         for p in &points {
             assert!(p.pps > 0.0);
             assert!(p.p99_ns >= p.p50_ns);
             if p.target_updates_per_sec == 0 {
                 assert_eq!(p.updates_applied, 0);
             } else {
-                assert!(
-                    p.updates_applied > 0,
-                    "{}: churn thread applied no updates",
-                    p.mode_name()
-                );
+                assert!(p.updates_applied > 0, "churn thread applied no updates");
             }
         }
     }
 
     #[test]
-    fn update_visibility_measures_both_mechanisms() {
+    fn update_visibility_measures_cow_publication() {
         let v = update_visibility(32).expect("samples > 0");
         assert_eq!(v.samples, 32);
         assert!(v.cow_p99_ns >= v.cow_p50_ns);
-        assert!(v.locked_p99_ns >= v.locked_p50_ns);
         assert!(update_visibility(0).is_none());
     }
 

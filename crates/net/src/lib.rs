@@ -38,11 +38,13 @@
 //! * [`router`] — the sharded multi-worker router: flows hash-partition
 //!   across `std::thread` workers fed through bounded channels
 //!   (backpressure, not unbounded queues), per-worker counters aggregated
-//!   into a router-wide snapshot. Steady state recycles every frame and
-//!   batch buffer through per-worker return channels — zero allocations
-//!   per packet after warm-up — and sizes batches adaptively from queue
-//!   occupancy, dispatching with `try_send` so one slow worker cannot
-//!   head-of-line-block the rest.
+//!   into a router-wide snapshot. Every worker routes against one
+//!   [`cowtrie::CowRouteTable`], pinned once per batch, which is also the
+//!   handle live route updates go through. Steady state recycles every
+//!   frame and batch buffer through per-worker return channels — zero
+//!   allocations per packet after warm-up — and sizes batches adaptively
+//!   from queue occupancy, dispatching with `try_send` so one slow worker
+//!   cannot head-of-line-block the rest.
 //! * [`bench`] — the measured trajectory: sweeps worker counts and batch
 //!   sizes, reports packets/sec and p50/p99 per-packet latency, and renders
 //!   the `BENCH_router.json` record the ROADMAP's perf north star tracks.
@@ -78,6 +80,4 @@ pub use cowtrie::{CowRouteTable, RouteReader, RouteView};
 pub use lb::{BackendConfig, BackendPool, BackendState, LbConfig, LbStats};
 pub use lpm::{LinearTable, RouteError, Routes, TrieTable};
 pub use pipeline::{process_batch, BatchStats, DropReason};
-pub use router::{
-    CowEpochStats, RouteMode, RouteUpdater, RouterConfig, RouterReport, RouterStats, ShardedRouter,
-};
+pub use router::{CowEpochStats, RouterConfig, RouterReport, RouterStats, ShardedRouter};

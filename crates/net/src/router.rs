@@ -19,13 +19,11 @@
 //!   instead of a trie walk, and a generation counter on the source
 //!   invalidates the cache before any post-mutation packet is routed.
 //! * **Live route updates.** The routing table is no longer frozen at
-//!   startup: [`ShardedRouter::updater`] hands out a clonable control-plane
-//!   handle whose inserts and removes reach running workers. Under the
-//!   default [`RouteMode::CowEpoch`] an update is one copy-on-write spine
-//!   clone plus an atomic root swap ([`crate::cowtrie`]); workers pin an
-//!   epoch-protected snapshot per batch and pay zero synchronization per
-//!   packet. [`RouteMode::LockedGenerationClear`] keeps the baseline — a
-//!   mutex around the exclusive trie, locked per batch — for the E15 A/B.
+//!   startup: [`ShardedRouter::updater`] hands out the shared
+//!   [`CowRouteTable`], whose inserts and removes reach running workers. An
+//!   update is one copy-on-write spine clone plus an atomic root swap
+//!   ([`crate::cowtrie`]); workers pin an epoch-protected snapshot per
+//!   batch and pay zero synchronization per packet.
 //! * **Non-blocking dispatch.** Batch size adapts to queue occupancy (deep
 //!   batches only under backlog) and dispatch uses `try_send` with a
 //!   bounded per-worker requeue, so one slow worker no longer
@@ -52,13 +50,13 @@ use crate::cache::FlowCache;
 use crate::conntrack::{Conntrack, ConntrackConfig, ConntrackShared, ConntrackStats, EvictCause};
 use crate::cowtrie::{CowRouteTable, RouteReader};
 use crate::lb::{BackendPool, LbConfig, LbStats};
-use crate::lpm::{RouteError, TrieTable};
+use crate::lpm::TrieTable;
 use crate::pipeline::{self, BatchStats, DROP_METRICS, DROP_REASONS};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use syscheck::shim::{spawn_named, JoinHandle, Mutex as ShimMutex};
+use syscheck::shim::{spawn_named, JoinHandle};
 use sysconc::channel::{bounded, channel, Receiver, Sender, TrySendError};
 use sysfault::{FaultInjector, FaultPlan};
 use sysobs::LogHistogram;
@@ -75,21 +73,6 @@ pub const SITE_NET_WORKER_STALL: &str = "net.worker.stall";
 /// Fault site: a batch returning on the recycle channel is lost, so its
 /// buffers leave the pool forever and the dispatcher must re-allocate.
 pub const SITE_NET_RECYCLE_LOSS: &str = "net.recycle.loss";
-
-/// How route updates reach running workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RouteMode {
-    /// Copy-on-write publication over epoch-based reclamation (the
-    /// default): a [`RouteUpdater`] insert clones the O(depth) spine and
-    /// swaps one atomic root pointer; workers pin a frozen snapshot per
-    /// batch and pay zero synchronization per packet lookup.
-    #[default]
-    CowEpoch,
-    /// The pre-epoch baseline: the exclusive [`TrieTable`] behind one
-    /// mutex, locked by every worker for every batch (and by the updater
-    /// for every change). Kept as experiment E15's A/B comparison arm.
-    LockedGenerationClear,
-}
 
 /// Sizing knobs for [`ShardedRouter`].
 #[derive(Debug, Clone)]
@@ -128,8 +111,6 @@ pub struct RouterConfig {
     /// with the FNV of the worker name) for [`SITE_NET_WORKER_STALL`] and
     /// the `net.conntrack.*` sites, so campaigns replay per worker.
     pub fault_plan: Option<FaultPlan>,
-    /// How route updates reach the workers (see [`RouteMode`]).
-    pub route_mode: RouteMode,
 }
 
 impl Default for RouterConfig {
@@ -143,7 +124,6 @@ impl Default for RouterConfig {
             conntrack: None,
             lb: None,
             fault_plan: None,
-            route_mode: RouteMode::default(),
         }
     }
 }
@@ -393,11 +373,10 @@ impl NetFaultStats {
 }
 
 /// Copy-on-write route-table and epoch-domain counters, captured at
-/// [`ShardedRouter::finish`] when the router ran under
-/// [`RouteMode::CowEpoch`] — the reclamation story's observability surface
-/// (how many snapshots were published, how many spine nodes came back
-/// through the pool, and whether epoch advancement ever stalled behind a
-/// pinned reader).
+/// [`ShardedRouter::finish`] — the reclamation story's observability
+/// surface (how many snapshots were published, how many spine nodes came
+/// back through the pool, and whether epoch advancement ever stalled
+/// behind a pinned reader).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CowEpochStats {
     /// Route-table publications (successful inserts/removes).
@@ -429,9 +408,8 @@ pub struct RouterReport {
     pub lb: Option<LbStats>,
     /// Fault-injection campaign summary (all zeros when no plan was set).
     pub faults: NetFaultStats,
-    /// CoW-trie / epoch-reclamation counters (`None` under the locked
-    /// baseline, which has no epoch machinery to observe).
-    pub cow: Option<CowEpochStats>,
+    /// CoW-trie / epoch-reclamation counters.
+    pub cow: CowEpochStats,
     /// Per-packet submit-to-batch-completion latency (queueing plus
     /// processing), log-bucketed. Replaces the old hand-rolled weighted
     /// `(ns, packets)` quantile list with the shared [`LogHistogram`].
@@ -505,15 +483,14 @@ impl RouterReport {
             snap.set_counter("net.fault.frames_lost", self.faults.frames_lost);
             snap.set_counter("net.fault.worker_stalls", self.faults.injected_stalls);
         }
-        if let Some(cow) = &self.cow {
-            snap.set_counter("net.cowtrie.publications", cow.publications);
-            snap.set_counter("net.cowtrie.spine_recycled", cow.spine_recycled);
-            snap.set_counter("mem.epoch.advance_stalls", cow.advance_stalls);
-            #[allow(clippy::cast_possible_wrap)]
-            {
-                snap.set_gauge("mem.epoch.pinned_readers", cow.pinned_readers as i64);
-                snap.set_gauge("mem.epoch.pending_retire", cow.pending_reclaim as i64);
-            }
+        let cow = &self.cow;
+        snap.set_counter("net.cowtrie.publications", cow.publications);
+        snap.set_counter("net.cowtrie.spine_recycled", cow.spine_recycled);
+        snap.set_counter("mem.epoch.advance_stalls", cow.advance_stalls);
+        #[allow(clippy::cast_possible_wrap)]
+        {
+            snap.set_gauge("mem.epoch.pinned_readers", cow.pinned_readers as i64);
+            snap.set_gauge("mem.epoch.pending_retire", cow.pending_reclaim as i64);
         }
         snap.set_hist("net.latency_ns", self.latencies.clone());
         snap
@@ -573,28 +550,19 @@ struct WorkerExit {
     fault_digest: u64,
 }
 
-/// The route source one worker routes against: a registered epoch reader
-/// (pin a frozen snapshot per batch) or the locked-trie baseline (lock the
-/// shared mutex per batch).
-enum WorkerRoutes {
-    Cow(RouteReader<PortId>),
-    Locked(Arc<ShimMutex<TrieTable<PortId>>>),
-}
-
 /// One worker's receive-process loop, monomorphized on `OBS` so the
 /// `instrument: false` configuration compiles a fast path containing zero
 /// observability code — the E11 baseline. Every batch runs
 /// [`pipeline::process_batch`] with the worker's stages (its conntrack
 /// shard and load-balancer pool, when configured) against one consistent
-/// route state: a pinned copy-on-write snapshot ([`RouteMode::CowEpoch`])
-/// or the mutex-held trie ([`RouteMode::LockedGenerationClear`]). Drained
+/// route state, a copy-on-write snapshot pinned for the batch. Drained
 /// batches go back to the dispatcher through `recycle`; the send is
 /// best-effort because at shutdown the dispatcher drops its receiver first.
 #[allow(clippy::too_many_arguments)]
 fn worker_loop<const OBS: bool>(
     rx: &Receiver<Batch>,
     recycle: &Sender<Batch>,
-    routes: &WorkerRoutes,
+    routes: &RouteReader<PortId>,
     shared: &Counters,
     cache_slots: usize,
     mut ct: Option<Conntrack>,
@@ -627,26 +595,16 @@ fn worker_loop<const OBS: bool>(
         };
         let frames = &mut batch.frames;
         let stages = ct.as_mut().map(|ct| (ct, lb.as_mut()));
-        let stats = match routes {
-            // Pin once per batch: two SeqCst loads, then every lookup in the
-            // batch walks the frozen snapshot lock-free.
-            WorkerRoutes::Cow(reader) => pipeline::process_batch::<OBS, PortId>(
-                frames,
-                &reader.pin(),
-                cache.as_mut(),
-                stages,
-                now_ns,
-                &mut forward,
-            ),
-            WorkerRoutes::Locked(table) => pipeline::process_batch::<OBS, PortId>(
-                frames,
-                &*table.lock().expect("route table poisoned"),
-                cache.as_mut(),
-                stages,
-                now_ns,
-                &mut forward,
-            ),
-        };
+        // Pin once per batch: two SeqCst loads, then every lookup in the
+        // batch walks the frozen snapshot lock-free.
+        let stats = pipeline::process_batch::<OBS, PortId>(
+            frames,
+            &routes.pin(),
+            cache.as_mut(),
+            stages,
+            now_ns,
+            &mut forward,
+        );
         // Control-plane work rides between batches, never inside the
         // per-packet loop: the shard's watchdog sweep, then the pool's
         // health probes, whose death verdicts eject the backend's flows so
@@ -697,101 +655,13 @@ fn worker_loop<const OBS: bool>(
     }
 }
 
-/// The live route state, shaped by [`RouteMode`]. Shared between the
-/// router (which hands workers their per-worker view) and every
-/// [`RouteUpdater`] cloned off it.
-#[derive(Clone)]
-enum RouteBackend {
-    Cow(Arc<CowRouteTable<PortId>>),
-    Locked(Arc<ShimMutex<TrieTable<PortId>>>),
-}
-
-/// A clonable control-plane handle for live route updates, from
-/// [`ShardedRouter::updater`]. Inserts and removes reach running workers:
-/// under [`RouteMode::CowEpoch`] an update is visible to every batch pinned
-/// after the call returns, without stopping or locking the data plane;
-/// under [`RouteMode::LockedGenerationClear`] the update takes the same
-/// mutex the workers take per batch.
-#[derive(Clone)]
-pub struct RouteUpdater {
-    backend: RouteBackend,
-}
-
-impl RouteUpdater {
-    /// Installs `prefix/len → next_hop` in the live table, returning the
-    /// replaced next hop. Value-preserving re-inserts are generation-
-    /// neutral in both modes: no publication, no worker cache is nuked.
-    ///
-    /// # Errors
-    ///
-    /// [`RouteError::PrefixLenOutOfRange`] when `len > 32`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the route mutex is poisoned (a panicked updater).
-    pub fn insert(
-        &self,
-        prefix: u32,
-        len: u8,
-        next_hop: PortId,
-    ) -> Result<Option<PortId>, RouteError> {
-        match &self.backend {
-            RouteBackend::Cow(t) => t.insert(prefix, len, next_hop),
-            RouteBackend::Locked(m) => m
-                .lock()
-                .expect("route table poisoned")
-                .insert(prefix, len, next_hop),
-        }
-    }
-
-    /// Removes the route `prefix/len`, returning its next hop if present.
-    ///
-    /// # Errors
-    ///
-    /// [`RouteError::PrefixLenOutOfRange`] when `len > 32`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the route mutex is poisoned.
-    pub fn remove(&self, prefix: u32, len: u8) -> Result<Option<PortId>, RouteError> {
-        match &self.backend {
-            RouteBackend::Cow(t) => t.remove(prefix, len),
-            RouteBackend::Locked(m) => m.lock().expect("route table poisoned").remove(prefix, len),
-        }
-    }
-
-    /// Routing-visible changes published so far (the generation worker
-    /// caches invalidate against).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the route mutex is poisoned.
-    #[must_use]
-    pub fn publications(&self) -> u64 {
-        match &self.backend {
-            RouteBackend::Cow(t) => t.publications(),
-            RouteBackend::Locked(m) => m.lock().expect("route table poisoned").generation(),
-        }
-    }
-}
-
-impl std::fmt::Debug for RouteUpdater {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mode = match self.backend {
-            RouteBackend::Cow(_) => "cow-epoch",
-            RouteBackend::Locked(_) => "locked",
-        };
-        f.debug_struct("RouteUpdater")
-            .field("mode", &mode)
-            .finish_non_exhaustive()
-    }
-}
-
 /// The sharded router: dispatcher-side handle. Create with
 /// [`ShardedRouter::start`], feed with [`ShardedRouter::submit`], and close
 /// with [`ShardedRouter::finish`].
 pub struct ShardedRouter {
-    backend: RouteBackend,
+    /// The live route table every worker pins and every updater publishes
+    /// into.
+    routes: Arc<CowRouteTable<PortId>>,
     senders: Vec<Sender<Batch>>,
     recycle_rx: Vec<Receiver<Batch>>,
     handles: Vec<JoinHandle<WorkerExit>>,
@@ -844,12 +714,7 @@ impl ShardedRouter {
             config.lb.is_none() || config.conntrack.is_some(),
             "lb requires conntrack: rewrite state lives in the flow entries"
         );
-        let backend = match config.route_mode {
-            RouteMode::CowEpoch => RouteBackend::Cow(Arc::new(CowRouteTable::from_trie(&table))),
-            RouteMode::LockedGenerationClear => {
-                RouteBackend::Locked(Arc::new(ShimMutex::new(table)))
-            }
-        };
+        let routes = Arc::new(CowRouteTable::from_trie(&table));
         // One cross-shard gauge caps the router-wide live-entry count at
         // `max_flows`; each worker shard charges it before inserting.
         let ct_shared = config
@@ -865,10 +730,7 @@ impl ShardedRouter {
             // Unbounded: the worker must never block returning a buffer.
             // In-flight batches (≤ queue_depth + stalled cap) bound it.
             let (back_tx, back_rx) = channel::<Batch>();
-            let worker_routes = match &backend {
-                RouteBackend::Cow(cow) => WorkerRoutes::Cow(cow.reader()),
-                RouteBackend::Locked(m) => WorkerRoutes::Locked(Arc::clone(m)),
-            };
+            let worker_routes = routes.reader();
             let worker_counters = Arc::new(Counters::new(ports));
             let shared = Arc::clone(&worker_counters);
             let slots = config.cache_slots;
@@ -921,7 +783,7 @@ impl ShardedRouter {
             counters.push(worker_counters);
         }
         ShardedRouter {
-            backend,
+            routes,
             senders,
             recycle_rx,
             handles,
@@ -950,14 +812,13 @@ impl ShardedRouter {
         self.pool
     }
 
-    /// A control-plane handle whose route changes reach the running
-    /// workers (clonable; safe to move to an updater thread). See
-    /// [`RouteUpdater`] for the visibility contract per [`RouteMode`].
+    /// The live route table as a control-plane handle (safe to move to an
+    /// updater thread): an insert or remove is visible to every batch
+    /// pinned after the call returns, without stopping or locking the data
+    /// plane, and a value-preserving re-insert publishes nothing.
     #[must_use]
-    pub fn updater(&self) -> RouteUpdater {
-        RouteUpdater {
-            backend: self.backend.clone(),
-        }
+    pub fn updater(&self) -> Arc<CowRouteTable<PortId>> {
+        Arc::clone(&self.routes)
     }
 
     /// Queues one frame (copied into a pooled buffer), dispatching a batch
@@ -1234,15 +1095,13 @@ impl ShardedRouter {
             .dispatch_injector
             .as_ref()
             .map_or(0, |inj| inj.log().digest());
-        let cow = match &self.backend {
-            RouteBackend::Cow(t) => Some(CowEpochStats {
-                publications: t.publications(),
-                spine_recycled: t.spine_recycled(),
-                pending_reclaim: t.pending_reclaim() as u64,
-                pinned_readers: t.pinned_readers() as u64,
-                advance_stalls: t.advance_stalls(),
-            }),
-            RouteBackend::Locked(_) => None,
+        let t = &self.routes;
+        let cow = CowEpochStats {
+            publications: t.publications(),
+            spine_recycled: t.spine_recycled(),
+            pending_reclaim: t.pending_reclaim() as u64,
+            pinned_readers: t.pinned_readers() as u64,
+            advance_stalls: t.advance_stalls(),
         };
         RouterReport {
             stats,
@@ -1303,9 +1162,9 @@ impl Feed {
         }
     }
 
-    /// A control-plane handle into the running router.
+    /// The running router's live route table ([`ShardedRouter::updater`]).
     #[must_use]
-    pub fn updater(&self) -> RouteUpdater {
+    pub fn updater(&self) -> Arc<CowRouteTable<PortId>> {
         self.router.updater()
     }
 }
@@ -1793,80 +1652,62 @@ mod tests {
     }
 
     #[test]
-    fn route_modes_agree_on_a_static_stream() {
-        let frames = stream(800);
-        let cow = run_stream(table(), 3, RouterConfig::default(), &frames).0;
-        let locked = run_stream(
-            table(),
-            3,
-            RouterConfig {
-                route_mode: RouteMode::LockedGenerationClear,
-                ..RouterConfig::default()
-            },
-            &frames,
-        )
-        .0;
-        assert_eq!(cow.stats.totals.forwarded, locked.stats.totals.forwarded);
-        assert_eq!(cow.stats.totals.dropped, locked.stats.totals.dropped);
-        assert_eq!(cow.stats.totals.per_port, locked.stats.totals.per_port);
-    }
-
-    #[test]
-    fn live_updates_reach_workers_in_both_modes() {
-        for mode in [RouteMode::CowEpoch, RouteMode::LockedGenerationClear] {
-            let cfg = RouterConfig {
-                workers: 2,
-                route_mode: mode,
-                ..RouterConfig::default()
-            };
-            let mut router = ShardedRouter::start(table(), 4, cfg);
-            let updater = router.updater();
-            let dst = [10u8, 200, 7, 7]; // matches only the 10/8 → port 0
-            let mk = |s: u8| {
-                PacketBuilder::udp()
-                    .src_ip([172, 16, 1, s])
-                    .dst_ip(dst)
-                    .build()
-            };
-            for s in 0..50u8 {
-                router.submit(&mk(s));
-            }
-            router.flush();
-            // Flush dispatches but does not wait; the update below must not
-            // overtake in-flight batches or the port split is ambiguous.
-            while router.snapshot().totals.total_frames() < 50 {
-                std::thread::yield_now();
-            }
-            let before = updater.publications();
-            // Redirect 10.200/16 to port 3; every batch pinned (or locked)
-            // after this call returns must route dst to port 3.
-            assert_eq!(
-                updater.insert(ip(10, 200, 0, 0), 16, 3).unwrap(),
-                None,
-                "{mode:?}"
-            );
-            assert_eq!(updater.publications(), before + 1, "{mode:?}");
-            // A value-preserving re-insert publishes nothing: the workers'
-            // caches are not nuked a second time.
-            assert_eq!(
-                updater.insert(ip(10, 200, 0, 0), 16, 3).unwrap(),
-                Some(3),
-                "{mode:?}"
-            );
-            assert_eq!(updater.publications(), before + 1, "{mode:?}");
-            for s in 0..50u8 {
-                router.submit(&mk(s));
-            }
-            let report = router.finish();
-            let t = &report.stats.totals;
-            assert_eq!(t.total_frames(), 100, "{mode:?}");
-            assert_eq!(t.per_port[0], 50, "pre-update frames → /8 ({mode:?})");
-            assert_eq!(t.per_port[3], 50, "post-update frames → new /16 ({mode:?})");
-            assert!(
-                t.cache_invalidations >= 1,
-                "the publication must invalidate worker caches ({mode:?})"
-            );
+    fn live_updates_reach_workers_and_the_report_counts_them() {
+        let cfg = RouterConfig {
+            workers: 2,
+            ..RouterConfig::default()
+        };
+        let mut router = ShardedRouter::start(table(), 4, cfg);
+        let updater = router.updater();
+        let dst = [10u8, 200, 7, 7]; // matches only the 10/8 → port 0
+        let mk = |s: u8| {
+            PacketBuilder::udp()
+                .src_ip([172, 16, 1, s])
+                .dst_ip(dst)
+                .build()
+        };
+        for s in 0..50u8 {
+            router.submit(&mk(s));
         }
+        router.flush();
+        // Flush dispatches but does not wait; the update below must not
+        // overtake in-flight batches or the port split is ambiguous.
+        while router.snapshot().totals.total_frames() < 50 {
+            std::thread::yield_now();
+        }
+        let before = updater.publications();
+        // Redirect 10.200/16 to port 3; every batch pinned after this call
+        // returns must route dst to port 3.
+        assert_eq!(updater.insert(ip(10, 200, 0, 0), 16, 3).unwrap(), None);
+        assert_eq!(updater.publications(), before + 1);
+        // A value-preserving re-insert publishes nothing: the workers'
+        // caches are not nuked a second time.
+        assert_eq!(updater.insert(ip(10, 200, 0, 0), 16, 3).unwrap(), Some(3));
+        assert_eq!(updater.publications(), before + 1);
+        for s in 0..50u8 {
+            router.submit(&mk(s));
+        }
+        let report = router.finish();
+        let t = &report.stats.totals;
+        assert_eq!(t.total_frames(), 100);
+        assert_eq!(t.per_port[0], 50, "pre-update frames → /8");
+        assert_eq!(t.per_port[3], 50, "post-update frames → new /16");
+        assert!(
+            t.cache_invalidations >= 1,
+            "the publication must invalidate worker caches"
+        );
+        // The epoch counters are unconditional: the report carries the
+        // updater's publication count, and every worker unpinned on exit.
+        assert_eq!(report.cow.publications, updater.publications());
+        assert_eq!(report.cow.publications, before + 1);
+        assert_eq!(report.cow.pinned_readers, 0, "{:?}", report.cow);
+        let snap = report.to_snapshot();
+        assert_eq!(snap.counter("net.cowtrie.publications"), before + 1);
+        assert!(
+            snap.gauges()
+                .any(|(name, v)| name == "mem.epoch.pinned_readers" && v == 0),
+            "{snap}"
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use syscheck::Config;
 use sysnet::lpm::TrieTable;
-use sysnet::router::{PortId, RouteMode, RouterConfig, ShardedRouter};
+use sysnet::router::{PortId, RouterConfig, ShardedRouter};
 use sysrepr::packet::PacketBuilder;
 
 fn table() -> TrieTable<PortId> {
@@ -49,9 +49,6 @@ fn route_model() -> u64 {
         conntrack: None,
         lb: None,
         fault_plan: None,
-        // The default mode on purpose: the model then also exercises the
-        // per-batch epoch pin against the copy-on-write root.
-        route_mode: RouteMode::CowEpoch,
     };
     let mut router = ShardedRouter::start(table(), 2, cfg);
     for frame in frames() {

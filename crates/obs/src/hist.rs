@@ -1,11 +1,11 @@
 //! The log-bucketed histogram every percentile in this repo now runs on.
 //!
-//! One implementation, three hosts: `sysmem`'s GC pause histograms wrap it,
-//! the router's per-packet latency distribution is one, and the metrics
-//! registry snapshots its atomic histograms into it. Buckets are powers of
-//! two from 1 ns to ~17 s (the same shape `sysmem::stats` used), so
-//! recording is O(1), allocation-free, and mergeable — the properties that
-//! let it live inside measured regions without distorting them.
+//! One implementation, three hosts: `sysmem`'s GC and per-operation pause
+//! histograms are one, the router's per-packet latency distribution is one,
+//! and the metrics registry snapshots its atomic histograms into it.
+//! Buckets are powers of two from 1 ns to ~17 s, so recording is O(1),
+//! allocation-free, and mergeable — the properties that let it live inside
+//! measured regions without distorting them.
 
 use std::fmt;
 use std::time::Duration;
@@ -248,7 +248,8 @@ mod tests {
     #[test]
     fn saturating_values_land_in_the_top_bucket() {
         let mut h = LogHistogram::new();
-        h.record(u64::MAX);
+        // A duration past u64::MAX ns saturates instead of wrapping.
+        h.record_duration(Duration::from_secs(u64::MAX / 1_000_000_000 + 1));
         h.record(u64::MAX);
         assert_eq!(h.count(), 2);
         assert_eq!(h.max(), u64::MAX);
@@ -265,6 +266,10 @@ mod tests {
         assert_eq!(h.count(), 1);
         assert_eq!(h.max(), 0);
         assert_eq!(h.buckets()[0], 1);
+        // Percentiles clamp to the observed maximum, so an all-zero
+        // distribution answers at most 1.
+        assert!(h.percentile(0.5) <= 1);
+        assert_eq!(h.mean(), 0);
     }
 
     #[test]
@@ -276,6 +281,18 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), 2);
         assert_eq!(a.max(), 1_000_000);
+    }
+
+    #[test]
+    fn merge_with_empty_is_identity_both_ways() {
+        let mut a = LogHistogram::new();
+        a.record(500);
+        let before = a.clone();
+        a.merge(&LogHistogram::new());
+        assert_eq!(a, before, "merging an empty histogram changes nothing");
+        let mut empty = LogHistogram::new();
+        empty.merge(&before);
+        assert_eq!(empty, before, "merging into empty copies the source");
     }
 
     #[test]

@@ -70,9 +70,7 @@ fn main() {
         // spine clones recycle through the epoch domain's node pool.
         assert!(
             allocs < 0.05,
-            "churn steady state allocated: {allocs:.4} allocs/pkt at \
-             {} {}/s",
-            p.mode_name(),
+            "churn steady state allocated: {allocs:.4} allocs/pkt at {}/s",
             p.target_updates_per_sec
         );
     }
@@ -80,7 +78,7 @@ fn main() {
         report
             .churn
             .iter()
-            .find(|p| p.mode_name() == "cow-epoch" && p.target_updates_per_sec == rate)
+            .find(|p| p.target_updates_per_sec == rate)
     };
     if let (Some(base), Some(hot)) = (cow_at(0), cow_at(10_000)) {
         // The tentpole's headline: updates through the copy-on-write path

@@ -1,5 +1,5 @@
-//! E15 — lock-free route updates: copy-on-write epoch publication vs the
-//! locked generation-clear baseline, under live route-flap churn.
+//! E15 — lock-free route updates: copy-on-write epoch publication under
+//! live route-flap churn.
 //!
 //! The paper's Challenge 4 case study, round two. PR 7 left route tables
 //! frozen at router start; real control planes flap routes constantly, and
@@ -11,20 +11,25 @@
 //!
 //! Three sections in one table:
 //!
-//! * **churn** — the A/B arm: the full synthetic stream forwarded while an
-//!   updater thread flaps a route at a target rate, for both
-//!   [`sysnet::router::RouteMode`]s. The flapped prefix is outside every
-//!   measured flow, so the streams are identical — only the publication
-//!   cost differs. Invalidation misses (the split counter from this PR's
-//!   bugfix) show each publication's cache-nuke cost explicitly.
-//! * **visibility** — publish → first-observation latency: a fresh epoch
-//!   pin against the COW root vs a lock round-trip on the mutex table.
+//! * **churn** — the full synthetic stream forwarded while an updater
+//!   thread flaps a route at a target rate, each rate against the
+//!   zero-churn run. The flapped prefix is outside every measured flow, so
+//!   every rate routes identical packets and only the publication cost
+//!   differs. Invalidation misses show each publication's cache-nuke cost
+//!   explicitly.
+//! * **visibility** — publish → first-observation latency of a fresh epoch
+//!   pin against the COW root.
 //! * **models** — the reclamation protocol under `syscheck`: the safe
 //!   three-epoch domain verifies exhaustively at preemption bound 2, the
 //!   seeded off-by-one (`Domain::new_with_premature_reclaim_bug`) is
 //!   rediscovered and shrunk, and COW publication is proven visible to the
 //!   next pinned read. The same models run as tier-1 tests in
 //!   `crates/mem/tests/epoch_model.rs` and `crates/net/tests/cowtrie_model.rs`.
+//!
+//! The mutex-guarded trie that used to run beside the COW table as an A/B
+//! arm is retired: on a one-core host a mutex taken once per batch is never
+//! contended, so the arm could not show the difference it was kept for.
+//! The claim rests on the zero-churn ratio and on the exhaustive models.
 
 use super::{fmt_ns, fmt_rate, Scale, Table};
 use std::sync::atomic::Ordering;
@@ -109,7 +114,6 @@ fn clean_model_row(t: &mut Table, name: &str, cfg: &Config, model: fn() -> u64) 
     );
     t.row(vec![
         format!("model: {name}"),
-        "dfs".into(),
         "—".into(),
         "—".into(),
         "—".into(),
@@ -129,7 +133,6 @@ fn bug_model_row(t: &mut Table, name: &str, cfg: &Config, model: fn() -> u64) {
     let minimal = shrink::shrink_failure(cfg, failure, model);
     t.row(vec![
         format!("model: {name}"),
-        "dfs".into(),
         "—".into(),
         "—".into(),
         "—".into(),
@@ -167,10 +170,9 @@ pub fn run(scale: Scale) -> Table {
     };
 
     let mut t = Table::new(
-        "E15 — route-flap churn: cow-epoch vs locked generation-clear",
+        "E15 — route-flap churn through the cow-epoch route table",
         &[
             "case",
-            "mode",
             "updates/s",
             "applied",
             "throughput",
@@ -181,20 +183,17 @@ pub fn run(scale: Scale) -> Table {
     );
 
     let points = run_churn_sweep(&cfg);
-    let baseline = |mode: &str| {
-        points
-            .iter()
-            .find(|p| p.mode_name() == mode && p.target_updates_per_sec == 0)
-            .map(|p| p.pps)
-    };
+    let baseline = points
+        .iter()
+        .find(|p| p.target_updates_per_sec == 0)
+        .map(|p| p.pps);
     for p in &points {
-        let vs_zero = baseline(p.mode_name()).map_or_else(
+        let vs_zero = baseline.map_or_else(
             || "—".into(),
             |b| format!("{:.0} % of zero-churn", 100.0 * p.pps / b.max(1.0)),
         );
         t.row(vec![
             "churn".into(),
-            p.mode_name().into(),
             p.target_updates_per_sec.to_string(),
             p.updates_applied.to_string(),
             fmt_rate(p.pps),
@@ -207,23 +206,12 @@ pub fn run(scale: Scale) -> Table {
     if let Some(v) = update_visibility(cfg.visibility_samples) {
         t.row(vec![
             "visibility".into(),
-            "cow-epoch".into(),
             "—".into(),
             v.samples.to_string(),
             "—".into(),
             "—".into(),
             format!("{} / {}", fmt_ns(v.cow_p50_ns), fmt_ns(v.cow_p99_ns)),
             "publish → fresh pin".into(),
-        ]);
-        t.row(vec![
-            "visibility".into(),
-            "locked-gen-clear".into(),
-            "—".into(),
-            v.samples.to_string(),
-            "—".into(),
-            "—".into(),
-            format!("{} / {}", fmt_ns(v.locked_p50_ns), fmt_ns(v.locked_p99_ns)),
-            "publish → lock round-trip".into(),
         ]);
     }
 
@@ -249,14 +237,12 @@ pub fn run(scale: Scale) -> Table {
     t.note(
         "churn: the full stream forwarded while an updater thread flaps one \
          /30 next hop at the target rate; the prefix is outside every \
-         measured flow, so both modes route identical packets and only the \
-         publication mechanism differs",
+         measured flow, so every rate routes identical packets and only the \
+         publication cost differs",
     );
     t.note(
         "inval misses = cache misses attributed to post-publication refills \
-         (the split counter this PR's bugfix added) — each publication \
-         clears the per-worker flow caches in both modes; the locked mode \
-         additionally serializes every worker batch behind the table mutex",
+         — each publication clears the per-worker flow caches",
     );
     t.note(
         "models: preemption-bound-2 DFS over syscheck's shim scheduler; the \

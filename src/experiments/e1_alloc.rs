@@ -44,9 +44,9 @@ fn add_row(t: &mut Table, r: &WorkloadReport, strategy: &str) {
         r.manager.to_owned(),
         strategy.to_owned(),
         fmt_rate(r.throughput()),
-        format!("{}", r.op_pauses.percentile_ns(0.50)),
-        format!("{}", r.op_pauses.percentile_ns(0.99)),
-        format!("{}", r.op_pauses.max_ns()),
+        format!("{}", r.op_pauses.percentile(0.50)),
+        format!("{}", r.op_pauses.percentile(0.99)),
+        format!("{}", r.op_pauses.max()),
         r.collections.to_string(),
         r.integrity_errors.to_string(),
     ]);

@@ -14,8 +14,8 @@ use sysmem::freelist::FreeListHeap;
 use sysmem::generational::GenerationalHeap;
 use sysmem::marksweep::MarkSweepHeap;
 use sysmem::semispace::SemiSpaceHeap;
-use sysmem::stats::PauseHistogram;
 use sysmem::Manager;
+use sysobs::LogHistogram;
 
 fn rounds(scale: Scale) -> usize {
     match scale {
@@ -39,7 +39,7 @@ fn heap(policy: &str, bytes: usize) -> Box<dyn Manager> {
 struct PolicyResult {
     policy: &'static str,
     cycles_per_rt: u64,
-    rt_pauses: PauseHistogram,
+    rt_pauses: LogHistogram,
     gc_max_pause_ns: u64,
     collections: u64,
 }
@@ -52,14 +52,14 @@ fn drive(policy: &'static str, rounds: usize, words: usize) -> PolicyResult {
     let req_c = k.grant_cap(server, req_s, client, Rights::SEND).unwrap();
     let rep_s = k.create_endpoint(server).unwrap();
     let rep_c = k.grant_cap(server, rep_s, client, Rights::RECV).unwrap();
-    let mut rt_pauses = PauseHistogram::new();
+    let mut rt_pauses = LogHistogram::new();
     let mut total_cycles = 0u64;
     for _ in 0..rounds {
         let t0 = Instant::now();
         let cycles = k
             .ping_pong(client, server, (req_s, req_c), (rep_s, rep_c), words)
             .expect("round trip");
-        rt_pauses.record(t0.elapsed());
+        rt_pauses.record_duration(t0.elapsed());
         total_cycles += cycles;
     }
     PolicyResult {
@@ -93,9 +93,9 @@ pub fn run(scale: Scale) -> Table {
         t.row(vec![
             r.policy.to_owned(),
             r.cycles_per_rt.to_string(),
-            fmt_ns(r.rt_pauses.percentile_ns(0.50)),
-            fmt_ns(r.rt_pauses.percentile_ns(0.99)),
-            fmt_ns(r.rt_pauses.max_ns()),
+            fmt_ns(r.rt_pauses.percentile(0.50)),
+            fmt_ns(r.rt_pauses.percentile(0.99)),
+            fmt_ns(r.rt_pauses.max()),
             fmt_ns(r.gc_max_pause_ns),
             r.collections.to_string(),
         ]);
