@@ -1077,19 +1077,36 @@ impl Kernel {
         sysobs::obs_span_hot!("kernel.ipc.ping_pong");
         let snapshot = self.cycles;
         let payload = vec![0xAB; words];
-        // Server posts a receive, then client sends (rendezvous).
+        if self.round_trip(client, server, request_ep, reply_ep, &payload)? {
+            Ok(self.cycles.since(snapshot))
+        } else {
+            Err(KernelError::DanglingCapability)
+        }
+    }
+
+    /// One attempt at an IPC round trip: the server posts a receive, the
+    /// client sends (rendezvous), then the client waits for the reply and
+    /// the server echoes the request. `Ok(false)` when either message was
+    /// lost in transit.
+    fn round_trip(
+        &mut self,
+        client: Pid,
+        server: Pid,
+        request_ep: (CapSlot, CapSlot),
+        reply_ep: (CapSlot, CapSlot),
+        payload: &[u64],
+    ) -> Result<bool> {
         self.syscall(server, Syscall::Recv { cap: request_ep.0 })?;
         self.syscall(
             client,
             Syscall::Send {
                 cap: request_ep.1,
-                msg: Message::words(&payload),
+                msg: Message::words(payload),
             },
         )?;
-        let req = self
-            .take_delivered(server)
-            .ok_or(KernelError::DanglingCapability)?;
-        // Client waits for the reply; server echoes.
+        let Some(req) = self.take_delivered(server) else {
+            return Ok(false);
+        };
         self.syscall(client, Syscall::Recv { cap: reply_ep.1 })?;
         self.syscall(
             server,
@@ -1098,10 +1115,7 @@ impl Kernel {
                 msg: Message::words(&req.payload),
             },
         )?;
-        let _ = self
-            .take_delivered(client)
-            .ok_or(KernelError::DanglingCapability)?;
-        Ok(self.cycles.since(snapshot))
+        Ok(self.take_delivered(client).is_some())
     }
 
     /// Drives the clock (via scheduler sweeps) until `pid` is no longer
@@ -1138,7 +1152,7 @@ impl Kernel {
     /// [`KernelError::TimedOut`] after `max_retries` failed attempts;
     /// propagates non-recoverable syscall failures (bad caps, dead
     /// processes) immediately.
-    #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments)]
     pub fn ping_pong_resilient(
         &mut self,
         client: Pid,
@@ -1181,29 +1195,7 @@ impl Kernel {
                 proc.timed_out = false;
                 proc.delivered.clear();
             }
-            let attempt = (|| -> Result<bool> {
-                self.syscall(server, Syscall::Recv { cap: request_ep.0 })?;
-                self.syscall(
-                    client,
-                    Syscall::Send {
-                        cap: request_ep.1,
-                        msg: Message::words(&payload),
-                    },
-                )?;
-                let Some(req) = self.take_delivered(server) else {
-                    return Ok(false); // request lost in transit
-                };
-                self.syscall(client, Syscall::Recv { cap: reply_ep.1 })?;
-                self.syscall(
-                    server,
-                    Syscall::Send {
-                        cap: reply_ep.0,
-                        msg: Message::words(&req.payload),
-                    },
-                )?;
-                Ok(self.take_delivered(client).is_some())
-            })();
-            match attempt {
+            match self.round_trip(client, server, request_ep, reply_ep, &payload) {
                 Ok(true) => {
                     return Ok(IpcOutcome {
                         cycles: self.cycles.since(snapshot),

@@ -19,8 +19,8 @@
 //! so later PRs have a number to beat.
 //!
 //! Every timed router run, this sweep's and the conntrack and LB benches',
-//! goes through the router's trial driver, [`run_trial`], and [`best_of`]
-//! is the one best-of-N rule over trials.
+//! goes through the router's trial driver, [`run_trial`], and [`paired`]
+//! is the one rule that reduces repeated timed runs to one number.
 
 use crate::cowtrie::CowRouteTable;
 use crate::lpm::{LinearTable, Routes as _, TrieTable};
@@ -69,8 +69,8 @@ pub struct SweepConfig {
     /// Process-wide allocation counter (e.g. a counting `#[global_allocator]`
     /// in the bench binary); see [`run_trial`].
     pub alloc_counter: Option<fn() -> u64>,
-    /// Timed trials per (workers × batch) configuration; see [`best_of`].
-    pub trials: usize,
+    /// Paired rounds over the sweep grid and the churn rates; see [`paired`].
+    pub rounds: usize,
     /// Target route-update rates (updates/sec) for the churn sweep. Empty
     /// skips the churn sweep.
     pub churn_rates: Vec<u64>,
@@ -91,7 +91,7 @@ impl SweepConfig {
             lookups: 200_000,
             flows: 1024,
             alloc_counter: None,
-            trials: 1,
+            rounds: 1,
             churn_rates: Vec::new(),
             visibility_samples: 0,
         }
@@ -108,7 +108,7 @@ impl SweepConfig {
             lookups: 2_000_000,
             flows: 4096,
             alloc_counter: None,
-            trials: 3,
+            rounds: 3,
             churn_rates: vec![0, 100, 1_000, 10_000],
             visibility_samples: 512,
         }
@@ -369,14 +369,34 @@ pub fn lookup_comparison(routes: usize, lookups: usize, seed: u64) -> LookupPoin
     }
 }
 
-/// Best of `trials` runs (at least one) by `pps`. Wall-clock throughput on
-/// a shared host is at the mercy of the scheduler: best-of-N reports what
-/// the data plane can sustain, not which trial drew the short straw.
-pub fn best_of<T>(trials: usize, pps: impl Fn(&T) -> f64, mut run: impl FnMut() -> T) -> T {
-    (0..trials.max(1))
-        .map(|_| run())
-        .max_by(|a, b| pps(a).total_cmp(&pps(b)))
-        .expect("at least one trial")
+/// Cores visible to the process: the scaling context every record carries.
+#[must_use]
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+/// Paired rounds: each of `rounds` rounds (at least one) calls `run(0)`, …,
+/// `run(arms - 1)` back to back; each arm returns its sample of median `key`
+/// (the upper middle for an even count, so two rounds keep the larger). Host
+/// drift then hits every arm alike instead of masquerading as (or cancelling)
+/// a cross-arm cost, and the median drops one-off outliers either way.
+pub fn paired<T>(
+    rounds: usize,
+    arms: usize,
+    key: impl Fn(&T) -> f64,
+    mut run: impl FnMut(usize) -> T,
+) -> Vec<T> {
+    let mut samples: Vec<Vec<T>> = (0..arms).map(|_| Vec::new()).collect();
+    for _ in 0..rounds.max(1) {
+        for (arm, s) in samples.iter_mut().enumerate() {
+            s.push(run(arm));
+        }
+    }
+    let median = |mut s: Vec<T>| {
+        s.sort_by(|a, b| key(a).total_cmp(&key(b)));
+        s.swap_remove(s.len() / 2)
+    };
+    samples.into_iter().map(median).collect()
 }
 
 /// The churn target: a /30 outside [`route_set`]'s prefixes (the /16 arm
@@ -451,8 +471,8 @@ fn stream_trial(
     })
 }
 
-/// Runs the churn sweep: each rate, best of [`SweepConfig::trials`]
-/// trials, at the largest worker count.
+/// Runs the churn sweep at the largest worker count: every rate is an arm
+/// of [`SweepConfig::rounds`] paired rounds.
 #[must_use]
 pub fn run_churn_sweep(cfg: &SweepConfig) -> Vec<ChurnPoint> {
     if cfg.churn_rates.is_empty() {
@@ -465,29 +485,26 @@ pub fn run_churn_sweep(cfg: &SweepConfig) -> Vec<ChurnPoint> {
     } else {
         cfg.batch_sizes.last().copied().unwrap_or(64)
     };
-    cfg.churn_rates
-        .iter()
-        .map(|&rate| {
-            best_of(
-                cfg.trials,
-                |p: &ChurnPoint| p.pps,
-                || {
-                    let (report, t, updates_applied) =
-                        stream_trial(cfg, &frames, workers, batch_size, rate);
-                    ChurnPoint {
-                        target_updates_per_sec: rate,
-                        updates_applied,
-                        pps: t.pps,
-                        p50_ns: t.p50_ns,
-                        p99_ns: t.p99_ns,
-                        cache_hit_rate: report.cache_hit_rate(),
-                        invalidation_misses: report.stats.totals.cache_invalidation_misses,
-                        steady_allocs_per_packet: t.steady_allocs_per_packet,
-                    }
-                },
-            )
-        })
-        .collect()
+    paired(
+        cfg.rounds,
+        cfg.churn_rates.len(),
+        |p: &ChurnPoint| p.pps,
+        |i| {
+            let rate = cfg.churn_rates[i];
+            let (report, t, updates_applied) =
+                stream_trial(cfg, &frames, workers, batch_size, rate);
+            ChurnPoint {
+                target_updates_per_sec: rate,
+                updates_applied,
+                pps: t.pps,
+                p50_ns: t.p50_ns,
+                p99_ns: t.p99_ns,
+                cache_hit_rate: report.cache_hit_rate(),
+                invalidation_misses: report.stats.totals.cache_invalidation_misses,
+                steady_allocs_per_packet: t.steady_allocs_per_packet,
+            }
+        },
+    )
 }
 
 /// Measures publish → first-observation latency of the copy-on-write
@@ -549,39 +566,37 @@ pub fn update_visibility(samples: usize) -> Option<VisibilityPoint> {
     })
 }
 
-/// Runs the full sweep: lookup microbench plus the (workers × batch)
-/// pipeline grid, best of [`SweepConfig::trials`] trials per point, plus
-/// the churn sweep and visibility microbench when configured.
+/// Runs the full sweep: lookup microbench, the (workers × batch) pipeline
+/// grid as [`paired`] arms, and the churn and visibility runs when configured.
 #[must_use]
 pub fn run_sweep(cfg: &SweepConfig) -> BenchReport {
     let lookup = lookup_comparison(cfg.routes, cfg.lookups, SEED);
     let frames = frame_stream(cfg);
-    let mut sweep = Vec::new();
-    for &workers in &cfg.worker_counts {
-        for &batch_size in &cfg.batch_sizes {
-            sweep.push(best_of(
-                cfg.trials,
-                |p: &SweepPoint| p.pps,
-                || {
-                    let (report, t, _) = stream_trial(cfg, &frames, workers, batch_size, 0);
-                    SweepPoint {
-                        workers,
-                        batch_size,
-                        pps: t.pps,
-                        p50_ns: t.p50_ns,
-                        p99_ns: t.p99_ns,
-                        p999_ns: t.p999_ns,
-                        forwarded: report.stats.totals.forwarded,
-                        dropped: report.stats.totals.dropped_total(),
-                        cache_hit_rate: report.cache_hit_rate(),
-                        steady_allocs_per_packet: t.steady_allocs_per_packet,
-                    }
-                },
-            ));
-        }
-    }
+    let batches = cfg.batch_sizes.len();
+    let sweep = paired(
+        cfg.rounds,
+        cfg.worker_counts.len() * batches,
+        |p: &SweepPoint| p.pps,
+        |i| {
+            let (workers, batch_size) =
+                (cfg.worker_counts[i / batches], cfg.batch_sizes[i % batches]);
+            let (report, t, _) = stream_trial(cfg, &frames, workers, batch_size, 0);
+            SweepPoint {
+                workers,
+                batch_size,
+                pps: t.pps,
+                p50_ns: t.p50_ns,
+                p99_ns: t.p99_ns,
+                p999_ns: t.p999_ns,
+                forwarded: report.stats.totals.forwarded,
+                dropped: report.stats.totals.dropped_total(),
+                cache_hit_rate: report.cache_hit_rate(),
+                steady_allocs_per_packet: t.steady_allocs_per_packet,
+            }
+        },
+    );
     BenchReport {
-        host_cores: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        host_cores: host_cores(),
         packets: cfg.packets,
         flows: cfg.flows,
         lookup,
@@ -710,6 +725,52 @@ mod tests {
         for addr in address_stream(2_000, 64, 42) {
             assert_eq!(trie.lookup(addr), linear.lookup(addr), "addr {addr:#010x}");
         }
+    }
+
+    /// [`paired`] over one arm whose round `r` yields the sample
+    /// `(r, keys[r])`: which round's sample comes back.
+    fn paired_pick(keys: &[f64]) -> (usize, f64) {
+        let mut round = 0;
+        let run = |_| {
+            round += 1;
+            (round - 1, keys[round - 1])
+        };
+        paired(keys.len(), 1, |s: &(usize, f64)| s.1, run)[0]
+    }
+
+    #[test]
+    fn paired_calls_the_arms_round_robin() {
+        let mut calls = Vec::new();
+        let out = paired(
+            3,
+            4,
+            |&arm: &usize| arm as f64,
+            |arm| {
+                calls.push(arm);
+                arm
+            },
+        );
+        assert_eq!(calls, [0, 1, 2, 3].repeat(3), "rounds × [0, …, arms-1]");
+        assert_eq!(out, [0, 1, 2, 3], "one sample per arm, in arm order");
+    }
+
+    #[test]
+    fn paired_returns_the_median_key_sample_past_an_outlier() {
+        assert_eq!(paired_pick(&[5.0, 1e12, 4.0]), (0, 5.0));
+        assert_eq!(paired_pick(&[4.0, 6.0, 1e-3]), (0, 4.0));
+        assert_eq!(paired_pick(&[3.0, 1.0, 1e12, 4.0, 2.0]), (0, 3.0));
+        assert_eq!(paired_pick(&[3.0, 1e-3, 5.0, 4.0, 2.0]), (0, 3.0));
+    }
+
+    #[test]
+    fn paired_one_round_returns_its_only_sample() {
+        assert_eq!(paired_pick(&[7.0]), (0, 7.0));
+    }
+
+    #[test]
+    fn paired_two_rounds_return_the_larger_key_sample() {
+        assert_eq!(paired_pick(&[2.0, 9.0]), (1, 9.0));
+        assert_eq!(paired_pick(&[9.0, 2.0]), (0, 9.0));
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! counting-allocator bracket measures the router, not the traffic source.
 //! [`LbBenchReport::to_json`] renders `BENCH_lb.json`.
 
-use crate::bench::{best_of, opt4, write_rows};
+use crate::bench::{host_cores, opt4, paired, write_rows};
 use crate::conntrack::ConntrackConfig;
 use crate::ctbench::{delivery, flood_source, Endpoints, TcpPlan};
 use crate::lb::{BackendConfig, LbConfig};
@@ -162,8 +162,8 @@ pub struct LbBenchConfig {
     pub workers: usize,
     /// Per-shard half-open budget.
     pub syn_backlog: usize,
-    /// Timed trials per scenario; see [`best_of`].
-    pub trials: usize,
+    /// Paired rounds over the four scenarios; see [`paired`].
+    pub rounds: usize,
     /// Process-wide allocation counter; see [`crate::router::run_trial`].
     pub alloc_counter: Option<fn() -> u64>,
 }
@@ -179,7 +179,7 @@ impl LbBenchConfig {
             slowloris_rounds: 192,
             workers: 2,
             syn_backlog: 1_024,
-            trials: 1,
+            rounds: 1,
             alloc_counter: None,
         }
     }
@@ -194,7 +194,7 @@ impl LbBenchConfig {
             slowloris_rounds: 128,
             workers: 4,
             syn_backlog: 4_096,
-            trials: 3,
+            rounds: 3,
             alloc_counter: None,
         }
     }
@@ -498,21 +498,20 @@ impl LbBenchReport {
     }
 }
 
-/// Runs the full LB bench: all four router scenarios, recorded next to the
-/// virtual-clock failover run's `failover` report.
+/// Runs the full LB bench: all four router scenarios as [`paired`] arms,
+/// recorded next to the virtual-clock failover run's `failover` report.
 #[must_use]
 pub fn run_lb_bench(cfg: &LbBenchConfig, failover: FailoverReport) -> LbBenchReport {
-    let scenarios = [
-        LbScenario::BaselineNoLb,
-        LbScenario::Steady,
-        LbScenario::PortScanStorm,
-        LbScenario::Slowloris,
-    ]
-    .iter()
-    .map(|&sc| best_of(cfg.trials, |p: &LbPoint| p.pps, || run_lb_point(cfg, sc)))
-    .collect();
+    use LbScenario::{BaselineNoLb, PortScanStorm, Slowloris, Steady};
+    let arms = [BaselineNoLb, Steady, PortScanStorm, Slowloris];
+    let scenarios = paired(
+        cfg.rounds,
+        arms.len(),
+        |p: &LbPoint| p.pps,
+        |i| run_lb_point(cfg, arms[i]),
+    );
     LbBenchReport {
-        host_cores: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        host_cores: host_cores(),
         workers: cfg.workers,
         backends: lb_backends().len(),
         scenarios,

@@ -16,12 +16,11 @@
 //!   three runtime modes (the kernel keeps its instrumentation compiled in;
 //!   `disabled` is its reference point).
 //!
-//! The measurement is drift-proofed for small hosts: every *round*
-//! measures all configurations back to back, and each configuration
-//! reports its **median across rounds** — a paired design, so slow drift
-//! in host throughput (thermal, co-tenants) hits every arm alike instead
-//! of masquerading as instrumentation cost, and the median discards the
-//! scheduler hiccups that corrupt a best-of estimator one arm at a time.
+//! The measurement is drift-proofed for small hosts by
+//! [`sysnet::bench::paired`]: every *round* measures all configurations
+//! back to back, and each configuration reports its **median across
+//! rounds**, so slow drift in host throughput (thermal, co-tenants) hits
+//! every arm alike instead of masquerading as instrumentation cost.
 //! The budget this experiment enforces (see `ci` and the obs_bench
 //! example): disabled ≤ 5% below the uninstrumented baseline on the router
 //! workload, counters ≤ 15%.
@@ -32,7 +31,7 @@ use microkernel::rights::Rights;
 use std::fmt::Write as _;
 use std::time::Instant;
 use sysmem::freelist::FreeListHeap;
-use sysnet::bench::{build_tables, frame_stream, SweepConfig, PORTS};
+use sysnet::bench::{build_tables, frame_stream, host_cores, paired, SweepConfig, PORTS};
 use sysnet::router::{run_stream, RouterConfig};
 use sysobs::Mode;
 
@@ -151,11 +150,11 @@ fn sweep_config(scale: Scale) -> SweepConfig {
 }
 
 fn reps(scale: Scale) -> usize {
-    // A full pass is tens of milliseconds, so best-of can afford a wide
-    // net: on a small host the scheduler perturbs individual passes by
+    // Odd, for a true median. A pass is tens of milliseconds, so a wide net
+    // is affordable: on a small host the scheduler perturbs single passes by
     // >10%, and the budget assertions referee single-digit claims.
     match scale {
-        Scale::Quick => 2,
+        Scale::Quick => 3,
         Scale::Full => 25,
     }
 }
@@ -208,18 +207,6 @@ fn ipc_once(rounds: usize) -> u64 {
     u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX) / rounds.max(1) as u64
 }
 
-/// The sample whose `pps` is the median of the set (rounds are odd, so
-/// this is the true middle element).
-fn median_by_pps(samples: &mut [(f64, u64, u64)]) -> (f64, u64, u64) {
-    samples.sort_by(|a, b| a.0.total_cmp(&b.0));
-    samples[samples.len() / 2]
-}
-
-fn median_u64(samples: &mut [u64]) -> u64 {
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
-
 fn overhead_pct(baseline: f64, value: f64) -> f64 {
     if baseline <= 0.0 {
         return 0.0;
@@ -257,65 +244,59 @@ pub fn measure(scale: Scale) -> ObsBenchReport {
         ("tracing", Mode::Tracing),
     ];
 
-    // Paired rounds: every round measures all arms back to back, so host
-    // drift between rounds cancels out of the cross-arm ratios.
-    let rounds_n = n | 1; // odd, for a true median
-    let mut router_samples: Vec<Vec<(f64, u64, u64)>> = vec![Vec::new(); configs.len()];
-    let mut ipc_samples: Vec<Vec<u64>> = vec![Vec::new(); modes.len()];
-    for _ in 0..rounds_n {
-        for (i, (_, instrument, mode)) in configs.iter().enumerate() {
-            arm(*mode);
-            router_samples[i].push(router_once(&cfg, &frames, *instrument));
-        }
-        for (i, (_, mode)) in modes.iter().enumerate() {
-            arm(*mode);
-            ipc_samples[i].push(ipc_once(rounds));
-        }
-    }
+    let router_medians = paired(
+        n,
+        configs.len(),
+        |s: &(f64, u64, u64)| s.0,
+        |i| {
+            arm(configs[i].2);
+            router_once(&cfg, &frames, configs[i].1)
+        },
+    );
+    let ipc_medians = paired(
+        n,
+        modes.len(),
+        |&ns| ns as f64,
+        |i| {
+            arm(modes[i].1);
+            ipc_once(rounds)
+        },
+    );
     sysobs::set_mode(Mode::Disabled);
     sysobs::clear();
 
-    let mut router = Vec::new();
-    let mut baseline_pps = 0.0f64;
-    for (i, (name, _, _)) in configs.iter().enumerate() {
-        let (pps, p50, p99) = median_by_pps(&mut router_samples[i]);
-        if *name == "uninstrumented" {
-            baseline_pps = pps;
-        }
-        router.push(RouterPoint {
-            mode: name,
+    let baseline_pps = router_medians[0].0;
+    let router = configs
+        .iter()
+        .zip(router_medians)
+        .map(|(&(mode, _, _), (pps, p50_ns, p99_ns))| RouterPoint {
+            mode,
             pps,
-            p50_ns: p50,
-            p99_ns: p99,
+            p50_ns,
+            p99_ns,
             overhead_pct: overhead_pct(baseline_pps, pps),
-        });
-    }
-
-    let mut ipc = Vec::new();
-    let mut baseline_ns = 0u64;
-    for (i, (name, _)) in modes.iter().enumerate() {
-        let ns = median_u64(&mut ipc_samples[i]);
-        if *name == "disabled" {
-            baseline_ns = ns;
-        }
-        #[allow(clippy::cast_precision_loss)]
-        let pct = if baseline_ns == 0 {
-            0.0
-        } else {
-            (ns as f64 - baseline_ns as f64) / baseline_ns as f64 * 100.0
-        };
-        ipc.push(IpcPoint {
-            mode: name,
+        })
+        .collect();
+    let baseline_ns = ipc_medians[0] as f64;
+    let ipc = modes
+        .iter()
+        .zip(ipc_medians)
+        .map(|(&(mode, _), ns)| IpcPoint {
+            mode,
             ns_per_rt: ns,
-            overhead_pct: pct,
-        });
-    }
+            overhead_pct: if baseline_ns > 0.0 {
+                (ns as f64 - baseline_ns) / baseline_ns * 100.0
+            } else {
+                0.0
+            },
+        })
+        .collect();
 
     ObsBenchReport {
-        host_cores: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        host_cores: host_cores(),
         packets: cfg.packets,
         rounds,
-        reps: rounds_n,
+        reps: n,
         router,
         ipc,
     }

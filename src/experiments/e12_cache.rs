@@ -23,9 +23,7 @@
 
 use super::{fmt_ns, fmt_rate, Scale, Table};
 use std::time::Instant;
-use sysnet::bench::{
-    address_stream, best_of, build_tables, frame_stream, SweepConfig, PORTS, SEED,
-};
+use sysnet::bench::{address_stream, build_tables, frame_stream, paired, SweepConfig, PORTS, SEED};
 use sysnet::router::{run_trial, PoolStats, RouterConfig};
 use sysnet::FlowCache;
 
@@ -47,32 +45,26 @@ fn stream_config(scale: Scale, flows: usize) -> SweepConfig {
     cfg
 }
 
-/// Routes `frames` through a 2-worker router with the given cache sizing;
-/// best of `trials` trials (wall-clock on a shared host is scheduler-noisy).
-fn measure(frames: &[Vec<u8>], routes: usize, cache_slots: usize, trials: usize) -> Point {
-    best_of(
-        trials,
-        |p: &Point| p.pps,
-        || {
-            let (trie, _) = build_tables(routes);
-            let config = RouterConfig {
-                workers: 2,
-                batch_size: 64,
-                cache_slots,
-                ..RouterConfig::default()
-            };
-            let (report, t, ()) = run_trial(trie, PORTS, config, frames.len(), None, |feed| {
-                feed.submit_all(frames);
-            });
-            Point {
-                pps: t.pps,
-                p50_ns: t.p50_ns,
-                p99_ns: t.p99_ns,
-                hit_rate: report.cache_hit_rate(),
-                pool: report.pool,
-            }
-        },
-    )
+/// Routes `frames` once through a 2-worker router with the given cache
+/// sizing; the trial driver asserts conservation for every run.
+fn measure(frames: &[Vec<u8>], routes: usize, cache_slots: usize) -> Point {
+    let (trie, _) = build_tables(routes);
+    let config = RouterConfig {
+        workers: 2,
+        batch_size: 64,
+        cache_slots,
+        ..RouterConfig::default()
+    };
+    let (report, t, ()) = run_trial(trie, PORTS, config, frames.len(), None, |feed| {
+        feed.submit_all(frames);
+    });
+    Point {
+        pps: t.pps,
+        p50_ns: t.p50_ns,
+        p99_ns: t.p99_ns,
+        hit_rate: report.cache_hit_rate(),
+        pool: report.pool,
+    }
 }
 
 /// Times route resolution alone — the path the cache shortcuts — over a
@@ -137,10 +129,6 @@ pub fn run(scale: Scale) -> Table {
         ],
     );
 
-    let trials = match scale {
-        Scale::Quick => 1,
-        Scale::Full => 3,
-    };
     let (flows, lookups) = match scale {
         Scale::Quick => (1024, 200_000),
         Scale::Full => (4096, 2_000_000),
@@ -168,29 +156,32 @@ pub fn run(scale: Scale) -> Table {
         ]);
     }
 
-    let mut reuse = 0.0;
-    for (stream_name, cfg) in [("skewed flows", &skewed), ("unique flows", &unique)] {
-        let frames = frame_stream(cfg);
-        for (cache_name, slots) in [("on (4096)", 4096usize), ("off", 0)] {
-            // The trial driver asserts conservation for every run.
-            let p = measure(&frames, cfg.routes, slots, trials);
-            if stream_name == "skewed flows" && slots > 0 {
-                reuse = p.pool.frame_reuse_rate();
-            }
-            t.row(vec![
-                stream_name.into(),
-                cache_name.into(),
-                if slots > 0 {
-                    format!("{:.1} %", p.hit_rate * 100.0)
-                } else {
-                    "—".into()
-                },
-                fmt_rate(p.pps),
-                fmt_ns(p.p50_ns),
-                fmt_ns(p.p99_ns),
-                format!("{:.1} %", p.pool.frame_reuse_rate() * 100.0),
-            ]);
-        }
+    // Four paired arms: stream (skewed, unique) × cache (on, off).
+    let streams = [("skewed flows", &skewed), ("unique flows", &unique)];
+    let caches = [("on (4096)", 4096usize), ("off", 0)];
+    let frames = streams.map(|(_, cfg)| frame_stream(cfg));
+    let points = paired(
+        skewed.rounds,
+        4,
+        |p: &Point| p.pps,
+        |i| measure(&frames[i / 2], streams[i / 2].1.routes, caches[i % 2].1),
+    );
+    let reuse = points[0].pool.frame_reuse_rate();
+    for (i, p) in points.iter().enumerate() {
+        let ((stream_name, _), (cache_name, slots)) = (streams[i / 2], caches[i % 2]);
+        t.row(vec![
+            stream_name.into(),
+            cache_name.into(),
+            if slots > 0 {
+                format!("{:.1} %", p.hit_rate * 100.0)
+            } else {
+                "—".into()
+            },
+            fmt_rate(p.pps),
+            fmt_ns(p.p50_ns),
+            fmt_ns(p.p99_ns),
+            format!("{:.1} %", p.pool.frame_reuse_rate() * 100.0),
+        ]);
     }
 
     t.note(format!(

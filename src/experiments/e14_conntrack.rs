@@ -31,7 +31,6 @@ fn config_for(scale: Scale) -> CtBenchConfig {
             data_per_flow: 4,
             min_benign_packets: 20_000,
             workers: 2,
-            trials: 1,
             ..CtBenchConfig::quick()
         },
         Scale::Full => CtBenchConfig::full(),

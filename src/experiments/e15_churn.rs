@@ -118,6 +118,7 @@ fn clean_model_row(t: &mut Table, name: &str, cfg: &Config, model: fn() -> u64) 
         "—".into(),
         "—".into(),
         "—".into(),
+        "—".into(),
         ex.schedules.to_string(),
         if ex.complete {
             "clean (exhaustive)".into()
@@ -137,6 +138,7 @@ fn bug_model_row(t: &mut Table, name: &str, cfg: &Config, model: fn() -> u64) {
         "—".into(),
         "—".into(),
         "—".into(),
+        "—".into(),
         ex.schedules.to_string(),
         format!(
             "found ({}), {} preempt repro",
@@ -150,8 +152,7 @@ fn bug_model_row(t: &mut Table, name: &str, cfg: &Config, model: fn() -> u64) {
 ///
 /// # Panics
 ///
-/// Panics if a clean model fails, the seeded bug goes unfound, or the
-/// churn sweep returns no zero-churn baseline.
+/// Panics if a clean model fails or the seeded bug goes unfound.
 #[must_use]
 pub fn run(scale: Scale) -> Table {
     let cfg = match scale {
@@ -178,6 +179,7 @@ pub fn run(scale: Scale) -> Table {
             "throughput",
             "inval misses",
             "p50 / p99",
+            "schedules",
             "outcome",
         ],
     );
@@ -199,6 +201,7 @@ pub fn run(scale: Scale) -> Table {
             fmt_rate(p.pps),
             p.invalidation_misses.to_string(),
             format!("{} / {}", fmt_ns(p.p50_ns), fmt_ns(p.p99_ns)),
+            "—".into(),
             vs_zero,
         ]);
     }
@@ -211,6 +214,7 @@ pub fn run(scale: Scale) -> Table {
             "—".into(),
             "—".into(),
             format!("{} / {}", fmt_ns(v.cow_p50_ns), fmt_ns(v.cow_p99_ns)),
+            "—".into(),
             "publish → fresh pin".into(),
         ]);
     }

@@ -29,20 +29,20 @@
 //! (`tests/obs_postmortem.rs`) asserts the exactly-one property in an
 //! isolated process; the table here renders the same outcomes.
 
-use super::{fmt_rate, Scale, Table};
+use super::{ct_flow_frame, fmt_rate, Scale, Table};
 use microkernel::kernel::{Kernel, Syscall};
 use microkernel::rights::Rights;
 use std::sync::Arc;
 use sysfault::{FaultPlan, Schedule};
 use sysmem::epoch::Domain;
 use sysmem::freelist::FreeListHeap;
-use sysnet::bench::{build_tables, frame_stream, SweepConfig, PORTS};
+use sysnet::bench::{build_tables, frame_stream, paired, SweepConfig, PORTS};
 use sysnet::conntrack::ConntrackConfig;
 use sysnet::ctbench::{ct_table, CT_PORTS};
 use sysnet::router::{run_stream, RouterConfig, SITE_NET_WORKER_STALL};
 use sysobs::sampler::{sampler, SampleSite, DEFAULT_EVENT_COST_NS, MAX_SHIFT};
 use sysobs::{Mode, Postmortem, TriggerEngine};
-use sysrepr::packet::{PacketBuilder, TCP_ACK, TCP_SYN};
+use sysrepr::packet::{TCP_ACK, TCP_SYN};
 
 const CAMPAIGN_SEED: u64 = 0xE16_0B5;
 
@@ -51,7 +51,7 @@ const CAMPAIGN_SEED: u64 = 0xE16_0B5;
 pub struct OverheadPoint {
     /// Row label (`uninstrumented`, `shift 0 (1-in-1)`, …, `adaptive`).
     pub label: String,
-    /// Best-of-reps packets per second.
+    /// Median-across-rounds packets per second.
     pub pps: f64,
     /// Throughput overhead vs the uninstrumented baseline, percent.
     pub overhead_pct: f64,
@@ -108,7 +108,7 @@ fn sweep_config(scale: Scale) -> SweepConfig {
 }
 
 fn reps(scale: Scale) -> usize {
-    // Rounds of the paired measurement (forced odd for a true median).
+    // Rounds of the paired measurement (odd, for a true median).
     match scale {
         Scale::Quick => 3,
         Scale::Full => 9,
@@ -130,15 +130,13 @@ fn router_pps(cfg: &SweepConfig, frames: &[Vec<u8>], instrument: bool) -> f64 {
     pps
 }
 
-/// The sampled-tracing overhead curve: fixed shifts, then adaptive.
-/// Paired design (like E11): every round measures all arms back to back
-/// and each arm reports its median across rounds, so host drift cancels
-/// out of the cross-arm ratios instead of masquerading as sampling cost.
+/// The sampled-tracing overhead curve: fixed shifts, then adaptive, as the
+/// arms of [`paired`] rounds (like E11), so host drift cancels out of the
+/// cross-arm ratios instead of masquerading as sampling cost.
 #[must_use]
 pub fn overhead_curve(scale: Scale) -> Vec<OverheadPoint> {
     let cfg = sweep_config(scale);
     let frames = frame_stream(&cfg);
-    let rounds = reps(scale) | 1;
 
     let arms: Vec<(String, bool, Option<u32>)> =
         std::iter::once(("uninstrumented".into(), false, None))
@@ -167,37 +165,25 @@ pub fn overhead_curve(scale: Scale) -> Vec<OverheadPoint> {
 
     // Warmup pass, then paired rounds.
     let _ = measure_arm(false, None);
-    let mut samples: Vec<Vec<f64>> = vec![Vec::new(); arms.len()];
-    for _ in 0..rounds {
-        for (i, (_, instrument, shift)) in arms.iter().enumerate() {
-            samples[i].push(measure_arm(*instrument, *shift));
-        }
-    }
+    let medians = paired(
+        reps(scale),
+        arms.len(),
+        |&pps| pps,
+        |i| measure_arm(arms[i].1, arms[i].2),
+    );
     sampler().set_fixed_shift(None);
 
-    let median = |v: &mut Vec<f64>| -> f64 {
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    };
-    let baseline = median(&mut samples[0]);
-    arms.iter()
-        .enumerate()
-        .map(|(i, (label, _, _))| {
-            let pps = if i == 0 {
-                baseline
-            } else {
-                median(&mut samples[i])
-            };
-            let overhead_pct = if baseline <= 0.0 || i == 0 {
+    let baseline = medians[0];
+    arms.into_iter()
+        .zip(medians)
+        .map(|((label, _, _), pps)| OverheadPoint {
+            label,
+            pps,
+            overhead_pct: if baseline <= 0.0 {
                 0.0
             } else {
                 (baseline - pps) / baseline * 100.0
-            };
-            OverheadPoint {
-                label: label.clone(),
-                pps,
-                overhead_pct,
-            }
+            },
         })
         .collect()
 }
@@ -247,25 +233,10 @@ pub fn convergence(windows: usize) -> Vec<ConvergencePoint> {
     out
 }
 
-/// TCP frames routed by [`ct_table`] (same addressing as the E9b campaign).
+/// TCP frames of flows `0..n` routed by [`ct_table`] (the E9b addressing).
 fn routable_frames(n: usize, flags: u8) -> Vec<Vec<u8>> {
     (0..n)
-        .map(|f| {
-            #[allow(clippy::cast_possible_truncation)]
-            let (src, dst) = (
-                [172, 16, (f >> 8) as u8, f as u8],
-                [10 + (f % 3) as u8, (f >> 8) as u8, f as u8, 1],
-            );
-            #[allow(clippy::cast_possible_truncation)]
-            let sport = 1024 + (f as u16 & 0x3FFF);
-            PacketBuilder::tcp()
-                .src_ip(src)
-                .dst_ip(dst)
-                .src_port(sport)
-                .dst_port(443)
-                .tcp_flags(flags)
-                .build()
-        })
+        .map(|f| ct_flow_frame(f).tcp_flags(flags).build())
         .collect()
 }
 

@@ -33,7 +33,6 @@ fn config_for(scale: Scale) -> LbBenchConfig {
             slowloris_flows: 2_000,
             slowloris_rounds: 48,
             workers: 2,
-            trials: 1,
             ..LbBenchConfig::quick()
         },
         Scale::Full => LbBenchConfig::full(),

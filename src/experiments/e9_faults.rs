@@ -15,7 +15,7 @@
 //! * **invariant preservation** — after the campaign, every kernel
 //!   invariant contract still verifies under `bitc-verify`.
 
-use super::{Scale, Table};
+use super::{ct_flow_frame, Scale, Table};
 use bitc_verify::vcgen::is_verified;
 use microkernel::invariants::invariant_suite;
 use microkernel::kernel::{Kernel, Syscall, SITE_IPC_DROP, SITE_KERNEL_OOM};
@@ -33,7 +33,7 @@ use sysnet::router::{
     run_stream, RouterConfig, RouterReport, SITE_NET_FRAME_DROP, SITE_NET_RECYCLE_LOSS,
     SITE_NET_WORKER_STALL,
 };
-use sysrepr::packet::{PacketBuilder, TCP_ACK, TCP_SYN};
+use sysrepr::packet::{TCP_ACK, TCP_SYN};
 
 const CAMPAIGN_SEED: u64 = 0x9E37_79B9;
 const DEADLINE_CYCLES: u64 = 2_000;
@@ -270,19 +270,8 @@ fn net_stream(flows: usize, data_rounds: usize) -> Vec<Vec<u8>> {
     let mut frames = Vec::with_capacity(flows * (2 + data_rounds));
     for round in 0..(2 + data_rounds) {
         for f in 0..flows {
-            #[allow(clippy::cast_possible_truncation)]
-            let (src, dst) = (
-                [172, 16, (f >> 8) as u8, f as u8],
-                [10 + (f % 3) as u8, (f >> 8) as u8, f as u8, 1],
-            );
-            #[allow(clippy::cast_possible_truncation)]
-            let sport = 1024 + (f as u16 & 0x3FFF);
-            let mut b = PacketBuilder::tcp()
-                .src_ip(src)
-                .dst_ip(dst)
-                .src_port(sport)
-                .dst_port(443);
-            b = match round {
+            let b = ct_flow_frame(f);
+            let b = match round {
                 0 => b.tcp_flags(TCP_SYN),
                 1 => b.tcp_flags(TCP_ACK),
                 _ => b.tcp_flags(TCP_ACK).payload(&[0x5A; 48]),

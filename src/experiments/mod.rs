@@ -26,6 +26,7 @@ pub mod e8_repr;
 pub mod e9_faults;
 
 use std::fmt;
+use sysrepr::packet::PacketBuilder;
 
 /// How big to run an experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,6 +128,20 @@ pub fn fmt_rate(per_sec: f64) -> String {
     } else {
         format!("{per_sec:.0} /s")
     }
+}
+
+/// A TCP frame of flow `f` in [`sysnet::ctbench::ct_table`]'s address plan:
+/// src `172.16.(f>>8).f`, dst `(10 + f%3).(f>>8).f.1`, sport
+/// `1024 + (f & 0x3FFF)`, dport 443. The caller sets flags and payload.
+#[must_use]
+#[allow(clippy::cast_possible_truncation)]
+pub fn ct_flow_frame(f: usize) -> PacketBuilder {
+    let (hi, lo) = ((f >> 8) as u8, f as u8);
+    PacketBuilder::tcp()
+        .src_ip([172, 16, hi, lo])
+        .dst_ip([10 + (f % 3) as u8, hi, lo, 1])
+        .src_port(1024 + (f as u16 & 0x3FFF))
+        .dst_port(443)
 }
 
 /// Runs every experiment at the given scale, returning rendered tables.
