@@ -30,6 +30,11 @@ cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Paper-claim smoke: the experiments behind the fallacies and challenges
+# (E2/F1 boxing, E3 optimiser, E4 FFI boundary, E5 prover, E7 shared
+# state, E8 representation) at quick scale, through the example binary.
+cargo run --release --example experiments -- e2 e3 e4 e5 e7 e8 f1
+
 # Data-plane smoke: the end-to-end example (asserts conservation and the
 # canonicalization fix), the E10/E12 experiments at quick scale, the flow
 # cache + pool differential suite, the pipeline stage-composition suite

@@ -28,7 +28,7 @@
 //! counting-allocator bracket measures the router, not the traffic source.
 //! [`LbBenchReport::to_json`] renders `BENCH_lb.json`.
 
-use crate::bench::{host_cores, opt4, paired, write_rows};
+use crate::bench::{host_cores, opt4, write_rows};
 use crate::conntrack::ConntrackConfig;
 use crate::ctbench::{delivery, flood_source, Endpoints, TcpPlan};
 use crate::lb::{BackendConfig, LbConfig};
@@ -36,6 +36,7 @@ use crate::lpm::TrieTable;
 use crate::pipeline::DropReason;
 use crate::router::{PortId, RouterConfig};
 use std::fmt::Write as _;
+use sysobs::paired;
 
 /// Ports the LB bench table spreads over: 1 backends, 2 clients, 3 the
 /// VIP host itself (where unrewritten storm SYNs land), 0 default.

@@ -52,7 +52,7 @@ pub mod recorder;
 pub mod sampler;
 pub mod trigger;
 
-pub use clock::now_ns;
+pub use clock::{now_ns, paired};
 pub use context::{CtxGuard, TraceCtx};
 pub use hist::{LogHistogram, BUCKETS};
 pub use metrics::{

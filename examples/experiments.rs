@@ -52,7 +52,7 @@ fn main() {
             "e18" => experiments::e18_scenario::run(scale),
             "f1" => experiments::e2_boxing::run_figure(scale),
             other => {
-                eprintln!("unknown experiment {other} (use e1..e18, e9net, or all)");
+                eprintln!("unknown experiment {other} (use e1..e18, e9net, f1, or all)");
                 std::process::exit(2);
             }
         };

@@ -17,7 +17,7 @@
 //!   `disabled` is its reference point).
 //!
 //! The measurement is drift-proofed for small hosts by
-//! [`sysnet::bench::paired`]: every *round* measures all configurations
+//! [`sysobs::paired`]: every *round* measures all configurations
 //! back to back, and each configuration reports its **median across
 //! rounds**, so slow drift in host throughput (thermal, co-tenants) hits
 //! every arm alike instead of masquerading as instrumentation cost.
@@ -31,9 +31,9 @@ use microkernel::rights::Rights;
 use std::fmt::Write as _;
 use std::time::Instant;
 use sysmem::freelist::FreeListHeap;
-use sysnet::bench::{build_tables, frame_stream, host_cores, paired, SweepConfig, PORTS};
+use sysnet::bench::{build_tables, frame_stream, host_cores, SweepConfig, PORTS};
 use sysnet::router::{run_stream, RouterConfig};
-use sysobs::Mode;
+use sysobs::{paired, Mode};
 
 /// One router configuration's measurement.
 #[derive(Debug, Clone)]

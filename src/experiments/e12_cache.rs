@@ -12,8 +12,10 @@
 //!   asserts allocs/packet < 0.05; here we report the pool's reuse rate.
 //! * **per-worker flow cache** — a direct-mapped `(src, dst)` → next-hop
 //!   cache in front of the trie, invalidated wholesale by the table's
-//!   generation counter. Real traffic is flow-skewed; the cache converts
-//!   the common case from a 32-level trie walk into one array probe.
+//!   generation counter. Real traffic is flow-skewed; the cache turns
+//!   the common case from a trie walk (at most 8 dependent loads since
+//!   the stride-4 trie) into one array probe, and the lookup rows measure
+//!   which of the two is cheaper.
 //!
 //! The A/B: the same skewed stream through the same router with the cache
 //! on vs off (`cache_slots = 0`), plus the adversarial unique-flow stream
@@ -23,9 +25,10 @@
 
 use super::{fmt_ns, fmt_rate, Scale, Table};
 use std::time::Instant;
-use sysnet::bench::{address_stream, build_tables, frame_stream, paired, SweepConfig, PORTS, SEED};
+use sysnet::bench::{address_stream, build_tables, frame_stream, SweepConfig, PORTS, SEED};
 use sysnet::router::{run_trial, PoolStats, RouterConfig};
 use sysnet::FlowCache;
+use sysobs::paired;
 
 /// One measured configuration.
 struct Point {
@@ -68,10 +71,17 @@ fn measure(frames: &[Vec<u8>], routes: usize, cache_slots: usize) -> Point {
 }
 
 /// Times route resolution alone — the path the cache shortcuts — over a
-/// skewed flow sequence: the bare trie walk vs the cache probe with trie
-/// fallback. Returns (trie ns/lookup, cached ns/lookup, hit rate).
+/// skewed flow sequence: the bare trie walk (arm 0) vs the cache probe with
+/// trie fallback (arm 1, a fresh cache each round) as [`paired`] arms.
+/// Returns (trie ns/lookup, cached ns/lookup, hit rate).
 #[allow(clippy::cast_precision_loss)]
-fn lookup_comparison(routes: usize, flows: usize, lookups: usize, seed: u64) -> (f64, f64, f64) {
+fn lookup_comparison(
+    routes: usize,
+    flows: usize,
+    lookups: usize,
+    seed: u64,
+    rounds: usize,
+) -> (f64, f64, f64) {
     let (trie, _) = build_tables(routes);
     let dsts = address_stream(flows, routes, seed);
     // The same skew the frame stream uses: 7 of 8 packets from the hottest
@@ -90,27 +100,33 @@ fn lookup_comparison(routes: usize, flows: usize, lookups: usize, seed: u64) -> 
             (src, dsts[f])
         })
         .collect();
-    let t0 = Instant::now();
-    let mut acc = 0u64;
-    for &(_, dst) in &keys {
-        if let Some(hop) = trie.lookup(dst) {
-            acc = acc.wrapping_add(u64::from(hop));
-        }
-    }
-    std::hint::black_box(acc);
-    let trie_ns = t0.elapsed().as_nanos() as f64 / keys.len() as f64;
-
-    let mut cache = FlowCache::new(4096);
-    let t0 = Instant::now();
-    let mut acc = 0u64;
-    for &(src, dst) in &keys {
-        if let Some(hop) = cache.lookup_or_route(&trie, src, dst) {
-            acc = acc.wrapping_add(u64::from(hop));
-        }
-    }
-    std::hint::black_box(acc);
-    let cached_ns = t0.elapsed().as_nanos() as f64 / keys.len() as f64;
-    (trie_ns, cached_ns, cache.hit_rate())
+    let arms = paired(
+        rounds,
+        2,
+        |&(ns, _): &(f64, f64)| ns,
+        |arm| {
+            let mut cache = FlowCache::new(4096);
+            let t0 = Instant::now();
+            let mut acc = 0u64;
+            if arm == 0 {
+                for &(_, dst) in &keys {
+                    if let Some(hop) = trie.lookup(dst) {
+                        acc = acc.wrapping_add(u64::from(hop));
+                    }
+                }
+            } else {
+                for &(src, dst) in &keys {
+                    if let Some(hop) = cache.lookup_or_route(&trie, src, dst) {
+                        acc = acc.wrapping_add(u64::from(hop));
+                    }
+                }
+            }
+            std::hint::black_box(acc);
+            let ns = t0.elapsed().as_nanos() as f64 / keys.len() as f64;
+            (ns, cache.hit_rate())
+        },
+    );
+    (arms[0].0, arms[1].0, arms[1].1)
 }
 
 /// Runs E12 at the given scale.
@@ -136,7 +152,8 @@ pub fn run(scale: Scale) -> Table {
     let skewed = stream_config(scale, flows);
     let unique = stream_config(scale, 0);
 
-    let (trie_ns, cached_ns, probe_hits) = lookup_comparison(skewed.routes, flows, lookups, SEED);
+    let (trie_ns, cached_ns, probe_hits) =
+        lookup_comparison(skewed.routes, flows, lookups, SEED, scale.rounds());
     for (name, ns, hits) in [
         ("lookup: trie walk", trie_ns, None),
         ("lookup: flow cache", cached_ns, Some(probe_hits)),
@@ -184,14 +201,22 @@ pub fn run(scale: Scale) -> Table {
         ]);
     }
 
+    let (cheaper, dearer, factor) = if cached_ns < trie_ns {
+        ("cache probe", "trie walk", trie_ns / cached_ns.max(1e-9))
+    } else {
+        (
+            "bare trie walk",
+            "cache probe",
+            cached_ns / trie_ns.max(1e-9),
+        )
+    };
     t.note(format!(
-        "on the lookup path the cache is {:.1}x cheaper than the trie walk — \
-         the F1-sized factor — but the end-to-end A/B rows are near parity: \
-         on this single-core host the dispatcher (memcpy + hash + channel), \
-         not route lookup, bounds throughput, so the probe's job end-to-end \
-         is to cost nothing, including on the adversarial unique-flow stream \
-         where it can only miss",
-        trie_ns / cached_ns.max(1e-9)
+        "on the lookup path the {cheaper} is {factor:.1}x cheaper than the \
+         {dearer} (median of {} paired rounds); end-to-end the dispatcher \
+         (memcpy + hash + channel), not route lookup, bounds throughput, so \
+         the probe's job there is to cost nothing, including on the \
+         adversarial unique-flow stream where it can only miss",
+        scale.rounds()
     ));
     t.note(format!(
         "frame reuse {:.1} % at steady state: the pool is C2's idiomatic \

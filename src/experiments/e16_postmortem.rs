@@ -36,12 +36,12 @@ use std::sync::Arc;
 use sysfault::{FaultPlan, Schedule};
 use sysmem::epoch::Domain;
 use sysmem::freelist::FreeListHeap;
-use sysnet::bench::{build_tables, frame_stream, paired, SweepConfig, PORTS};
+use sysnet::bench::{build_tables, frame_stream, SweepConfig, PORTS};
 use sysnet::conntrack::ConntrackConfig;
 use sysnet::ctbench::{ct_table, CT_PORTS};
 use sysnet::router::{run_stream, RouterConfig, SITE_NET_WORKER_STALL};
 use sysobs::sampler::{sampler, SampleSite, DEFAULT_EVENT_COST_NS, MAX_SHIFT};
-use sysobs::{Mode, Postmortem, TriggerEngine};
+use sysobs::{paired, Mode, Postmortem, TriggerEngine};
 use sysrepr::packet::{TCP_ACK, TCP_SYN};
 
 const CAMPAIGN_SEED: u64 = 0xE16_0B5;

@@ -5,13 +5,13 @@
 //! allocation + indirection + cache misses) and cannot be assumed away; the
 //! table reports the slowdown factor per kernel and the memory-bloat model.
 
-use super::{fmt_ns, Scale, Table};
+use super::{fmt_ns, time_vm, Scale, Table};
 use bitc_core::compile::compile_source;
 use bitc_core::ffi::NativeRegistry;
 use bitc_core::layout::{array_bytes, bloat_factor};
 use bitc_core::types::Type;
-use bitc_core::vm::{Boxed, Rep, Unboxed, Vm};
-use std::time::Instant;
+use bitc_core::vm::{Boxed, Unboxed};
+use sysobs::paired;
 
 /// The benchmark kernels: classic inner loops of systems code.
 #[must_use]
@@ -51,14 +51,27 @@ pub fn kernels(scale: Scale) -> Vec<(&'static str, String)> {
     ]
 }
 
-fn time_run<R: Rep>(src: &str) -> (u64, i64, u64) {
+/// Times `src` under the unboxed (arm 0) and the boxed (arm 1)
+/// representation as [`paired`] arms over `rounds` rounds; the program is
+/// compiled once, outside the timed arms. Returns each arm's median-ns
+/// (ns, result, boxed-value allocations).
+fn time_pair(src: &str, rounds: usize) -> [(u64, i64, u64); 2] {
     let bc = compile_source(src).expect("kernel compiles");
     let reg = NativeRegistry::new();
-    let mut vm = Vm::<R>::new(&bc, &reg).expect("vm constructs");
-    let t0 = Instant::now();
-    let result = vm.run_int().expect("kernel runs");
-    let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    (ns, result, vm.stats.value_allocations)
+    let arms = paired(
+        rounds,
+        2,
+        |&(ns, _, _): &(u64, i64, u64)| ns as f64,
+        |arm| {
+            let (ns, result, stats) = if arm == 0 {
+                time_vm::<Unboxed>(&bc, &reg)
+            } else {
+                time_vm::<Boxed>(&bc, &reg)
+            };
+            (ns, result, stats.value_allocations)
+        },
+    );
+    [arms[0], arms[1]]
 }
 
 /// Runs E2 and renders the table.
@@ -76,8 +89,7 @@ pub fn run(scale: Scale) -> Table {
         ],
     );
     for (name, src) in kernels(scale) {
-        let (u_ns, u_res, _) = time_run::<Unboxed>(&src);
-        let (b_ns, b_res, b_allocs) = time_run::<Boxed>(&src);
+        let [(u_ns, u_res, _), (b_ns, b_res, b_allocs)] = time_pair(&src, scale.rounds());
         #[allow(clippy::cast_precision_loss)]
         let slow = b_ns as f64 / u_ns.max(1) as f64;
         t.row(vec![
@@ -145,8 +157,7 @@ pub fn run_figure(scale: Scale) -> Table {
                    (set! p (+ p 1)))
                  acc))"
         );
-        let (u_ns, u_res, _) = time_run::<Unboxed>(&src);
-        let (b_ns, b_res, _) = time_run::<Boxed>(&src);
+        let [(u_ns, u_res, _), (b_ns, b_res, _)] = time_pair(&src, scale.rounds());
         assert_eq!(u_res, b_res, "representation divergence at n={n}");
         let elems = (n * passes) as u64;
         #[allow(clippy::cast_precision_loss)]
@@ -186,8 +197,7 @@ mod tests {
     #[test]
     fn e2_boxed_allocates_unboxed_does_not() {
         for (_, src) in kernels(Scale::Quick) {
-            let (_, _, u_allocs) = time_run::<Unboxed>(&src);
-            let (_, _, b_allocs) = time_run::<Boxed>(&src);
+            let [(_, _, u_allocs), (_, _, b_allocs)] = time_pair(&src, 1);
             // Unboxed only allocates for vectors; boxed allocates per value.
             assert!(
                 b_allocs > u_allocs * 10,

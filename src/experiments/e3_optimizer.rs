@@ -5,12 +5,13 @@
 //! the *unoptimized* program. The paper's claim: optimization recovers part
 //! of the representation gap but not the structural cost of boxing itself.
 
-use super::{fmt_ns, Scale, Table};
+use super::{fmt_ns, time_vm, Scale, Table};
+use bitc_core::bytecode::Bytecode;
 use bitc_core::ffi::NativeRegistry;
 use bitc_core::opt::{compile_optimized, OptLevel};
 use bitc_core::parser::parse_program;
-use bitc_core::vm::{Boxed, Unboxed, Vm};
-use std::time::Instant;
+use bitc_core::vm::{Boxed, Unboxed, VmStats};
+use sysobs::paired;
 
 fn workload(scale: Scale) -> String {
     let n = match scale {
@@ -31,6 +32,26 @@ fn workload(scale: Scale) -> String {
     )
 }
 
+/// The table's arms: the boxed VM on each [`OptLevel::ALL`] build of the
+/// program (arms `0..levels`), then the unboxed VM on the unoptimised build
+/// (the last arm). Each returns (ns, result, the run's counters).
+fn run_arm(arm: usize, builds: &[Bytecode], reg: &NativeRegistry) -> (u64, i64, VmStats) {
+    match builds.get(arm) {
+        Some(bc) => time_vm::<Boxed>(bc, reg),
+        None => time_vm::<Unboxed>(&builds[0], reg),
+    }
+}
+
+/// Compiles the workload at every optimiser level, outside any timing.
+fn builds(scale: Scale) -> Vec<Bytecode> {
+    let program = parse_program(&workload(scale)).expect("workload parses");
+    bitc_core::infer::infer_program(&program).expect("workload typechecks");
+    OptLevel::ALL
+        .iter()
+        .map(|&level| compile_optimized(&program, level).expect("compiles"))
+        .collect()
+}
+
 /// Runs E3 and renders the table.
 ///
 /// # Panics
@@ -39,9 +60,7 @@ fn workload(scale: Scale) -> String {
 /// condition).
 #[must_use]
 pub fn run(scale: Scale) -> Table {
-    let src = workload(scale);
-    let program = parse_program(&src).expect("workload parses");
-    bitc_core::infer::infer_program(&program).expect("workload typechecks");
+    let builds = builds(scale);
     let reg = NativeRegistry::new();
     let mut t = Table::new(
         "E3 — optimizer ablation on the boxed VM vs unboxed-by-design",
@@ -54,46 +73,32 @@ pub fn run(scale: Scale) -> Table {
             "result",
         ],
     );
-    let mut baseline_ns = 0u64;
-    let mut expected = None;
-    for level in OptLevel::ALL {
-        let bc = compile_optimized(&program, level).expect("compiles");
-        let mut vm = Vm::<Boxed>::new(&bc, &reg).expect("vm");
-        let t0 = Instant::now();
-        let result = vm.run_int().expect("runs");
-        let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        if level == OptLevel::None {
-            baseline_ns = ns;
-            expected = Some(result);
-        }
-        assert_eq!(expected, Some(result), "optimizer changed semantics");
+    let arms = paired(
+        scale.rounds(),
+        builds.len() + 1,
+        |&(ns, _, _): &(u64, i64, VmStats)| ns as f64,
+        |arm| run_arm(arm, &builds, &reg),
+    );
+    let (baseline_ns, expected, _) = arms[0];
+    let labels = OptLevel::ALL
+        .iter()
+        .map(|level| format!("boxed {level}"))
+        .chain(["unboxed (no optimizer)".to_owned()]);
+    for (arm, ((ns, result, stats), label)) in arms.into_iter().zip(labels).enumerate() {
+        assert_eq!(expected, result, "optimizer changed semantics");
+        // The unboxed arm (the ceiling) runs the unoptimised build.
+        let bc = builds.get(arm).unwrap_or(&builds[0]);
         #[allow(clippy::cast_precision_loss)]
         let speedup = baseline_ns as f64 / ns.max(1) as f64;
         t.row(vec![
-            format!("boxed {level}"),
+            label,
             fmt_ns(ns),
             format!("{speedup:.2}x"),
-            vm.stats.instructions.to_string(),
+            stats.instructions.to_string(),
             bc.instruction_count().to_string(),
             result.to_string(),
         ]);
     }
-    // The ceiling: unboxed representation, no optimizer at all.
-    let bc = compile_optimized(&program, OptLevel::None).expect("compiles");
-    let mut vm = Vm::<Unboxed>::new(&bc, &reg).expect("vm");
-    let t0 = Instant::now();
-    let result = vm.run_int().expect("runs");
-    let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    #[allow(clippy::cast_precision_loss)]
-    let speedup = baseline_ns as f64 / ns.max(1) as f64;
-    t.row(vec![
-        "unboxed (no optimizer)".into(),
-        fmt_ns(ns),
-        format!("{speedup:.2}x"),
-        vm.stats.instructions.to_string(),
-        bc.instruction_count().to_string(),
-        result.to_string(),
-    ]);
     t.note("paper claim: each pass helps, but the unboxed representation without any optimizer still beats the fully optimized boxed build — representation is not an optimizer problem.");
     t
 }
@@ -108,6 +113,22 @@ mod tests {
         assert_eq!(t.rows.len(), 6);
         let results: Vec<&String> = t.rows.iter().map(|r| &r[5]).collect();
         assert!(results.windows(2).all(|w| w[0] == w[1]), "{results:?}");
+    }
+
+    #[test]
+    fn e3_boxed_levels_allocate_and_unboxed_o0_does_not() {
+        let builds = builds(Scale::Quick);
+        let reg = NativeRegistry::new();
+        for arm in 0..builds.len() {
+            let (_, _, stats) = run_arm(arm, &builds, &reg);
+            assert!(
+                stats.value_allocations > 0,
+                "boxed {} allocated nothing",
+                OptLevel::ALL[arm]
+            );
+        }
+        let (_, _, unboxed) = run_arm(builds.len(), &builds, &reg);
+        assert_eq!(unboxed.value_allocations, 0, "unboxed -O0 allocated");
     }
 
     #[test]

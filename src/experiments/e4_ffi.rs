@@ -7,12 +7,14 @@
 //! across the VM→native boundary, and work done in-language, for both value
 //! representations.
 
-use super::{fmt_ns, Scale, Table};
+use super::{fmt_ns, time_vm, Scale, Table};
+use bitc_core::bytecode::Bytecode;
 use bitc_core::compile::compile_program_with_natives;
 use bitc_core::ffi::NativeRegistry;
 use bitc_core::parser::parse_program;
-use bitc_core::vm::{Boxed, Rep, Unboxed, Vm};
+use bitc_core::vm::{Boxed, Unboxed, VmStats};
 use std::time::Instant;
+use sysobs::paired;
 
 fn calls(scale: Scale) -> u64 {
     match scale {
@@ -35,18 +37,18 @@ fn call_loop_src(n: u64, callee: &str) -> String {
     )
 }
 
-fn run_vm<R: Rep>(src: &str, reg: &NativeRegistry) -> (u64, i64) {
+/// The two per-call arrangements: (row label, callee).
+const CALLEES: [(&str, &str); 2] = [
+    ("VM→VM call", "vm-add"),
+    ("VM→native call (FFI)", "host-add"),
+];
+
+/// Compiles `src` against the registry's natives, outside any timing.
+fn compile(src: &str, reg: &NativeRegistry) -> Bytecode {
     let p = parse_program(src).expect("parses");
     let sigs = reg.signatures();
     let sigs_ref: Vec<(&str, usize)> = sigs.iter().map(|(n, a)| (n.as_str(), *a)).collect();
-    let bc = compile_program_with_natives(&p, &sigs_ref).expect("compiles");
-    let mut vm = Vm::<R>::new(&bc, reg).expect("vm");
-    let t0 = Instant::now();
-    let r = vm.run_int().expect("runs");
-    (
-        u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-        r,
-    )
+    compile_program_with_natives(&p, &sigs_ref).expect("compiles")
 }
 
 /// Runs E4 and renders the table.
@@ -58,50 +60,46 @@ pub fn run(scale: Scale) -> Table {
         "E4 — call cost across the legacy (FFI) boundary",
         &["configuration", "total", "per call", "result"],
     );
-    // Pure native baseline: the same accumulate loop in Rust.
-    let t0 = Instant::now();
-    let mut acc: i64 = 0;
-    for _ in 0..n {
-        acc = std::hint::black_box(acc.wrapping_add(1));
-    }
-    let native_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    t.row(vec![
-        "native loop (no boundary)".into(),
-        fmt_ns(native_ns),
-        fmt_ns(native_ns / n.max(1)),
-        acc.to_string(),
-    ]);
-
-    for (label, callee) in [
-        ("VM→VM call", "vm-add"),
-        ("VM→native call (FFI)", "host-add"),
-    ] {
-        let src = call_loop_src(n, callee);
-        let (u_ns, u_r) = run_vm::<Unboxed>(&src, &reg);
-        t.row(vec![
-            format!("unboxed, {label}"),
-            fmt_ns(u_ns),
-            fmt_ns(u_ns / n.max(1)),
-            u_r.to_string(),
-        ]);
-        let (b_ns, b_r) = run_vm::<Boxed>(&src, &reg);
-        t.row(vec![
-            format!("boxed, {label}"),
-            fmt_ns(b_ns),
-            fmt_ns(b_ns / n.max(1)),
-            b_r.to_string(),
-        ]);
-    }
-    // Chunky native work called once vs computed in-language: amortization.
+    // Arms: the native loop; per callee, the unboxed then the boxed VM;
+    // then one chunky native call doing all the work (amortization).
+    let loops = CALLEES.map(|(_, callee)| compile(&call_loop_src(n, callee), &reg));
     let big = i64::try_from(n).expect("fits");
-    let src_native = format!("(host-sum-to {big})");
-    let (one_call_ns, one_r) = run_vm::<Unboxed>(&src_native, &reg);
-    t.row(vec![
-        "one native call doing all the work".into(),
-        fmt_ns(one_call_ns),
-        fmt_ns(one_call_ns),
-        one_r.to_string(),
-    ]);
+    let one_call = compile(&format!("(host-sum-to {big})"), &reg);
+    let arms = paired(
+        scale.rounds(),
+        6,
+        |&(ns, _, _): &(u64, i64, VmStats)| ns as f64,
+        |arm| match arm {
+            0 => {
+                // Pure native baseline: the same accumulate loop in Rust.
+                let t0 = Instant::now();
+                let mut acc: i64 = 0;
+                for _ in 0..n {
+                    acc = std::hint::black_box(acc.wrapping_add(1));
+                }
+                let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                (ns, acc, VmStats::default())
+            }
+            1 | 3 => time_vm::<Unboxed>(&loops[arm / 2], &reg),
+            2 | 4 => time_vm::<Boxed>(&loops[arm / 2 - 1], &reg),
+            _ => time_vm::<Unboxed>(&one_call, &reg),
+        },
+    );
+    let mut labels = vec!["native loop (no boundary)".to_owned()];
+    for (label, _) in CALLEES {
+        labels.push(format!("unboxed, {label}"));
+        labels.push(format!("boxed, {label}"));
+    }
+    labels.push("one native call doing all the work".to_owned());
+    for (arm, (label, (ns, result, _))) in labels.into_iter().zip(arms).enumerate() {
+        let per_call = if arm == 5 { ns } else { ns / n.max(1) };
+        t.row(vec![
+            label,
+            fmt_ns(ns),
+            fmt_ns(per_call),
+            result.to_string(),
+        ]);
+    }
     t.note("paper claim (inverted fallacy): the boundary tax is a constant tens-of-ns per crossing — small enough that component-at-a-time migration is viable, and amortizable by batching.");
     t
 }
@@ -117,5 +115,16 @@ mod tests {
         // The three accumulate loops must agree on the final value.
         assert_eq!(t.rows[0][3], t.rows[1][3]);
         assert_eq!(t.rows[1][3], t.rows[3][3]);
+    }
+
+    #[test]
+    fn e4_callees_cross_the_boundary_they_name() {
+        let n = calls(Scale::Quick);
+        let reg = NativeRegistry::with_defaults();
+        let [(_, vm_callee), (_, ffi_callee)] = CALLEES;
+        let vm = time_vm::<Unboxed>(&compile(&call_loop_src(n, vm_callee), &reg), &reg).2;
+        assert_eq!((vm.calls, vm.native_calls), (n, 0), "VM→VM arm");
+        let ffi = time_vm::<Unboxed>(&compile(&call_loop_src(n, ffi_callee), &reg), &reg).2;
+        assert_eq!(ffi.native_calls, n, "FFI arm");
     }
 }

@@ -8,6 +8,7 @@
 
 use super::{fmt_rate, Scale, Table};
 use std::time::Instant;
+use sysobs::paired;
 use sysrepr::boxed::BoxedPacket;
 use sysrepr::langsec::{ipv4_header, Input};
 use sysrepr::packet::{EthernetView, PacketBuilder};
@@ -56,61 +57,61 @@ pub fn run(scale: Scale) -> Table {
         ],
     );
 
-    // Zero-copy views.
-    let t0 = Instant::now();
-    let mut check = 0u64;
-    for bytes in &stream {
-        let ip = EthernetView::parse(bytes).unwrap().ipv4().unwrap();
-        let udp = ip.udp().unwrap();
-        check = check.wrapping_add(u64::from(udp.dst_port()));
-        check = check.wrapping_add(udp.payload().iter().map(|&b| u64::from(b)).sum::<u64>());
+    // Arms: zero-copy views, the LangSec combinators (header only — they
+    // recognize IPv4), the boxed parser. Each returns (ns, checksum, heap
+    // cells allocated).
+    let arms = paired(
+        scale.rounds(),
+        3,
+        |&(ns, _, _): &(f64, u64, usize)| ns,
+        |arm| {
+            let t0 = Instant::now();
+            let mut check = 0u64;
+            let mut allocs = 0usize;
+            match arm {
+                0 => {
+                    for bytes in &stream {
+                        let ip = EthernetView::parse(bytes).unwrap().ipv4().unwrap();
+                        let udp = ip.udp().unwrap();
+                        check = check.wrapping_add(u64::from(udp.dst_port()));
+                        check = check
+                            .wrapping_add(udp.payload().iter().map(|&b| u64::from(b)).sum::<u64>());
+                    }
+                }
+                1 => {
+                    for bytes in &stream {
+                        let (hdr, _) = ipv4_header(Input::new(&bytes[14..])).unwrap();
+                        check = check.wrapping_add(u64::from(hdr.ttl));
+                    }
+                }
+                _ => {
+                    for bytes in &stream {
+                        let p = BoxedPacket::parse(bytes).unwrap();
+                        check = check.wrapping_add(u64::from(p.dst_port().unwrap_or(0)));
+                        check = check
+                            .wrapping_add(p.payload().iter().map(|&b| u64::from(b)).sum::<u64>());
+                        allocs += p.allocation_count();
+                    }
+                }
+            }
+            (t0.elapsed().as_nanos() as f64, check, allocs)
+        },
+    );
+    let labels = [
+        "zero-copy views",
+        "langsec combinators (hdr)",
+        "boxed (allocating)",
+    ];
+    for (label, (ns, check, allocs)) in labels.into_iter().zip(arms) {
+        #[allow(clippy::cast_precision_loss)]
+        t.row(vec![
+            label.into(),
+            fmt_rate(stream.len() as f64 / (ns / 1e9)),
+            format!("{:.0}", total_bytes as f64 / (ns / 1e9) / 1e6),
+            check.to_string(),
+            format!("{:.0}", allocs as f64 / stream.len() as f64),
+        ]);
     }
-    let ns = t0.elapsed().as_nanos() as f64;
-    #[allow(clippy::cast_precision_loss)]
-    t.row(vec![
-        "zero-copy views".into(),
-        fmt_rate(stream.len() as f64 / (ns / 1e9)),
-        format!("{:.0}", total_bytes as f64 / (ns / 1e9) / 1e6),
-        check.to_string(),
-        "0".into(),
-    ]);
-
-    // LangSec combinators (header only — they recognize IPv4).
-    let t0 = Instant::now();
-    let mut check_c = 0u64;
-    for bytes in &stream {
-        let (hdr, _) = ipv4_header(Input::new(&bytes[14..])).unwrap();
-        check_c = check_c.wrapping_add(u64::from(hdr.ttl));
-    }
-    let ns = t0.elapsed().as_nanos() as f64;
-    #[allow(clippy::cast_precision_loss)]
-    t.row(vec![
-        "langsec combinators (hdr)".into(),
-        fmt_rate(stream.len() as f64 / (ns / 1e9)),
-        format!("{:.0}", total_bytes as f64 / (ns / 1e9) / 1e6),
-        check_c.to_string(),
-        "0".into(),
-    ]);
-
-    // Boxed parser.
-    let t0 = Instant::now();
-    let mut check_b = 0u64;
-    let mut allocs = 0usize;
-    for bytes in &stream {
-        let p = BoxedPacket::parse(bytes).unwrap();
-        check_b = check_b.wrapping_add(u64::from(p.dst_port().unwrap_or(0)));
-        check_b = check_b.wrapping_add(p.payload().iter().map(|&b| u64::from(b)).sum::<u64>());
-        allocs += p.allocation_count();
-    }
-    let ns = t0.elapsed().as_nanos() as f64;
-    #[allow(clippy::cast_precision_loss)]
-    t.row(vec![
-        "boxed (allocating)".into(),
-        fmt_rate(stream.len() as f64 / (ns / 1e9)),
-        format!("{:.0}", total_bytes as f64 / (ns / 1e9) / 1e6),
-        check_b.to_string(),
-        format!("{:.0}", allocs as f64 / stream.len() as f64),
-    ]);
     if let (Some(a), Some(b)) = (t.rows.first(), t.rows.get(2)) {
         if a[3] != b[3] {
             t.note("WARNING: checksum mismatch between zero-copy and boxed parsers");

@@ -3,8 +3,9 @@
 //! The paper (a position paper) publishes no tables; these experiments
 //! are the measurements its claims imply, as indexed in DESIGN.md. Each
 //! `run(scale)` returns a rendered table; `cargo run --release --example
-//! experiments -- <e1..e13|all>` prints them, and `crates/bench` holds the
-//! Criterion versions for statistically careful timing.
+//! experiments -- <e1..e18|e9net|f1|all>` prints them. The paper's ratio
+//! experiments (E2/F1, E3, E4, E8) and E12's lookup rows time their arms as
+//! [`sysobs::paired`] arms over `Scale::rounds` rounds.
 
 pub mod e10_dataplane;
 pub mod e11_obs;
@@ -25,7 +26,11 @@ pub mod e7_shared_state;
 pub mod e8_repr;
 pub mod e9_faults;
 
+use bitc_core::bytecode::Bytecode;
+use bitc_core::ffi::NativeRegistry;
+use bitc_core::vm::{Rep, Vm, VmStats};
 use std::fmt;
+use std::time::Instant;
 use sysrepr::packet::PacketBuilder;
 
 /// How big to run an experiment.
@@ -35,6 +40,36 @@ pub enum Scale {
     Quick,
     /// Paper-scale sizes for EXPERIMENTS.md (minutes).
     Full,
+}
+
+impl Scale {
+    /// Rounds of [`sysobs::paired`] for the experiments that compare wall-clock
+    /// arms (E2/F1, E3, E4, E8, E12's lookup rows): one run per arm at
+    /// quick scale, and an odd count at full scale so each arm reports a
+    /// true median.
+    #[must_use]
+    pub(crate) fn rounds(self) -> usize {
+        match self {
+            Scale::Quick => 1,
+            Scale::Full => 5,
+        }
+    }
+}
+
+/// One timed VM run of `bc` under representation `R`. Building the VM
+/// stays outside the timed region; returns (ns, result, the run's counters).
+///
+/// # Panics
+///
+/// Panics if the VM cannot be built or the program traps (a bug in the
+/// experiment, not an input condition).
+#[must_use]
+pub(crate) fn time_vm<R: Rep>(bc: &Bytecode, reg: &NativeRegistry) -> (u64, i64, VmStats) {
+    let mut vm = Vm::<R>::new(bc, reg).expect("vm constructs");
+    let t0 = Instant::now();
+    let result = vm.run_int().expect("program runs");
+    let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    (ns, result, vm.stats)
 }
 
 /// A rendered experiment table.

@@ -16,8 +16,9 @@
 //! | [`microkernel`] | An EROS-flavoured capability kernel whose heap policy is injectable |
 //!
 //! The [`experiments`] module regenerates every table in EXPERIMENTS.md
-//! (`cargo run --release --example experiments -- all`); Criterion versions
-//! live in `crates/bench`.
+//! (`cargo run --release --example experiments -- all`); the paper's ratio
+//! experiments (E2/F1, E3, E4, E8) time their arms as paired rounds through
+//! `sysobs::paired`.
 
 pub use bitc_core;
 pub use bitc_verify;

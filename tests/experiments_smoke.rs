@@ -1,6 +1,6 @@
 //! Integration smoke test: every experiment runs end to end at quick scale
 //! and its structural claims hold (deterministic properties only — timing
-//! magnitudes belong to EXPERIMENTS.md and the Criterion benches).
+//! magnitudes belong to EXPERIMENTS.md, measured there as paired rounds).
 
 use plos06::experiments::{self, Scale};
 
