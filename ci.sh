@@ -65,11 +65,14 @@ done
 
 # Heap smoke: the shadow-model differential suite over the five reclaiming
 # managers (reference links, and retired handles that must stay dead after
-# their table slot is reused), E1/E6/E9 at quick scale, and a 3-s traced
-# ipc-rt run that must be correct and must not grow per round trip: the
-# kernel heap recycles handle slots, and a wake never queues a pid twice.
+# their table slot is reused), E1/E6/E9 at quick scale, the microkernel
+# demo's grant → transfer → revoke walk-through (it panics if the transfer
+# rule refuses a legitimate transfer), and a 3-s traced ipc-rt run that
+# must be correct and must not grow per round trip: the kernel heap
+# recycles handle slots, and a wake never queues a pid twice.
 cargo test -q -p sysmem --test shadow_model
 cargo run --release --example experiments -- e1 e6 e9
+cargo run --release --example microkernel_demo
 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
     --workload ipc-rt --seconds 3 --trace 1 | tail -n 1 | python3 -c '
 import json, sys

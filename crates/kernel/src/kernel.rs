@@ -15,7 +15,7 @@ use crate::{CapSlot, KernelError, Pid, Result};
 use std::collections::VecDeque;
 use sysfault::SharedInjector;
 use sysmem::freelist::FreeListHeap;
-use sysmem::{Handle, Manager};
+use sysmem::{Handle, Manager, Slots};
 
 /// Maximum capability-space slots per process.
 pub const CSPACE_CAPACITY: usize = 1024;
@@ -34,7 +34,9 @@ pub const SITE_KERNEL_OOM: &str = "kernel.oom";
 pub struct Message {
     /// Payload words.
     pub payload: Vec<u64>,
-    /// Capability delivered alongside the payload, if any.
+    /// Capability delivered alongside the payload, if any. The sender must
+    /// hold a capability to the same object with GRANT and every right
+    /// transferred, the rule [`Syscall::Mint`] applies.
     pub cap: Option<Capability>,
     /// Causal trace context ([`sysobs::context`] carrier form; 0 = none).
     /// Stamped from the sender's thread-local context on `Send` when unset,
@@ -126,7 +128,9 @@ pub enum Syscall {
         /// Word offset.
         offset: usize,
     },
-    /// Destroy an endpoint (requires CONTROL). Waiters are woken empty.
+    /// Destroy an endpoint (requires CONTROL). Waiters are woken empty, the
+    /// invoked slot is emptied, and every other copy of the capability goes
+    /// stale.
     DestroyEndpoint {
         /// Endpoint capability slot.
         cap: CapSlot,
@@ -140,8 +144,8 @@ pub enum Syscall {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ProcState {
     Ready,
-    BlockedSend(u32),
-    BlockedRecv(u32),
+    BlockedSend(ObjId),
+    BlockedRecv(ObjId),
     Dead,
 }
 
@@ -180,22 +184,23 @@ struct StoredMessage {
 struct Endpoint {
     senders: VecDeque<StoredMessage>,
     receivers: VecDeque<Pid>,
-    alive: bool,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct ObjEntry {
-    kind: ObjectKind,
-    index: u32,
-    alive: bool,
+/// A kernel object: what an [`ObjId`] names while its slot's generation
+/// matches.
+#[derive(Debug)]
+enum Object {
+    Endpoint(Endpoint),
+    Page { handle: Handle, owner: Pid },
 }
 
-#[derive(Debug, Clone, Copy)]
-struct PageEntry {
-    handle: Handle,
-    owner: Pid,
-    obj: ObjId,
-    alive: bool,
+impl Object {
+    fn kind(&self) -> ObjectKind {
+        match self {
+            Object::Endpoint(_) => ObjectKind::Endpoint,
+            Object::Page { .. } => ObjectKind::Page,
+        }
+    }
 }
 
 /// Counters for the kernel's recovery machinery, read by experiment E9.
@@ -237,10 +242,8 @@ pub struct IpcOutcome {
 /// The kernel.
 pub struct Kernel {
     mem: Box<dyn Manager>,
-    objects: Vec<ObjEntry>,
+    objects: Slots<Object>,
     processes: Vec<Process>,
-    endpoints: Vec<Endpoint>,
-    pages: Vec<PageEntry>,
     run_queue: VecDeque<Pid>,
     injector: Option<SharedInjector>,
     fault_stats: FaultStats,
@@ -253,7 +256,7 @@ impl std::fmt::Debug for Kernel {
         f.debug_struct("Kernel")
             .field("heap", &self.mem.name())
             .field("processes", &self.processes.len())
-            .field("endpoints", &self.endpoints.len())
+            .field("objects", &self.objects.iter().count())
             .field("cycles", &self.cycles.total())
             .finish()
     }
@@ -265,10 +268,8 @@ impl Kernel {
     pub fn new(mem: Box<dyn Manager>) -> Self {
         Kernel {
             mem,
-            objects: Vec::new(),
+            objects: Slots::default(),
             processes: Vec::new(),
-            endpoints: Vec::new(),
-            pages: Vec::new(),
             run_queue: VecDeque::new(),
             injector: None,
             fault_stats: FaultStats::default(),
@@ -350,19 +351,16 @@ impl Kernel {
                 return Err(format!("cspace-lookup: {pid} c-space exceeds capacity"));
             }
             for cap in proc.cspace.iter().flatten() {
-                let Some(entry) = self.objects.get(cap.target.0 as usize) else {
-                    return Err(format!(
-                        "cspace-lookup: {pid} holds a capability to object {} outside the table",
-                        cap.target.0
-                    ));
-                };
                 // mint: a minted or transferred capability can never change
                 // what kind of object it names (amplification across kinds).
-                if entry.kind != cap.kind {
-                    return Err(format!(
-                        "mint: {pid} capability kind disagrees with object {}",
-                        cap.target.0
-                    ));
+                // A stale capability names nothing and is checked by nothing.
+                if let Some(obj) = self.objects.get(cap.target.0) {
+                    if obj.kind() != cap.kind {
+                        return Err(format!(
+                            "mint: {pid} capability kind disagrees with {}",
+                            cap.target
+                        ));
+                    }
                 }
             }
             // sched-block: a ready process must be schedulable (stale
@@ -382,74 +380,58 @@ impl Kernel {
             }
             // ipc-copy: a blocked process waits in exactly one queue — the
             // one its state names.
-            match proc.state {
-                ProcState::BlockedSend(ep) => {
-                    let (mut here, mut elsewhere) = (0usize, 0usize);
-                    for (j, e) in self.endpoints.iter().enumerate() {
-                        let n = e.senders.iter().filter(|s| s.sender == pid).count();
-                        if j == ep as usize {
-                            here = n;
-                        } else {
-                            elsewhere += n;
-                        }
-                    }
-                    if here != 1 || elsewhere != 0 {
-                        return Err(format!(
-                            "ipc-copy: {pid} blocked sending on endpoint {ep} but queued \
-                             {here} times there, {elsewhere} elsewhere"
-                        ));
-                    }
+            let (ep, sending) = match proc.state {
+                ProcState::BlockedSend(ep) => (ep, true),
+                ProcState::BlockedRecv(ep) => (ep, false),
+                ProcState::Ready | ProcState::Dead => continue,
+            };
+            let (mut here, mut elsewhere) = (0usize, 0usize);
+            for (j, e) in self.live_endpoints() {
+                let n = if sending {
+                    e.senders.iter().filter(|s| s.sender == pid).count()
+                } else {
+                    e.receivers.iter().filter(|&&p| p == pid).count()
+                };
+                if j == ep {
+                    here = n;
+                } else {
+                    elsewhere += n;
                 }
-                ProcState::BlockedRecv(ep) => {
-                    let (mut here, mut elsewhere) = (0usize, 0usize);
-                    for (j, e) in self.endpoints.iter().enumerate() {
-                        let n = e.receivers.iter().filter(|&&p| p == pid).count();
-                        if j == ep as usize {
-                            here = n;
-                        } else {
-                            elsewhere += n;
-                        }
-                    }
-                    if here != 1 || elsewhere != 0 {
-                        return Err(format!(
-                            "ipc-copy: {pid} blocked receiving on endpoint {ep} but queued \
-                             {here} times there, {elsewhere} elsewhere"
-                        ));
-                    }
-                }
-                ProcState::Ready | ProcState::Dead => {}
+            }
+            if here != 1 || elsewhere != 0 {
+                let verb = if sending { "sending" } else { "receiving" };
+                return Err(format!(
+                    "ipc-copy: {pid} blocked {verb} on endpoint {ep} but queued {here} times \
+                     there, {elsewhere} elsewhere"
+                ));
             }
         }
         // queue-enqueue: endpoint queues only ever hold live, matching
-        // waiters, and a destroyed endpoint holds nothing.
-        for (j, ep) in self.endpoints.iter().enumerate() {
-            if !ep.alive && (!ep.senders.is_empty() || !ep.receivers.is_empty()) {
-                return Err(format!(
-                    "queue-enqueue: dead endpoint {j} still queues waiters"
-                ));
-            }
-            let ep_id = u32::try_from(j).expect("endpoint ids fit u32");
-            for s in &ep.senders {
-                let state = self.processes.get(s.sender.0 as usize).map(|p| p.state);
-                if state != Some(ProcState::BlockedSend(ep_id)) {
-                    return Err(format!(
-                        "queue-enqueue: endpoint {j} queues a message from {} which is not \
-                         blocked sending there ({state:?})",
-                        s.sender
-                    ));
-                }
-            }
-            for &p in &ep.receivers {
+        // waiters (a destroyed endpoint's queues went with its slot).
+        for (j, ep) in self.live_endpoints() {
+            let senders = ep
+                .senders
+                .iter()
+                .map(|s| (s.sender, ProcState::BlockedSend(j)));
+            let receivers = ep.receivers.iter().map(|&p| (p, ProcState::BlockedRecv(j)));
+            for (p, want) in senders.chain(receivers) {
                 let state = self.processes.get(p.0 as usize).map(|pr| pr.state);
-                if state != Some(ProcState::BlockedRecv(ep_id)) {
+                if state != Some(want) {
                     return Err(format!(
-                        "queue-enqueue: endpoint {j} queues receiver {p} which is not \
-                         blocked receiving there ({state:?})"
+                        "queue-enqueue: endpoint {j} queues {p}, which is not {want:?} ({state:?})"
                     ));
                 }
             }
         }
         Ok(())
+    }
+
+    /// Every live endpoint with its id.
+    fn live_endpoints(&self) -> impl Iterator<Item = (ObjId, &Endpoint)> {
+        self.objects.iter().filter_map(|(h, obj)| match obj {
+            Object::Endpoint(ep) => Some((ObjId(h), ep)),
+            Object::Page { .. } => None,
+        })
     }
 
     fn inject(&mut self, site: &str) -> bool {
@@ -468,16 +450,6 @@ impl Kernel {
         self.mem.name()
     }
 
-    fn new_object(&mut self, kind: ObjectKind, index: u32) -> ObjId {
-        let id = ObjId(u32::try_from(self.objects.len()).expect("object ids fit u32"));
-        self.objects.push(ObjEntry {
-            kind,
-            index,
-            alive: true,
-        });
-        id
-    }
-
     /// Spawns a new process with an empty capability space.
     pub fn spawn_process(&mut self) -> Pid {
         self.cycles.charge(cycles::OBJECT_ALLOC);
@@ -492,7 +464,6 @@ impl Kernel {
             essential: false,
             queued: true,
         });
-        self.new_object(ObjectKind::Process, pid.0);
         self.run_queue.push_back(pid);
         pid
     }
@@ -553,36 +524,32 @@ impl Kernel {
             .ok_or(KernelError::InvalidCapSlot(slot))
     }
 
+    /// The object `pid`'s capability in `slot` names, checked for `kind` and
+    /// `right`: one generation-checked lookup (a vacant or reissued slot
+    /// dangles), the variant, then the right.
     fn require(
         &mut self,
-        cap: Capability,
+        pid: Pid,
+        slot: CapSlot,
         kind: ObjectKind,
         right: Rights,
         name: &'static str,
-    ) -> Result<u32> {
+    ) -> Result<(ObjId, &mut Object)> {
+        let cap = self.lookup_cap(pid, slot)?;
         self.cycles.charge(cycles::RIGHTS_CHECK);
-        // A capability whose target id is outside the object table is as
-        // dangling as one whose target died — report it, don't index-panic.
-        let entry = *self
+        let obj = self
             .objects
-            .get(cap.target.0 as usize)
+            .get_mut(cap.target.0)
             .ok_or(KernelError::DanglingCapability)?;
-        if !entry.alive {
-            return Err(KernelError::DanglingCapability);
-        }
-        if entry.kind != kind {
+        if obj.kind() != kind {
             return Err(KernelError::WrongObjectKind {
-                expected: match kind {
-                    ObjectKind::Endpoint => "endpoint",
-                    ObjectKind::Page => "page",
-                    ObjectKind::Process => "process",
-                },
+                expected: kind.name(),
             });
         }
         if !cap.rights.contains(right) {
             return Err(KernelError::InsufficientRights { required: name });
         }
-        Ok(entry.index)
+        Ok((cap.target, obj))
     }
 
     /// Creates an endpoint owned by `owner`, returning an ALL-rights cap.
@@ -592,20 +559,16 @@ impl Kernel {
     /// Fails if the owner is unknown or its c-space is full.
     pub fn create_endpoint(&mut self, owner: Pid) -> Result<CapSlot> {
         self.cycles.charge(cycles::OBJECT_ALLOC);
-        let index = u32::try_from(self.endpoints.len()).expect("fits");
-        self.endpoints.push(Endpoint {
-            alive: true,
-            ..Endpoint::default()
-        });
-        let id = self.new_object(ObjectKind::Endpoint, index);
+        let id = self.objects.insert(Object::Endpoint(Endpoint::default()));
         self.install_cap(
             owner,
-            Capability::new(id, ObjectKind::Endpoint, Rights::ALL),
+            Capability::new(ObjId(id), ObjectKind::Endpoint, Rights::ALL),
         )
     }
 
     /// Root-task operation: mints a diminished copy of `from`'s capability
-    /// into `to`'s c-space (requires GRANT on the source capability).
+    /// into `to`'s c-space (requires GRANT on the source capability). The
+    /// `Mint` syscall is this with `to == from`.
     ///
     /// # Errors
     ///
@@ -623,7 +586,9 @@ impl Kernel {
             return Err(KernelError::InsufficientRights { required: "GRANT" });
         }
         let minted = cap.mint(rights);
-        debug_assert!(cap.rights.contains(minted.rights), "mint must not amplify");
+        if !cap.rights.contains(minted.rights) {
+            return Err(KernelError::RightsAmplification);
+        }
         self.install_cap(to, minted)
     }
 
@@ -742,18 +707,17 @@ impl Kernel {
         };
         match state {
             ProcState::BlockedSend(ep) => {
-                let Some(queue) = self.endpoints.get_mut(ep as usize).map(|e| &mut e.senders)
-                else {
+                let Some(Object::Endpoint(e)) = self.objects.get_mut(ep.0) else {
                     return;
                 };
-                if let Some(at) = queue.iter().position(|s| s.sender == pid) {
-                    let stored = queue.remove(at).expect("position is in range");
+                if let Some(at) = e.senders.iter().position(|s| s.sender == pid) {
+                    let stored = e.senders.remove(at).expect("position is in range");
                     self.release_stored(&stored);
                 }
             }
             ProcState::BlockedRecv(ep) => {
-                if let Some(endpoint) = self.endpoints.get_mut(ep as usize) {
-                    endpoint.receivers.retain(|&p| p != pid);
+                if let Some(Object::Endpoint(e)) = self.objects.get_mut(ep.0) {
+                    e.receivers.retain(|&p| p != pid);
                 }
             }
             ProcState::Ready | ProcState::Dead => return,
@@ -800,15 +764,15 @@ impl Kernel {
             .find(|&(pid, p)| pid != protect && !p.essential && p.state != ProcState::Dead)
             .map(|(pid, _)| pid)?;
         self.cancel_ipc(victim);
-        for i in 0..self.pages.len() {
-            let page = self.pages[i];
-            if page.owner == victim && page.alive {
-                self.mem.remove_root(page.handle);
-                let _ = self.mem.free(page.handle);
-                self.pages[i].alive = false;
-                self.objects[page.obj.0 as usize].alive = false;
+        let mem = &mut self.mem;
+        self.objects.retain(|obj| match *obj {
+            Object::Page { handle, owner } if owner == victim => {
+                mem.remove_root(handle);
+                let _ = mem.free(handle);
+                false
             }
-        }
+            _ => true,
+        });
         if let Ok(proc) = self.process_mut(victim) {
             proc.state = ProcState::Dead;
         }
@@ -930,9 +894,20 @@ impl Kernel {
         }
         match call {
             Syscall::Send { cap, mut msg } => {
-                let capability = self.lookup_cap(pid, cap)?;
-                let ep_index =
-                    self.require(capability, ObjectKind::Endpoint, Rights::SEND, "SEND")?;
+                let (ep_id, _) =
+                    self.require(pid, cap, ObjectKind::Endpoint, Rights::SEND, "SEND")?;
+                if let Some(moved) = msg.cap {
+                    // The transfer rule of `Message::cap`: a forged one stops here.
+                    self.cycles.charge(cycles::RIGHTS_CHECK);
+                    let held = self.process(pid)?.cspace.iter().flatten().any(|c| {
+                        c.target == moved.target
+                            && c.kind == moved.kind
+                            && c.rights.contains(moved.rights | Rights::GRANT)
+                    });
+                    if !held {
+                        return Err(KernelError::InsufficientRights { required: "GRANT" });
+                    }
+                }
                 // Stamp the sender's live causal context onto the message
                 // (unless the caller already attached one) and record the
                 // send half of the IPC link.
@@ -950,73 +925,65 @@ impl Kernel {
                     sysobs::obs_count!("kernel.dropped_messages", 1);
                     return Ok(SysResult::Delivered);
                 }
-                if let Some(receiver) = self.endpoints[ep_index as usize].receivers.pop_front() {
+                let Some(Object::Endpoint(ep)) = self.objects.get_mut(ep_id.0) else {
+                    unreachable!("shedding never destroys endpoints")
+                };
+                if let Some(receiver) = ep.receivers.pop_front() {
                     self.deliver_to(receiver, stored)?;
                     self.wake(receiver);
                     Ok(SysResult::Delivered)
                 } else {
-                    self.endpoints[ep_index as usize].senders.push_back(stored);
-                    self.block(pid, ProcState::BlockedSend(ep_index));
+                    ep.senders.push_back(stored);
+                    self.block(pid, ProcState::BlockedSend(ep_id));
                     Ok(SysResult::Blocked)
                 }
             }
             Syscall::Recv { cap } => {
-                let capability = self.lookup_cap(pid, cap)?;
-                let ep_index =
-                    self.require(capability, ObjectKind::Endpoint, Rights::RECV, "RECV")?;
-                if let Some(stored) = self.endpoints[ep_index as usize].senders.pop_front() {
+                let (ep_id, Object::Endpoint(ep)) =
+                    self.require(pid, cap, ObjectKind::Endpoint, Rights::RECV, "RECV")?
+                else {
+                    unreachable!("require checked the kind")
+                };
+                if let Some(stored) = ep.senders.pop_front() {
                     let sender = stored.sender;
                     self.deliver_to(pid, stored)?;
                     self.wake(sender);
                     Ok(SysResult::Delivered)
                 } else {
-                    self.endpoints[ep_index as usize].receivers.push_back(pid);
-                    self.block(pid, ProcState::BlockedRecv(ep_index));
+                    ep.receivers.push_back(pid);
+                    self.block(pid, ProcState::BlockedRecv(ep_id));
                     Ok(SysResult::Blocked)
                 }
             }
             Syscall::Mint { src, rights } => {
-                let cap = self.lookup_cap(pid, src)?;
-                self.cycles.charge(cycles::RIGHTS_CHECK);
-                if !cap.rights.contains(Rights::GRANT) {
-                    return Err(KernelError::InsufficientRights { required: "GRANT" });
-                }
-                let minted = cap.mint(rights);
-                if !cap.rights.contains(minted.rights) {
-                    return Err(KernelError::RightsAmplification);
-                }
-                let slot = self.install_cap(pid, minted)?;
-                Ok(SysResult::Slot(slot))
+                Ok(SysResult::Slot(self.grant_cap(pid, src, pid, rights)?))
             }
             Syscall::AllocPage { words } => {
                 self.cycles.charge(cycles::OBJECT_ALLOC);
                 let handle = self.kernel_alloc(pid, words.max(1))?;
                 self.mem.add_root(handle);
-                let index = u32::try_from(self.pages.len()).expect("fits");
-                let id = self.new_object(ObjectKind::Page, index);
-                self.pages.push(PageEntry {
-                    handle,
-                    owner: pid,
-                    obj: id,
-                    alive: true,
-                });
-                let slot =
-                    self.install_cap(pid, Capability::new(id, ObjectKind::Page, Rights::ALL))?;
+                let id = self.objects.insert(Object::Page { handle, owner: pid });
+                let page = Capability::new(ObjId(id), ObjectKind::Page, Rights::ALL);
+                let slot = self.install_cap(pid, page)?;
                 Ok(SysResult::Slot(slot))
             }
             Syscall::WritePage { cap, offset, value } => {
-                let capability = self.lookup_cap(pid, cap)?;
-                let index = self.require(capability, ObjectKind::Page, Rights::WRITE, "WRITE")?;
-                let handle = self.pages[index as usize].handle;
+                let (_, &mut Object::Page { handle, .. }) =
+                    self.require(pid, cap, ObjectKind::Page, Rights::WRITE, "WRITE")?
+                else {
+                    unreachable!("require checked the kind")
+                };
                 self.mem
                     .set_word(handle, offset, value)
                     .map_err(|_| KernelError::PageFault { offset })?;
                 Ok(SysResult::Done)
             }
             Syscall::ReadPage { cap, offset } => {
-                let capability = self.lookup_cap(pid, cap)?;
-                let index = self.require(capability, ObjectKind::Page, Rights::READ, "READ")?;
-                let handle = self.pages[index as usize].handle;
+                let (_, &mut Object::Page { handle, .. }) =
+                    self.require(pid, cap, ObjectKind::Page, Rights::READ, "READ")?
+                else {
+                    unreachable!("require checked the kind")
+                };
                 let v = self
                     .mem
                     .get_word(handle, offset)
@@ -1024,23 +991,21 @@ impl Kernel {
                 Ok(SysResult::Value(v))
             }
             Syscall::DestroyEndpoint { cap } => {
-                let capability = self.lookup_cap(pid, cap)?;
-                let index =
-                    self.require(capability, ObjectKind::Endpoint, Rights::CONTROL, "CONTROL")?;
-                let ep = &mut self.endpoints[index as usize];
-                ep.alive = false;
-                let orphans: Vec<StoredMessage> = ep.senders.drain(..).collect();
-                let receivers: Vec<Pid> = ep.receivers.drain(..).collect();
-                self.objects[capability.target.0 as usize].alive = false;
-                for stored in orphans {
-                    // Undelivered messages die with the endpoint; their heap
-                    // objects must not leak.
-                    let sender = stored.sender;
-                    self.release_stored(&stored);
-                    self.wake(sender);
-                }
-                for p in receivers {
-                    self.wake(p);
+                let (ep_id, _) =
+                    self.require(pid, cap, ObjectKind::Endpoint, Rights::CONTROL, "CONTROL")?;
+                // Revocation: releasing the object bumps its generation.
+                self.process_mut(pid)?.cspace[cap.0 as usize] = None;
+                if let Some(Object::Endpoint(ep)) = self.objects.release(ep_id.0) {
+                    for stored in ep.senders {
+                        // Undelivered messages die with the endpoint; their
+                        // heap objects must not leak.
+                        let sender = stored.sender;
+                        self.release_stored(&stored);
+                        self.wake(sender);
+                    }
+                    for p in ep.receivers {
+                        self.wake(p);
+                    }
                 }
                 Ok(SysResult::Done)
             }
@@ -1453,6 +1418,66 @@ mod tests {
             )
             .unwrap_err();
         assert_eq!(err, KernelError::DanglingCapability);
+    }
+
+    #[test]
+    fn a_capability_whose_slot_was_reused_dangles() {
+        let (mut k, server, client, ep_server, ep_client) = setup();
+        let stale = k.inspect_cap(client, ep_client).unwrap().target;
+        k.syscall(server, Syscall::DestroyEndpoint { cap: ep_server })
+            .unwrap();
+        assert_eq!(
+            k.inspect_cap(server, ep_server).unwrap_err(),
+            KernelError::InvalidCapSlot(ep_server),
+            "destroy empties the slot it was invoked through"
+        );
+        let fresh = k.create_endpoint(server).unwrap();
+        let reused = k.inspect_cap(server, fresh).unwrap().target;
+        assert_eq!(reused.0.slot(), stale.0.slot());
+        assert_ne!(reused, stale, "the reused slot is a new generation");
+        k.syscall(server, Syscall::Recv { cap: fresh }).unwrap();
+        let err = k
+            .syscall(
+                client,
+                Syscall::Send {
+                    cap: ep_client,
+                    msg: Message::words(&[1]),
+                },
+            )
+            .unwrap_err();
+        assert_eq!(err, KernelError::DanglingCapability);
+        assert!(
+            k.take_delivered(server).is_none(),
+            "nothing reached the new endpoint"
+        );
+        k.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn endpoint_churn_reuses_object_slots() {
+        // 10^5 create/destroy cycles by one owner, with a message queued on
+        // every 1000th endpoint when it dies: one endpoint is live at a
+        // time, so the table must hold one slot and the owner one capability.
+        let mut k = Kernel::with_default_heap();
+        let owner = k.spawn_process();
+        let sender = k.spawn_process();
+        let heap = k.heap_live_bytes();
+        for i in 0..100_000u64 {
+            let ep = k.create_endpoint(owner).unwrap();
+            if i % 1000 == 0 {
+                let send = k.grant_cap(owner, ep, sender, Rights::SEND).unwrap();
+                let msg = Message::words(&[i]);
+                let sent = k.syscall(sender, Syscall::Send { cap: send, msg });
+                assert_eq!(sent, Ok(SysResult::Blocked));
+            }
+            k.syscall(owner, Syscall::DestroyEndpoint { cap: ep })
+                .unwrap();
+            assert!(k.is_ready(sender), "a destroyed endpoint wakes its sender");
+        }
+        assert_eq!(k.objects.footprint(), 1, "the table grew past its peak");
+        assert_eq!(k.processes[owner.0 as usize].cspace.len(), 1);
+        assert_eq!(k.heap_live_bytes(), heap, "queued messages leaked");
+        k.check_invariants().unwrap();
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! situ*:
 //!
 //! * [`rights`] / [`object`] — capabilities with a rights lattice over kernel
-//!   objects (processes, endpoints, pages),
+//!   objects (endpoints and pages, in one generation-tagged [`sysmem::Slots`]),
 //! * [`kernel`] — the kernel proper: per-process capability spaces,
 //!   synchronous rendezvous IPC, a round-robin scheduler, and a syscall
 //!   interface; message buffers are allocated through any

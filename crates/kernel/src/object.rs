@@ -2,36 +2,42 @@
 
 use crate::rights::Rights;
 use std::fmt;
+use sysmem::Handle;
 
-/// Kernel object identifier (index into the kernel's object table).
+/// Kernel object identifier: the object table's `slot | generation << 32`
+/// handle. Destroying an object bumps its slot's generation, so every
+/// identifier of it goes stale, even once the slot names a new object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ObjId(pub u32);
+pub struct ObjId(pub Handle);
 
 impl fmt::Display for ObjId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "obj{}", self.0)
+        write!(f, "obj{}.{}", self.0.slot(), self.0.generation())
     }
 }
 
 /// What kind of object a capability names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ObjectKind {
-    /// A schedulable process.
-    Process,
     /// A synchronous IPC endpoint.
     Endpoint,
     /// A fixed-size memory page.
     Page,
 }
 
-impl fmt::Display for ObjectKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            ObjectKind::Process => "process",
+impl ObjectKind {
+    /// The kind's name in errors and displays.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
             ObjectKind::Endpoint => "endpoint",
             ObjectKind::Page => "page",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for ObjectKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 
@@ -82,7 +88,11 @@ mod tests {
 
     #[test]
     fn mint_intersects_rights() {
-        let c = Capability::new(ObjId(1), ObjectKind::Endpoint, Rights::SEND | Rights::GRANT);
+        let c = Capability::new(
+            ObjId(Handle(1)),
+            ObjectKind::Endpoint,
+            Rights::SEND | Rights::GRANT,
+        );
         let m = c.mint(Rights::SEND | Rights::RECV);
         assert_eq!(m.rights, Rights::SEND);
         assert_eq!(m.target, c.target);
@@ -90,14 +100,18 @@ mod tests {
 
     #[test]
     fn mint_can_only_diminish() {
-        let c = Capability::new(ObjId(1), ObjectKind::Page, Rights::READ);
+        let c = Capability::new(ObjId(Handle(1)), ObjectKind::Page, Rights::READ);
         let m = c.mint(Rights::ALL);
         assert!(c.rights.contains(m.rights));
     }
 
     #[test]
     fn display_shows_kind_target_rights() {
-        let c = Capability::new(ObjId(2), ObjectKind::Page, Rights::READ | Rights::WRITE);
-        assert_eq!(c.to_string(), "cap(page obj2 [RW])");
+        let c = Capability::new(
+            ObjId(Handle(2)),
+            ObjectKind::Page,
+            Rights::READ | Rights::WRITE,
+        );
+        assert_eq!(c.to_string(), "cap(page obj2.0 [RW])");
     }
 }

@@ -7,8 +7,9 @@
 //! endpoint it could already reach.
 
 use microkernel::kernel::{Kernel, Message, SysResult, Syscall};
+use microkernel::object::{Capability, ObjectKind};
 use microkernel::rights::Rights;
-use microkernel::{CapSlot, Pid};
+use microkernel::{CapSlot, KernelError, Pid};
 use proptest::prelude::*;
 
 /// Adversarial syscall script entries (indices are taken modulo the
@@ -203,4 +204,70 @@ fn minted_authority_is_never_new_authority() {
         );
     }
     assert_eq!(k.authority(p), before, "mint changed the authority set");
+}
+
+#[test]
+fn forged_transfer_is_refused() {
+    // A process may transfer only a capability it holds with GRANT. B can
+    // reach A's endpoint (SEND only) but nothing of the victim's; a
+    // capability B builds by hand to the victim's page must not get through.
+    let mut k = Kernel::with_default_heap();
+    let victim = k.spawn_process();
+    let a = k.spawn_process();
+    let b = k.spawn_process();
+    let SysResult::Slot(page) = k.syscall(victim, Syscall::AllocPage { words: 1 }).unwrap() else {
+        panic!("expected slot")
+    };
+    k.syscall(
+        victim,
+        Syscall::WritePage {
+            cap: page,
+            offset: 0,
+            value: 0xdead,
+        },
+    )
+    .unwrap();
+    let ep_a = k.create_endpoint(a).unwrap();
+    let ep_b = k.grant_cap(a, ep_a, b, Rights::SEND).unwrap();
+    let target = k.inspect_cap(victim, page).unwrap().target;
+    let forged = Capability::new(target, ObjectKind::Page, Rights::ALL);
+    k.syscall(a, Syscall::Recv { cap: ep_a }).unwrap();
+    let heap = k.heap_live_bytes();
+    let carrying = |cap| Syscall::Send {
+        cap: ep_b,
+        msg: Message {
+            payload: vec![1],
+            cap: Some(cap),
+            ctx: 0,
+        },
+    };
+
+    let err = k.syscall(b, carrying(forged)).unwrap_err();
+    assert_eq!(err, KernelError::InsufficientRights { required: "GRANT" });
+    assert!(
+        k.take_delivered(a).is_none(),
+        "the forged message was delivered"
+    );
+    assert!(
+        !k.authority(a).contains(&target),
+        "a gained the victim's page"
+    );
+    assert!(k.is_ready(b), "the refused sender blocked");
+    assert_eq!(k.heap_live_bytes(), heap, "the refused message was stored");
+
+    // B cannot pass on its own SEND-only capability either: it lacks GRANT.
+    let own = k.inspect_cap(b, ep_b).unwrap();
+    let err = k.syscall(b, carrying(own)).unwrap_err();
+    assert_eq!(err, KernelError::InsufficientRights { required: "GRANT" });
+
+    // A's receive is still posted, and B's plain sends still arrive.
+    k.syscall(
+        b,
+        Syscall::Send {
+            cap: ep_b,
+            msg: Message::words(&[2]),
+        },
+    )
+    .unwrap();
+    assert_eq!(k.take_delivered(a).unwrap().payload, vec![2]);
 }

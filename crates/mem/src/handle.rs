@@ -1,45 +1,16 @@
 //! The one handle table under every heap manager, and the object accessors
 //! all of them share.
 //!
-//! A [`Handle`] is a `u64` composite, `slot | generation << 32`: the low
-//! half names a slot in the manager's [`HandleTable`], the high half the
-//! slot's generation when the object was allocated. Releasing an object
-//! bumps its slot's generation and puts the slot on a free list, so the
-//! next allocation reuses it under a new handle. The table therefore stays
-//! as large as the peak live population, and a stale handle fails the
-//! generation check instead of aliasing the object that took its slot. A
-//! slot whose generation would wrap is retired, never reissued.
-//!
-//! Generations start at 1, so no handle is 0: a reference slot stores
-//! `Some(h)` as `h`'s bits and `None` as 0.
+//! A manager's [`HandleTable`] is a [`Slots`] of its objects plus their
+//! payload bytes. A reference slot stores `Some(h)` as `h`'s bits and `None`
+//! as 0, which no [`Handle`] is.
 //!
 //! A manager keeps only what is its own: where an object's words live (the
 //! table's `L`), any per-object collector state (`X`), and its policy.
 //! [`Objects`] gives every manager the same bounds-checked accessors over
 //! that.
 
-use crate::{Handle, MemError, Word, WORD_BYTES};
-use std::fmt;
-
-impl Handle {
-    fn new(slot: u32, generation: u32) -> Self {
-        Handle(u64::from(slot) | u64::from(generation) << 32)
-    }
-
-    fn slot(self) -> usize {
-        (self.0 & u64::from(u32::MAX)) as usize
-    }
-
-    fn generation(self) -> u32 {
-        (self.0 >> 32) as u32
-    }
-}
-
-impl fmt::Display for Handle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "h{}.{}", self.slot(), self.generation())
-    }
-}
+use crate::{Handle, MemError, Slots, Word, WORD_BYTES};
 
 /// Decodes a reference-slot word.
 fn decode(w: Word) -> Option<Handle> {
@@ -73,121 +44,68 @@ impl<L, X> Obj<L, X> {
     }
 }
 
-#[derive(Debug)]
-struct Slot<L, X> {
-    generation: u32,
-    obj: Option<Obj<L, X>>,
-}
-
-/// Generation-tagged handle → object table with slot reuse.
+/// A manager's objects and their live payload bytes.
 #[derive(Debug)]
 pub(crate) struct HandleTable<L, X = ()> {
-    slots: Vec<Slot<L, X>>,
-    free: Vec<u32>,
-    /// Payload bytes of the live objects.
+    slots: Slots<Obj<L, X>>,
     live_bytes: usize,
 }
 
 impl<L, X> HandleTable<L, X> {
     pub(crate) fn new() -> Self {
         HandleTable {
-            slots: Vec::new(),
-            free: Vec::new(),
+            slots: Slots::default(),
             live_bytes: 0,
         }
     }
 
-    /// Registers a new object, reusing a released slot when there is one.
     pub(crate) fn insert(&mut self, loc: L, nrefs: usize, nwords: usize, meta: X) -> Handle {
-        let obj = Some(Obj {
+        self.live_bytes += (nrefs + nwords) * WORD_BYTES;
+        self.slots.insert(Obj {
             loc,
             nrefs: u32::try_from(nrefs).expect("nrefs fits u32"),
             nwords: u32::try_from(nwords).expect("nwords fits u32"),
             meta,
-        });
-        self.live_bytes += (nrefs + nwords) * WORD_BYTES;
-        if let Some(slot) = self.free.pop() {
-            let s = &mut self.slots[slot as usize];
-            s.obj = obj;
-            return Handle::new(slot, s.generation);
-        }
-        let slot = u32::try_from(self.slots.len()).expect("handle space exhausted");
-        self.slots.push(Slot { generation: 1, obj });
-        Handle::new(slot, 1)
-    }
-
-    /// The live object `h` names.
-    ///
-    /// # Errors
-    ///
-    /// [`MemError::InvalidHandle`] if `h` was never issued or its object
-    /// has been released.
-    pub(crate) fn get(&self, h: Handle) -> Result<&Obj<L, X>, MemError> {
-        let s = self
-            .slots
-            .get(h.slot())
-            .filter(|s| s.generation == h.generation());
-        s.and_then(|s| s.obj.as_ref())
-            .ok_or(MemError::InvalidHandle(h))
-    }
-
-    /// Mutable form of [`HandleTable::get`].
-    pub(crate) fn get_mut(&mut self, h: Handle) -> Result<&mut Obj<L, X>, MemError> {
-        let s = self
-            .slots
-            .get_mut(h.slot())
-            .filter(|s| s.generation == h.generation());
-        s.and_then(|s| s.obj.as_mut())
-            .ok_or(MemError::InvalidHandle(h))
-    }
-
-    /// Releases `h`'s object and returns it, or `None` if `h` is not live.
-    /// Every handle to it is stale from here on.
-    pub(crate) fn release(&mut self, h: Handle) -> Option<Obj<L, X>> {
-        self.get(h).ok()?;
-        self.vacate(h.slot())
-    }
-
-    fn vacate(&mut self, slot: usize) -> Option<Obj<L, X>> {
-        let s = &mut self.slots[slot];
-        let obj = s.obj.take()?;
-        self.live_bytes -= obj.bytes();
-        if s.generation < u32::MAX {
-            s.generation += 1;
-            self.free.push(u32::try_from(slot).expect("slots fit u32"));
-        }
-        Some(obj)
-    }
-
-    /// Visits every live object and releases each one `keep` refuses.
-    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&mut Obj<L, X>) -> bool) {
-        for slot in 0..self.slots.len() {
-            if let Some(obj) = &mut self.slots[slot].obj {
-                if !keep(obj) {
-                    self.vacate(slot);
-                }
-            }
-        }
-    }
-
-    /// Every live object with its handle.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (Handle, &Obj<L, X>)> {
-        self.slots.iter().zip(0..).filter_map(|(s, slot)| {
-            s.obj
-                .as_ref()
-                .map(|obj| (Handle::new(slot, s.generation), obj))
         })
     }
 
-    /// Payload bytes of the live objects.
+    /// The live object `h` names, or [`MemError::InvalidHandle`].
+    pub(crate) fn get(&self, h: Handle) -> Result<&Obj<L, X>, MemError> {
+        self.slots.get(h).ok_or(MemError::InvalidHandle(h))
+    }
+
+    pub(crate) fn get_mut(&mut self, h: Handle) -> Result<&mut Obj<L, X>, MemError> {
+        self.slots.get_mut(h).ok_or(MemError::InvalidHandle(h))
+    }
+
+    pub(crate) fn release(&mut self, h: Handle) -> Option<Obj<L, X>> {
+        let obj = self.slots.release(h)?;
+        self.live_bytes -= obj.bytes();
+        Some(obj)
+    }
+
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&mut Obj<L, X>) -> bool) {
+        let live_bytes = &mut self.live_bytes;
+        self.slots.retain(|obj| {
+            let kept = keep(obj);
+            if !kept {
+                *live_bytes -= obj.bytes();
+            }
+            kept
+        });
+    }
+
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Handle, &Obj<L, X>)> {
+        self.slots.iter()
+    }
+
     pub(crate) fn live_bytes(&self) -> usize {
         self.live_bytes
     }
 
-    /// Slots held, live, free or retired: the table's footprint.
     #[cfg(test)]
     pub(crate) fn slots(&self) -> usize {
-        self.slots.len()
+        self.slots.footprint()
     }
 }
 
@@ -335,19 +253,6 @@ pub(crate) mod tests {
         assert_eq!(t.get(b).map(|o| o.loc), Ok(20));
         assert!(t.release(a).is_none(), "a stale handle releases nothing");
         assert_eq!(t.slots(), 1);
-    }
-
-    #[test]
-    fn a_slot_whose_generation_would_wrap_is_retired() {
-        let mut t: HandleTable<usize> = HandleTable::new();
-        let a = t.insert(0, 0, 0, ());
-        t.slots[a.slot()].generation = u32::MAX;
-        let a = Handle::new(0, u32::MAX);
-        assert!(t.release(a).is_some());
-        let b = t.insert(0, 0, 0, ());
-        assert_ne!(b.slot(), a.slot(), "the wrapped slot is never reissued");
-        assert!(t.get(a).is_err());
-        assert_eq!(t.slots(), 2);
     }
 
     #[test]

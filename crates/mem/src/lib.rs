@@ -31,14 +31,11 @@
 //! and some JVMs.
 //!
 //! All six managers keep their objects in one kind of table (the crate-private
-//! `handle` module), which also owns the shared bounds-checked accessors. A
-//! handle is `slot | generation << 32`. Freeing or collecting an object bumps
-//! its slot's generation and recycles the slot, so the table stays as large as
-//! the peak live population and a stale handle fails the generation check
-//! rather than aliasing the object that reused its slot (a slot whose
-//! generation would wrap is retired instead). The region heap is the one
-//! exception to recycling: its objects die in bulk when their region closes,
-//! so it decides liveness by region and never releases a slot.
+//! `handle` module, which also owns the shared bounds-checked accessors) over
+//! [`Slots`], so freeing or collecting an object recycles its slot and a stale
+//! handle fails instead of aliasing the object that reused it. The region heap
+//! is the one exception: its objects die in bulk when their region closes, so
+//! it decides liveness by region and never releases a slot.
 //!
 //! [`workload`] generates allocation traces with controlled size and lifetime
 //! distributions, and records per-operation pause times in a
@@ -64,10 +61,13 @@ mod handle;
 pub mod marksweep;
 pub mod rc;
 pub mod semispace;
+pub mod slots;
 pub mod stats;
 pub mod workload;
 
 use std::fmt;
+
+pub use slots::Slots;
 
 /// A 64-bit data word stored in an object's payload.
 pub type Word = u64;

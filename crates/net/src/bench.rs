@@ -341,10 +341,12 @@ pub fn frame_stream(cfg: &SweepConfig) -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// Times `lookups` lookups against both tables over the same addresses.
+/// Times `lookups` lookups against both tables over the same addresses: the
+/// linear scan (arm 0) and the trie (arm 1) as [`paired`] arms over `rounds`
+/// rounds.
 #[must_use]
 #[allow(clippy::cast_precision_loss)]
-pub fn lookup_comparison(routes: usize, lookups: usize, seed: u64) -> LookupPoint {
+pub fn lookup_comparison(routes: usize, lookups: usize, seed: u64, rounds: usize) -> LookupPoint {
     let (trie, linear) = build_tables(routes);
     let addrs = address_stream(lookups.clamp(1, 65_536), routes, seed ^ 0xF00D);
     let time_table = |lookup: &dyn Fn(u32) -> Option<PortId>| -> f64 {
@@ -362,11 +364,23 @@ pub fn lookup_comparison(routes: usize, lookups: usize, seed: u64) -> LookupPoin
         std::hint::black_box(acc);
         t0.elapsed().as_nanos() as f64 / done as f64
     };
+    let ns = paired(
+        rounds,
+        2,
+        |&ns: &f64| ns,
+        |arm| {
+            if arm == 0 {
+                time_table(&|a| linear.lookup(a))
+            } else {
+                time_table(&|a| trie.lookup(a))
+            }
+        },
+    );
     LookupPoint {
         routes: trie.len(),
         lookups,
-        linear_ns: time_table(&|a| linear.lookup(a)),
-        trie_ns: time_table(&|a| trie.lookup(a)),
+        linear_ns: ns[0],
+        trie_ns: ns[1],
     }
 }
 
@@ -547,7 +561,7 @@ pub fn update_visibility(samples: usize) -> Option<VisibilityPoint> {
 /// grid as [`paired`] arms, and the churn and visibility runs when configured.
 #[must_use]
 pub fn run_sweep(cfg: &SweepConfig) -> BenchReport {
-    let lookup = lookup_comparison(cfg.routes, cfg.lookups, SEED);
+    let lookup = lookup_comparison(cfg.routes, cfg.lookups, SEED, cfg.rounds);
     let frames = frame_stream(cfg);
     let batches = cfg.batch_sizes.len();
     let sweep = paired(

@@ -103,16 +103,14 @@ fn main() {
     let reply = kernel.take_delivered(client).expect("reply delivered");
     assert!(reply.cap.is_some(), "page capability transferred");
     // The client can read the shared page through the transferred cap...
-    let transferred = microkernel::CapSlot(1); // first free slot after client_ep... found below
     let transferred = (0..8)
         .map(microkernel::CapSlot)
         .find(|&s| {
             kernel
                 .inspect_cap(client, s)
-                .map(|c| c.kind == microkernel::object::ObjectKind::Page)
-                .unwrap_or(false)
+                .is_ok_and(|c| c.kind == microkernel::object::ObjectKind::Page)
         })
-        .unwrap_or(transferred);
+        .expect("the transferred page capability landed in the client's c-space");
     let SysResult::Value(v) = kernel
         .syscall(
             client,

@@ -65,7 +65,7 @@ pub fn run(scale: Scale) -> Table {
     };
     let mut speedup_64 = 0.0;
     for routes in route_sizes(scale) {
-        let point = lookup_comparison(routes, lookups, SEED);
+        let point = lookup_comparison(routes, lookups, SEED, scale.rounds());
         if routes >= 64 {
             speedup_64 = point.speedup();
         }

@@ -142,6 +142,7 @@ pub fn run_figure(scale: Scale) -> Table {
         Scale::Quick => 1 << 17,
         Scale::Full => 1 << 23,
     };
+    let mut slowdowns = Vec::with_capacity(sizes.len());
     for &n in sizes {
         // Write then sum a vector of n elements; several passes so every
         // size touches the same total number of elements.
@@ -162,6 +163,7 @@ pub fn run_figure(scale: Scale) -> Table {
         let elems = (n * passes) as u64;
         #[allow(clippy::cast_precision_loss)]
         let slow = b_ns as f64 / u_ns.max(1) as f64;
+        slowdowns.push(slow);
         let (_, boxed_bytes) = array_bytes(&Type::Int, n);
         t.row(vec![
             n.to_string(),
@@ -171,7 +173,22 @@ pub fn run_figure(scale: Scale) -> Table {
             boxed_bytes.to_string(),
         ]);
     }
-    t.note("series shape: the slowdown is already large in cache (allocation cost) and does not shrink as the boxed working set outgrows cache levels — representation cost is not amortizable.");
+    let (first, last) = (slowdowns[0], slowdowns[slowdowns.len() - 1]);
+    let direction = if last > first {
+        "grows"
+    } else if last < first {
+        "shrinks"
+    } else {
+        "holds"
+    };
+    t.note(format!(
+        "series shape: boxing already costs {first:.2}x in cache (allocation \
+         cost), and the slowdown {direction} to {last:.2}x at {} elements as \
+         the boxed working set outgrows cache levels (median of {} paired \
+         rounds).",
+        sizes[sizes.len() - 1],
+        scale.rounds()
+    ));
     t
 }
 

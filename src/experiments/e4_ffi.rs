@@ -92,13 +92,13 @@ pub fn run(scale: Scale) -> Table {
     }
     labels.push("one native call doing all the work".to_owned());
     for (arm, (label, (ns, result, _))) in labels.into_iter().zip(arms).enumerate() {
-        let per_call = if arm == 5 { ns } else { ns / n.max(1) };
-        t.row(vec![
-            label,
-            fmt_ns(ns),
-            fmt_ns(per_call),
-            result.to_string(),
-        ]);
+        // A native add is well under a nanosecond: keep the fraction.
+        let per_call = if arm == 5 {
+            fmt_ns(ns)
+        } else {
+            format!("{:.2} ns", ns as f64 / n.max(1) as f64)
+        };
+        t.row(vec![label, fmt_ns(ns), per_call, result.to_string()]);
     }
     t.note("paper claim (inverted fallacy): the boundary tax is a constant tens-of-ns per crossing — small enough that component-at-a-time migration is viable, and amortizable by batching.");
     t

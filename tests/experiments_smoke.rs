@@ -98,7 +98,7 @@ fn e9_campaigns_stay_available_replayable_and_verified() {
 fn e10_trie_beats_linear_scan_and_streams_conserve_packets() {
     // The structural claim behind E10, checked on real timings: by a
     // 64-route table the stride-4 trie must out-run the O(n) linear scan.
-    let point = sysnet::bench::lookup_comparison(64, 200_000, 0x5EED_0E10);
+    let point = sysnet::bench::lookup_comparison(64, 200_000, 0x5EED_0E10, 1);
     assert!(point.routes >= 64);
     assert!(
         point.speedup() > 1.0,
