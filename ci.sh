@@ -30,6 +30,11 @@ cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Docs that cannot rot: every intra-doc link in every crate must resolve to
+# a public item, so a renamed type or field fails here, not in a reader's
+# browser.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --keep-going
+
 # Paper-claim smoke: the experiments behind the fallacies and challenges
 # (E2/F1 boxing, E3 optimiser, E4 FFI boundary, E5 prover, E7 shared
 # state, E8 representation) at quick scale, through the example binary.
@@ -66,10 +71,11 @@ done
 # Heap smoke: the shadow-model differential suite over the five reclaiming
 # managers (reference links, and retired handles that must stay dead after
 # their table slot is reused), E1/E6/E9 at quick scale, the microkernel
-# demo's grant → transfer → revoke walk-through (it panics if the transfer
-# rule refuses a legitimate transfer), and a 3-s traced ipc-rt run that
-# must be correct and must not grow per round trip: the kernel heap
-# recycles handle slots, and a wake never queues a pid twice.
+# demo's grant → transfer-by-slot → revoke walk-through (it panics if the
+# transfer rule refuses a legitimate transfer or the delivered reply names
+# no landing slot), and a 3-s traced ipc-rt run that must be correct and
+# must not grow per round trip: the kernel heap recycles handle slots, and
+# a wake never queues a pid twice.
 cargo test -q -p sysmem --test shadow_model
 cargo run --release --example experiments -- e1 e6 e9
 cargo run --release --example microkernel_demo

@@ -6,8 +6,8 @@
 //! not make a correct `transfer`, because the intermediate state is exposed.
 //! This crate builds every concurrency model that argument compares:
 //!
-//! * [`spinlock`] — test-and-set spinlocks, fair ticket locks, and seqlocks,
-//!   built from atomics (the primitives a kernel would use),
+//! * [`spinlock`] — a test-and-test-and-set spinlock built from atomics
+//!   (the primitive a kernel would use),
 //! * [`stm`] — a TL2-style software transactional memory with composable
 //!   `atomically` blocks, optimistic versioned reads, and commit-time
 //!   validation (the Harris et al. model),

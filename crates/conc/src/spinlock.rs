@@ -1,9 +1,8 @@
-//! Lock primitives built from atomics: test-and-set spinlocks, fair ticket
-//! locks, and sequence locks.
+//! A lock primitive built from atomics: the test-and-test-and-set spinlock.
 //!
-//! These are the building blocks a kernel uses where blocking is impossible
-//! (interrupt paths, scheduler internals). They also serve as E7's "what the
-//! careful C programmer writes by hand" baseline.
+//! It is the building block a kernel uses where blocking is impossible
+//! (interrupt paths, scheduler internals), and E7's "what the careful C
+//! programmer writes by hand" baseline.
 //!
 //! All atomics go through `syscheck::shim`, so the same code path that runs
 //! in release builds is exhaustively model-checked by the `checker_*` tests
@@ -13,16 +12,16 @@
 //! * the test-and-test-and-set read spun with `Relaxed` ordering — upgraded
 //!   to `Acquire` so the "looks free" observation synchronizes with the
 //!   owner's release before the acquire attempt;
-//! * both spin loops were unbounded busy-waits — on a uniprocessor (or any
+//! * the spin loop was an unbounded busy-wait — on a uniprocessor (or any
 //!   oversubscribed box) a spinner burning its whole quantum while the owner
 //!   is preempted is a livelock, which the checker reports as a step-budget
-//!   blowup. Spinning now escalates to `yield_now` after [`SPIN_LIMIT`]
+//!   blowup. Spinning now escalates to `yield_now` after `SPIN_LIMIT`
 //!   iterations.
 
 use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::Ordering;
-use syscheck::shim::{spin_loop, yield_now, AtomicBool, AtomicU64, AtomicUsize};
+use syscheck::shim::{spin_loop, yield_now, AtomicBool, AtomicU64};
 
 /// Iterations a spinner burns before it starts yielding its timeslice to
 /// whoever holds the lock.
@@ -152,134 +151,6 @@ impl<T> Drop for SpinGuard<'_, T> {
     }
 }
 
-/// A fair FIFO ticket lock: threads acquire in arrival order, eliminating
-/// the starvation a plain spinlock permits.
-#[derive(Debug, Default)]
-pub struct TicketLock<T> {
-    next_ticket: AtomicUsize,
-    now_serving: AtomicUsize,
-    data: UnsafeCell<T>,
-}
-
-// SAFETY: same argument as SpinLock.
-unsafe impl<T: Send> Sync for TicketLock<T> {}
-unsafe impl<T: Send> Send for TicketLock<T> {}
-
-impl<T> TicketLock<T> {
-    /// Wraps `value` in an unlocked ticket lock.
-    pub const fn new(value: T) -> Self {
-        TicketLock {
-            next_ticket: AtomicUsize::new(0),
-            now_serving: AtomicUsize::new(0),
-            data: UnsafeCell::new(value),
-        }
-    }
-
-    /// Takes a ticket and spins until it is served.
-    pub fn lock(&self) -> TicketGuard<'_, T> {
-        let ticket = self.next_ticket.fetch_add(1, Ordering::Relaxed);
-        let mut spins = 0u32;
-        while self.now_serving.load(Ordering::Acquire) != ticket {
-            backoff(&mut spins);
-        }
-        TicketGuard { lock: self }
-    }
-}
-
-/// RAII guard for [`TicketLock`].
-#[derive(Debug)]
-pub struct TicketGuard<'a, T> {
-    lock: &'a TicketLock<T>,
-}
-
-impl<T> Deref for TicketGuard<'_, T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        // SAFETY: guard existence implies exclusive ownership of the lock.
-        unsafe { &*self.lock.data.get() }
-    }
-}
-
-impl<T> DerefMut for TicketGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        // SAFETY: guard existence implies exclusive ownership of the lock.
-        unsafe { &mut *self.lock.data.get() }
-    }
-}
-
-impl<T> Drop for TicketGuard<'_, T> {
-    fn drop(&mut self) {
-        self.lock.now_serving.fetch_add(1, Ordering::Release);
-    }
-}
-
-/// A sequence lock for small `Copy` data: writers increment a sequence
-/// counter around updates; readers retry if they observe a torn or odd
-/// sequence. Reads are wait-free when there is no concurrent writer.
-#[derive(Debug, Default)]
-pub struct SeqLock<T: Copy> {
-    seq: AtomicU64,
-    writer: SpinLock<()>,
-    data: UnsafeCell<T>,
-}
-
-// SAFETY: readers copy out under sequence validation; writers are serialized
-// by the internal spinlock.
-unsafe impl<T: Copy + Send> Sync for SeqLock<T> {}
-unsafe impl<T: Copy + Send> Send for SeqLock<T> {}
-
-impl<T: Copy> SeqLock<T> {
-    /// Wraps `value`.
-    pub const fn new(value: T) -> Self {
-        SeqLock {
-            seq: AtomicU64::new(0),
-            writer: SpinLock::new(()),
-            data: UnsafeCell::new(value),
-        }
-    }
-
-    /// Reads a consistent snapshot, retrying across concurrent writes.
-    pub fn read(&self) -> T {
-        let mut spins = 0u32;
-        loop {
-            let s1 = self.seq.load(Ordering::Acquire);
-            if s1 % 2 == 1 {
-                backoff(&mut spins);
-                continue;
-            }
-            // SAFETY: value is Copy; a torn read is detected by the sequence
-            // check below and discarded.
-            let value = unsafe { std::ptr::read_volatile(self.data.get()) };
-            let s2 = self.seq.load(Ordering::Acquire);
-            if s1 == s2 {
-                return value;
-            }
-        }
-    }
-
-    /// Replaces the value.
-    pub fn write(&self, value: T) {
-        let _guard = self.writer.lock();
-        self.seq.fetch_add(1, Ordering::AcqRel); // now odd: readers back off
-                                                 // SAFETY: writers are serialized by `writer`; readers validate seq.
-        unsafe { std::ptr::write_volatile(self.data.get(), value) };
-        self.seq.fetch_add(1, Ordering::AcqRel); // even again
-    }
-
-    /// Applies `f` to the current value and stores the result.
-    pub fn update<F: FnOnce(T) -> T>(&self, f: F) {
-        let _guard = self.writer.lock();
-        self.seq.fetch_add(1, Ordering::AcqRel);
-        // SAFETY: as in `write`.
-        unsafe {
-            let cur = std::ptr::read(self.data.get());
-            std::ptr::write_volatile(self.data.get(), f(cur));
-        }
-        self.seq.fetch_add(1, Ordering::AcqRel);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,72 +183,6 @@ mod tests {
         assert!(lock.try_lock().is_none());
         drop(g);
         assert!(lock.try_lock().is_some());
-    }
-
-    #[test]
-    fn ticket_lock_provides_mutual_exclusion() {
-        let lock = Arc::new(TicketLock::new(Vec::new()));
-        let handles: Vec<_> = (0..4)
-            .map(|t| {
-                let lock = Arc::clone(&lock);
-                thread::spawn(move || {
-                    for i in 0..1000 {
-                        lock.lock().push(t * 10_000 + i);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(lock.lock().len(), 4000);
-    }
-
-    #[test]
-    fn ticket_lock_serves_in_fifo_order_single_thread() {
-        // Single-threaded check that tickets advance monotonically.
-        let lock = TicketLock::new(0);
-        for _ in 0..10 {
-            let mut g = lock.lock();
-            *g += 1;
-        }
-        assert_eq!(*lock.lock(), 10);
-    }
-
-    #[test]
-    fn seqlock_readers_never_see_torn_pairs() {
-        // The invariant: both halves of the pair are always equal.
-        let sl = Arc::new(SeqLock::new((0u64, 0u64)));
-        let writer = {
-            let sl = Arc::clone(&sl);
-            thread::spawn(move || {
-                for i in 1..=50_000u64 {
-                    sl.write((i, i));
-                }
-            })
-        };
-        let readers: Vec<_> = (0..4)
-            .map(|_| {
-                let sl = Arc::clone(&sl);
-                thread::spawn(move || {
-                    for _ in 0..50_000 {
-                        let (a, b) = sl.read();
-                        assert_eq!(a, b, "torn read observed");
-                    }
-                })
-            })
-            .collect();
-        writer.join().unwrap();
-        for r in readers {
-            r.join().unwrap();
-        }
-    }
-
-    #[test]
-    fn seqlock_update_applies_function() {
-        let sl = SeqLock::new(10u64);
-        sl.update(|v| v * 3);
-        assert_eq!(sl.read(), 30);
     }
 
     #[test]
@@ -440,52 +245,5 @@ mod tests {
         assert!(ex.failure.is_none(), "{:?}", ex.failure);
         assert!(ex.complete, "model must be exhaustively explored");
         assert_eq!(ex.distinct_states, 1);
-    }
-
-    /// Ticket lock under the checker: exclusive, and every schedule
-    /// terminates (the serving spin yields).
-    #[test]
-    fn checker_ticket_lock_mutual_exclusion() {
-        let ex = syscheck::explore(&syscheck::Config::default(), || {
-            let lock = Arc::new(TicketLock::new(0u64));
-            let handles: Vec<_> = (0..2)
-                .map(|_| {
-                    let lock = Arc::clone(&lock);
-                    syscheck::shim::spawn(move || {
-                        *lock.lock() += 1;
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().unwrap();
-            }
-            let v = *lock.lock();
-            assert_eq!(v, 2);
-            v
-        });
-        assert!(ex.failure.is_none(), "{:?}", ex.failure);
-        assert!(ex.complete);
-        assert_eq!(ex.distinct_states, 1);
-    }
-
-    /// SeqLock reader racing a writer: the sequence protocol must hide the
-    /// window between the writer's two counter bumps in every schedule.
-    #[test]
-    fn checker_seqlock_no_torn_reads() {
-        let ex = syscheck::explore(&syscheck::Config::default(), || {
-            let sl = Arc::new(SeqLock::new((0u64, 0u64)));
-            let writer = {
-                let sl = Arc::clone(&sl);
-                syscheck::shim::spawn(move || sl.write((1, 1)))
-            };
-            let (a, b) = sl.read();
-            writer.join().unwrap();
-            assert_eq!(a, b, "torn read: ({a}, {b})");
-            a
-        });
-        assert!(ex.failure.is_none(), "{:?}", ex.failure);
-        assert!(ex.complete);
-        // Reader ran before or after the write: both terminal states exist.
-        assert_eq!(ex.distinct_states, 2);
     }
 }

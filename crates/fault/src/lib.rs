@@ -388,12 +388,6 @@ impl SharedInjector {
         self.lock().should_fail(site)
     }
 
-    /// Snapshot of the fault log.
-    #[must_use]
-    pub fn log_snapshot(&self) -> FaultLog {
-        self.lock().log().clone()
-    }
-
     /// Digest of the log so far.
     #[must_use]
     pub fn digest(&self) -> u64 {

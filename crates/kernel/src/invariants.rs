@@ -32,6 +32,34 @@ fn bit_constraint(name: &str) -> Formula {
     )
 }
 
+/// `r`, `b` and `d` are bits, and exactly one of them is set.
+fn one_hot(r: &str, b: &str, d: &str) -> Formula {
+    Formula::And(vec![
+        bit_constraint(r),
+        bit_constraint(b),
+        bit_constraint(d),
+        Formula::cmp(Cmp::Eq, plus(plus(v(r), v(b)), v(d)), int(1)),
+    ])
+}
+
+/// The procedure for invariant `name`; its seeded-bug variant is named
+/// `<name>-buggy`.
+fn procedure(
+    name: &str,
+    seeded_bug: bool,
+    requires: Formula,
+    body: Vec<Stmt>,
+    ensures: Formula,
+) -> Procedure {
+    let suffix = if seeded_bug { "-buggy" } else { "" };
+    Procedure {
+        name: format!("{name}{suffix}"),
+        requires,
+        ensures,
+        body,
+    }
+}
+
 /// Mint monotonicity: for every rights bit, the minted capability's bit is
 /// the conjunction of the source bit and the requested bit — so minted
 /// rights never exceed source rights.
@@ -68,16 +96,13 @@ pub fn mint_procedure(seeded_bug: bool) -> Procedure {
         // No amplification: out_i <= src_i.
         ensures.push(Formula::cmp(Cmp::Le, v(&out), v(&src)));
     }
-    Procedure {
-        name: if seeded_bug {
-            "mint-buggy".into()
-        } else {
-            "mint".into()
-        },
-        requires: Formula::And(requires),
-        ensures: Formula::And(ensures),
+    procedure(
+        "mint",
+        seeded_bug,
+        Formula::And(requires),
         body,
-    }
+        Formula::And(ensures),
+    )
 }
 
 /// Capability-space lookup stays in bounds: given `0 <= slot < size`, the
@@ -100,16 +125,7 @@ pub fn cspace_lookup_procedure(seeded_bug: bool) -> Procedure {
         Formula::cmp(Cmp::Ge, v("addr"), v("base")),
         Formula::cmp(Cmp::Lt, v("addr"), plus(v("base"), v("size"))),
     ]);
-    Procedure {
-        name: if seeded_bug {
-            "cspace-lookup-buggy".into()
-        } else {
-            "cspace-lookup".into()
-        },
-        requires,
-        ensures,
-        body,
-    }
+    procedure("cspace-lookup", seeded_bug, requires, body, ensures)
 }
 
 /// Endpoint ring-buffer enqueue preserves `0 <= tail < cap` and
@@ -145,30 +161,13 @@ pub fn queue_enqueue_procedure(seeded_bug: bool) -> Procedure {
         Formula::cmp(Cmp::Lt, v("tail"), v("cap")),
         Formula::cmp(Cmp::Le, v("count"), v("cap")),
     ]);
-    Procedure {
-        name: if seeded_bug {
-            "queue-enqueue-buggy".into()
-        } else {
-            "queue-enqueue".into()
-        },
-        requires,
-        ensures,
-        body,
-    }
+    procedure("queue-enqueue", seeded_bug, requires, body, ensures)
 }
 
 /// Scheduler state exclusivity: a process is exactly one of
 /// {ready, blocked, dead} before and after a block transition.
 #[must_use]
 pub fn scheduler_block_procedure(seeded_bug: bool) -> Procedure {
-    let one_hot = |r: &str, b: &str, d: &str| {
-        Formula::And(vec![
-            bit_constraint(r),
-            bit_constraint(b),
-            bit_constraint(d),
-            Formula::cmp(Cmp::Eq, plus(plus(v(r), v(b)), v(d)), int(1)),
-        ])
-    };
     let requires = Formula::and(
         one_hot("ready", "blocked", "dead"),
         // Only a ready process can block.
@@ -184,16 +183,7 @@ pub fn scheduler_block_procedure(seeded_bug: bool) -> Procedure {
         ]
     };
     let ensures = one_hot("ready", "blocked", "dead");
-    Procedure {
-        name: if seeded_bug {
-            "sched-block-buggy".into()
-        } else {
-            "sched-block".into()
-        },
-        requires,
-        ensures,
-        body,
-    }
+    procedure("sched-block", seeded_bug, requires, body, ensures)
 }
 
 /// IPC payload copy bound: copying `len` words starting at `dst` stays in a
@@ -213,16 +203,7 @@ pub fn ipc_copy_procedure(seeded_bug: bool) -> Procedure {
     ]);
     let body = vec![Stmt::Assign("end".into(), v("len"))];
     let ensures = Formula::cmp(Cmp::Le, v("end"), v("buf"));
-    Procedure {
-        name: if seeded_bug {
-            "ipc-copy-buggy".into()
-        } else {
-            "ipc-copy".into()
-        },
-        requires,
-        ensures,
-        body,
-    }
+    procedure("ipc-copy", seeded_bug, requires, body, ensures)
 }
 
 /// Watchdog reap transition: reaping an overdue blocked IPC moves the
@@ -233,14 +214,6 @@ pub fn ipc_copy_procedure(seeded_bug: bool) -> Procedure {
 /// corruption.
 #[must_use]
 pub fn watchdog_reap_procedure(seeded_bug: bool) -> Procedure {
-    let one_hot = |r: &str, b: &str, d: &str| {
-        Formula::And(vec![
-            bit_constraint(r),
-            bit_constraint(b),
-            bit_constraint(d),
-            Formula::cmp(Cmp::Eq, plus(plus(v(r), v(b)), v(d)), int(1)),
-        ])
-    };
     let requires = Formula::And(vec![
         one_hot("ready", "blocked", "dead"),
         // Only a blocked process with an expired deadline is reaped.
@@ -262,43 +235,30 @@ pub fn watchdog_reap_procedure(seeded_bug: bool) -> Procedure {
         one_hot("ready", "blocked", "dead"),
         Formula::cmp(Cmp::Eq, v("blocked"), int(0)),
     );
-    Procedure {
-        name: if seeded_bug {
-            "watchdog-reap-buggy".into()
-        } else {
-            "watchdog-reap".into()
-        },
-        requires,
-        ensures,
-        body,
-    }
+    procedure("watchdog-reap", seeded_bug, requires, body, ensures)
 }
+
+/// Every invariant's procedure, correct or with its seeded bug.
+const PROCEDURES: [fn(bool) -> Procedure; 6] = [
+    mint_procedure,
+    cspace_lookup_procedure,
+    queue_enqueue_procedure,
+    scheduler_block_procedure,
+    ipc_copy_procedure,
+    watchdog_reap_procedure,
+];
 
 /// The full invariant suite: every procedure here must verify.
 #[must_use]
 pub fn invariant_suite() -> Vec<Procedure> {
-    vec![
-        mint_procedure(false),
-        cspace_lookup_procedure(false),
-        queue_enqueue_procedure(false),
-        scheduler_block_procedure(false),
-        ipc_copy_procedure(false),
-        watchdog_reap_procedure(false),
-    ]
+    PROCEDURES.iter().map(|p| p(false)).collect()
 }
 
 /// Seeded-bug variants: every procedure here must be *refuted* with a
 /// counterexample (a prover that proves these is broken).
 #[must_use]
 pub fn seeded_bug_suite() -> Vec<Procedure> {
-    vec![
-        mint_procedure(true),
-        cspace_lookup_procedure(true),
-        queue_enqueue_procedure(true),
-        scheduler_block_procedure(true),
-        ipc_copy_procedure(true),
-        watchdog_reap_procedure(true),
-    ]
+    PROCEDURES.iter().map(|p| p(true)).collect()
 }
 
 #[cfg(test)]

@@ -12,12 +12,12 @@ use crate::cycles::{self, CycleCounter};
 use crate::object::{Capability, ObjId, ObjectKind};
 use crate::rights::Rights;
 use crate::{CapSlot, KernelError, Pid, Result};
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 use sysfault::SharedInjector;
 use sysmem::freelist::FreeListHeap;
 use sysmem::{Handle, Manager, Slots};
 
-/// Maximum capability-space slots per process.
+/// Maximum live capabilities per process.
 pub const CSPACE_CAPACITY: usize = 1024;
 
 /// Fault site: an IPC send silently loses its message after the rights check
@@ -34,10 +34,12 @@ pub const SITE_KERNEL_OOM: &str = "kernel.oom";
 pub struct Message {
     /// Payload words.
     pub payload: Vec<u64>,
-    /// Capability delivered alongside the payload, if any. The sender must
-    /// hold a capability to the same object with GRANT and every right
-    /// transferred, the rule [`Syscall::Mint`] applies.
-    pub cap: Option<Capability>,
+    /// A capability moved alongside the payload, named by its slot in the
+    /// holder's c-space. On `Send` it is one of the sender's slots, which
+    /// must hold GRANT, and the rights to pass: the receiver gets a copy
+    /// diminished to them, the rule [`Syscall::Mint`] applies. On delivery
+    /// it is the receiver's landing slot and the rights that landed.
+    pub cap: Option<(CapSlot, Rights)>,
     /// Causal trace context ([`sysobs::context`] carrier form; 0 = none).
     /// Stamped from the sender's thread-local context on `Send` when unset,
     /// carried through the kernel heap with the payload, and recorded on
@@ -152,7 +154,7 @@ enum ProcState {
 #[derive(Debug)]
 struct Process {
     state: ProcState,
-    cspace: Vec<Option<Capability>>,
+    cspace: Slots<Capability>,
     delivered: VecDeque<Message>,
     /// IPC deadline in cycles: a blocked send/recv older than this is reaped
     /// by the watchdog. `None` means wait forever (the pre-fault-framework
@@ -174,6 +176,7 @@ struct Process {
 struct StoredMessage {
     handle: Handle,
     len: usize,
+    /// The copy in flight: the kernel holds it until it lands.
     cap: Option<Capability>,
     sender: Pid,
     /// The in-flight message's causal context (see [`Message::ctx`]).
@@ -314,13 +317,17 @@ impl Kernel {
     /// checking calls it after every interleaved operation (see
     /// `tests/ipc_interleavings.rs`), so a schedule that drives
     /// `deliver_to`/`wake`/`cancel_ipc` into a corrupt state names the
-    /// violated invariant instead of failing far downstream.
+    /// violated invariant instead of failing far downstream. It also audits
+    /// the object lifecycle, which has no proved counterpart: every live
+    /// object is named by a live capability, a blocked process or a queued
+    /// message, and every page's owner is live.
     ///
     /// # Errors
     ///
     /// Returns the first violated invariant, named after its proved
     /// counterpart (`mint`, `cspace-lookup`, `queue-enqueue`, `sched-block`,
-    /// `ipc-copy`, `watchdog-reap`), with the offending pid/endpoint.
+    /// `ipc-copy`, `watchdog-reap`) or `no-orphan`, with the offending
+    /// pid/object.
     #[allow(clippy::missing_panics_doc)] // u32 conversions cannot fail below
     pub fn check_invariants(&self) -> std::result::Result<(), String> {
         let mut in_queue = vec![0usize; self.processes.len()];
@@ -350,7 +357,7 @@ impl Kernel {
             if proc.cspace.len() > CSPACE_CAPACITY {
                 return Err(format!("cspace-lookup: {pid} c-space exceeds capacity"));
             }
-            for cap in proc.cspace.iter().flatten() {
+            for (_, cap) in proc.cspace.iter() {
                 // mint: a minted or transferred capability can never change
                 // what kind of object it names (amplification across kinds).
                 // A stale capability names nothing and is checked by nothing.
@@ -423,7 +430,48 @@ impl Kernel {
                 }
             }
         }
+        let named = self.named();
+        for (h, obj) in self.objects.iter() {
+            let id = ObjId(h);
+            if !named.contains(&id) {
+                return Err(format!("no-orphan: nothing live names {id}"));
+            }
+            if let Object::Page { owner, .. } = *obj {
+                if !self
+                    .process(owner)
+                    .is_ok_and(|p| p.state != ProcState::Dead)
+                {
+                    return Err(format!("no-orphan: {id} outlives its owner {owner}"));
+                }
+            }
+        }
         Ok(())
+    }
+
+    /// Every object something live still names: a capability in a live
+    /// process's c-space, the endpoint a blocked process waits on, or the
+    /// capability a queued message carries. [`Kernel::reap`] releases the
+    /// endpoints outside this set.
+    fn named(&self) -> HashSet<ObjId> {
+        let mut named = HashSet::new();
+        for proc in self.processes.iter().filter(|p| p.state != ProcState::Dead) {
+            named.extend(proc.cspace.iter().map(|(_, cap)| cap.target));
+            if let ProcState::BlockedSend(ep) | ProcState::BlockedRecv(ep) = proc.state {
+                named.insert(ep);
+            }
+        }
+        for (_, ep) in self.live_endpoints() {
+            named.extend(ep.senders.iter().filter_map(|s| s.cap.map(|c| c.target)));
+        }
+        named
+    }
+
+    /// The endpoint `id` names, which the caller's capability keeps named.
+    fn endpoint(&mut self, id: ObjId) -> &mut Endpoint {
+        match self.objects.get_mut(id.0) {
+            Some(Object::Endpoint(ep)) => ep,
+            _ => unreachable!("a named endpoint is never released"),
+        }
     }
 
     /// Every live endpoint with its id.
@@ -456,7 +504,7 @@ impl Kernel {
         let pid = Pid(u32::try_from(self.processes.len()).expect("pids fit u32"));
         self.processes.push(Process {
             state: ProcState::Ready,
-            cspace: Vec::new(),
+            cspace: Slots::default(),
             delivered: VecDeque::new(),
             deadline: None,
             blocked_at: 0,
@@ -501,26 +549,28 @@ impl Kernel {
             .ok_or(KernelError::NoSuchProcess(pid))
     }
 
+    /// Refuses to go on unless `pid` is live with room for one more
+    /// capability. Everything that installs one asks first, so a refusal
+    /// leaves nothing behind.
+    fn ensure_room(&self, pid: Pid) -> Result<()> {
+        match self.process(pid)? {
+            p if p.state == ProcState::Dead => Err(KernelError::ProcessDead(pid)),
+            p if p.cspace.len() >= CSPACE_CAPACITY => Err(KernelError::CapSpaceFull),
+            _ => Ok(()),
+        }
+    }
+
     fn install_cap(&mut self, pid: Pid, cap: Capability) -> Result<CapSlot> {
-        let proc = self.process_mut(pid)?;
-        if let Some(free) = proc.cspace.iter().position(Option::is_none) {
-            proc.cspace[free] = Some(cap);
-            return Ok(CapSlot(u32::try_from(free).expect("fits")));
-        }
-        if proc.cspace.len() >= CSPACE_CAPACITY {
-            return Err(KernelError::CapSpaceFull);
-        }
-        proc.cspace.push(Some(cap));
-        Ok(CapSlot(u32::try_from(proc.cspace.len() - 1).expect("fits")))
+        self.ensure_room(pid)?;
+        Ok(CapSlot(self.process_mut(pid)?.cspace.insert(cap)))
     }
 
     fn lookup_cap(&mut self, pid: Pid, slot: CapSlot) -> Result<Capability> {
         self.cycles.charge(cycles::CAP_LOOKUP);
         self.process(pid)?
             .cspace
-            .get(slot.0 as usize)
+            .get(slot.0)
             .copied()
-            .flatten()
             .ok_or(KernelError::InvalidCapSlot(slot))
     }
 
@@ -558,12 +608,26 @@ impl Kernel {
     ///
     /// Fails if the owner is unknown or its c-space is full.
     pub fn create_endpoint(&mut self, owner: Pid) -> Result<CapSlot> {
+        self.create_object(owner, ObjectKind::Endpoint, 0)
+    }
+
+    /// The one create path, under [`Kernel::create_endpoint`] and
+    /// `AllocPage`: makes sure `owner`'s c-space has room before it allocates
+    /// anything, then stores the object (a page of `words` words draws on
+    /// the kernel heap) and installs an ALL-rights capability to it.
+    fn create_object(&mut self, owner: Pid, kind: ObjectKind, words: usize) -> Result<CapSlot> {
         self.cycles.charge(cycles::OBJECT_ALLOC);
-        let id = self.objects.insert(Object::Endpoint(Endpoint::default()));
-        self.install_cap(
-            owner,
-            Capability::new(ObjId(id), ObjectKind::Endpoint, Rights::ALL),
-        )
+        self.ensure_room(owner)?;
+        let obj = match kind {
+            ObjectKind::Endpoint => Object::Endpoint(Endpoint::default()),
+            ObjectKind::Page => {
+                let handle = self.kernel_alloc(owner, words.max(1))?;
+                self.mem.add_root(handle);
+                Object::Page { handle, owner }
+            }
+        };
+        let id = ObjId(self.objects.insert(obj));
+        self.install_cap(owner, Capability::new(id, kind, Rights::ALL))
     }
 
     /// Root-task operation: mints a diminished copy of `from`'s capability
@@ -580,7 +644,15 @@ impl Kernel {
         to: Pid,
         rights: Rights,
     ) -> Result<CapSlot> {
-        let cap = self.lookup_cap(from, slot)?;
+        let minted = self.mint_from(from, slot, rights)?;
+        self.install_cap(to, minted)
+    }
+
+    /// The one transfer rule, under `Mint`, [`Kernel::grant_cap`] and a
+    /// capability-carrying `Send`: `pid` must hold GRANT in `slot`, and the
+    /// copy is diminished to `rights`. One lookup, one rights check.
+    fn mint_from(&mut self, pid: Pid, slot: CapSlot, rights: Rights) -> Result<Capability> {
+        let cap = self.lookup_cap(pid, slot)?;
         self.cycles.charge(cycles::RIGHTS_CHECK);
         if !cap.rights.contains(Rights::GRANT) {
             return Err(KernelError::InsufficientRights { required: "GRANT" });
@@ -589,7 +661,7 @@ impl Kernel {
         if !cap.rights.contains(minted.rights) {
             return Err(KernelError::RightsAmplification);
         }
-        self.install_cap(to, minted)
+        Ok(minted)
     }
 
     /// Reads the capability in one of `pid`'s slots (inspection only; the
@@ -612,7 +684,7 @@ impl Kernel {
     pub fn authority(&self, pid: Pid) -> std::collections::BTreeSet<crate::object::ObjId> {
         self.processes
             .get(pid.0 as usize)
-            .map(|p| p.cspace.iter().flatten().map(|c| c.target).collect())
+            .map(|p| p.cspace.iter().map(|(_, c)| c.target).collect())
             .unwrap_or_default()
     }
 
@@ -712,7 +784,7 @@ impl Kernel {
                 };
                 if let Some(at) = e.senders.iter().position(|s| s.sender == pid) {
                     let stored = e.senders.remove(at).expect("position is in range");
-                    self.release_stored(&stored);
+                    self.release_heap(stored.handle);
                 }
             }
             ProcState::BlockedRecv(ep) => {
@@ -750,10 +822,10 @@ impl Kernel {
         })
     }
 
-    /// Graceful OOM degradation: kills the newest non-essential process
-    /// (never `protect`), releasing its pages and any queued message, and
-    /// returns its pid. Returns `None` when nothing can be shed — at which
-    /// point the allocation failure is surfaced as a typed error.
+    /// Graceful OOM degradation: reaps the newest non-essential process
+    /// (never `protect`) and returns its pid. Returns `None` when nothing
+    /// can be shed — at which point the allocation failure is surfaced as a
+    /// typed error.
     fn shed_for_memory(&mut self, protect: Pid) -> Option<Pid> {
         let victim = self
             .processes
@@ -763,23 +835,39 @@ impl Kernel {
             .map(|(i, p)| (Pid(u32::try_from(i).expect("pids fit u32")), p))
             .find(|&(pid, p)| pid != protect && !p.essential && p.state != ProcState::Dead)
             .map(|(pid, _)| pid)?;
-        self.cancel_ipc(victim);
-        let mem = &mut self.mem;
-        self.objects.retain(|obj| match *obj {
-            Object::Page { handle, owner } if owner == victim => {
-                mem.remove_root(handle);
-                let _ = mem.free(handle);
-                false
-            }
-            _ => true,
-        });
-        if let Ok(proc) = self.process_mut(victim) {
-            proc.state = ProcState::Dead;
-        }
+        self.reap(victim);
         self.fault_stats.shed_processes += 1;
         sysobs::obs_count!("kernel.shed_processes", 1);
         sysobs::obs_instant!("kernel.oom.shed", u64::from(victim.0));
         Some(victim)
+    }
+
+    /// The one teardown path, under `Exit` and OOM shedding: cancels
+    /// `pid`'s IPC, empties its c-space and delivered queue, releases the
+    /// pages it owns, and releases every endpoint nothing live names any
+    /// more.
+    fn reap(&mut self, pid: Pid) {
+        self.cancel_ipc(pid);
+        let Ok(proc) = self.process_mut(pid) else {
+            return;
+        };
+        proc.state = ProcState::Dead;
+        proc.cspace = Slots::default();
+        proc.delivered.clear();
+        // An endpoint nothing names has no waiters and no queued messages.
+        let named = self.named();
+        let mut pages = Vec::new();
+        self.objects.retain(|h, obj| match *obj {
+            Object::Page { handle, owner } if owner == pid => {
+                pages.push(handle);
+                false
+            }
+            Object::Page { .. } => true,
+            Object::Endpoint(_) => named.contains(&ObjId(h)),
+        });
+        for handle in pages {
+            self.release_heap(handle);
+        }
     }
 
     /// Kernel-heap allocation with fault injection and graceful OOM
@@ -815,18 +903,18 @@ impl Kernel {
         Ok(StoredMessage {
             handle,
             len,
-            cap: msg.cap,
+            cap: None,
             sender,
             ctx: msg.ctx,
         })
     }
 
-    /// Releases a stored message's heap object without delivering it.
-    fn release_stored(&mut self, stored: &StoredMessage) {
-        self.mem.remove_root(stored.handle);
+    /// Releases a rooted kernel-heap object (a page, or a stored message).
+    fn release_heap(&mut self, handle: Handle) {
+        self.mem.remove_root(handle);
         // Manual managers want an explicit free; collected heaps refuse it,
         // which is fine — the root release above made it garbage.
-        let _ = self.mem.free(stored.handle);
+        let _ = self.mem.free(handle);
     }
 
     fn load_message(&mut self, stored: &StoredMessage) -> Result<Message> {
@@ -839,22 +927,23 @@ impl Kernel {
             );
         }
         self.cycles.charge(cycles::COPY_WORD * stored.len as u64);
-        self.release_stored(stored);
+        self.release_heap(stored.handle);
         Ok(Message {
             payload,
-            cap: stored.cap,
+            cap: None,
             ctx: stored.ctx,
         })
     }
 
+    /// Completes a rendezvous. The caller has made sure a carried
+    /// capability has room to land.
     fn deliver_to(&mut self, receiver: Pid, stored: StoredMessage) -> Result<()> {
-        let msg = self.load_message(&stored)?;
+        let mut msg = self.load_message(&stored)?;
         // The recv half of the causal link: a traced message's delivery
         // records under the same trace id its send did.
         sysobs::obs_span_hot!("kernel.ipc.recv", ctx = msg.ctx);
-        if let Some(cap) = msg.cap {
-            // Transferred capability lands in the receiver's c-space.
-            let _ = self.install_cap(receiver, cap);
+        if let Some(cap) = stored.cap {
+            msg.cap = Some((self.install_cap(receiver, cap)?, cap.rights));
         }
         self.process_mut(receiver)?.delivered.push_back(msg);
         self.cycles.charge(cycles::CONTEXT_SWITCH);
@@ -896,18 +985,12 @@ impl Kernel {
             Syscall::Send { cap, mut msg } => {
                 let (ep_id, _) =
                     self.require(pid, cap, ObjectKind::Endpoint, Rights::SEND, "SEND")?;
-                if let Some(moved) = msg.cap {
-                    // The transfer rule of `Message::cap`: a forged one stops here.
-                    self.cycles.charge(cycles::RIGHTS_CHECK);
-                    let held = self.process(pid)?.cspace.iter().flatten().any(|c| {
-                        c.target == moved.target
-                            && c.kind == moved.kind
-                            && c.rights.contains(moved.rights | Rights::GRANT)
-                    });
-                    if !held {
-                        return Err(KernelError::InsufficientRights { required: "GRANT" });
-                    }
-                }
+                // The transfer rule of `Message::cap`: a slot the sender
+                // does not hold with GRANT stops here.
+                let moved = msg
+                    .cap
+                    .map(|(slot, rights)| self.mint_from(pid, slot, rights))
+                    .transpose()?;
                 // Stamp the sender's live causal context onto the message
                 // (unless the caller already attached one) and record the
                 // send half of the IPC link.
@@ -915,19 +998,28 @@ impl Kernel {
                     msg.ctx = sysobs::context::current_packed();
                 }
                 sysobs::obs_span_hot!("kernel.ipc.send", ctx = msg.ctx);
-                let stored = self.store_message(pid, msg)?;
+                let mut stored = self.store_message(pid, msg)?;
+                stored.cap = moved;
                 if self.inject(SITE_IPC_DROP) {
                     // The message is lost in transit: the sender sees
                     // success, the receiver keeps waiting. Only deadlines
                     // and retry recover from this — which is the point.
-                    self.release_stored(&stored);
+                    self.release_heap(stored.handle);
                     self.fault_stats.dropped_messages += 1;
                     sysobs::obs_count!("kernel.dropped_messages", 1);
                     return Ok(SysResult::Delivered);
                 }
-                let Some(Object::Endpoint(ep)) = self.objects.get_mut(ep_id.0) else {
-                    unreachable!("shedding never destroys endpoints")
-                };
+                // Shedding under `store_message` may have changed who
+                // waits, so the landing check comes after it.
+                let waiting = self.endpoint(ep_id).receivers.front().copied();
+                if let (Some(receiver), Some(_)) = (waiting, stored.cap) {
+                    if let Err(full) = self.ensure_room(receiver) {
+                        // The capability cannot land, so nothing moves.
+                        self.release_heap(stored.handle);
+                        return Err(full);
+                    }
+                }
+                let ep = self.endpoint(ep_id);
                 if let Some(receiver) = ep.receivers.pop_front() {
                     self.deliver_to(receiver, stored)?;
                     self.wake(receiver);
@@ -939,11 +1031,18 @@ impl Kernel {
                 }
             }
             Syscall::Recv { cap } => {
+                let room = self.ensure_room(pid);
                 let (ep_id, Object::Endpoint(ep)) =
                     self.require(pid, cap, ObjectKind::Endpoint, Rights::RECV, "RECV")?
                 else {
                     unreachable!("require checked the kind")
                 };
+                if let Err(full) = room {
+                    if ep.senders.front().is_some_and(|s| s.cap.is_some()) {
+                        // The queued capability cannot land, so nothing moves.
+                        return Err(full);
+                    }
+                }
                 if let Some(stored) = ep.senders.pop_front() {
                     let sender = stored.sender;
                     self.deliver_to(pid, stored)?;
@@ -959,13 +1058,8 @@ impl Kernel {
                 Ok(SysResult::Slot(self.grant_cap(pid, src, pid, rights)?))
             }
             Syscall::AllocPage { words } => {
-                self.cycles.charge(cycles::OBJECT_ALLOC);
-                let handle = self.kernel_alloc(pid, words.max(1))?;
-                self.mem.add_root(handle);
-                let id = self.objects.insert(Object::Page { handle, owner: pid });
-                let page = Capability::new(ObjId(id), ObjectKind::Page, Rights::ALL);
-                let slot = self.install_cap(pid, page)?;
-                Ok(SysResult::Slot(slot))
+                let page = self.create_object(pid, ObjectKind::Page, words)?;
+                Ok(SysResult::Slot(page))
             }
             Syscall::WritePage { cap, offset, value } => {
                 let (_, &mut Object::Page { handle, .. }) =
@@ -994,14 +1088,13 @@ impl Kernel {
                 let (ep_id, _) =
                     self.require(pid, cap, ObjectKind::Endpoint, Rights::CONTROL, "CONTROL")?;
                 // Revocation: releasing the object bumps its generation.
-                self.process_mut(pid)?.cspace[cap.0 as usize] = None;
+                self.process_mut(pid)?.cspace.release(cap.0);
                 if let Some(Object::Endpoint(ep)) = self.objects.release(ep_id.0) {
                     for stored in ep.senders {
                         // Undelivered messages die with the endpoint; their
                         // heap objects must not leak.
-                        let sender = stored.sender;
-                        self.release_stored(&stored);
-                        self.wake(sender);
+                        self.release_heap(stored.handle);
+                        self.wake(stored.sender);
                     }
                     for p in ep.receivers {
                         self.wake(p);
@@ -1014,7 +1107,7 @@ impl Kernel {
                 Ok(SysResult::Done)
             }
             Syscall::Exit => {
-                self.process_mut(pid)?.state = ProcState::Dead;
+                self.reap(pid);
                 Ok(SysResult::Done)
             }
         }
@@ -1325,8 +1418,6 @@ mod tests {
             },
         )
         .unwrap();
-        let page_cap = k.lookup_cap(server, page).unwrap();
-        let readonly = page_cap.mint(Rights::READ);
         k.syscall(client, Syscall::Recv { cap: ep_client }).err();
         // Client needs RECV; grant it.
         let ep_client_rv = k
@@ -1340,23 +1431,21 @@ mod tests {
                 cap: ep_server,
                 msg: Message {
                     payload: vec![],
-                    cap: Some(readonly),
+                    cap: Some((page, Rights::READ)),
                     ctx: 0,
                 },
             },
         )
         .unwrap();
+        // The delivered message names the landing slot in the client's
+        // c-space and the rights that landed.
         let msg = k.take_delivered(client).unwrap();
-        assert!(msg.cap.is_some());
-        // The transferred cap landed in the client's c-space; find it.
-        let transferred = (0..CSPACE_CAPACITY)
-            .map(|i| CapSlot(u32::try_from(i).unwrap()))
-            .find(|&s| {
-                k.lookup_cap(client, s)
-                    .map(|c| c.kind == ObjectKind::Page)
-                    .unwrap_or(false)
-            })
-            .expect("transferred page cap present");
+        let (transferred, rights) = msg.cap.expect("a capability landed");
+        assert_eq!(rights, Rights::READ);
+        assert_eq!(
+            k.lookup_cap(client, transferred).unwrap().kind,
+            ObjectKind::Page
+        );
         let SysResult::Value(v) = k
             .syscall(
                 client,
@@ -1435,6 +1524,16 @@ mod tests {
         let reused = k.inspect_cap(server, fresh).unwrap().target;
         assert_eq!(reused.0.slot(), stale.0.slot());
         assert_ne!(reused, stale, "the reused slot is a new generation");
+        assert_eq!(
+            fresh.0.slot(),
+            ep_server.0.slot(),
+            "the c-space slot is reissued"
+        );
+        assert_eq!(
+            k.inspect_cap(server, ep_server).unwrap_err(),
+            KernelError::InvalidCapSlot(ep_server),
+            "the old handle to a reissued c-space slot fails typed"
+        );
         k.syscall(server, Syscall::Recv { cap: fresh }).unwrap();
         let err = k
             .syscall(
@@ -1475,7 +1574,7 @@ mod tests {
             assert!(k.is_ready(sender), "a destroyed endpoint wakes its sender");
         }
         assert_eq!(k.objects.footprint(), 1, "the table grew past its peak");
-        assert_eq!(k.processes[owner.0 as usize].cspace.len(), 1);
+        assert_eq!(k.processes[owner.0 as usize].cspace.footprint(), 1);
         assert_eq!(k.heap_live_bytes(), heap, "queued messages leaked");
         k.check_invariants().unwrap();
     }
@@ -1971,6 +2070,143 @@ mod tests {
             }
         }
         assert_eq!(last.unwrap_err(), KernelError::CapSpaceFull);
+    }
+
+    #[test]
+    fn a_refused_create_leaves_nothing_behind() {
+        let mut k = Kernel::with_default_heap();
+        let p = k.spawn_process();
+        for _ in 0..CSPACE_CAPACITY {
+            k.syscall(p, Syscall::AllocPage { words: 1 }).unwrap();
+        }
+        let (heap, footprint) = (k.heap_live_bytes(), k.objects.footprint());
+        for _ in 0..100 {
+            let page = k.syscall(p, Syscall::AllocPage { words: 16 });
+            assert_eq!(page, Err(KernelError::CapSpaceFull));
+            assert_eq!(k.create_endpoint(p), Err(KernelError::CapSpaceFull));
+        }
+        assert_eq!(k.heap_live_bytes(), heap, "refused pages took heap");
+        assert_eq!(
+            k.objects.footprint(),
+            footprint,
+            "refused objects took slots"
+        );
+        assert_eq!(k.objects.len(), CSPACE_CAPACITY);
+        k.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_transfer_to_a_full_cspace_moves_nothing() {
+        let (mut k, server, client, ep_server, _) = setup();
+        let ep_client = k
+            .grant_cap(server, ep_server, client, Rights::RECV)
+            .unwrap();
+        let SysResult::Slot(page) = k.syscall(server, Syscall::AllocPage { words: 1 }).unwrap()
+        else {
+            panic!("expected slot")
+        };
+        while k.syscall(client, Syscall::AllocPage { words: 1 }).is_ok() {}
+        let carrying = Syscall::Send {
+            cap: ep_server,
+            msg: Message {
+                payload: vec![5],
+                cap: Some((page, Rights::READ)),
+                ctx: 0,
+            },
+        };
+        let (heap, authority) = (k.heap_live_bytes(), k.authority(client));
+
+        // The receiver waits: the send that would complete the rendezvous
+        // is refused.
+        k.syscall(client, Syscall::Recv { cap: ep_client }).unwrap();
+        let sent = k.syscall(server, carrying.clone());
+        assert_eq!(sent, Err(KernelError::CapSpaceFull));
+        assert!(k.take_delivered(client).is_none(), "a message arrived");
+        assert!(!k.is_ready(client) && k.is_ready(server));
+        assert_eq!(k.heap_live_bytes(), heap, "the refused message was kept");
+        assert_eq!(k.authority(client), authority);
+        k.check_invariants().unwrap();
+
+        // The sender waits: the receive that would complete it is refused.
+        let plain = Message::words(&[6]);
+        k.syscall(
+            server,
+            Syscall::Send {
+                cap: ep_server,
+                msg: plain,
+            },
+        )
+        .unwrap();
+        assert_eq!(k.take_delivered(client).unwrap().payload, vec![6]);
+        assert_eq!(k.syscall(server, carrying), Ok(SysResult::Blocked));
+        let received = k.syscall(client, Syscall::Recv { cap: ep_client });
+        assert_eq!(received, Err(KernelError::CapSpaceFull));
+        assert!(k.take_delivered(client).is_none(), "a message arrived");
+        assert!(k.is_ready(client) && !k.is_ready(server));
+        assert_eq!(k.authority(client), authority);
+        k.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn exit_returns_the_heap_to_its_baseline() {
+        // 100 processes each create four 16-word pages and an endpoint and
+        // exit: what only they named goes with them.
+        let mut k = Kernel::with_default_heap();
+        let heap = k.heap_live_bytes();
+        for _ in 0..100 {
+            let p = k.spawn_process();
+            for _ in 0..4 {
+                k.syscall(p, Syscall::AllocPage { words: 16 }).unwrap();
+            }
+            k.create_endpoint(p).unwrap();
+            k.syscall(p, Syscall::Exit).unwrap();
+            k.check_invariants().unwrap();
+            // Nothing can be created for the dead.
+            assert_eq!(k.create_endpoint(p), Err(KernelError::ProcessDead(p)));
+        }
+        assert_eq!(k.heap_live_bytes(), heap, "exited processes kept pages");
+        assert_eq!(k.objects.len(), 0, "exited processes left objects");
+        assert_eq!(k.objects.footprint(), 5);
+    }
+
+    #[test]
+    fn an_endpoint_outlives_its_creator_while_named() {
+        let (mut k, server, client, _, ep_client) = setup();
+        k.syscall(server, Syscall::Exit).unwrap();
+        let msg = Message::words(&[1]);
+        let sent = k.syscall(
+            client,
+            Syscall::Send {
+                cap: ep_client,
+                msg,
+            },
+        );
+        assert_eq!(
+            sent,
+            Ok(SysResult::Blocked),
+            "the endpoint went with its creator"
+        );
+        k.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn the_audit_finds_orphans() {
+        let mut k = Kernel::with_default_heap();
+        let p = k.spawn_process();
+        let id = k.objects.insert(Object::Endpoint(Endpoint::default()));
+        let err = k.check_invariants().unwrap_err();
+        assert!(err.starts_with("no-orphan: nothing live names"), "{err}");
+        k.objects.release(id);
+
+        let dead = k.spawn_process();
+        let SysResult::Slot(page) = k.syscall(dead, Syscall::AllocPage { words: 1 }).unwrap()
+        else {
+            panic!("expected slot")
+        };
+        k.grant_cap(dead, page, p, Rights::READ).unwrap();
+        k.processes[dead.0 as usize].state = ProcState::Dead;
+        let err = k.check_invariants().unwrap_err();
+        assert!(err.contains("outlives its owner"), "{err}");
     }
 
     #[test]

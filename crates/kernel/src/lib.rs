@@ -7,9 +7,11 @@
 //!
 //! * [`rights`] / [`object`] — capabilities with a rights lattice over kernel
 //!   objects (endpoints and pages, in one generation-tagged [`sysmem::Slots`]),
-//! * [`kernel`] — the kernel proper: per-process capability spaces,
-//!   synchronous rendezvous IPC, a round-robin scheduler, and a syscall
-//!   interface; message buffers are allocated through any
+//! * [`kernel`] — the kernel proper: per-process capability spaces (each a
+//!   bounded [`sysmem::Slots`], so a [`CapSlot`] is generation-checked too),
+//!   synchronous rendezvous IPC that moves capabilities by slot, one create
+//!   path and one teardown path for every object, a round-robin scheduler,
+//!   and a syscall interface; message buffers are allocated through any
 //!   [`sysmem::Manager`], which is how experiment E6 injects different heap
 //!   policies into the IPC fast path,
 //! * [`cycles`] — a transparent cost model (the paper's "transparency":
@@ -44,6 +46,7 @@ pub mod object;
 pub mod rights;
 
 use std::fmt;
+use sysmem::Handle;
 
 /// Process identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -55,13 +58,16 @@ impl fmt::Display for Pid {
     }
 }
 
-/// A slot index in a process's capability space.
+/// A capability's place in its holder's c-space: the c-space table's
+/// `slot | generation << 32` handle. Emptying a slot bumps its generation,
+/// so an old `CapSlot` fails as [`KernelError::InvalidCapSlot`] even once
+/// the slot holds a new capability.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CapSlot(pub u32);
+pub struct CapSlot(pub Handle);
 
 impl fmt::Display for CapSlot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "slot{}", self.0)
+        write!(f, "slot{}.{}", self.0.slot(), self.0.generation())
     }
 }
 
@@ -70,7 +76,7 @@ impl fmt::Display for CapSlot {
 pub enum KernelError {
     /// The pid does not name a live process.
     NoSuchProcess(Pid),
-    /// The slot is empty or out of range.
+    /// The slot is empty, was never issued, or was emptied since.
     InvalidCapSlot(CapSlot),
     /// The capability lacks a required right.
     InsufficientRights {
@@ -97,7 +103,9 @@ pub enum KernelError {
     ProcessBlocked(Pid),
     /// The process has exited.
     ProcessDead(Pid),
-    /// C-space is full.
+    /// The c-space has no room for one more capability: refused before a
+    /// create or grant allocates, or before a transfer's rendezvous moves
+    /// anything.
     CapSpaceFull,
     /// A blocked IPC exceeded its deadline and was reaped by the watchdog,
     /// or a retried operation exhausted its retry budget.
@@ -146,7 +154,7 @@ mod tests {
     #[test]
     fn ids_display_compactly() {
         assert_eq!(Pid(3).to_string(), "pid3");
-        assert_eq!(CapSlot(7).to_string(), "slot7");
+        assert_eq!(CapSlot(Handle(7 | 2 << 32)).to_string(), "slot7.2");
     }
 
     #[test]

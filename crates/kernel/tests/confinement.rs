@@ -7,40 +7,72 @@
 //! endpoint it could already reach.
 
 use microkernel::kernel::{Kernel, Message, SysResult, Syscall};
-use microkernel::object::{Capability, ObjectKind};
 use microkernel::rights::Rights;
 use microkernel::{CapSlot, KernelError, Pid};
 use proptest::prelude::*;
+use sysmem::Handle;
 
-/// Adversarial syscall script entries (indices are taken modulo the
-/// process's plausible slot range, so every script is well-formed enough to
-/// execute but free to probe).
+/// Adversarial syscall script entries. Slots are drawn from the first
+/// eight indices at generations 1 and 2, so a script names live slots often
+/// enough to act, and stale or never-issued ones often enough to probe.
 #[derive(Debug, Clone)]
 enum AdversarialOp {
-    Send { slot: u32, words: u8 },
-    Recv { slot: u32 },
-    Mint { slot: u32, rights: u8 },
-    AllocPage { words: u8 },
-    ReadPage { slot: u32, offset: u8 },
-    WritePage { slot: u32, offset: u8, value: u64 },
-    Probe { slot: u32 }, // destroy attempt on an arbitrary slot
+    Send {
+        slot: CapSlot,
+        words: u8,
+        moved: Option<CapSlot>,
+    },
+    Recv {
+        slot: CapSlot,
+    },
+    Mint {
+        slot: CapSlot,
+        rights: u8,
+    },
+    AllocPage {
+        words: u8,
+    },
+    ReadPage {
+        slot: CapSlot,
+        offset: u8,
+    },
+    WritePage {
+        slot: CapSlot,
+        offset: u8,
+        value: u64,
+    },
+    /// A destroy attempt on an arbitrary slot.
+    Probe {
+        slot: CapSlot,
+    },
+}
+
+fn arb_slot() -> impl Strategy<Value = CapSlot> {
+    (0u64..8, 1u64..=2).prop_map(|(index, generation)| CapSlot(Handle(index | generation << 32)))
 }
 
 fn arb_op() -> impl Strategy<Value = AdversarialOp> {
     prop_oneof![
-        (0u32..8, any::<u8>()).prop_map(|(slot, words)| AdversarialOp::Send { slot, words }),
-        (0u32..8).prop_map(|slot| AdversarialOp::Recv { slot }),
-        (0u32..8, any::<u8>()).prop_map(|(slot, rights)| AdversarialOp::Mint { slot, rights }),
+        (arb_slot(), any::<u8>(), any::<bool>(), arb_slot()).prop_map(
+            |(slot, words, carry, moved)| AdversarialOp::Send {
+                slot,
+                words,
+                moved: carry.then_some(moved),
+            }
+        ),
+        arb_slot().prop_map(|slot| AdversarialOp::Recv { slot }),
+        (arb_slot(), any::<u8>()).prop_map(|(slot, rights)| AdversarialOp::Mint { slot, rights }),
         (1u8..16).prop_map(|words| AdversarialOp::AllocPage { words }),
-        (0u32..8, any::<u8>()).prop_map(|(slot, offset)| AdversarialOp::ReadPage { slot, offset }),
-        (0u32..8, any::<u8>(), any::<u64>()).prop_map(|(slot, offset, value)| {
+        (arb_slot(), any::<u8>())
+            .prop_map(|(slot, offset)| AdversarialOp::ReadPage { slot, offset }),
+        (arb_slot(), any::<u8>(), any::<u64>()).prop_map(|(slot, offset, value)| {
             AdversarialOp::WritePage {
                 slot,
                 offset,
                 value,
             }
         }),
-        (0u32..8).prop_map(|slot| AdversarialOp::Probe { slot }),
+        arb_slot().prop_map(|slot| AdversarialOp::Probe { slot }),
     ]
 }
 
@@ -49,18 +81,21 @@ fn execute(k: &mut Kernel, pid: Pid, op: &AdversarialOp) {
     // looks like afterwards. A blocked process is unblocked by nothing in
     // these scripts, so skip its calls.
     let result = match *op {
-        AdversarialOp::Send { slot, words } => k.syscall(
+        AdversarialOp::Send { slot, words, moved } => k.syscall(
             pid,
             Syscall::Send {
-                cap: CapSlot(slot),
-                msg: Message::words(&vec![7; usize::from(words % 8)]),
+                cap: slot,
+                msg: Message {
+                    cap: moved.map(|m| (m, Rights::ALL)),
+                    ..Message::words(&vec![7; usize::from(words % 8)])
+                },
             },
         ),
-        AdversarialOp::Recv { slot } => k.syscall(pid, Syscall::Recv { cap: CapSlot(slot) }),
+        AdversarialOp::Recv { slot } => k.syscall(pid, Syscall::Recv { cap: slot }),
         AdversarialOp::Mint { slot, rights } => k.syscall(
             pid,
             Syscall::Mint {
-                src: CapSlot(slot),
+                src: slot,
                 rights: Rights::from_bits(rights),
             },
         ),
@@ -73,7 +108,7 @@ fn execute(k: &mut Kernel, pid: Pid, op: &AdversarialOp) {
         AdversarialOp::ReadPage { slot, offset } => k.syscall(
             pid,
             Syscall::ReadPage {
-                cap: CapSlot(slot),
+                cap: slot,
                 offset: usize::from(offset),
             },
         ),
@@ -84,16 +119,32 @@ fn execute(k: &mut Kernel, pid: Pid, op: &AdversarialOp) {
         } => k.syscall(
             pid,
             Syscall::WritePage {
-                cap: CapSlot(slot),
+                cap: slot,
                 offset: usize::from(offset),
                 value,
             },
         ),
-        AdversarialOp::Probe { slot } => {
-            k.syscall(pid, Syscall::DestroyEndpoint { cap: CapSlot(slot) })
-        }
+        AdversarialOp::Probe { slot } => k.syscall(pid, Syscall::DestroyEndpoint { cap: slot }),
     };
     let _ = result;
+}
+
+/// The two scripts op by op, `a` first; `b` pads a shorter script with
+/// one-word page allocations.
+fn interleave<'s>(
+    a: Pid,
+    script_a: &'s [AdversarialOp],
+    b: Pid,
+    script_b: &'s [AdversarialOp],
+) -> Vec<(Pid, &'s AdversarialOp)> {
+    const PAD: &AdversarialOp = &AdversarialOp::AllocPage { words: 1 };
+    let mut steps = Vec::new();
+    for (i, op_a) in script_a.iter().enumerate() {
+        steps.push((a, op_a));
+        steps.push((b, script_b.get(i).unwrap_or(PAD)));
+    }
+    steps.extend(script_b.iter().skip(script_a.len()).map(|op| (b, op)));
+    steps
 }
 
 proptest! {
@@ -119,12 +170,12 @@ proptest! {
         let before_b = k.authority(b);
         prop_assert!(before_a.is_disjoint(&before_b));
 
-        for (op_a, op_b) in script_a.iter().zip(script_b.iter().chain(std::iter::repeat(&AdversarialOp::AllocPage { words: 1 }))) {
-            execute(&mut k, a, op_a);
-            execute(&mut k, b, op_b);
-        }
-        for op in script_b.iter().skip(script_a.len()) {
-            execute(&mut k, b, op);
+        // Every kernel invariant, the no-orphan audit included, holds
+        // after each op.
+        for (pid, op) in interleave(a, &script_a, b, &script_b) {
+            execute(&mut k, pid, op);
+            let audit = k.check_invariants();
+            prop_assert!(audit.is_ok(), "after {:?} by {}: {:?}", op, pid, audit);
         }
 
         let after_a = k.authority(a);
@@ -145,6 +196,43 @@ proptest! {
             after_b.intersection(&before_a).next().is_none(),
             "process b acquired a's initial authority"
         );
+    }
+
+    /// Two processes sharing an endpoint run arbitrary scripts, so
+    /// capabilities rendezvous and land between them; the audit holds after
+    /// every op, and once both exit nothing they made is left: the heap is
+    /// back at its baseline, and the audit (no object without a live name)
+    /// leaves the object table empty.
+    #[test]
+    fn exiting_releases_everything_a_script_made(
+        script_a in proptest::collection::vec(arb_op(), 0..24),
+        script_b in proptest::collection::vec(arb_op(), 0..24),
+    ) {
+        let mut k = Kernel::with_default_heap();
+        let heap = k.heap_live_bytes();
+        let a = k.spawn_process();
+        let b = k.spawn_process();
+        let ep = k.create_endpoint(a).unwrap();
+        k.grant_cap(a, ep, b, Rights::SEND | Rights::RECV | Rights::GRANT)
+            .unwrap();
+        for pid in [a, b] {
+            k.syscall(pid, Syscall::AllocPage { words: 4 }).unwrap();
+            k.set_ipc_deadline(pid, Some(1)).unwrap();
+        }
+        for (pid, op) in interleave(a, &script_a, b, &script_b) {
+            execute(&mut k, pid, op);
+            let audit = k.check_invariants();
+            prop_assert!(audit.is_ok(), "after {:?} by {}: {:?}", op, pid, audit);
+        }
+        // The watchdog frees whoever is still blocked; then both exit.
+        while !(k.is_ready(a) && k.is_ready(b)) {
+            k.schedule();
+        }
+        for pid in [a, b] {
+            prop_assert_eq!(k.syscall(pid, Syscall::Exit), Ok(SysResult::Done));
+        }
+        prop_assert_eq!(k.check_invariants(), Ok(()));
+        prop_assert_eq!(k.heap_live_bytes(), heap);
     }
 }
 
@@ -167,7 +255,7 @@ fn authority_flows_only_over_granted_channels() {
     assert_eq!(k.authority(client).len(), 1);
     assert!(k.authority(client).contains(&ep_obj));
     // Transfer the page cap over the endpoint; authority grows by the page.
-    let page_cap = k.inspect_cap(server, page).unwrap().mint(Rights::READ);
+    let page_obj = k.inspect_cap(server, page).unwrap().target;
     k.syscall(client, Syscall::Recv { cap: ep_c }).unwrap();
     k.syscall(
         server,
@@ -175,7 +263,7 @@ fn authority_flows_only_over_granted_channels() {
             cap: ep,
             msg: Message {
                 payload: vec![],
-                cap: Some(page_cap),
+                cap: Some((page, Rights::READ)),
                 ctx: 0,
             },
         },
@@ -183,7 +271,7 @@ fn authority_flows_only_over_granted_channels() {
     .unwrap();
     let _ = k.take_delivered(client);
     assert_eq!(k.authority(client).len(), 2);
-    assert!(k.authority(client).contains(&page_cap.target));
+    assert!(k.authority(client).contains(&page_obj));
 }
 
 #[test]
@@ -194,11 +282,11 @@ fn minted_authority_is_never_new_authority() {
     let _ep = k.create_endpoint(p).unwrap();
     k.syscall(p, Syscall::AllocPage { words: 1 }).unwrap();
     let before = k.authority(p);
-    for slot in 0..4u32 {
+    for slot in 0..4u64 {
         let _ = k.syscall(
             p,
             Syscall::Mint {
-                src: CapSlot(slot),
+                src: CapSlot(Handle(slot | 1 << 32)),
                 rights: Rights::ALL,
             },
         );
@@ -208,13 +296,15 @@ fn minted_authority_is_never_new_authority() {
 
 #[test]
 fn forged_transfer_is_refused() {
-    // A process may transfer only a capability it holds with GRANT. B can
-    // reach A's endpoint (SEND only) but nothing of the victim's; a
-    // capability B builds by hand to the victim's page must not get through.
+    // A process may transfer only a capability it holds with GRANT, and it
+    // names it by a slot of its own c-space, so there is no capability value
+    // to forge. B can reach A's endpoint (SEND only) but nothing of the
+    // victim's; naming the victim's page slot must not get the page through.
     let mut k = Kernel::with_default_heap();
     let victim = k.spawn_process();
     let a = k.spawn_process();
     let b = k.spawn_process();
+    k.syscall(victim, Syscall::AllocPage { words: 1 }).unwrap();
     let SysResult::Slot(page) = k.syscall(victim, Syscall::AllocPage { words: 1 }).unwrap() else {
         panic!("expected slot")
     };
@@ -230,20 +320,19 @@ fn forged_transfer_is_refused() {
     let ep_a = k.create_endpoint(a).unwrap();
     let ep_b = k.grant_cap(a, ep_a, b, Rights::SEND).unwrap();
     let target = k.inspect_cap(victim, page).unwrap().target;
-    let forged = Capability::new(target, ObjectKind::Page, Rights::ALL);
     k.syscall(a, Syscall::Recv { cap: ep_a }).unwrap();
     let heap = k.heap_live_bytes();
-    let carrying = |cap| Syscall::Send {
+    let carrying = |slot| Syscall::Send {
         cap: ep_b,
         msg: Message {
             payload: vec![1],
-            cap: Some(cap),
+            cap: Some((slot, Rights::ALL)),
             ctx: 0,
         },
     };
 
-    let err = k.syscall(b, carrying(forged)).unwrap_err();
-    assert_eq!(err, KernelError::InsufficientRights { required: "GRANT" });
+    let err = k.syscall(b, carrying(page)).unwrap_err();
+    assert_eq!(err, KernelError::InvalidCapSlot(page));
     assert!(
         k.take_delivered(a).is_none(),
         "the forged message was delivered"
@@ -256,8 +345,7 @@ fn forged_transfer_is_refused() {
     assert_eq!(k.heap_live_bytes(), heap, "the refused message was stored");
 
     // B cannot pass on its own SEND-only capability either: it lacks GRANT.
-    let own = k.inspect_cap(b, ep_b).unwrap();
-    let err = k.syscall(b, carrying(own)).unwrap_err();
+    let err = k.syscall(b, carrying(ep_b)).unwrap_err();
     assert_eq!(err, KernelError::InsufficientRights { required: "GRANT" });
 
     // A's receive is still posted, and B's plain sends still arrive.

@@ -9,14 +9,14 @@
 //!   uninstrumented so infrastructure allocations (and code that treats OOM
 //!   as fatal) cannot be failed by a campaign aimed at recovery paths.
 //! * **Free poisoning** — before an object is freed its payload is
-//!   overwritten with [`POISON`] and its reference slots are cleared, and the
-//!   handle is remembered; any later access through the wrapper is counted in
-//!   [`FaultyHeap::poison_hits`] and rejected as [`MemError::InvalidHandle`].
-//!   Use-after-free thus becomes a *detected, counted* error even if the
-//!   inner manager has already recycled the storage.
+//!   overwritten with [`POISON`] and its reference slots are cleared. The
+//!   inner manager rejects any later access through the handle by its
+//!   generation, even once the slot is reused; the wrapper counts each such
+//!   rejection in [`FaultyHeap::poison_hits`]. Use-after-free is thus a
+//!   *detected, counted* error.
 
 use crate::{stats, Handle, Manager, MemError, Word};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use sysfault::SharedInjector;
 
 /// Pattern written over every payload word of a freed object.
@@ -37,10 +37,9 @@ pub struct FaultyHeap {
     injector: SharedInjector,
     /// Shapes of the live objects allocated through the wrapper.
     shapes: HashMap<Handle, Shape>,
-    /// Handles freed through the wrapper. Inner managers never reissue a
-    /// handle, so this set is what tells a poison hit from a handle that
-    /// was never issued.
-    freed: HashSet<Handle>,
+    /// Per slot, the generation of the last handle freed through the
+    /// wrapper: a rejected handle at or below it is a poison hit.
+    freed_generation: HashMap<usize, u32>,
     poison_hits: u64,
     injected_oom: u64,
 }
@@ -49,7 +48,6 @@ impl std::fmt::Debug for FaultyHeap {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FaultyHeap")
             .field("inner", &self.inner.name())
-            .field("freed", &self.freed.len())
             .field("poison_hits", &self.poison_hits)
             .field("injected_oom", &self.injected_oom)
             .finish()
@@ -64,7 +62,7 @@ impl FaultyHeap {
             inner,
             injector,
             shapes: HashMap::new(),
-            freed: HashSet::new(),
+            freed_generation: HashMap::new(),
             poison_hits: 0,
             injected_oom: 0,
         }
@@ -88,23 +86,17 @@ impl FaultyHeap {
         &self.injector
     }
 
-    /// Rejects (and counts) accesses through handles freed via this wrapper.
-    fn guard(&mut self, h: Handle) -> Result<(), MemError> {
-        if self.freed.contains(&h) {
-            self.poison_hits += 1;
-            return Err(MemError::InvalidHandle(h));
+    /// Counts `r` as a poison hit when the inner manager rejected a handle
+    /// this wrapper freed. Only the `&mut` accessors count; the read-only
+    /// ones get the same error uncounted.
+    fn count<T>(&mut self, r: Result<T, MemError>) -> Result<T, MemError> {
+        if let Err(MemError::InvalidHandle(h)) = r {
+            let freed = self.freed_generation.get(&h.slot());
+            if freed.is_some_and(|&g| h.generation() <= g) {
+                self.poison_hits += 1;
+            }
         }
-        Ok(())
-    }
-
-    /// Same check for `&self` accessors (hit counting needs `&mut`, so the
-    /// read-only paths count lazily via interior state updates on the next
-    /// mutable call; the error itself is never lost).
-    fn guard_ref(&self, h: Handle) -> Result<(), MemError> {
-        if self.freed.contains(&h) {
-            return Err(MemError::InvalidHandle(h));
-        }
-        Ok(())
+        r
     }
 }
 
@@ -132,7 +124,6 @@ impl Manager for FaultyHeap {
     }
 
     fn free(&mut self, h: Handle) -> Result<(), MemError> {
-        self.guard(h)?;
         // Poison before the free (afterwards the words are unreachable),
         // saving originals so a manager that refuses `free` (tracing
         // collectors) is left untouched.
@@ -152,7 +143,7 @@ impl Manager for FaultyHeap {
         match self.inner.free(h) {
             Ok(()) => {
                 self.shapes.remove(&h);
-                self.freed.insert(h);
+                self.freed_generation.insert(h.slot(), h.generation());
                 Ok(())
             }
             Err(e) => {
@@ -164,7 +155,7 @@ impl Manager for FaultyHeap {
                         self.inner.set_ref(h, i, r)?;
                     }
                 }
-                Err(e)
+                self.count(Err(e))
             }
         }
     }
@@ -175,25 +166,20 @@ impl Manager for FaultyHeap {
         slot: usize,
         target: Option<Handle>,
     ) -> Result<(), MemError> {
-        self.guard(obj)?;
-        if let Some(t) = target {
-            self.guard(t)?;
-        }
-        self.inner.set_ref(obj, slot, target)
+        let r = self.inner.set_ref(obj, slot, target);
+        self.count(r)
     }
 
     fn get_ref(&self, obj: Handle, slot: usize) -> Result<Option<Handle>, MemError> {
-        self.guard_ref(obj)?;
         self.inner.get_ref(obj, slot)
     }
 
     fn set_word(&mut self, obj: Handle, idx: usize, val: Word) -> Result<(), MemError> {
-        self.guard(obj)?;
-        self.inner.set_word(obj, idx, val)
+        let r = self.inner.set_word(obj, idx, val);
+        self.count(r)
     }
 
     fn get_word(&self, obj: Handle, idx: usize) -> Result<Word, MemError> {
-        self.guard_ref(obj)?;
         self.inner.get_word(obj, idx)
     }
 
@@ -210,7 +196,7 @@ impl Manager for FaultyHeap {
     }
 
     fn is_live(&self, h: Handle) -> bool {
-        !self.freed.contains(&h) && self.inner.is_live(h)
+        self.inner.is_live(h)
     }
 
     fn stats(&self) -> &stats::MemStats {
@@ -313,6 +299,21 @@ mod tests {
         assert_eq!(h.poison_hits(), 1);
         assert_eq!(h.get_word(fresh, 0), Ok(5));
         assert_eq!(h.shapes.len(), 1, "the freed handle's shape is dropped");
+    }
+
+    #[test]
+    fn a_long_campaign_keeps_the_wrapper_bounded() {
+        let mut h = faulty(FaultPlan::new(0));
+        for _ in 0..10_000 {
+            let obj = h.try_alloc(0, 1).unwrap();
+            h.free(obj).unwrap();
+        }
+        assert_eq!(
+            h.freed_generation.len(),
+            1,
+            "one slot was reused throughout"
+        );
+        assert!(h.shapes.is_empty());
     }
 
     #[test]

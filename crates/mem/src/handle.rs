@@ -86,7 +86,7 @@ impl<L, X> HandleTable<L, X> {
 
     pub(crate) fn retain(&mut self, mut keep: impl FnMut(&mut Obj<L, X>) -> bool) {
         let live_bytes = &mut self.live_bytes;
-        self.slots.retain(|obj| {
+        self.slots.retain(|_, obj| {
             let kept = keep(obj);
             if !kept {
                 *live_bytes -= obj.bytes();

@@ -46,6 +46,7 @@ struct Slot<T> {
 pub struct Slots<T> {
     slots: Vec<Slot<T>>,
     free: Vec<u32>,
+    len: usize,
 }
 
 impl<T> Default for Slots<T> {
@@ -53,6 +54,7 @@ impl<T> Default for Slots<T> {
         Slots {
             slots: Vec::new(),
             free: Vec::new(),
+            len: 0,
         }
     }
 }
@@ -64,6 +66,7 @@ impl<T> Slots<T> {
     ///
     /// If the table already holds `u32::MAX` slots.
     pub fn insert(&mut self, value: T) -> Handle {
+        self.len += 1;
         if let Some(slot) = self.free.pop() {
             let s = &mut self.slots[slot as usize];
             s.value = Some(value);
@@ -96,6 +99,7 @@ impl<T> Slots<T> {
     pub fn release(&mut self, h: Handle) -> Option<T> {
         let s = self.slots.get_mut(h.slot())?;
         let value = s.value.take_if(|_| s.generation == h.generation())?;
+        self.len -= 1;
         if s.generation < u32::MAX {
             s.generation += 1;
             self.free.push(h.slot() as u32);
@@ -103,12 +107,13 @@ impl<T> Slots<T> {
         Some(value)
     }
 
-    /// Visits every live value and releases each one `keep` refuses.
-    pub fn retain(&mut self, mut keep: impl FnMut(&mut T) -> bool) {
+    /// Visits every live value with its handle and releases each one
+    /// `keep` refuses.
+    pub fn retain(&mut self, mut keep: impl FnMut(Handle, &mut T) -> bool) {
         for slot in 0..self.slots.len() {
             let s = &mut self.slots[slot];
-            if s.value.as_mut().is_some_and(|v| !keep(v)) {
-                let h = Handle::new(slot as u32, s.generation);
+            let h = Handle::new(slot as u32, s.generation);
+            if s.value.as_mut().is_some_and(|v| !keep(h, v)) {
                 self.release(h);
             }
         }
@@ -121,6 +126,18 @@ impl<T> Slots<T> {
                 .as_ref()
                 .map(|value| (Handle::new(slot, s.generation), value))
         })
+    }
+
+    /// Live values.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when no value is live.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 
     /// Slots held, live, free or retired: the table's footprint.
@@ -145,5 +162,6 @@ mod tests {
         assert_ne!(b.slot(), a.slot(), "the wrapped slot is never reissued");
         assert!(t.get(a).is_none());
         assert_eq!(t.footprint(), 2);
+        assert_eq!(t.len(), 1, "only the second value is live");
     }
 }

@@ -2,10 +2,12 @@
 //!
 //! A trie walk is up to eight dependent loads (one per stride-4 node); real
 //! traffic is a handful of hot flows repeating the same destinations, so
-//! the sharded router fronts its [`TrieTable`] with a direct-mapped cache: the flow key indexes a slot
-//! through the low bits of the shared FNV-1a hash (the same
-//! [`sysobs::fnv1a`] whose high bits the dispatcher shards flows with), and
-//! a hit is one hash of eight bytes plus one exact compare — no walk at all.
+//! the sharded router fronts its route table
+//! ([`CowRouteTable`](crate::cowtrie::CowRouteTable)) with a direct-mapped
+//! cache: the flow key indexes a slot through the low bits of the shared
+//! FNV-1a hash (the same [`sysobs::fnv1a`] whose high bits the dispatcher
+//! shards flows with), and a hit is one hash of eight bytes plus one exact
+//! compare — no walk at all.
 //!
 //! Two properties keep it *correct*, not just fast:
 //!

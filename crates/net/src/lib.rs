@@ -45,7 +45,7 @@
 //!   allocations per packet after warm-up — and sizes batches adaptively
 //!   from queue occupancy, dispatching with `try_send` so one slow worker
 //!   cannot head-of-line-block the rest.
-//! * [`bench`] — the measured trajectory: sweeps worker counts and batch
+//! * [`mod@bench`] — the measured trajectory: sweeps worker counts and batch
 //!   sizes, reports packets/sec and p50/p99 per-packet latency, and renders
 //!   the `BENCH_router.json` record the ROADMAP's perf north star tracks.
 //!

@@ -7,7 +7,7 @@
 //!
 //! Three properties define the steady state:
 //!
-//! * **Zero allocation.** Workers return drained [`Batch`] buffers to the
+//! * **Zero allocation.** Workers return drained `Batch` buffers to the
 //!   dispatcher over per-worker recycle channels; the dispatcher refills
 //!   frame buffers with `clear()` + `extend_from_slice` (length governs —
 //!   recycled bytes can never leak into a later frame) and reuses batch
@@ -423,12 +423,6 @@ impl RouterReport {
     #[must_use]
     pub fn latency_ns(&self, quantile: f64) -> u64 {
         self.latencies.percentile(quantile)
-    }
-
-    /// The full latency distribution.
-    #[must_use]
-    pub fn latency_histogram(&self) -> &LogHistogram {
-        &self.latencies
     }
 
     /// Total packets the report covers.

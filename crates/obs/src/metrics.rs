@@ -330,11 +330,6 @@ impl Snapshot {
         self.counters.insert(name.into(), v);
     }
 
-    /// Adds `v` to counter `name` (creating it at zero).
-    pub fn add_counter(&mut self, name: impl Into<String>, v: u64) {
-        *self.counters.entry(name.into()).or_insert(0) += v;
-    }
-
     /// Sets gauge `name` to `v`.
     pub fn set_gauge(&mut self, name: impl Into<String>, v: i64) {
         self.gauges.insert(name.into(), v);

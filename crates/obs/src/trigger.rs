@@ -3,7 +3,7 @@
 //! postmortem, instead of a counter nobody was looking at.
 //!
 //! A [`Watch`] names an anomaly and a [`Condition`] over a registry
-//! [`Snapshot`](crate::Snapshot): a counter (or prefix-sum) jumping by more
+//! [`Snapshot`]: a counter (or prefix-sum) jumping by more
 //! than a threshold between polls, a counter crossing an absolute line, or
 //! a gauge rising to a level. Conditions are **edge-triggered**: a watch
 //! fires once when its condition becomes true and re-arms only after the

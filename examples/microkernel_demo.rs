@@ -73,20 +73,9 @@ fn main() {
     kernel
         .syscall(client, Syscall::Recv { cap: client_reply })
         .unwrap();
-    // Mint a READ-only page cap and transfer it in the reply message.
-    let SysResult::Slot(ro_page) = kernel
-        .syscall(
-            server,
-            Syscall::Mint {
-                src: page,
-                rights: Rights::READ,
-            },
-        )
-        .unwrap()
-    else {
-        unreachable!("Mint returns a slot")
-    };
-    let ro_capability = kernel.inspect_cap(server, ro_page).expect("minted cap");
+    // Transfer the page in the reply, diminished to READ: the message names
+    // the server's own slot and the rights to pass, and the delivered reply
+    // names the slot where the capability landed in the client's c-space.
     kernel
         .syscall(
             server,
@@ -94,23 +83,16 @@ fn main() {
                 cap: reply_ep,
                 msg: Message {
                     payload: vec![1],
-                    cap: Some(ro_capability),
+                    cap: Some((page, Rights::READ)),
                     ctx: 0,
                 },
             },
         )
         .expect("reply");
     let reply = kernel.take_delivered(client).expect("reply delivered");
-    assert!(reply.cap.is_some(), "page capability transferred");
+    let (transferred, rights) = reply.cap.expect("page capability transferred");
+    println!("client received a page capability in {transferred} with rights [{rights}]");
     // The client can read the shared page through the transferred cap...
-    let transferred = (0..8)
-        .map(microkernel::CapSlot)
-        .find(|&s| {
-            kernel
-                .inspect_cap(client, s)
-                .is_ok_and(|c| c.kind == microkernel::object::ObjectKind::Page)
-        })
-        .expect("the transferred page capability landed in the client's c-space");
     let SysResult::Value(v) = kernel
         .syscall(
             client,
