@@ -90,10 +90,12 @@ assert growth <= 1, f"ipc-rt RSS grows {growth} B per round trip"
 
 # Observability smoke: E11 at quick scale, the obs bench without the budget
 # gate (a loaded CI box can't referee a 5% throughput claim — obs_bench
-# --quick never rewrites BENCH_obs.json), and the flight-recorder dump
+# --quick never rewrites BENCH_obs.json) with its JSON keys checked against
+# the recorded BENCH_obs.json, and the flight-recorder dump
 # (asserts non-empty trace, replayable fault + shape digests).
 cargo run --release --example experiments -- e11
-cargo run --release --example obs_bench -- --quick
+cargo run --release --example obs_bench -- --quick > "$quick_out/obs.json"
+check_bench_shape "$quick_out/obs.json" BENCH_obs.json
 cargo run --release --example flight_recorder > /dev/null
 
 # Concurrency-checker smoke: the syscheck litmus suite, the shimmed model
@@ -123,7 +125,7 @@ check_bench_shape "$quick_out/conntrack.json" BENCH_conntrack.json
 # counters, the standard watch set, a frozen flight-recorder capture),
 # then check the emitted artifact is valid JSON naming its trigger and
 # carrying causal traces, and that the recorded BENCH_obs.json is the
-# schema-2 form with the `sampled` arm whose budget obs_bench enforces.
+# schema-3 form with the `sampled` arm whose budget obs_bench enforces.
 # E16 at quick scale covers the rest of the campaign (exactly one
 # postmortem per incident, dispatcher→worker trace reconstruction).
 cargo run --release --example obs_bench -- --postmortem-smoke
@@ -137,7 +139,7 @@ assert pm["causal_traces"], "postmortem must carry causal traces"
 assert any(k.startswith("net.drop.") for k in pm["metrics"]["counters"]), \
     "metrics snapshot must hold the drop counters that fired the watch"
 bench = json.load(open("BENCH_obs.json"))
-assert bench["schema"] == 2, bench["schema"]
+assert bench["schema"] == 3, bench["schema"]
 assert {p["mode"] for p in bench["router"]} >= {"uninstrumented", "disabled", "counters", "sampled", "tracing"}
 assert {p["mode"] for p in bench["ipc"]} >= {"disabled", "counters", "sampled", "tracing"}
 EOF
@@ -162,7 +164,7 @@ cargo run --release --example experiments -- e15
 # smoke — failover recovery and allocs are asserted at every scale, but
 # the ≥90% rewrite-ratio floor only on full runs (tiny CI streams are too
 # noisy to referee it) and lb_bench --quick never rewrites the recorded
-# BENCH_lb.json. The recorded artifact must keep its schema-1 shape with
+# BENCH_lb.json. The recorded artifact must keep its schema-2 shape with
 # all four scenarios and a recovery within one probe interval. The
 # failover run is a deterministic virtual-clock scenario with the same
 # config at every scale, so the quick run's `failover` object must equal
@@ -176,7 +178,7 @@ import json, sys
 bench = json.load(open("BENCH_lb.json"))
 quick = json.load(open(sys.argv[1]))
 assert quick["failover"] == bench["failover"], (quick["failover"], bench["failover"])
-assert bench["schema"] == 1, bench["schema"]
+assert bench["schema"] == 2, bench["schema"]
 names = {s["name"] for s in bench["scenarios"]}
 assert names >= {"baseline_no_lb", "steady", "portscan_storm", "slowloris"}, names
 assert bench["headline"]["rewrite_pps_ratio"] >= 0.90, bench["headline"]

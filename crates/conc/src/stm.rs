@@ -58,17 +58,6 @@ pub fn stm_stats() -> StmStats {
     }
 }
 
-impl StmStats {
-    /// Renders these counters as a [`sysobs::Snapshot`] under `stm.*`.
-    #[must_use]
-    pub fn to_snapshot(&self) -> sysobs::Snapshot {
-        let mut snap = sysobs::Snapshot::default();
-        snap.set_counter("stm.commits", self.commits);
-        snap.set_counter("stm.aborts", self.aborts);
-        snap
-    }
-}
-
 /// Bumps the commit counter (and its observability mirror).
 fn note_commit() {
     COMMITS.fetch_add(1, Ordering::Relaxed);

@@ -219,20 +219,6 @@ pub struct FaultStats {
     pub oom_failures: u64,
 }
 
-impl FaultStats {
-    /// Renders these counters as a [`sysobs::Snapshot`] under `kernel.*` —
-    /// the kernel's slice of the unified observability surface.
-    #[must_use]
-    pub fn to_snapshot(&self) -> sysobs::Snapshot {
-        let mut snap = sysobs::Snapshot::default();
-        snap.set_counter("kernel.watchdog_reaps", self.watchdog_reaps);
-        snap.set_counter("kernel.shed_processes", self.shed_processes);
-        snap.set_counter("kernel.dropped_messages", self.dropped_messages);
-        snap.set_counter("kernel.oom_failures", self.oom_failures);
-        snap
-    }
-}
-
 /// One round trip's outcome under [`Kernel::ping_pong_resilient`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IpcOutcome {
@@ -291,23 +277,6 @@ impl Kernel {
     #[must_use]
     pub fn fault_stats(&self) -> FaultStats {
         self.fault_stats
-    }
-
-    /// One unified metrics view of this kernel instance: recovery counters
-    /// (`kernel.*`), heap accounting and GC pauses (`mem.<heap>.*`), and the
-    /// cycle total — the [`sysobs::Snapshot`] experiment harnesses merge
-    /// with router and STM snapshots.
-    #[must_use]
-    pub fn metrics_snapshot(&self) -> sysobs::Snapshot {
-        let mut snap = self.fault_stats.to_snapshot();
-        snap.set_counter("kernel.cycles", self.cycles.total());
-        snap.merge(
-            &self
-                .mem
-                .stats()
-                .to_snapshot(&format!("mem.{}", self.mem.name())),
-        );
-        snap
     }
 
     /// Runtime mirror of the six proved invariant pairs in
@@ -657,11 +626,7 @@ impl Kernel {
         if !cap.rights.contains(Rights::GRANT) {
             return Err(KernelError::InsufficientRights { required: "GRANT" });
         }
-        let minted = cap.mint(rights);
-        if !cap.rights.contains(minted.rights) {
-            return Err(KernelError::RightsAmplification);
-        }
-        Ok(minted)
+        Ok(cap.mint(rights))
     }
 
     /// Reads the capability in one of `pid`'s slots (inspection only; the
@@ -2207,22 +2172,5 @@ mod tests {
         k.processes[dead.0 as usize].state = ProcState::Dead;
         let err = k.check_invariants().unwrap_err();
         assert!(err.contains("outlives its owner"), "{err}");
-    }
-
-    #[test]
-    fn metrics_snapshot_unifies_kernel_and_heap_counters() {
-        let mut k = Kernel::with_default_heap();
-        let p = k.spawn_process();
-        let _ = k.syscall(p, Syscall::AllocPage { words: 4 });
-        let snap = k.metrics_snapshot();
-        assert!(
-            snap.counter("kernel.cycles") > 0,
-            "cycles were charged: {snap}"
-        );
-        assert_eq!(snap.counter("kernel.watchdog_reaps"), 0);
-        assert!(
-            snap.counter("mem.freelist.allocs") > 0,
-            "heap accounting flows through the same snapshot: {snap}"
-        );
     }
 }

@@ -90,8 +90,6 @@ pub enum KernelError {
         /// What the operation expected.
         expected: &'static str,
     },
-    /// Attempted to mint a capability with rights not in the source.
-    RightsAmplification,
     /// Page offset out of range.
     PageFault {
         /// Offending offset.
@@ -128,9 +126,6 @@ impl fmt::Display for KernelError {
             KernelError::WrongObjectKind { expected } => {
                 write!(f, "operation requires a {expected} capability")
             }
-            KernelError::RightsAmplification => {
-                write!(f, "mint would amplify rights")
-            }
             KernelError::PageFault { offset } => write!(f, "page fault at offset {offset}"),
             KernelError::OutOfMemory => write!(f, "kernel heap exhausted"),
             KernelError::ProcessBlocked(p) => write!(f, "process {p} is blocked"),
@@ -161,8 +156,5 @@ mod tests {
     fn errors_name_their_cause() {
         let e = KernelError::InsufficientRights { required: "WRITE" };
         assert_eq!(e.to_string(), "capability lacks WRITE right");
-        assert!(KernelError::RightsAmplification
-            .to_string()
-            .contains("amplify"));
     }
 }

@@ -1,9 +1,9 @@
 //! Allocation and collection accounting shared by all managers.
 //!
 //! Collection pauses go into a [`sysobs::LogHistogram`], the same
-//! log-bucketed structure the router's latency distribution and the metrics
-//! registry use, so GC pauses, packet latencies and registry histograms all
-//! merge, compare and print through one implementation.
+//! log-bucketed structure the metrics registry's histograms use, so GC
+//! pauses and registry histograms (the router's `net.batch_latency_ns`
+//! among them) merge, compare and print through one implementation.
 
 use std::fmt;
 use std::time::Duration;
@@ -46,26 +46,6 @@ impl MemStats {
         sysobs::obs_hist!("mem.gc_pause_ns", ns);
         sysobs::obs_count!("mem.collections", 1);
     }
-
-    /// Renders these stats as a [`sysobs::Snapshot`], keyed under
-    /// `prefix` (e.g. `mem.semispace`) so several managers can merge into
-    /// one unified snapshot without colliding.
-    #[must_use]
-    pub fn to_snapshot(&self, prefix: &str) -> sysobs::Snapshot {
-        let mut snap = sysobs::Snapshot::default();
-        snap.set_counter(format!("{prefix}.allocs"), self.allocs);
-        snap.set_counter(format!("{prefix}.frees"), self.frees);
-        snap.set_counter(format!("{prefix}.bytes_allocated"), self.bytes_allocated);
-        snap.set_counter(format!("{prefix}.collections"), self.collections);
-        snap.set_counter(
-            format!("{prefix}.collected_objects"),
-            self.collected_objects,
-        );
-        snap.set_counter(format!("{prefix}.bytes_copied"), self.bytes_copied);
-        snap.set_counter(format!("{prefix}.barrier_hits"), self.barrier_hits);
-        snap.set_hist(format!("{prefix}.gc_pause_ns"), self.gc_pauses.clone());
-        snap
-    }
 }
 
 impl fmt::Display for MemStats {
@@ -80,26 +60,5 @@ impl fmt::Display for MemStats {
             self.collected_objects,
             self.gc_pauses
         )
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn mem_stats_snapshot_carries_counters_and_pauses() {
-        let mut stats = MemStats::new();
-        stats.allocs = 7;
-        stats.collections = 2;
-        stats.gc_pauses.record(4096);
-        let snap = stats.to_snapshot("mem.test");
-        assert_eq!(snap.counter("mem.test.allocs"), 7);
-        assert_eq!(snap.counter("mem.test.collections"), 2);
-        assert_eq!(
-            snap.hist("mem.test.gc_pause_ns")
-                .map(sysobs::LogHistogram::count),
-            Some(1)
-        );
     }
 }

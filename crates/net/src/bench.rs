@@ -5,8 +5,8 @@
 //!
 //! * **lookup** — ns/lookup for the linear-scan reference vs the stride-4
 //!   multibit trie over the same ≥64-route table and address stream;
-//! * **sweep** — end-to-end pipeline throughput (packets/sec) and
-//!   per-packet p50/p99 latency across worker counts and batch sizes;
+//! * **sweep** — end-to-end pipeline throughput (packets/sec) across
+//!   worker counts and batch sizes;
 //! * **churn** — experiment E15's sweep: throughput under live route-flap
 //!   churn (a wall-clock-paced updater thread flapping a route the traffic
 //!   never hits) through the copy-on-write epoch table, at each target
@@ -150,13 +150,6 @@ pub struct SweepPoint {
     pub batch_size: usize,
     /// Wall-clock packets/sec over the whole stream.
     pub pps: f64,
-    /// Median per-packet latency (submit → batch completion), ns.
-    pub p50_ns: u64,
-    /// 99th-percentile per-packet latency, ns.
-    pub p99_ns: u64,
-    /// 99.9th-percentile per-packet latency, ns — the tail the overload
-    /// experiments watch.
-    pub p999_ns: u64,
     /// Packets forwarded.
     pub forwarded: u64,
     /// Packets dropped (all reasons).
@@ -179,10 +172,6 @@ pub struct ChurnPoint {
     pub updates_applied: u64,
     /// Wall-clock packets/sec over the whole stream, churn included.
     pub pps: f64,
-    /// Median per-packet latency, ns.
-    pub p50_ns: u64,
-    /// 99th-percentile per-packet latency, ns.
-    pub p99_ns: u64,
     /// Flow-cache hit rate under churn.
     pub cache_hit_rate: f64,
     /// Cache misses attributed to invalidation refills — the measured cost
@@ -488,8 +477,6 @@ pub fn run_churn_sweep(cfg: &SweepConfig) -> Vec<ChurnPoint> {
                 target_updates_per_sec: rate,
                 updates_applied,
                 pps: t.pps,
-                p50_ns: t.p50_ns,
-                p99_ns: t.p99_ns,
                 cache_hit_rate: report.cache_hit_rate(),
                 invalidation_misses: report.stats.totals.cache_invalidation_misses,
                 steady_allocs_per_packet: t.steady_allocs_per_packet,
@@ -576,9 +563,6 @@ pub fn run_sweep(cfg: &SweepConfig) -> BenchReport {
                 workers,
                 batch_size,
                 pps: t.pps,
-                p50_ns: t.p50_ns,
-                p99_ns: t.p99_ns,
-                p999_ns: t.p999_ns,
                 forwarded: report.stats.totals.forwarded,
                 dropped: report.stats.totals.dropped_total(),
                 cache_hit_rate: report.cache_hit_rate(),
@@ -629,7 +613,7 @@ impl BenchReport {
         let mut s = String::new();
         s.push_str("{\n");
         let _ = writeln!(s, "  \"bench\": \"router\",");
-        let _ = writeln!(s, "  \"schema\": 5,");
+        let _ = writeln!(s, "  \"schema\": 6,");
         let _ = writeln!(s, "  \"host_cores\": {},", self.host_cores);
         let _ = writeln!(s, "  \"packets_per_config\": {},", self.packets);
         let _ = writeln!(s, "  \"flows\": {},", self.flows);
@@ -649,9 +633,6 @@ impl BenchReport {
                 ("workers", p.workers.to_string()),
                 ("batch_size", p.batch_size.to_string()),
                 ("pps", format!("{:.0}", p.pps)),
-                ("p50_ns", p.p50_ns.to_string()),
-                ("p99_ns", p.p99_ns.to_string()),
-                ("p999_ns", p.p999_ns.to_string()),
                 ("forwarded", p.forwarded.to_string()),
                 ("dropped", p.dropped.to_string()),
                 ("cache_hit_rate", format!("{:.4}", p.cache_hit_rate)),
@@ -666,8 +647,6 @@ impl BenchReport {
                 ),
                 ("updates_applied", p.updates_applied.to_string()),
                 ("pps", format!("{:.0}", p.pps)),
-                ("p50_ns", p.p50_ns.to_string()),
-                ("p99_ns", p.p99_ns.to_string()),
                 ("cache_hit_rate", format!("{:.4}", p.cache_hit_rate)),
                 ("invalidation_misses", p.invalidation_misses.to_string()),
                 ("steady_allocs_per_packet", opt4(p.steady_allocs_per_packet)),
@@ -735,9 +714,6 @@ mod tests {
                     workers: 1,
                     batch_size: 64,
                     pps: 1e6,
-                    p50_ns: 500,
-                    p99_ns: 900,
-                    p999_ns: 1800,
                     forwarded: 9,
                     dropped: 1,
                     cache_hit_rate: 0.9321,
@@ -747,9 +723,6 @@ mod tests {
                     workers: 2,
                     batch_size: 64,
                     pps: 1e6,
-                    p50_ns: 500,
-                    p99_ns: 900,
-                    p999_ns: 1800,
                     forwarded: 9,
                     dropped: 1,
                     cache_hit_rate: 0.0,
@@ -760,8 +733,6 @@ mod tests {
                 target_updates_per_sec: 10_000,
                 updates_applied: 312,
                 pps: 2e6,
-                p50_ns: 600,
-                p99_ns: 1200,
                 cache_hit_rate: 0.8812,
                 invalidation_misses: 42,
                 steady_allocs_per_packet: Some(0.0031),
@@ -775,14 +746,14 @@ mod tests {
         let json = report.to_json();
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(json.contains("\"schema\": 5,"));
+        assert!(json.contains("\"schema\": 6,"));
         assert!(!json.contains("\"mode\""));
         assert!(json.contains("\"target_updates_per_sec\": 10000"));
         assert!(json.contains("\"invalidation_misses\": 42"));
         assert!(json.contains("\"cow_p50_ns\": 180"));
         assert!(json.contains("\"cow_p99_ns\": 950\n"));
         assert!(!json.contains("locked"));
-        assert!(json.contains("\"p999_ns\": 1800"));
+        assert_eq!(json.matches("_ns\"").count(), 2, "only visibility times ns");
         assert!(json.contains("\"trie_speedup\": 4.00"));
         assert!(json.contains("\"pps\": 1000000"));
         assert!(json.contains("\"cache_hit_rate\": 0.9321"));
@@ -801,8 +772,6 @@ mod tests {
         for p in &report.sweep {
             assert_eq!(p.forwarded + p.dropped, 2_000);
             assert!(p.pps > 0.0);
-            assert!(p.p99_ns >= p.p50_ns);
-            assert!(p.p999_ns >= p.p99_ns);
             assert!(
                 p.cache_hit_rate > 0.5,
                 "skewed flow stream must hit the cache: {}",
@@ -831,7 +800,6 @@ mod tests {
         assert_eq!(rates, [0, 20_000], "one point per rate, in rate order");
         for p in &points {
             assert!(p.pps > 0.0);
-            assert!(p.p99_ns >= p.p50_ns);
             if p.target_updates_per_sec == 0 {
                 assert_eq!(p.updates_applied, 0);
             } else {

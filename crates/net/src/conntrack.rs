@@ -152,9 +152,6 @@ pub enum FlowState {
 /// Number of [`FlowState`] variants.
 pub const FLOW_STATES: usize = 3;
 
-/// Display labels, indexed by `FlowState as usize`.
-pub const FLOW_STATE_LABELS: [&str; FLOW_STATES] = ["syn-seen", "established", "fin-wait"];
-
 /// Why an entry left the table. Indexes [`ConntrackStats::removed`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvictCause {
@@ -177,17 +174,6 @@ pub enum EvictCause {
 
 /// Number of [`EvictCause`] variants.
 pub const EVICT_CAUSES: usize = 7;
-
-/// Display labels, indexed by `EvictCause as usize`.
-pub const EVICT_LABELS: [&str; EVICT_CAUSES] = [
-    "timeout",
-    "lru",
-    "half-open-pressure",
-    "fin",
-    "rst",
-    "desync",
-    "backend-dead",
-];
 
 /// Sizing and policy knobs for one [`Conntrack`] shard.
 #[derive(Debug, Clone, Copy)]
@@ -289,28 +275,6 @@ impl ConntrackStats {
         self.peak_flows = self.peak_flows.max(other.peak_flows);
         self.peak_half_open = self.peak_half_open.max(other.peak_half_open);
         self.invariant_violations += other.invariant_violations;
-    }
-
-    /// Renders the counters under `net.ct.*` for the unified snapshot.
-    #[must_use]
-    pub fn to_snapshot(&self) -> sysobs::Snapshot {
-        let mut snap = sysobs::Snapshot::default();
-        for (label, &n) in FLOW_STATE_LABELS.iter().zip(self.pkts.iter()) {
-            snap.set_counter(format!("net.ct.pkts.{label}"), n);
-        }
-        snap.set_counter("net.ct.flows_created", self.flows_created);
-        snap.set_counter("net.ct.flows_promoted", self.flows_promoted);
-        snap.set_counter("net.ct.cookie_established", self.cookie_established);
-        snap.set_counter("net.ct.stateless_syns", self.stateless_syns);
-        for (label, &n) in EVICT_LABELS.iter().zip(self.removed.iter()) {
-            snap.set_counter(format!("net.ct.removed.{label}"), n);
-        }
-        snap.set_counter("net.ct.cookie_mode_entries", self.cookie_mode_entries);
-        snap.set_counter("net.ct.timer_stalls", self.timer_stalls);
-        snap.set_counter("net.ct.peak_flows", self.peak_flows);
-        snap.set_counter("net.ct.peak_half_open", self.peak_half_open);
-        snap.set_counter("net.ct.invariant_violations", self.invariant_violations);
-        snap
     }
 }
 
@@ -830,9 +794,9 @@ impl Conntrack {
         if !self.cookie_mode && self.pressure_evictions >= self.cfg.syn_backlog {
             self.cookie_mode = true;
             self.stats.cookie_mode_entries += 1;
-            // Live registry mirror: the final stats reach the registry only
-            // at RouterReport::to_snapshot, but the syn-cookie-engaged
-            // trigger needs to see engagement while the flood is running.
+            // Live registry mirror: the syn-cookie-engaged trigger needs to
+            // see engagement while the flood is running, not only in the
+            // shard's final stats.
             sysobs::obs_count!("net.ct.cookie_mode_entries", 1);
             sysobs::obs_instant!("net.ct.cookie_mode_enter", self.stats.cookie_mode_entries);
             self.pressure_evictions = 0;
@@ -1774,9 +1738,7 @@ mod tests {
         assert_eq!(ct.stats().peak_half_open, 6);
         ct.audit();
         assert_eq!(ct.stats().invariant_violations, 0);
-        let snap = ct.stats().to_snapshot();
-        assert_eq!(snap.counter("net.ct.peak_flows"), 6);
-        assert_eq!(snap.counter("net.ct.removed.rst"), 6);
+        assert_eq!(ct.stats().removed[EvictCause::Rst as usize], 6);
     }
 
     #[test]

@@ -141,23 +141,6 @@ impl LbStats {
         self.recoveries += other.recoveries;
         self.flows_ejected += other.flows_ejected;
     }
-
-    /// Renders the counters under `net.lb.*` for the unified snapshot.
-    #[must_use]
-    pub fn to_snapshot(&self) -> sysobs::Snapshot {
-        let mut snap = sysobs::Snapshot::default();
-        snap.set_counter("net.lb.assigned", self.assigned);
-        snap.set_counter("net.lb.rewrites_to_backend", self.rewrites_to_backend);
-        snap.set_counter("net.lb.rewrites_to_client", self.rewrites_to_client);
-        snap.set_counter("net.lb.hairpin_passthrough", self.hairpin_passthrough);
-        snap.set_counter("net.lb.no_backend", self.no_backend);
-        snap.set_counter("net.lb.probes", self.probes);
-        snap.set_counter("net.lb.probe_failures", self.probe_failures);
-        snap.set_counter("net.lb.ejections", self.ejections);
-        snap.set_counter("net.lb.recoveries", self.recoveries);
-        snap.set_counter("net.lb.flows_ejected", self.flows_ejected);
-        snap
-    }
 }
 
 /// One worker's backend pool: selection, health, and rewrite bookkeeping.

@@ -221,10 +221,6 @@ pub struct LbPoint {
     pub flows: usize,
     /// Wall-clock packets/sec over the whole stream.
     pub pps: f64,
-    /// Median per-packet latency, ns.
-    pub p50_ns: u64,
-    /// 99th-percentile per-packet latency, ns.
-    pub p99_ns: u64,
     /// Benign packets offered (handshakes + data).
     pub benign_sent: u64,
     /// Benign packets forwarded to the backend port.
@@ -327,8 +323,6 @@ pub fn run_lb_point(cfg: &LbBenchConfig, scenario: LbScenario) -> LbPoint {
         scenario,
         flows,
         pps: timing.pps,
-        p50_ns: timing.p50_ns,
-        p99_ns: timing.p99_ns,
         benign_sent: plan.segments() as u64,
         benign_delivered: t.per_port.get(1).copied().unwrap_or(0),
         storm_sent,
@@ -435,7 +429,7 @@ impl LbBenchReport {
         let mut s = String::new();
         s.push_str("{\n");
         let _ = writeln!(s, "  \"bench\": \"lb\",");
-        let _ = writeln!(s, "  \"schema\": 1,");
+        let _ = writeln!(s, "  \"schema\": 2,");
         let _ = writeln!(s, "  \"host_cores\": {},", self.host_cores);
         let _ = writeln!(s, "  \"workers\": {},", self.workers);
         let _ = writeln!(s, "  \"backends\": {},", self.backends);
@@ -444,8 +438,6 @@ impl LbBenchReport {
                 ("name", format!("\"{}\"", p.scenario.name())),
                 ("flows", p.flows.to_string()),
                 ("pps", format!("{:.0}", p.pps)),
-                ("p50_ns", p.p50_ns.to_string()),
-                ("p99_ns", p.p99_ns.to_string()),
                 ("benign_sent", p.benign_sent.to_string()),
                 ("benign_delivered", p.benign_delivered.to_string()),
                 ("benign_delivery", format!("{:.4}", p.benign_delivery())),
@@ -609,7 +601,7 @@ mod tests {
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         assert!(json.contains("\"bench\": \"lb\""));
-        assert!(json.contains("\"schema\": 1,"));
+        assert!(json.contains("\"schema\": 2,"));
         assert!(json.contains("\"name\": \"portscan_storm\""));
         assert!(json.contains("\"failover\": {"));
         assert!(json.contains("\"rewrite_pps_ratio\""));

@@ -46,8 +46,9 @@
 //!   from queue occupancy, dispatching with `try_send` so one slow worker
 //!   cannot head-of-line-block the rest.
 //! * [`mod@bench`] — the measured trajectory: sweeps worker counts and batch
-//!   sizes, reports packets/sec and p50/p99 per-packet latency, and renders
-//!   the `BENCH_router.json` record the ROADMAP's perf north star tracks.
+//!   sizes, reports packets/sec, cache hit rate and steady-state
+//!   allocations, and renders the `BENCH_router.json` record the ROADMAP's
+//!   perf north star tracks.
 //!
 //! ```
 //! use sysnet::lpm::TrieTable;

@@ -119,20 +119,6 @@ impl BatchStats {
             *a += b;
         }
     }
-
-    /// Renders these counters as a [`sysobs::Snapshot`] under `net.*`, one
-    /// counter per drop reason — the unified form the experiment harness
-    /// merges with kernel and memory snapshots.
-    #[must_use]
-    pub fn to_snapshot(&self) -> sysobs::Snapshot {
-        let mut snap = sysobs::Snapshot::default();
-        snap.set_counter("net.parsed", self.parsed);
-        snap.set_counter("net.forwarded", self.forwarded);
-        for (name, &n) in DROP_METRICS.iter().zip(self.dropped.iter()) {
-            snap.set_counter(*name, n);
-        }
-        snap
-    }
 }
 
 /// The optional stateful stages of the pipeline: a connection-tracking
@@ -576,41 +562,6 @@ mod tests {
         merged.merge(&stats);
         merged.merge(&stats);
         assert_eq!(merged.total(), 10);
-    }
-
-    #[test]
-    fn snapshot_conserves_forwarded_plus_dropped() {
-        let t = table();
-        let mut frames = vec![
-            udp_to([10, 1, 1, 1]),
-            udp_to([10, 2, 2, 2]),
-            udp_to([172, 16, 0, 1]),
-            PacketBuilder::udp().dst_ip([10, 0, 0, 1]).ttl(0).build(),
-            vec![0u8; 3],
-        ];
-        let stats = process_batch::<true, _>(&mut frames, &t, None, None, 0, |_| {});
-        let snap = stats.to_snapshot();
-        // Conservation: every submitted frame is either forwarded or
-        // attributed to exactly one drop-reason counter.
-        assert_eq!(
-            snap.counter("net.forwarded") + snap.counter_sum("net.drop."),
-            frames.len() as u64,
-            "snapshot loses or double-counts frames: {snap}"
-        );
-        assert_eq!(snap.counter("net.drop.ttl-expired"), 1);
-        assert_eq!(snap.counter("net.drop.no-route"), 1);
-        assert_eq!(snap.counter("net.drop.malformed"), 1);
-        // Both batch paths agree frame for frame (fresh frames: the first
-        // run decremented TTLs in place).
-        let mut frames2 = vec![
-            udp_to([10, 1, 1, 1]),
-            udp_to([10, 2, 2, 2]),
-            udp_to([172, 16, 0, 1]),
-            PacketBuilder::udp().dst_ip([10, 0, 0, 1]).ttl(0).build(),
-            vec![0u8; 3],
-        ];
-        let bare = process_batch::<false, _>(&mut frames2, &t, None, None, 0, |_| {});
-        assert_eq!(bare, stats);
     }
 
     #[test]

@@ -51,7 +51,7 @@ use crate::conntrack::{Conntrack, ConntrackConfig, ConntrackShared, ConntrackSta
 use crate::cowtrie::{CowRouteTable, RouteReader};
 use crate::lb::{BackendPool, LbConfig, LbStats};
 use crate::lpm::TrieTable;
-use crate::pipeline::{self, BatchStats, DROP_METRICS, DROP_REASONS};
+use crate::pipeline::{self, BatchStats, DROP_REASONS};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -59,7 +59,6 @@ use std::time::{Duration, Instant};
 use syscheck::shim::{spawn_named, JoinHandle};
 use sysconc::channel::{bounded, channel, Receiver, Sender, TrySendError};
 use sysfault::{FaultInjector, FaultPlan};
-use sysobs::LogHistogram;
 
 /// A next-hop port: an index into the router's port table.
 pub type PortId = u16;
@@ -134,7 +133,7 @@ impl Default for RouterConfig {
 const STALL_CAP_FACTOR: usize = 2;
 
 /// One worker's batch: owned frames plus the dispatch timestamp the
-/// per-packet latency measurement starts from. The same buffers cycle
+/// `net.batch_latency_ns` histogram measures from. The same buffers cycle
 /// dispatcher → worker → recycle channel → dispatcher for the router's
 /// lifetime.
 struct Batch {
@@ -393,7 +392,7 @@ pub struct CowEpochStats {
 }
 
 /// Final report returned by [`ShardedRouter::finish`]: the aggregate
-/// counters plus the per-packet latency distribution.
+/// counters of the whole run.
 #[derive(Debug, Clone)]
 pub struct RouterReport {
     /// Aggregated counters.
@@ -410,21 +409,9 @@ pub struct RouterReport {
     pub faults: NetFaultStats,
     /// CoW-trie / epoch-reclamation counters.
     pub cow: CowEpochStats,
-    /// Per-packet submit-to-batch-completion latency (queueing plus
-    /// processing), log-bucketed. Replaces the old hand-rolled weighted
-    /// `(ns, packets)` quantile list with the shared [`LogHistogram`].
-    latencies: LogHistogram,
 }
 
 impl RouterReport {
-    /// Latency quantile in nanoseconds (`0.5` = p50, `0.99` = p99),
-    /// resolved to interpolated log-bucket precision. Returns 0 when no
-    /// packets were processed.
-    #[must_use]
-    pub fn latency_ns(&self, quantile: f64) -> u64 {
-        self.latencies.percentile(quantile)
-    }
-
     /// Total packets the report covers.
     #[must_use]
     pub fn packets(&self) -> u64 {
@@ -435,59 +422,6 @@ impl RouterReport {
     #[must_use]
     pub fn cache_hit_rate(&self) -> f64 {
         self.stats.totals.cache_hit_rate()
-    }
-
-    /// Renders the report as a [`sysobs::Snapshot`]: `net.*` counters per
-    /// drop reason, the cache and pool counters, and the latency histogram
-    /// — the router's slice of the unified observability surface.
-    #[must_use]
-    pub fn to_snapshot(&self) -> sysobs::Snapshot {
-        let t = &self.stats.totals;
-        let mut snap = sysobs::Snapshot::default();
-        snap.set_counter("net.parsed", t.parsed);
-        snap.set_counter("net.forwarded", t.forwarded);
-        snap.set_counter("net.batches", t.batches);
-        snap.set_counter("net.cache.hits", t.cache_hits);
-        snap.set_counter("net.cache.misses", t.cache_misses);
-        snap.set_counter("net.cache.invalidations", t.cache_invalidations);
-        snap.set_counter("net.cache.invalidation_misses", t.cache_invalidation_misses);
-        snap.set_counter("net.pool.frames_reused", self.pool.frames_reused);
-        snap.set_counter("net.pool.frames_allocated", self.pool.frames_allocated);
-        snap.set_counter("net.pool.batches_reused", self.pool.batches_reused);
-        snap.set_counter("net.pool.batches_allocated", self.pool.batches_allocated);
-        snap.set_counter("net.pool.stalled_requeues", self.pool.stalled_requeues);
-        for (name, &n) in DROP_METRICS.iter().zip(t.dropped.iter()) {
-            snap.set_counter(*name, n);
-        }
-        if let Some(ct) = &self.conntrack {
-            let ct_snap = ct.to_snapshot();
-            for (name, v) in ct_snap.counters() {
-                snap.set_counter(name.to_owned(), v);
-            }
-        }
-        if let Some(lb) = &self.lb {
-            let lb_snap = lb.to_snapshot();
-            for (name, v) in lb_snap.counters() {
-                snap.set_counter(name.to_owned(), v);
-            }
-        }
-        if self.faults != NetFaultStats::default() {
-            snap.set_counter("net.fault.frame_drops", self.faults.injected_frame_drops);
-            snap.set_counter("net.fault.recycle_losses", self.faults.recycle_losses);
-            snap.set_counter("net.fault.frames_lost", self.faults.frames_lost);
-            snap.set_counter("net.fault.worker_stalls", self.faults.injected_stalls);
-        }
-        let cow = &self.cow;
-        snap.set_counter("net.cowtrie.publications", cow.publications);
-        snap.set_counter("net.cowtrie.spine_recycled", cow.spine_recycled);
-        snap.set_counter("mem.epoch.advance_stalls", cow.advance_stalls);
-        #[allow(clippy::cast_possible_wrap)]
-        {
-            snap.set_gauge("mem.epoch.pinned_readers", cow.pinned_readers as i64);
-            snap.set_gauge("mem.epoch.pending_retire", cow.pending_reclaim as i64);
-        }
-        snap.set_hist("net.latency_ns", self.latencies.clone());
-        snap
     }
 }
 
@@ -534,7 +468,6 @@ fn shard_conntrack_config(mut cfg: ConntrackConfig, workers: usize) -> Conntrack
 
 /// What one worker thread hands back at shutdown.
 struct WorkerExit {
-    latencies: LogHistogram,
     /// Final conntrack counters (post-audit), when tracking ran.
     ct_stats: Option<ConntrackStats>,
     /// Final load-balancer counters, when balancing ran.
@@ -564,7 +497,6 @@ fn worker_loop<const OBS: bool>(
     mut injector: Option<FaultInjector>,
 ) -> WorkerExit {
     let mut cache = (cache_slots > 0).then(|| FlowCache::new(cache_slots));
-    let mut latencies = LogHistogram::new();
     let mut forward = |port: PortId| {
         if let Some(cell) = shared.per_port.get(usize::from(port)) {
             cell.fetch_add(1, Ordering::Relaxed);
@@ -621,10 +553,8 @@ fn worker_loop<const OBS: bool>(
         if let Some(c) = &cache {
             shared.store_cache(c);
         }
-        let ns = u64::try_from(batch.submitted.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        // Every frame in the batch shares the batch's completion latency.
-        latencies.record_n(ns, occupancy as u64);
         if OBS {
+            let ns = u64::try_from(batch.submitted.elapsed().as_nanos()).unwrap_or(u64::MAX);
             sysobs::obs_hist!("net.batch_latency_ns", ns);
         }
         let _ = recycle.send(batch);
@@ -642,7 +572,6 @@ fn worker_loop<const OBS: bool>(
     });
     let lb_stats = lb.map(|pool| *pool.stats());
     WorkerExit {
-        latencies,
         ct_stats,
         lb_stats,
         fault_digest,
@@ -1061,18 +990,16 @@ impl ShardedRouter {
     }
 
     /// Flushes pending batches, shuts the workers down, and returns the
-    /// final report (counters + latency distribution + pool counters).
+    /// final report (worker, pool, conntrack, balancer and epoch counters).
     #[must_use]
     pub fn finish(mut self) -> RouterReport {
         self.flush();
         drop(std::mem::take(&mut self.senders)); // workers exit on disconnect
-        let mut latencies = LogHistogram::new();
         let mut conntrack: Option<ConntrackStats> = None;
         let mut lb: Option<LbStats> = None;
         let mut faults = self.fault;
         for handle in std::mem::take(&mut self.handles) {
             let exit = handle.join().expect("router worker panicked");
-            latencies.merge(&exit.latencies);
             if let Some(ct) = &exit.ct_stats {
                 conntrack
                     .get_or_insert_with(ConntrackStats::default)
@@ -1104,7 +1031,6 @@ impl ShardedRouter {
             lb,
             faults,
             cow,
-            latencies,
         }
     }
 }
@@ -1117,12 +1043,6 @@ pub struct Timing {
     pub elapsed: Duration,
     /// Frames submitted per wall-clock second.
     pub pps: f64,
-    /// Median per-packet latency (submit → batch completion), ns.
-    pub p50_ns: u64,
-    /// 99th-percentile per-packet latency, ns.
-    pub p99_ns: u64,
-    /// 99.9th-percentile per-packet latency, ns.
-    pub p999_ns: u64,
     /// Heap allocations per frame over the second half of the stream (pool
     /// warm by then); `None` without an allocation counter.
     pub steady_allocs_per_packet: Option<f64>,
@@ -1214,9 +1134,6 @@ pub fn run_trial<R>(
     let timing = Timing {
         elapsed,
         pps: f.submitted as f64 / elapsed.as_secs_f64().max(1e-9),
-        p50_ns: report.latency_ns(0.50),
-        p99_ns: report.latency_ns(0.99),
-        p999_ns: report.latency_ns(0.999),
         steady_allocs_per_packet,
     };
     (report, timing, out)
@@ -1284,8 +1201,6 @@ mod tests {
         assert_eq!(t.dropped[DropReason::BadChecksum as usize], 10);
         assert_eq!(t.forwarded, 490);
         assert_eq!(t.per_port.iter().sum::<u64>(), 490);
-        assert!(report.latency_ns(0.5) > 0);
-        assert!(report.latency_ns(0.99) >= report.latency_ns(0.5));
         // 61 flows over 500 packets: the cache must be doing real work.
         assert!(t.cache_hits > 0, "repeated flows must hit the cache");
         assert!(report.cache_hit_rate() > 0.5, "{}", report.cache_hit_rate());
@@ -1451,32 +1366,6 @@ mod tests {
         assert_eq!(on.stats.totals.forwarded, off.stats.totals.forwarded);
         assert_eq!(on.stats.totals.dropped, off.stats.totals.dropped);
         assert_eq!(on.stats.totals.per_port, off.stats.totals.per_port);
-    }
-
-    #[test]
-    fn report_snapshot_conserves_frames() {
-        let frames = stream(600);
-        let n = frames.len() as u64;
-        let (report, _) = run_stream(table(), 3, RouterConfig::default(), &frames);
-        let snap = report.to_snapshot();
-        assert_eq!(
-            snap.counter("net.forwarded") + snap.counter_sum("net.drop."),
-            n,
-            "snapshot loses or double-counts frames: {snap}"
-        );
-        let hist = snap
-            .hist("net.latency_ns")
-            .expect("latency histogram present");
-        assert_eq!(hist.count(), n, "every frame carries a latency sample");
-        // Cache and pool counters ride along in the same snapshot.
-        assert_eq!(
-            snap.counter("net.cache.hits") + snap.counter("net.cache.misses"),
-            snap.counter("net.forwarded") + snap.counter("net.drop.no-route"),
-            "every routed decision is a cache hit or miss"
-        );
-        assert!(
-            snap.counter("net.pool.frames_reused") + snap.counter("net.pool.frames_allocated") >= n
-        );
     }
 
     #[test]
@@ -1695,13 +1584,6 @@ mod tests {
         assert_eq!(report.cow.publications, updater.publications());
         assert_eq!(report.cow.publications, before + 1);
         assert_eq!(report.cow.pinned_readers, 0, "{:?}", report.cow);
-        let snap = report.to_snapshot();
-        assert_eq!(snap.counter("net.cowtrie.publications"), before + 1);
-        assert!(
-            snap.gauges()
-                .any(|(name, v)| name == "mem.epoch.pinned_readers" && v == 0),
-            "{snap}"
-        );
     }
 
     #[test]

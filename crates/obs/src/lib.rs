@@ -19,10 +19,10 @@
 //!   timestamp-free *shape* for replay comparison against `sysfault`
 //!   fault-schedule digests.
 //! - **Metrics** ([`metrics`]): a registry of named counters, gauges, and
-//!   log-bucketed [`LogHistogram`]s, all snapshotting into one
-//!   deterministic [`Snapshot`] value so kernel fault stats, GC pause
-//!   histograms, channel/STM retry counters, and router drop counters
-//!   finally share a type.
+//!   log-bucketed [`LogHistogram`]s, snapshotting into one deterministic
+//!   [`Snapshot`] value. Kernel watchdog reaps, GC pauses, STM retries and
+//!   router drops are recorded live under one naming scheme, and the
+//!   registry is the only place those names exist.
 //! - **Macros** ([`obs_span!`], [`obs_count!`], [`obs_instant!`],
 //!   [`obs_hist!`]): per-callsite cached instrumentation that compiles to a
 //!   mode check plus a `OnceLock` read when enabled, and to just the mode

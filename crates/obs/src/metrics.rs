@@ -1,18 +1,16 @@
 //! The unified metrics registry: named counters, gauges, and log-bucketed
 //! histograms, snapshotted into one [`Snapshot`] type.
 //!
-//! Two usage patterns share the machinery:
-//!
-//! * **ambient** — hot paths bump process-wide metrics through
-//!   [`obs_count!`](crate::obs_count) / [`obs_hist!`](crate::obs_hist);
-//!   each macro site caches a `&'static` handle in a [`CounterCell`] /
-//!   [`HistCell`], so the steady-state cost is one relaxed mode check plus
-//!   one relaxed atomic RMW — the registry's name table is only locked on
-//!   the first hit per site and on snapshot;
-//! * **scoped** — subsystems that own their counters (the router's
-//!   per-worker atomics, the kernel's `FaultStats`, a heap's `MemStats`)
-//!   render them *into* a [`Snapshot`] value, so every layer reports through
-//!   the same type even where a global registry would conflate instances.
+//! Hot paths bump process-wide metrics through
+//! [`obs_count!`](crate::obs_count) / [`obs_hist!`](crate::obs_hist); each
+//! macro site caches a `&'static` handle in a [`CounterCell`] /
+//! [`HistCell`], so the steady-state cost is one relaxed mode check plus one
+//! relaxed atomic RMW — the registry's name table is only locked on the
+//! first hit per site and on snapshot. The registry is the one named-metric
+//! surface: subsystems that own their counters (the router's per-worker
+//! atomics, the kernel's `FaultStats`, a heap's `MemStats`) hand them back
+//! as typed reports of plain counts, and record what triggers and
+//! postmortems read into the registry live, while a run is still going.
 //!
 //! Handles are leaked `&'static` references: a metric, once named, lives for
 //! the process — which is what makes lock-free increments safe to hand out.
@@ -308,9 +306,8 @@ impl Default for HistCell {
     }
 }
 
-/// One coherent, ordered view of a set of metrics — the type every layer's
-/// accounting now reports through, whether it came from the global registry
-/// or from a subsystem's private counters.
+/// One coherent, ordered view of the registry's metrics — what
+/// [`Registry::snapshot`] returns and what triggers and postmortems read.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Snapshot {
     counters: BTreeMap<String, u64>,
@@ -385,23 +382,6 @@ impl Snapshot {
             .take_while(|(k, _)| k.starts_with(prefix))
             .map(|(_, v)| *v)
             .sum()
-    }
-
-    /// Merges another snapshot: counters add, gauges take the other's value,
-    /// histograms merge.
-    pub fn merge(&mut self, other: &Snapshot) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &other.gauges {
-            self.gauges.insert(k.clone(), *v);
-        }
-        for (k, h) in &other.hists {
-            self.hists
-                .entry(k.clone())
-                .and_modify(|e| e.merge(h))
-                .or_insert_with(|| h.clone());
-        }
     }
 
     /// True if nothing has been recorded.
@@ -492,24 +472,6 @@ mod tests {
         assert_eq!(names, sorted, "counters iterate in name order");
         assert_eq!(s.counter("net.forwarded"), 93);
         assert_eq!(s.counter("absent"), 0);
-    }
-
-    #[test]
-    fn snapshot_merge_adds_counters_and_merges_hists() {
-        let mut a = Snapshot::new();
-        let mut b = Snapshot::new();
-        a.set_counter("x", 1);
-        b.set_counter("x", 2);
-        let mut h1 = LogHistogram::new();
-        h1.record(10);
-        let mut h2 = LogHistogram::new();
-        h2.record(1_000_000);
-        a.set_hist("lat", h1);
-        b.set_hist("lat", h2);
-        a.merge(&b);
-        assert_eq!(a.counter("x"), 3);
-        assert_eq!(a.hist("lat").unwrap().count(), 2);
-        assert_eq!(a.hist("lat").unwrap().max(), 1_000_000);
     }
 
     #[test]

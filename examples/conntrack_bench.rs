@@ -7,7 +7,7 @@
 //! ```
 //!
 //! The full run sweeps the benign-only live-flow population 10k → 1M
-//! (pps, p50/p99/p999 latency), then runs the attack matrix at 100k benign
+//! (pps and peak occupancy), then runs the attack matrix at 100k benign
 //! flows: 50 % and 90 % SYN-flood mixes with the overload defense on, and
 //! the 90 % mix again with the defense off as the collapse contrast. The
 //! headline is established-flow goodput retained at the 90 % mix, which

@@ -77,11 +77,6 @@ fn main() {
             println!("  drop/{:<12} {n}", DROP_LABELS[reason]);
         }
     }
-    println!(
-        "  p50 {} ns, p99 {} ns per packet (batch submit → completion)",
-        report.latency_ns(0.50),
-        report.latency_ns(0.99)
-    );
 
     let forwarded = totals.forwarded;
     let dropped = totals.dropped_total();

@@ -8,8 +8,7 @@
 //!
 //! The full sweep measures the linear-vs-trie lookup microbench and the
 //! end-to-end pipeline at 1/2/4 workers × batch 16/64/256 over a skewed
-//! flow population, then records packets/sec, p50/p99 per-packet latency,
-//! the flow-cache hit rate, and — via the counting global allocator it
+//! flow population, then records packets/sec, the flow-cache hit rate, and — via the counting global allocator it
 //! installs from `plos06::alloc` — steady-state heap allocations per
 //! packet, which the full run asserts is ≈ 0 (the router's buffer pool at
 //! work). `--quick` runs a small sweep and skips the file write so CI never

@@ -10,13 +10,13 @@
 //!   route table grows. The linear scan was
 //!   fine at 4 routes; the trie must win by a ≥64-route table or the
 //!   structure isn't paying for itself.
-//! * **sharding** — end-to-end packets/sec and p50/p99 per-packet latency
-//!   for the full parse → validate → route pipeline at 1 vs N workers
+//! * **sharding** — end-to-end packets/sec for the full parse → validate
+//!   → route pipeline at 1 vs N workers
 //!   hash-partitioning flows over bounded channels. On a single-core host
 //!   extra CPU-bound workers cannot add throughput, so the table records
 //!   the host's core count alongside the sweep.
 
-use super::{fmt_ns, fmt_rate, Scale, Table};
+use super::{fmt_rate, Scale, Table};
 use sysnet::bench::{lookup_comparison, run_sweep, SweepConfig};
 
 const SEED: u64 = 0x5EED_0E10;
@@ -52,8 +52,7 @@ pub fn run(scale: Scale) -> Table {
             "routes",
             "workers",
             "rate",
-            "p50",
-            "p99",
+            "ns/lookup",
             "forwarded",
             "dropped",
         ],
@@ -81,7 +80,6 @@ pub fn run(scale: Scale) -> Table {
                 format!("{ns:.1} ns"),
                 "—".into(),
                 "—".into(),
-                "—".into(),
             ]);
         }
     }
@@ -94,8 +92,7 @@ pub fn run(scale: Scale) -> Table {
             format!("{}", cfg.routes),
             format!("{}", p.workers),
             fmt_rate(p.pps),
-            fmt_ns(p.p50_ns),
-            fmt_ns(p.p99_ns),
+            "—".into(),
             format!("{}", p.forwarded),
             format!("{}", p.dropped),
         ]);

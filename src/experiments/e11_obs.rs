@@ -43,10 +43,6 @@ pub struct RouterPoint {
     pub mode: &'static str,
     /// Median-across-rounds packets per second.
     pub pps: f64,
-    /// p50 per-packet latency (ns) from the median round.
-    pub p50_ns: u64,
-    /// p99 per-packet latency (ns) from the median round.
-    pub p99_ns: u64,
     /// Throughput overhead vs the uninstrumented baseline, in percent
     /// (positive = slower than baseline; 0 for the baseline itself).
     pub overhead_pct: f64,
@@ -102,7 +98,7 @@ impl ObsBenchReport {
         let mut s = String::new();
         s.push_str("{\n");
         let _ = writeln!(s, "  \"bench\": \"obs\",");
-        let _ = writeln!(s, "  \"schema\": 2,");
+        let _ = writeln!(s, "  \"schema\": 3,");
         let _ = writeln!(s, "  \"host_cores\": {},", self.host_cores);
         let _ = writeln!(s, "  \"router_packets\": {},", self.packets);
         let _ = writeln!(s, "  \"ipc_rounds\": {},", self.rounds);
@@ -112,9 +108,8 @@ impl ObsBenchReport {
             let comma = if i + 1 == self.router.len() { "" } else { "," };
             let _ = writeln!(
                 s,
-                "    {{\"mode\": \"{}\", \"pps\": {:.0}, \"p50_ns\": {}, \"p99_ns\": {}, \
-                 \"overhead_pct\": {:.2}}}{comma}",
-                p.mode, p.pps, p.p50_ns, p.p99_ns, p.overhead_pct
+                "    {{\"mode\": \"{}\", \"pps\": {:.0}, \"overhead_pct\": {:.2}}}{comma}",
+                p.mode, p.pps, p.overhead_pct
             );
         }
         let _ = writeln!(s, "  ],");
@@ -132,18 +127,16 @@ impl ObsBenchReport {
     }
 }
 
-fn sweep_config(scale: Scale) -> SweepConfig {
+/// The router arm's stream sizing, shared with E16's overhead curve.
+pub(super) fn sweep_config(scale: Scale) -> SweepConfig {
     let mut cfg = match scale {
         Scale::Quick => SweepConfig::quick(),
         Scale::Full => SweepConfig::full(),
     };
-    // One fixed shape: the E10 sweep already covers workers × batch; E11
-    // varies only the observability configuration.
-    cfg.worker_counts = vec![2];
-    cfg.batch_sizes = vec![64];
     if matches!(scale, Scale::Full) {
-        // Longer passes: the budget referees single-digit percentages, and
-        // scheduler noise shrinks with pass length.
+        // Longer passes: the budget referees single-digit percentages,
+        // scheduler noise shrinks with pass length, and E16's adaptive arm
+        // needs several 10 ms controller windows per pass.
         cfg.packets *= 2;
     }
     cfg
@@ -166,8 +159,11 @@ fn ipc_rounds(scale: Scale) -> usize {
     }
 }
 
-/// Runs the router stream once and returns (pps, p50, p99).
-fn router_once(cfg: &SweepConfig, frames: &[Vec<u8>], instrument: bool) -> (f64, u64, u64) {
+/// Runs the router stream once and returns packets/sec. One fixed shape,
+/// 2 workers × batch 64: the E10 sweep already covers workers × batch, and
+/// E11 varies only the observability configuration. E16's overhead curve
+/// times the same arm.
+pub(super) fn router_once(cfg: &SweepConfig, frames: &[Vec<u8>], instrument: bool) -> f64 {
     let (trie, _) = build_tables(cfg.routes);
     let rc = RouterConfig {
         workers: 2,
@@ -176,10 +172,9 @@ fn router_once(cfg: &SweepConfig, frames: &[Vec<u8>], instrument: bool) -> (f64,
         ..RouterConfig::default()
     };
     let (report, elapsed) = run_stream(trie, PORTS, rc, frames);
-    let secs = elapsed.as_secs_f64().max(1e-9);
     #[allow(clippy::cast_precision_loss)]
-    let pps = report.packets() as f64 / secs;
-    (pps, report.latency_ns(0.50), report.latency_ns(0.99))
+    let pps = report.packets() as f64 / elapsed.as_secs_f64().max(1e-9);
+    pps
 }
 
 /// One round's arm setup: mode on, sampler shifts at their defaults, rings
@@ -247,7 +242,7 @@ pub fn measure(scale: Scale) -> ObsBenchReport {
     let router_medians = paired(
         n,
         configs.len(),
-        |s: &(f64, u64, u64)| s.0,
+        |&pps| pps,
         |i| {
             arm(configs[i].2);
             router_once(&cfg, &frames, configs[i].1)
@@ -265,15 +260,13 @@ pub fn measure(scale: Scale) -> ObsBenchReport {
     sysobs::set_mode(Mode::Disabled);
     sysobs::clear();
 
-    let baseline_pps = router_medians[0].0;
+    let baseline_pps = router_medians[0];
     let router = configs
         .iter()
         .zip(router_medians)
-        .map(|(&(mode, _, _), (pps, p50_ns, p99_ns))| RouterPoint {
+        .map(|(&(mode, _, _), pps)| RouterPoint {
             mode,
             pps,
-            p50_ns,
-            p99_ns,
             overhead_pct: overhead_pct(baseline_pps, pps),
         })
         .collect();
@@ -308,22 +301,13 @@ pub fn run(scale: Scale) -> Table {
     let report = measure(scale);
     let mut t = Table::new(
         "E11 — observability overhead: flight recorder and metrics, measured",
-        &[
-            "workload",
-            "config",
-            "rate / latency",
-            "p50",
-            "p99",
-            "overhead",
-        ],
+        &["workload", "config", "rate / latency", "overhead"],
     );
     for p in &report.router {
         t.row(vec![
             "router stream".into(),
             p.mode.into(),
             fmt_rate(p.pps),
-            fmt_ns(p.p50_ns),
-            fmt_ns(p.p99_ns),
             format!("{:+.1}%", p.overhead_pct),
         ]);
     }
@@ -332,8 +316,6 @@ pub fn run(scale: Scale) -> Table {
             "ipc ping-pong".into(),
             p.mode.into(),
             format!("{}/RT", fmt_ns(p.ns_per_rt)),
-            "—".into(),
-            "—".into(),
             format!("{:+.1}%", p.overhead_pct),
         ]);
     }

@@ -23,7 +23,7 @@
 //! shows the win on realistic traffic *and* bounds the regression on the
 //! pathological case.
 
-use super::{fmt_ns, fmt_rate, Scale, Table};
+use super::{fmt_rate, Scale, Table};
 use std::time::Instant;
 use sysnet::bench::{address_stream, build_tables, frame_stream, SweepConfig, PORTS, SEED};
 use sysnet::router::{run_trial, PoolStats, RouterConfig};
@@ -33,8 +33,6 @@ use sysobs::paired;
 /// One measured configuration.
 struct Point {
     pps: f64,
-    p50_ns: u64,
-    p99_ns: u64,
     hit_rate: f64,
     pool: PoolStats,
 }
@@ -63,8 +61,6 @@ fn measure(frames: &[Vec<u8>], routes: usize, cache_slots: usize) -> Point {
     });
     Point {
         pps: t.pps,
-        p50_ns: t.p50_ns,
-        p99_ns: t.p99_ns,
         hit_rate: report.cache_hit_rate(),
         pool: report.pool,
     }
@@ -139,8 +135,7 @@ pub fn run(scale: Scale) -> Table {
             "cache",
             "hit rate",
             "rate",
-            "p50",
-            "p99",
+            "ns/lookup",
             "frame reuse",
         ],
     );
@@ -169,7 +164,6 @@ pub fn run(scale: Scale) -> Table {
             fmt_rate(1e9 / ns.max(1e-9)),
             format!("{ns:.1} ns"),
             "—".into(),
-            "—".into(),
         ]);
     }
 
@@ -195,8 +189,7 @@ pub fn run(scale: Scale) -> Table {
                 "—".into()
             },
             fmt_rate(p.pps),
-            fmt_ns(p.p50_ns),
-            fmt_ns(p.p99_ns),
+            "—".into(),
             format!("{:.1} %", p.pool.frame_reuse_rate() * 100.0),
         ]);
     }

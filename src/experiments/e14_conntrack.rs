@@ -4,8 +4,8 @@
 //! running the `sysnet::conntrack` flow layer. Two questions, one table:
 //!
 //! * **scale** — what does stateful tracking cost as the live benign flow
-//!   population grows? (pps, p50/p99/p999 per-packet latency; the
-//!   benign-only rows);
+//!   population grows? (pps and peak table occupancy; the benign-only
+//!   rows);
 //! * **overload** — when a SYN flood joins the benign traffic, how much
 //!   established-flow goodput survives with the overload defense on —
 //!   half-open admission control, LRU+timeout eviction, SYN-cookie
@@ -17,7 +17,7 @@
 //! harness with a counting allocator and records `BENCH_conntrack.json`;
 //! this table is the EXPERIMENTS.md rendering.
 
-use super::{fmt_ns, fmt_rate, Scale, Table};
+use super::{fmt_rate, Scale, Table};
 use sysnet::ctbench::{run_ct_bench, CtBenchConfig, CtPoint};
 
 fn config_for(scale: Scale) -> CtBenchConfig {
@@ -47,9 +47,6 @@ fn row_of(t: &mut Table, p: &CtPoint, baseline: Option<&CtPoint>) {
         format!("{:.0}%", p.attack_mix * 100.0),
         if p.defense { "on" } else { "OFF" }.to_string(),
         fmt_rate(p.pps),
-        fmt_ns(p.p50_ns),
-        fmt_ns(p.p99_ns),
-        fmt_ns(p.p999_ns),
         format!("{:.1}%", 100.0 * p.benign_delivery()),
         goodput,
         format!("{}/{}", p.peak_flows, p.capacity),
@@ -74,9 +71,6 @@ pub fn run(scale: Scale) -> Table {
             "attack mix",
             "defense",
             "pps",
-            "p50",
-            "p99",
-            "p999",
             "benign delivery",
             "goodput retained",
             "peak/capacity",

@@ -200,7 +200,7 @@ pub fn run(scale: Scale) -> Table {
             p.updates_applied.to_string(),
             fmt_rate(p.pps),
             p.invalidation_misses.to_string(),
-            format!("{} / {}", fmt_ns(p.p50_ns), fmt_ns(p.p99_ns)),
+            "—".into(),
             "—".into(),
             vs_zero,
         ]);

@@ -29,6 +29,7 @@
 //! (`tests/obs_postmortem.rs`) asserts the exactly-one property in an
 //! isolated process; the table here renders the same outcomes.
 
+use super::e11_obs::{router_once, sweep_config};
 use super::{ct_flow_frame, fmt_rate, Scale, Table};
 use microkernel::kernel::{Kernel, Syscall};
 use microkernel::rights::Rights;
@@ -36,7 +37,7 @@ use std::sync::Arc;
 use sysfault::{FaultPlan, Schedule};
 use sysmem::epoch::Domain;
 use sysmem::freelist::FreeListHeap;
-use sysnet::bench::{build_tables, frame_stream, SweepConfig, PORTS};
+use sysnet::bench::frame_stream;
 use sysnet::conntrack::ConntrackConfig;
 use sysnet::ctbench::{ct_table, CT_PORTS};
 use sysnet::router::{run_stream, RouterConfig, SITE_NET_WORKER_STALL};
@@ -93,20 +94,6 @@ pub struct ScenarioOutcome {
     pub fault_digest: Option<u64>,
 }
 
-fn sweep_config(scale: Scale) -> SweepConfig {
-    let mut cfg = match scale {
-        Scale::Quick => SweepConfig::quick(),
-        Scale::Full => SweepConfig::full(),
-    };
-    if matches!(scale, Scale::Full) {
-        // Match E11's pass length: the adaptive arm needs several 10 ms
-        // controller windows per pass, or its convergence transient (the
-        // pre-fan-out first window) dominates the measurement.
-        cfg.packets *= 2;
-    }
-    cfg
-}
-
 fn reps(scale: Scale) -> usize {
     // Rounds of the paired measurement (odd, for a true median).
     match scale {
@@ -115,24 +102,10 @@ fn reps(scale: Scale) -> usize {
     }
 }
 
-/// Runs the router stream once and returns packets/sec.
-fn router_pps(cfg: &SweepConfig, frames: &[Vec<u8>], instrument: bool) -> f64 {
-    let (trie, _) = build_tables(cfg.routes);
-    let rc = RouterConfig {
-        workers: 2,
-        batch_size: 64,
-        instrument,
-        ..RouterConfig::default()
-    };
-    let (report, elapsed) = run_stream(trie, PORTS, rc, frames);
-    #[allow(clippy::cast_precision_loss)]
-    let pps = report.packets() as f64 / elapsed.as_secs_f64().max(1e-9);
-    pps
-}
-
 /// The sampled-tracing overhead curve: fixed shifts, then adaptive, as the
-/// arms of [`paired`] rounds (like E11), so host drift cancels out of the
-/// cross-arm ratios instead of masquerading as sampling cost.
+/// arms of [`paired`] rounds over E11's router arm and stream, so host
+/// drift cancels out of the cross-arm ratios instead of masquerading as
+/// sampling cost.
 #[must_use]
 pub fn overhead_curve(scale: Scale) -> Vec<OverheadPoint> {
     let cfg = sweep_config(scale);
@@ -158,7 +131,7 @@ pub fn overhead_curve(scale: Scale) -> Vec<OverheadPoint> {
         sampler().set_fixed_shift(if instrument { shift } else { None });
         sampler().reset_sites();
         sysobs::clear();
-        let pps = router_pps(&cfg, &frames, instrument);
+        let pps = router_once(&cfg, &frames, instrument);
         sysobs::set_mode(Mode::Disabled);
         pps
     };

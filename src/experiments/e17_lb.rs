@@ -44,8 +44,6 @@ fn row_of(t: &mut Table, p: &LbPoint) {
         p.scenario.name().to_string(),
         format!("{}", p.flows),
         fmt_rate(p.pps),
-        fmt_ns(p.p50_ns),
-        fmt_ns(p.p99_ns),
         format!("{:.1}%", 100.0 * p.benign_delivery()),
         if p.storm_sent == 0 {
             "—".to_string()
@@ -69,8 +67,6 @@ pub fn run(scale: Scale) -> Table {
             "scenario",
             "flows",
             "pps",
-            "p50",
-            "p99",
             "benign delivery",
             "storm fwd",
             "assigned",
