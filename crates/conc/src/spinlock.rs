@@ -21,7 +21,7 @@
 use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::Ordering;
-use syscheck::shim::{spin_loop, yield_now, AtomicBool, AtomicU64};
+use syscheck::shim::{spin_loop, yield_now, AtomicBool};
 
 /// Iterations a spinner burns before it starts yielding its timeslice to
 /// whoever holds the lock.
@@ -64,7 +64,6 @@ fn backoff(spins: &mut u32) {
 #[derive(Debug, Default)]
 pub struct SpinLock<T> {
     locked: AtomicBool,
-    contended: AtomicU64,
     data: UnsafeCell<T>,
 }
 
@@ -78,14 +77,12 @@ impl<T> SpinLock<T> {
     pub const fn new(value: T) -> Self {
         SpinLock {
             locked: AtomicBool::new(false),
-            contended: AtomicU64::new(0),
             data: UnsafeCell::new(value),
         }
     }
 
     /// Spins until the lock is acquired.
     pub fn lock(&self) -> SpinGuard<'_, T> {
-        let mut spun = false;
         let mut spins = 0u32;
         loop {
             // Test-and-test-and-set: spin on a read to avoid cache-line
@@ -93,7 +90,6 @@ impl<T> SpinLock<T> {
             // The read is `Acquire` so observing "unlocked" synchronizes
             // with the previous owner's release.
             while self.locked.load(Ordering::Acquire) {
-                spun = true;
                 backoff(&mut spins);
             }
             if self
@@ -101,9 +97,6 @@ impl<T> SpinLock<T> {
                 .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
                 .is_ok()
             {
-                if spun {
-                    self.contended.fetch_add(1, Ordering::Relaxed);
-                }
                 return SpinGuard { lock: self };
             }
         }
@@ -115,11 +108,6 @@ impl<T> SpinLock<T> {
             .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
             .ok()
             .map(|_| SpinGuard { lock: self })
-    }
-
-    /// Number of acquisitions that had to spin (contention metric for E7).
-    pub fn contended_acquires(&self) -> u64 {
-        self.contended.load(Ordering::Relaxed)
     }
 }
 
@@ -183,27 +171,6 @@ mod tests {
         assert!(lock.try_lock().is_none());
         drop(g);
         assert!(lock.try_lock().is_some());
-    }
-
-    #[test]
-    fn contention_counter_reports_spinning() {
-        let lock = Arc::new(SpinLock::new(0u64));
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let lock = Arc::clone(&lock);
-                thread::spawn(move || {
-                    for _ in 0..20_000 {
-                        *lock.lock() += 1;
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        // With 4 threads hammering, at least some acquisitions contended.
-        // (Not guaranteed on a 1-core machine, so only sanity-check the API.)
-        let _ = lock.contended_acquires();
     }
 
     #[test]

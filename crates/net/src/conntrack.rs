@@ -390,12 +390,15 @@ pub struct NatRewrite {
     pub backend: u16,
 }
 
-/// One slab slot. Live slots are linked into their state's recency list
-/// (`prev`/`next`, most-recent at head) and their hash bucket's chain
-/// (`hash_next`); free slots reuse `next` as the free-list link. A NAT'd
-/// flow occupies *two* twin-linked slots — one keyed by the client↔VIP
-/// tuple, one by the client↔backend tuple — kept in state lockstep and
-/// removed as a pair.
+/// One slab slot. Every live slot is on its hash bucket's chain
+/// (`hash_next`); free slots reuse `next` as the free-list link. A record
+/// (one tracked connection) is one slot on its state's recency list
+/// (`prev`/`next`, most-recent at head), holding the state, `last_seen_ns`
+/// and any rewrite. A NAT'd connection is one record with two keys: the
+/// client↔VIP slot is the record, and the client↔backend slot is its
+/// *reply* key, which holds only its key, its chain link and `twin` → the
+/// record, is on no state list and carries no rewrite. So `twin` set with
+/// `nat` unset marks a reply slot; the record's `twin` points back.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     key: FlowKey,
@@ -597,16 +600,32 @@ impl Conntrack {
         b
     }
 
+    /// The record `key` belongs to: a reply key resolves to its NAT pair's
+    /// record, so every caller acts on the record alone.
     fn lookup_slot(&self, key: &FlowKey, hash: u64) -> Option<u32> {
         let mut i = self.buckets[self.bucket_of(hash)];
         while i != NIL {
             let slot = &self.slots[i as usize];
             if slot.key == *key {
-                return Some(i);
+                let is_reply = slot.twin != NIL && slot.nat.is_none();
+                return Some(if is_reply { slot.twin } else { i });
             }
             i = slot.hash_next;
         }
         None
+    }
+
+    /// Entries record `idx` counts as in `len`, `half_open`,
+    /// `flows_created`, `removed` and the peaks: one per key, so a NAT pair
+    /// counts as two. How a pair counts is decided here alone; the shared
+    /// gauge is charged per slab slot (`alloc_slot`, `free_slot`), which
+    /// today is the same number.
+    fn weight(&self, idx: u32) -> usize {
+        if self.slots[idx as usize].twin == NIL {
+            1
+        } else {
+            2
+        }
     }
 
     fn list_push_head(&mut self, state: FlowState, idx: u32) {
@@ -653,7 +672,7 @@ impl Conntrack {
     fn transition(&mut self, idx: u32, to: FlowState, now_ns: u64) {
         let from = self.slots[idx as usize].state;
         if from == FlowState::SynSeen && to != FlowState::SynSeen {
-            self.half_open -= 1;
+            self.half_open -= self.weight(idx);
         }
         self.list_unlink(idx);
         self.list_push_head(to, idx);
@@ -682,25 +701,26 @@ impl Conntrack {
         unreachable!("slot {idx} missing from its bucket chain");
     }
 
-    /// Removes an entry *and its NAT twin* (a half-flow without its mate is
-    /// a rewrite that only works in one direction — never leave one behind).
+    /// Removes record `idx`, freeing its reply key's slot with it (a
+    /// half-flow without its mate is a rewrite that only works in one
+    /// direction — never leave one behind).
     fn remove(&mut self, idx: u32, cause: EvictCause) {
-        let twin = self.slots[idx as usize].twin;
-        if twin != NIL {
-            // Break the link both ways first so neither removal recurses.
-            self.slots[twin as usize].twin = NIL;
-            self.slots[idx as usize].twin = NIL;
-            self.remove_one(twin, cause);
+        let weight = self.weight(idx);
+        if self.slots[idx as usize].state == FlowState::SynSeen {
+            self.half_open -= weight;
         }
-        self.remove_one(idx, cause);
+        self.len -= weight;
+        self.stats.removed[cause as usize] += weight as u64;
+        self.list_unlink(idx);
+        let reply = self.slots[idx as usize].twin;
+        if reply != NIL {
+            self.free_slot(reply);
+        }
+        self.free_slot(idx);
     }
 
-    fn remove_one(&mut self, idx: u32, cause: EvictCause) {
-        if self.slots[idx as usize].state == FlowState::SynSeen {
-            self.half_open -= 1;
-        }
+    fn free_slot(&mut self, idx: u32) {
         self.unlink_hash(idx);
-        self.list_unlink(idx);
         let slot = &mut self.slots[idx as usize];
         slot.key = EMPTY_KEY;
         slot.prev = NIL;
@@ -709,11 +729,7 @@ impl Conntrack {
         slot.nat = None;
         slot.next = self.free_head;
         self.free_head = idx;
-        self.len -= 1;
-        self.stats.removed[cause as usize] += 1;
-        if let Some(shared) = &self.shared {
-            shared.uncharge();
-        }
+        self.uncharge_one();
     }
 
     /// Least-recent live entry across every state list (defense-off LRU).
@@ -808,26 +824,40 @@ impl Conntrack {
 
     fn insert(&mut self, key: FlowKey, state: FlowState, now_ns: u64) -> Result<u32, DropReason> {
         let idx = self.alloc_slot(now_ns)?;
-        let hash = key.hash();
-        let b = self.bucket_of(hash);
+        self.link(idx, key, state, now_ns, NIL);
+        Ok(idx)
+    }
+
+    /// Puts allocated slot `idx` on `key`'s bucket chain: as a new record at
+    /// the head of `state`'s list, or, with `record` set, as that record's
+    /// reply key. Counts the entries this adds.
+    fn link(&mut self, idx: u32, key: FlowKey, state: FlowState, now_ns: u64, record: u32) {
+        let b = self.bucket_of(key.hash());
         {
             let slot = &mut self.slots[idx as usize];
             slot.key = key;
-            slot.last_seen_ns = now_ns;
             slot.hash_next = self.buckets[b];
-            slot.twin = NIL;
+            slot.twin = record;
             slot.nat = None;
         }
         self.buckets[b] = idx;
-        self.list_push_head(state, idx);
-        self.len += 1;
+        let added = if record == NIL {
+            self.slots[idx as usize].last_seen_ns = now_ns;
+            self.list_push_head(state, idx);
+            self.weight(idx)
+        } else {
+            let alone = self.weight(record);
+            self.slots[idx as usize].next = NIL;
+            self.slots[record as usize].twin = idx;
+            self.weight(record) - alone
+        };
+        self.len += added;
         if state == FlowState::SynSeen {
-            self.half_open += 1;
+            self.half_open += added;
         }
         self.stats.peak_flows = self.stats.peak_flows.max(self.len as u64);
         self.stats.peak_half_open = self.stats.peak_half_open.max(self.half_open as u64);
-        self.stats.flows_created += 1;
-        Ok(idx)
+        self.stats.flows_created += added as u64;
     }
 
     // ---- the per-packet decision ----------------------------------------
@@ -887,20 +917,7 @@ impl Conntrack {
             // removes the entry but is itself forwarded, and still needs
             // its rewrite on the way out.
             let nat = self.slots[idx as usize].nat;
-            let twin = self.slots[idx as usize].twin;
-            let res = self.admit_existing(idx, seg, now_ns);
-            // NAT twin lockstep: if the pair survived the segment (teardown
-            // removes both inside `remove`), mirror the primary's state onto
-            // the twin so sweeps and drains see one flow, not two.
-            if res.is_ok() && twin != NIL && self.slots[idx as usize].key == *key {
-                let state = self.slots[idx as usize].state;
-                if self.slots[twin as usize].state == state {
-                    self.touch(twin, now_ns);
-                } else {
-                    self.transition(twin, state, now_ns);
-                }
-            }
-            return res.map(|()| nat);
+            return self.admit_existing(idx, seg, now_ns).map(|()| nat);
         }
         if !create {
             return Err(DropReason::NoFlow);
@@ -1009,11 +1026,12 @@ impl Conntrack {
         self.lookup_slot(key, key.hash()).is_some()
     }
 
-    /// Inserts a NAT'd flow: twin entries under the pre-rewrite key
-    /// (`orig`, client↔VIP) and the post-rewrite key (`reply`,
-    /// client↔backend), both carrying `nat` and linked so they live and die
-    /// together. When rewrite and canonicalization collapse both tuples to
-    /// one key (a degenerate hairpin), a single un-twinned entry is stored.
+    /// Inserts a NAT'd flow: one record under the pre-rewrite key (`orig`,
+    /// client↔VIP) carrying `nat`, with the post-rewrite key (`reply`,
+    /// client↔backend) as its reply key, so a lookup by either key finds
+    /// the same record and both live and die together. When rewrite and
+    /// canonicalization collapse both tuples to one key (a degenerate
+    /// hairpin), the record has no reply key.
     ///
     /// # Errors
     ///
@@ -1042,28 +1060,28 @@ impl Conntrack {
             return Err(DropReason::StateViolation);
         }
         let a = self.insert(*orig, state, now_ns)?;
-        let b = match self.insert(*reply, state, now_ns) {
+        let b = match self.alloc_slot(now_ns) {
             Ok(b) => b,
             Err(e) => {
-                // Roll back the first half — unless the second insert's own
-                // eviction already took it (possible when the first entry
-                // was the oldest half-open).
+                // Roll back the first half — unless the second allocation's
+                // own eviction already took it (possible when the first
+                // entry was the oldest half-open).
                 if self.slots[a as usize].key == *orig {
-                    self.remove_one(a, Self::rollback_cause(state));
+                    self.remove(a, Self::rollback_cause(state));
                 }
                 return Err(e);
             }
         };
         if self.slots[a as usize].key != *orig {
-            // The second insert evicted the first to make room: the pair
-            // cannot exist, so drop the orphan half too.
-            self.remove_one(b, Self::rollback_cause(state));
+            // The second allocation evicted the first half to make room: the
+            // pair cannot exist, so the reply half is created and dropped as
+            // an orphan.
+            self.link(b, *reply, state, now_ns, NIL);
+            self.remove(b, Self::rollback_cause(state));
             return Err(DropReason::FlowTableFull);
         }
+        self.link(b, *reply, state, now_ns, a);
         self.slots[a as usize].nat = Some(nat);
-        self.slots[b as usize].nat = Some(nat);
-        self.slots[a as usize].twin = b;
-        self.slots[b as usize].twin = a;
         self.stats.pkts[state as usize] += 1;
         Ok(())
     }
@@ -1078,51 +1096,20 @@ impl Conntrack {
         }
     }
 
-    /// Refreshes a tracked flow's recency (both twins) without driving the
-    /// TCP machine — the UDP path's per-packet touch. Returns `false` if
-    /// the key is not tracked.
-    pub fn refresh(&mut self, key: &FlowKey, now_ns: u64) -> bool {
-        let Some(idx) = self.lookup_slot(key, key.hash()) else {
-            return false;
-        };
-        self.touch(idx, now_ns);
-        let twin = self.slots[idx as usize].twin;
-        if twin != NIL {
-            self.touch(twin, now_ns);
-        }
-        self.stats.pkts[self.slots[idx as usize].state as usize] += 1;
-        true
-    }
-
-    /// [`Self::refresh`] fused with the NAT lookup: if `key` is tracked
-    /// *and* carries a rewrite, refresh both twins' recency and return the
-    /// tuple — one hash walk for the whole balanced datagram path. Flows
-    /// without NAT state are left untouched (the caller treats them as
-    /// untracked, exactly as the split `nat_of` + `refresh` pair did).
+    /// Refreshes a NAT'd flow's recency without driving the TCP machine —
+    /// the balanced datagram path's per-packet touch: if `key` is tracked
+    /// *and* carries a rewrite, touch its record and return the tuple, in
+    /// one hash walk. Flows without NAT state are left untouched (the
+    /// caller treats them as untracked).
     pub fn refresh_nat(&mut self, key: &FlowKey, now_ns: u64) -> Option<NatRewrite> {
         let idx = self.lookup_slot(key, key.hash())?;
         let nat = self.slots[idx as usize].nat?;
         self.touch(idx, now_ns);
-        let twin = self.slots[idx as usize].twin;
-        if twin != NIL {
-            self.touch(twin, now_ns);
-        }
         self.stats.pkts[self.slots[idx as usize].state as usize] += 1;
         Some(nat)
     }
 
-    /// Removes a tracked flow (and its twin) under [`EvictCause::Rst`]-style
-    /// explicit teardown — the balancer's eject path for flows whose
-    /// backend died. Returns `false` if the key is not tracked.
-    pub fn remove_flow(&mut self, key: &FlowKey, cause: EvictCause) -> bool {
-        let Some(idx) = self.lookup_slot(key, key.hash()) else {
-            return false;
-        };
-        self.remove(idx, cause);
-        true
-    }
-
-    /// Removes every NAT'd flow assigned to `backend` (both twins each),
+    /// Removes every NAT'd flow assigned to `backend` (both keys each),
     /// returning entries freed. A full-slab walk — the balancer calls this
     /// only on a health-probe death verdict, never per packet. Without it a
     /// client's SYN retransmit keeps matching the stale rewrite and chases
@@ -1184,9 +1171,8 @@ impl Conntrack {
                 }
                 // A NAT pair reaps as two entries in one removal; count (and
                 // budget) the real work.
-                let before = self.len;
+                let freed = self.weight(tail);
                 self.remove(tail, EvictCause::Timeout);
-                let freed = before - self.len;
                 budget = budget.saturating_sub(freed);
                 reaped += freed;
             }
@@ -1205,10 +1191,11 @@ impl Conntrack {
 
     // ---- structure audit -------------------------------------------------
 
-    /// Audits the slab / bucket / list structure: every live entry on
-    /// exactly one state list and one bucket chain, gauges consistent,
-    /// bounds respected. Fault campaigns assert this after injecting
-    /// table-full, timer-stall, and desync faults.
+    /// Audits the slab / bucket / list structure: every record on exactly
+    /// one state list, every reply key on none and tied both ways to a
+    /// record that holds the rewrite, every live slot on one bucket chain,
+    /// gauges consistent, bounds respected. Fault campaigns assert this
+    /// after injecting table-full, timer-stall, and desync faults.
     ///
     /// # Errors
     ///
@@ -1226,7 +1213,8 @@ impl Conntrack {
                 self.half_open, self.cfg.syn_backlog
             ));
         }
-        let mut on_list = vec![false; self.slots.len()];
+        let mut live = vec![false; self.slots.len()];
+        let mut live_slots = 0usize;
         let mut listed = 0usize;
         let mut listed_half = 0usize;
         for (s, &[head, tail]) in self.lists.iter().enumerate() {
@@ -1234,10 +1222,16 @@ impl Conntrack {
             let mut i = head;
             while i != NIL {
                 let slot = &self.slots[i as usize];
-                if on_list[i as usize] {
+                // A listed slot with a reply key is the pair's record, so it
+                // holds the rewrite; one without a rewrite is a reply key.
+                if slot.twin != NIL && slot.nat.is_none() {
+                    return Err(format!("reply slot {i} on state list {s}"));
+                }
+                if live[i as usize] {
                     return Err(format!("slot {i} linked twice"));
                 }
-                on_list[i as usize] = true;
+                live[i as usize] = true;
+                live_slots += 1;
                 if slot.state as usize != s {
                     return Err(format!(
                         "slot {i} on list {s} but in state {:?}",
@@ -1247,15 +1241,25 @@ impl Conntrack {
                 if slot.prev != prev {
                     return Err(format!("slot {i} prev link broken"));
                 }
-                listed += 1;
+                let r = slot.twin;
+                if r != NIL {
+                    let reply = self
+                        .slots
+                        .get(r as usize)
+                        .ok_or_else(|| format!("slot {i} reply {r} out of range"))?;
+                    if live[r as usize] || reply.twin != i || reply.nat.is_some() {
+                        return Err(format!("slot {i} and reply slot {r} are not one pair"));
+                    }
+                    live[r as usize] = true;
+                    live_slots += 1;
+                }
+                let weight = self.weight(i);
+                listed += weight;
                 if s == FlowState::SynSeen as usize {
-                    listed_half += 1;
+                    listed_half += weight;
                 }
                 prev = i;
                 i = slot.next;
-                if listed > self.slots.len() {
-                    return Err("state list cycle".to_string());
-                }
             }
             if self.lists[s][1] != prev || (head == NIL) != (tail == NIL) {
                 return Err(format!("list {s} tail mismatch"));
@@ -1278,8 +1282,8 @@ impl Conntrack {
             let mut i = head;
             while i != NIL {
                 let slot = &self.slots[i as usize];
-                if !on_list[i as usize] {
-                    return Err(format!("slot {i} in bucket {b} but on no state list"));
+                if !live[i as usize] {
+                    return Err(format!("slot {i} in bucket {b} but not live"));
                 }
                 if self.bucket_of(slot.key.hash()) != b {
                     return Err(format!("slot {i} hashed to the wrong bucket"));
@@ -1291,16 +1295,15 @@ impl Conntrack {
                 }
             }
         }
-        if chained != self.len {
+        if chained != live_slots {
             return Err(format!(
-                "buckets chain {chained} entries, len says {}",
-                self.len
+                "buckets chain {chained} slots, {live_slots} are live"
             ));
         }
         let mut free = 0usize;
         let mut i = self.free_head;
         while i != NIL {
-            if on_list[i as usize] {
+            if live[i as usize] {
                 return Err(format!("slot {i} both free and live"));
             }
             free += 1;
@@ -1309,32 +1312,11 @@ impl Conntrack {
                 return Err("free list cycle".to_string());
             }
         }
-        if free + self.len != self.cfg.max_flows {
+        if free + live_slots != self.cfg.max_flows {
             return Err(format!(
-                "free {free} + live {} != max_flows {}",
-                self.len, self.cfg.max_flows
+                "free {free} + live {live_slots} != max_flows {}",
+                self.cfg.max_flows
             ));
-        }
-        for (i, slot) in self.slots.iter().enumerate() {
-            if !on_list[i] || slot.twin == NIL {
-                continue;
-            }
-            let t = slot.twin as usize;
-            if t >= self.slots.len() || !on_list[t] {
-                return Err(format!("slot {i} twin {t} is not live"));
-            }
-            if self.slots[t].twin != u32::try_from(i).expect("slab fits u32") {
-                return Err(format!("slot {i} twin link not symmetric"));
-            }
-            if self.slots[t].state != slot.state {
-                return Err(format!(
-                    "twin pair ({i},{t}) state split: {:?} vs {:?}",
-                    slot.state, self.slots[t].state
-                ));
-            }
-            if slot.nat.is_none() || self.slots[t].nat.is_none() {
-                return Err(format!("twin pair ({i},{t}) missing its rewrite tuple"));
-            }
         }
         Ok(())
     }
@@ -1788,10 +1770,10 @@ mod tests {
         assert_eq!(ct.half_open_len(), 2);
         assert_eq!(ct.nat_of(&orig), Some(nat(1)));
         assert_eq!(ct.nat_of(&reply), Some(nat(1)));
-        ct.check_invariants().expect("twin symmetry");
-        // The handshake ACK on the orig key promotes BOTH twins.
+        ct.check_invariants().expect("one record, two keys");
+        // The handshake ACK on the orig key promotes the whole pair.
         ct.admit_tcp(&orig, ACK, MS).expect("promoted");
-        assert_eq!(ct.half_open_len(), 0, "twin promoted in lockstep");
+        assert_eq!(ct.half_open_len(), 0, "both keys promoted together");
         // Packets on the reply key drive the same flow.
         ct.admit_tcp(&reply, ACK, 2 * MS).expect("reply direction");
         // RST on either key removes the pair.
@@ -1799,6 +1781,23 @@ mod tests {
         assert_eq!(ct.len(), 0, "both twins removed");
         assert!(ct.nat_of(&orig).is_none());
         ct.check_invariants().expect("clean after pair teardown");
+    }
+
+    #[test]
+    fn audit_rejects_a_reply_key_on_a_state_list() {
+        let mut ct = Conntrack::new(cfg(64, 16));
+        let (orig, reply) = nat_keys(1);
+        ct.insert_nat(&orig, &reply, nat(1), FlowState::Established, 0)
+            .unwrap();
+        let record = ct.lookup_slot(&reply, reply.hash()).unwrap();
+        assert_eq!(
+            ct.slots[record as usize].key, orig,
+            "reply key resolves to the record"
+        );
+        let r = ct.slots[record as usize].twin;
+        ct.list_push_head(FlowState::Established, r);
+        let err = ct.check_invariants().unwrap_err();
+        assert!(err.contains("reply slot"), "{err}");
     }
 
     #[test]
@@ -1827,7 +1826,7 @@ mod tests {
     }
 
     #[test]
-    fn nat_refresh_touches_both_twins() {
+    fn nat_pair_refreshes_and_expires_together() {
         let c = ConntrackConfig {
             established_timeout_ns: 10 * S,
             ..cfg(64, 16)
@@ -1836,11 +1835,19 @@ mod tests {
         let (orig, reply) = nat_keys(1);
         ct.insert_nat(&orig, &reply, nat(1), FlowState::Established, 0)
             .unwrap();
-        assert!(ct.refresh(&reply, 9 * S), "tracked flow refreshes");
-        assert!(!ct.refresh(&key(99), 9 * S), "unknown key does not");
-        // Sweep at 15 s: both twins were touched at 9 s, so neither is
-        // idle past the 10 s timeout. A half-refreshed pair would lose one
-        // direction here.
+        assert_eq!(
+            ct.refresh_nat(&reply, 9 * S),
+            Some(nat(1)),
+            "tracked flow refreshes"
+        );
+        assert_eq!(
+            ct.refresh_nat(&key(99), 9 * S),
+            None,
+            "unknown key does not"
+        );
+        // Sweep at 15 s: the refresh by the reply key at 9 s touched the
+        // pair, so neither key is idle past the 10 s timeout. A
+        // half-refreshed pair would lose one direction here.
         assert_eq!(ct.sweep(15 * S), 0);
         assert_eq!(ct.len(), 2);
         // At 25 s both expire together.
@@ -1860,17 +1867,6 @@ mod tests {
         ct.admit_tcp(&orig, RST, MS).unwrap();
         assert!(ct.is_empty());
         ct.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn remove_flow_ejects_the_pair() {
-        let mut ct = Conntrack::new(cfg(64, 16));
-        let (orig, reply) = nat_keys(1);
-        ct.insert_nat(&orig, &reply, nat(1), FlowState::Established, 0)
-            .unwrap();
-        assert!(ct.remove_flow(&orig, EvictCause::Rst));
-        assert_eq!(ct.len(), 0);
-        assert!(!ct.remove_flow(&orig, EvictCause::Rst), "already gone");
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! packet of a flow picks a backend by **weighted rendezvous hashing** over
 //! the flow's canonical [`FlowKey::hash`] — stable under pool changes (only
 //! flows whose backend left move), no per-flow ring state. The chosen
-//! rewrite is stored in the flow's conntrack entry ([`NatRewrite`], twin
-//! slots for both tuple directions), so every later packet rewrites from
-//! one lookup: destination NAT toward the backend on the forward path,
+//! rewrite is stored in the flow's conntrack record ([`NatRewrite`]; the
+//! record is keyed by both the client↔VIP and the client↔backend tuple),
+//! so every later packet, in either direction, rewrites from one lookup:
+//! destination NAT toward the backend on the forward path,
 //! source NAT back to the VIP on the reply path, both via the mutable
 //! [`sysrepr::packet`] views with RFC 1624 incremental checksum fixup —
 //! zero copies, zero allocations in steady state. The balancer is a stage
@@ -507,8 +508,8 @@ impl BackendPool {
         Verdict::plain(ends.src, ends.dst)
     }
 
-    /// Selects a backend for a new VIP flow and installs its twin NAT
-    /// entries.
+    /// Selects a backend for a new VIP flow and installs its NAT record
+    /// under both keys.
     fn assign(
         &mut self,
         ct: &mut Conntrack,

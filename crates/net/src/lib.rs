@@ -32,7 +32,8 @@
 //!   RFC 1624 incremental checksum fixup.
 //! * [`lb`] — L4 load balancing over conntrack: weighted rendezvous backend
 //!   selection keyed by the canonical flow hash, NAT rewrite tuples stored
-//!   in the flow entry (twin slots, both directions from one lookup),
+//!   in the flow entry (one record with two keys, so either direction
+//!   finds it in one lookup),
 //!   in-place header rewriting through the mutable [`sysrepr::packet`]
 //!   views, and seeded health probes with drain/eject semantics.
 //! * [`router`] — the sharded multi-worker router: flows hash-partition

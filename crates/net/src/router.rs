@@ -133,12 +133,13 @@ impl Default for RouterConfig {
 const STALL_CAP_FACTOR: usize = 2;
 
 /// One worker's batch: owned frames plus the dispatch timestamp the
-/// `net.batch_latency_ns` histogram measures from. The same buffers cycle
-/// dispatcher → worker → recycle channel → dispatcher for the router's
-/// lifetime.
+/// `net.batch_latency_ns` histogram measures from (stamped only when the
+/// router is instrumented, the one case that records it). The same buffers
+/// cycle dispatcher → worker → recycle channel → dispatcher for the
+/// router's lifetime.
 struct Batch {
     frames: Vec<Vec<u8>>,
-    submitted: Instant,
+    submitted: Option<Instant>,
     /// Packed causal trace context ([`sysobs::context`] carrier form)
     /// stamped by the dispatcher when this batch won the sampling draw;
     /// 0 = untraced. Workers adopt it before processing, so the spans a
@@ -256,17 +257,6 @@ impl WorkerStats {
     #[must_use]
     pub fn dropped_total(&self) -> u64 {
         self.dropped.iter().sum()
-    }
-
-    /// Mean frames per batch this worker saw (batch occupancy).
-    #[must_use]
-    #[allow(clippy::cast_precision_loss)]
-    pub fn mean_occupancy(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.occupancy_sum as f64 / self.batches as f64
-        }
     }
 
     /// Flow-cache hit rate (0.0 when the cache was never consulted).
@@ -553,8 +543,8 @@ fn worker_loop<const OBS: bool>(
         if let Some(c) = &cache {
             shared.store_cache(c);
         }
-        if OBS {
-            let ns = u64::try_from(batch.submitted.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        if let (true, Some(at)) = (OBS, batch.submitted) {
+            let ns = u64::try_from(at.elapsed().as_nanos()).unwrap_or(u64::MAX);
             sysobs::obs_hist!("net.batch_latency_ns", ns);
         }
         let _ = recycle.send(batch);
@@ -910,7 +900,7 @@ impl ShardedRouter {
         }
         let batch = Batch {
             frames,
-            submitted: Instant::now(),
+            submitted: self.instrument.then(Instant::now),
             ctx,
         };
         self.offer(w, batch);
@@ -1346,7 +1336,6 @@ mod tests {
         let (report, _) = run_stream(table(), 3, cfg, &frames);
         let w = &report.stats.per_worker[0];
         assert_eq!(w.occupancy_sum, 256);
-        assert!(w.mean_occupancy() > 0.0 && w.mean_occupancy() <= 32.0);
     }
 
     #[test]

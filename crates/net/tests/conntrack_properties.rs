@@ -11,7 +11,8 @@
 //! final table.
 
 use proptest::prelude::*;
-use sysnet::conntrack::{EvictCause, FlowState, NatRewrite, TcpSummary};
+use sysfault::{FaultInjector, FaultPlan, Schedule};
+use sysnet::conntrack::{EvictCause, FlowState, NatRewrite, TcpSummary, SITE_CT_STATE_DESYNC};
 use sysnet::lpm::TrieTable;
 use sysnet::pipeline::route_frame;
 use sysnet::{Conntrack, ConntrackConfig, FlowKey};
@@ -321,4 +322,188 @@ proptest! {
         }
         ct.check_invariants().expect("final audit");
     }
+}
+
+/// A fixed xorshift64* stream: the recency-digest run must be the same
+/// sequence of ops on every build.
+struct Stream(u64);
+
+impl Stream {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+}
+
+/// FNV-1a over `bytes`, continuing from `h`.
+fn fold(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3))
+}
+
+/// The rewrite tuple and both keys of NAT pair `p`: client `p` dials one
+/// VIP and is balanced to backend `p % 4`.
+fn recency_pair(p: u64) -> (FlowKey, FlowKey, NatRewrite) {
+    let backend = (p % 4) as u16;
+    let nat = NatRewrite {
+        client_ip: u32::from_be_bytes([172, 20, 0, p as u8]),
+        client_port: 41_000 + p as u16,
+        vip: u32::from_be_bytes([10, 200, 0, 1]),
+        vport: 80,
+        backend_ip: u32::from_be_bytes([10, 50, 0, backend as u8]),
+        backend_port: 8_080,
+        backend,
+    };
+    let orig = FlowKey::canonical(
+        nat.client_ip,
+        nat.vip,
+        nat.client_port,
+        nat.vport,
+        IPPROTO_TCP,
+    );
+    let reply = FlowKey::canonical(
+        nat.client_ip,
+        nat.backend_ip,
+        nat.client_port,
+        nat.backend_port,
+        IPPROTO_TCP,
+    );
+    (orig, reply, nat)
+}
+
+/// Runs 4 000 seeded ops over 12 NAT pairs and 10 plain flows against `ct`
+/// and returns the digest of every op's result together with `len`,
+/// `half_open_len`, `cookie_mode` and `stats().removed` after it. Which
+/// entry the sweep, the backlog-pressure evictor and the LRU evictor take
+/// depends on recency order, so the digest pins that order.
+fn recency_digest(mut ct: Conntrack) -> (u64, Conntrack) {
+    const FLAGS: [u8; 6] = [
+        TCP_SYN,
+        TCP_ACK,
+        TCP_SYN | TCP_ACK,
+        TCP_FIN | TCP_ACK,
+        TCP_RST,
+        TCP_FIN,
+    ];
+    let mut rng = Stream(0x005E_ED0F_2EC0);
+    let mut now = 0u64;
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    for _ in 0..4_000 {
+        now += rng.below(200_000_000);
+        let (orig, reply, nat) = recency_pair(rng.below(12));
+        let key = if rng.below(2) == 0 { orig } else { reply };
+        let flags = if rng.below(8) == 0 {
+            rng.next() as u8
+        } else {
+            FLAGS[rng.below(FLAGS.len() as u64) as usize]
+        };
+        let result = match rng.below(100) {
+            0..=19 => {
+                let state = if rng.below(2) == 0 {
+                    FlowState::SynSeen
+                } else {
+                    FlowState::Established
+                };
+                format!("insert {:?}", ct.insert_nat(&orig, &reply, nat, state, now))
+            }
+            20..=54 => {
+                let ack_no = if rng.below(2) == 0 {
+                    ct.cookie(&key).wrapping_add(1)
+                } else {
+                    rng.next() as u32
+                };
+                let create = rng.below(2) == 0;
+                let got = ct.admit_tcp_nat(&key, summary_of(flags, ack_no), now, create);
+                format!("admit {got:?}")
+            }
+            55..=69 => {
+                let plain = key_of(rng.below(10) as usize);
+                let ack_no = if rng.below(2) == 0 {
+                    ct.cookie(&plain).wrapping_add(1)
+                } else {
+                    rng.next() as u32
+                };
+                let got = ct.admit_tcp_nat(&plain, summary_of(flags, ack_no), now, true);
+                format!("plain {got:?}")
+            }
+            70..=84 => format!("refresh {:?}", ct.refresh_nat(&key, now)),
+            85..=89 => {
+                now += rng.below(6_000_000_000);
+                format!("sweep {}", ct.sweep(now))
+            }
+            90..=96 => format!("sweep {}", ct.sweep(now)),
+            _ => format!(
+                "eject {}",
+                ct.eject_backend(rng.below(4) as u16, EvictCause::BackendDead)
+            ),
+        };
+        h = fold(h, result.as_bytes());
+        h = fold(h, &(ct.len() as u64).to_le_bytes());
+        h = fold(h, &(ct.half_open_len() as u64).to_le_bytes());
+        h = fold(h, &[u8::from(ct.cookie_mode())]);
+        for n in ct.stats().removed {
+            h = fold(h, &n.to_le_bytes());
+        }
+        // `insert_nat` creates half-open pairs without the backlog gate (the
+        // VIP-SYN bypass, ROADMAP item 1), so with the defense on the
+        // backlog bound alone may be breached; the digest records when.
+        let breach = match ct.check_invariants() {
+            Ok(()) => 0,
+            Err(e) if e.contains("exceeds syn_backlog") => 1,
+            Err(e) => panic!("audit after op: {e}"),
+        };
+        h = fold(h, &[breach]);
+    }
+    (h, ct)
+}
+
+/// Pins the order in which NAT pairs and plain flows age, so that a change
+/// to how a pair is linked into the recency lists shows up as a changed
+/// digest. Each configuration is checked to take the eviction path it is
+/// there for.
+#[test]
+fn pair_recency_order_is_pinned() {
+    let tiny = ConntrackConfig {
+        max_flows: 12,
+        syn_backlog: 4,
+        sweep_batch: 4,
+        syn_timeout_ns: 3_000_000_000,
+        established_timeout_ns: 20_000_000_000,
+        fin_timeout_ns: 8_000_000_000,
+        ..ConntrackConfig::default()
+    };
+
+    let (digest, ct) = recency_digest(Conntrack::new(tiny));
+    let removed = ct.stats().removed;
+    assert!(
+        removed[EvictCause::HalfOpenPressure as usize] > 0,
+        "backlog pressure never fired"
+    );
+    assert!(
+        ct.stats().cookie_mode_entries > 0,
+        "cookie mode never engaged"
+    );
+    assert_eq!(digest, 0x13a9_83d2_01e4_b4cb, "defense-on digest");
+
+    let (digest, ct) = recency_digest(Conntrack::new(ConntrackConfig {
+        overload_defense: false,
+        ..tiny
+    }));
+    assert!(
+        ct.stats().removed[EvictCause::Lru as usize] > 0,
+        "LRU eviction never fired"
+    );
+    assert_eq!(digest, 0xce01_e163_4488_1656, "defense-off digest");
+
+    let plan = FaultPlan::new(31).with_site(SITE_CT_STATE_DESYNC, Schedule::Probability(0.1));
+    let (digest, ct) = recency_digest(Conntrack::new(tiny).with_injector(FaultInjector::new(plan)));
+    assert!(ct.stats().desyncs_injected > 0, "state desync never fired");
+    assert_eq!(digest, 0xd327_2340_4e48_0a2f, "state-desync digest");
 }

@@ -83,18 +83,6 @@ impl Watch {
         Watch::new(name, Condition::CounterDelta { prefix, min_delta })
     }
 
-    /// Shorthand: fire when counters under `prefix` first reach `min`.
-    #[must_use]
-    pub fn counter_at_least(name: &'static str, prefix: &'static str, min: u64) -> Watch {
-        Watch::new(name, Condition::CounterAtLeast { prefix, min })
-    }
-
-    /// Shorthand: fire when gauge `gauge` rises to `min`.
-    #[must_use]
-    pub fn gauge_at_least(name: &'static str, gauge: &'static str, min: i64) -> Watch {
-        Watch::new(name, Condition::GaugeAtLeast { name: gauge, min })
-    }
-
     /// Evaluates against one snapshot; `Some(cause)` exactly when the
     /// watch fires on this poll.
     fn eval(&mut self, snap: &Snapshot) -> Option<String> {
@@ -259,7 +247,13 @@ mod tests {
 
     #[test]
     fn at_least_watch_needs_the_line_crossed() {
-        let mut w = Watch::counter_at_least("line", "t.line", 100);
+        let mut w = Watch::new(
+            "line",
+            Condition::CounterAtLeast {
+                prefix: "t.line",
+                min: 100,
+            },
+        );
         assert!(w.eval(&snap(&[("t.line", 99)])).is_none());
         let cause = w.eval(&snap(&[("t.line", 100)])).expect("crossing fires");
         assert!(cause.contains("100"), "{cause}");
@@ -271,7 +265,13 @@ mod tests {
 
     #[test]
     fn gauge_watch_fires_on_rising_edge() {
-        let mut w = Watch::gauge_at_least("engaged", "t.gauge", 5);
+        let mut w = Watch::new(
+            "engaged",
+            Condition::GaugeAtLeast {
+                name: "t.gauge",
+                min: 5,
+            },
+        );
         let mut s = Snapshot::new();
         s.set_gauge("t.gauge", 3);
         assert!(w.eval(&s).is_none());
