@@ -57,7 +57,9 @@ check_bench_shape "$quick_out/router.json" BENCH_router.json
 # sysnet by path, so nothing above compiles it and an API change could
 # break it silently. Build it, run both gated workloads for 3 s with the
 # traced stage ladder, and require the last JSON line to report every
-# check passed.
+# check passed and a flow-cache hit rate no lower than a sound slot hash
+# gives (fwd-min reads about 0.78, lb-nat about 0.17 by design); a
+# degenerate hash that piles flows onto a few slots falls below the floor.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 # perfbench's determinism tests, selected by name: a seed names one stream
 # and one set of outcomes, another seed another stream, and BENCHMARK.json
@@ -67,13 +69,15 @@ cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml --test determinism -- \
     --exact same_seed_gives_identical_counts another_seed_gives_another_stream \
     benchmark_json_lists_every_metric_the_binary_prints
-for w in fwd-min lb-nat; do
+for w in fwd-min:0.76 lb-nat:0.15; do
     cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-        --workload "$w" --seconds 3 --trace 1 | tail -n 1 | python3 -c '
+        --workload "${w%:*}" --seconds 3 --trace 1 | tail -n 1 | python3 -c '
 import json, sys
 r = json.loads(sys.stdin.read())
 assert r["correct"] is True and r["failed"] == 0, {k: r[k] for k in ("correct", "attempted", "failed")}
-'
+hit, floor = r["metrics"]["cache.hit_rate"]["value"], float(sys.argv[1])
+assert hit >= floor, f"cache.hit_rate {hit} is below {floor}"
+' "${w#*:}"
 done
 
 # Heap smoke: the shadow-model differential suite over the five reclaiming

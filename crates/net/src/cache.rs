@@ -4,10 +4,10 @@
 //! traffic is a handful of hot flows repeating the same destinations, so
 //! the sharded router fronts its route table
 //! ([`CowRouteTable`](crate::cowtrie::CowRouteTable)) with a direct-mapped
-//! cache: the flow key indexes a slot through the low bits of the shared
-//! FNV-1a hash (the same [`sysobs::fnv1a`] whose high bits the dispatcher
-//! shards flows with), and a hit is one hash of eight bytes plus one exact
-//! compare — no walk at all.
+//! cache: the flow key times one odd constant indexes a slot by the
+//! product's top bits (multiplicative hashing, independent of the FNV-1a
+//! the dispatcher shards flows with), and a hit is one multiply plus one
+//! exact compare — no walk at all.
 //!
 //! Two properties keep it *correct*, not just fast:
 //!
@@ -46,6 +46,9 @@ type Slot<T> = Option<(u64, Option<T>)>;
 pub struct FlowCache<T> {
     slots: Box<[Slot<T>]>,
     mask: u64,
+    /// `log2(slots.len())`: [`FlowCache::slot_of`] keeps this many top
+    /// bits of the hashed key.
+    bits: u32,
     generation: u64,
     hits: u64,
     misses: u64,
@@ -69,6 +72,7 @@ impl<T: Copy> FlowCache<T> {
         FlowCache {
             slots: vec![None; n].into_boxed_slice(),
             mask: n as u64 - 1,
+            bits: n.trailing_zeros(),
             generation: 0,
             hits: 0,
             misses: 0,
@@ -160,14 +164,21 @@ impl<T: Copy> FlowCache<T> {
         hop
     }
 
-    /// The slot `(src, dst)` maps to: the low bits of [`sysobs::fnv1a`] over
-    /// the big-endian `(src, dst)` key. The router shards on the high bits
-    /// of the same hash, so a worker's flows spread over all its slots.
+    /// The slot `(src, dst)` maps to: the top `bits` bits of the
+    /// `(src << 32) | dst` key times an odd constant (splitmix64's last
+    /// multiplier), rotated down, since a product's top bits depend on
+    /// every key bit. Consecutive keys spread too: some odd multipliers
+    /// bunch 4 096 consecutive hosts into a few hundred of 4 096 slots
+    /// (`fwd_min_flows_spread_over_the_whole_cache`). The router shards on
+    /// FNV-1a, which this hash does not share, so a worker's flows spread
+    /// over all its slots.
     #[inline]
     #[allow(clippy::cast_possible_truncation)]
     pub(crate) fn slot_of(&self, src: u32, dst: u32) -> usize {
         let key = (u64::from(src) << 32) | u64::from(dst);
-        (sysobs::fnv1a(&key.to_be_bytes()) & self.mask) as usize
+        (key.wrapping_mul(0x94D0_49BB_1331_11EB)
+            .rotate_left(self.bits)
+            & self.mask) as usize
     }
 
     /// Drops every entry and adopts the table's generation. The destroyed
@@ -288,5 +299,46 @@ mod tests {
         assert_eq!(FlowCache::<u16>::new(0).capacity(), 1);
         assert_eq!(FlowCache::<u16>::new(3).capacity(), 4);
         assert_eq!(FlowCache::<u16>::new(4096).capacity(), 4096);
+    }
+
+    #[test]
+    #[allow(clippy::cast_possible_truncation, clippy::cast_precision_loss)]
+    fn fwd_min_flows_spread_over_the_whole_cache() {
+        // 4 096 flows shaped like fwd-min's (sources under 172.16/12,
+        // destinations under the 32 roots 11/8–42/8) and 4 096 from one
+        // source sweeping consecutive hosts should each fill about as many
+        // of a 4 096-slot cache as a uniform hash would (1 − 1/e of them).
+        const FLOWS: u64 = 4096;
+        let c = FlowCache::<u16>::new(4096);
+        let mut state = 7u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) as u32
+        };
+        let fwd_min: Vec<(u32, u32)> = (0..FLOWS)
+            .map(|_| {
+                let src = 0xAC10_0000 | (next() & 0x000F_FFFF);
+                let dst = ((11 + next() % 32) << 24) | (next() & 0x00FF_FFFF);
+                (src, dst)
+            })
+            .collect();
+        let sweep: Vec<(u32, u32)> = (0..FLOWS as u32)
+            .map(|i| (ip(172, 16, 0, 1), ip(11, 0, 0, 0) + i))
+            .collect();
+        let m = c.capacity() as f64;
+        let uniform = m * (1.0 - (1.0 - 1.0 / m).powf(FLOWS as f64));
+        for (name, flows) in [("fwd-min", fwd_min), ("host sweep", sweep)] {
+            let slots: std::collections::HashSet<usize> = flows
+                .iter()
+                .map(|&(src, dst)| c.slot_of(src, dst))
+                .collect();
+            assert!(
+                slots.len() as f64 >= 0.9 * uniform,
+                "{name}: {FLOWS} flows filled {} slots; a uniform hash fills {uniform:.0}",
+                slots.len()
+            );
+        }
     }
 }

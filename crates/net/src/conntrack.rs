@@ -2,7 +2,10 @@
 //!
 //! The router forwards packets; production traffic is *flows*. This module
 //! adds the state between the two: a per-worker (sharded) flow table keyed
-//! by the canonical 5-tuple, a TCP state machine driven off the zero-copy
+//! by the canonical 5-tuple (hash-chained, its bucket picked by two
+//! multiplies over the key's words rather than a byte-serial fold, since
+//! every tracked packet pays for the bucket before its first dependent
+//! load), a TCP state machine driven off the zero-copy
 //! [`sysrepr::packet::TcpView`] flags, and — because a flow table is a
 //! finite resource an attacker can aim at — explicit overload defense:
 //!
@@ -37,7 +40,6 @@ use crate::pipeline::DropReason;
 use std::sync::Arc;
 use syscheck::shim::AtomicU64;
 use sysfault::FaultInjector;
-use sysobs::fnv1a;
 
 /// Fault site: an insert behaves as if the table had no evictable capacity.
 pub const SITE_CT_TABLE_FULL: &str = "net.conntrack.table_full";
@@ -100,11 +102,26 @@ impl FlowKey {
         b
     }
 
-    /// FNV-1a hash of the packed tuple — the shard and bucket hash.
+    /// FNV-1a hash of the packed tuple: the key backend selection
+    /// ([`crate::lb::BackendPool::select`]) ranks backends by, so a flow's
+    /// backend is a function of its 5-tuple alone.
     #[must_use]
     pub fn hash(&self) -> u64 {
-        fnv1a(&self.pack())
+        sysobs::fnv1a(&self.pack())
     }
+}
+
+/// The bucket hash: the key's address word times one odd constant, the
+/// ports and protocol xored in, and the result times a second odd
+/// constant. A product's top bits depend on every bit of its input, so the
+/// top bits [`Conntrack::bucket_of`] keeps mix all 13 key bytes in two
+/// multiplies, where FNV-1a takes 13 serial steps. Bucket placement
+/// decides no outcome: keys are unique and no list or eviction order reads
+/// a bucket. The hash is not keyed.
+fn bucket_hash(key: &FlowKey) -> u64 {
+    let addrs = (u64::from(key.a_ip) << 32) | u64::from(key.b_ip);
+    let rest = (u64::from(key.a_port) << 24) | (u64::from(key.b_port) << 8) | u64::from(key.proto);
+    (addrs.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ rest).wrapping_mul(0xBF58_476D_1CE4_E5B9)
 }
 
 /// The TCP flags a tracking decision needs, lifted out of a
@@ -427,6 +444,9 @@ pub struct Conntrack {
     cfg: ConntrackConfig,
     buckets: Vec<u32>,
     bucket_mask: u64,
+    /// `log2(buckets.len())`: [`Self::bucket_of`] keeps this many top bits
+    /// of [`bucket_hash`].
+    bucket_bits: u32,
     slots: Vec<Slot>,
     free_head: u32,
     /// Per-state recency lists: `[head, tail]` per [`FlowState`].
@@ -482,6 +502,7 @@ impl Conntrack {
             cfg,
             buckets: vec![NIL; n_buckets],
             bucket_mask: (n_buckets - 1) as u64,
+            bucket_bits: n_buckets.trailing_zeros(),
             slots,
             free_head: 0,
             lists: [[NIL; 2]; FLOW_STATES],
@@ -589,21 +610,23 @@ impl Conntrack {
         let mut buf = [0u8; 21];
         buf[..13].copy_from_slice(&key.pack());
         buf[13..].copy_from_slice(&self.cfg.cookie_secret.to_le_bytes());
-        fnv1a(&buf) as u32
+        sysobs::fnv1a(&buf) as u32
     }
 
     // ---- intrusive-structure primitives ---------------------------------
 
-    fn bucket_of(&self, hash: u64) -> usize {
+    /// `key`'s bucket: the top `bucket_bits` bits of [`bucket_hash`],
+    /// rotated down (a rotate by 0 leaves a one-bucket table at bucket 0).
+    fn bucket_of(&self, key: &FlowKey) -> usize {
         #[allow(clippy::cast_possible_truncation)]
-        let b = (hash & self.bucket_mask) as usize;
+        let b = (bucket_hash(key).rotate_left(self.bucket_bits) & self.bucket_mask) as usize;
         b
     }
 
     /// The record `key` belongs to: a reply key resolves to its NAT pair's
     /// record, so every caller acts on the record alone.
-    fn lookup_slot(&self, key: &FlowKey, hash: u64) -> Option<u32> {
-        let mut i = self.buckets[self.bucket_of(hash)];
+    fn lookup_slot(&self, key: &FlowKey) -> Option<u32> {
+        let mut i = self.buckets[self.bucket_of(key)];
         while i != NIL {
             let slot = &self.slots[i as usize];
             if slot.key == *key {
@@ -680,11 +703,10 @@ impl Conntrack {
     }
 
     fn unlink_hash(&mut self, idx: u32) {
-        let (hash, next) = {
+        let (b, next) = {
             let slot = &self.slots[idx as usize];
-            (slot.key.hash(), slot.hash_next)
+            (self.bucket_of(&slot.key), slot.hash_next)
         };
-        let b = self.bucket_of(hash);
         let mut cur = self.buckets[b];
         if cur == idx {
             self.buckets[b] = next;
@@ -832,7 +854,7 @@ impl Conntrack {
     /// the head of `state`'s list, or, with `record` set, as that record's
     /// reply key. Counts the entries this adds.
     fn link(&mut self, idx: u32, key: FlowKey, state: FlowState, now_ns: u64, record: u32) {
-        let b = self.bucket_of(key.hash());
+        let b = self.bucket_of(&key);
         {
             let slot = &mut self.slots[idx as usize];
             slot.key = key;
@@ -896,8 +918,7 @@ impl Conntrack {
         now_ns: u64,
         create: bool,
     ) -> Result<Option<NatRewrite>, DropReason> {
-        let hash = key.hash();
-        let found = self.lookup_slot(key, hash);
+        let found = self.lookup_slot(key);
         if let Some(idx) = found {
             // Injected state desync: corrupt an established entry to
             // FinWait before processing. The machine must drain the flow
@@ -1016,14 +1037,14 @@ impl Conntrack {
     /// The rewrite tuple stored for `key`, if any.
     #[must_use]
     pub fn nat_of(&self, key: &FlowKey) -> Option<NatRewrite> {
-        self.lookup_slot(key, key.hash())
+        self.lookup_slot(key)
             .and_then(|i| self.slots[i as usize].nat)
     }
 
     /// True if `key` is tracked at all (NAT'd or not).
     #[must_use]
     pub fn contains(&self, key: &FlowKey) -> bool {
-        self.lookup_slot(key, key.hash()).is_some()
+        self.lookup_slot(key).is_some()
     }
 
     /// Inserts a NAT'd flow: one record under the pre-rewrite key (`orig`,
@@ -1047,7 +1068,7 @@ impl Conntrack {
         state: FlowState,
         now_ns: u64,
     ) -> Result<(), DropReason> {
-        if self.lookup_slot(orig, orig.hash()).is_some() {
+        if self.lookup_slot(orig).is_some() {
             return Err(DropReason::StateViolation);
         }
         if orig == reply {
@@ -1056,7 +1077,7 @@ impl Conntrack {
             self.stats.pkts[state as usize] += 1;
             return Ok(());
         }
-        if self.lookup_slot(reply, reply.hash()).is_some() {
+        if self.lookup_slot(reply).is_some() {
             return Err(DropReason::StateViolation);
         }
         let a = self.insert(*orig, state, now_ns)?;
@@ -1102,7 +1123,7 @@ impl Conntrack {
     /// one hash walk. Flows without NAT state are left untouched (the
     /// caller treats them as untracked).
     pub fn refresh_nat(&mut self, key: &FlowKey, now_ns: u64) -> Option<NatRewrite> {
-        let idx = self.lookup_slot(key, key.hash())?;
+        let idx = self.lookup_slot(key)?;
         let nat = self.slots[idx as usize].nat?;
         self.touch(idx, now_ns);
         self.stats.pkts[self.slots[idx as usize].state as usize] += 1;
@@ -1285,7 +1306,7 @@ impl Conntrack {
                 if !live[i as usize] {
                     return Err(format!("slot {i} in bucket {b} but not live"));
                 }
-                if self.bucket_of(slot.key.hash()) != b {
+                if self.bucket_of(&slot.key) != b {
                     return Err(format!("slot {i} hashed to the wrong bucket"));
                 }
                 chained += 1;
@@ -1789,7 +1810,7 @@ mod tests {
         let (orig, reply) = nat_keys(1);
         ct.insert_nat(&orig, &reply, nat(1), FlowState::Established, 0)
             .unwrap();
-        let record = ct.lookup_slot(&reply, reply.hash()).unwrap();
+        let record = ct.lookup_slot(&reply).unwrap();
         assert_eq!(
             ct.slots[record as usize].key, orig,
             "reply key resolves to the record"
@@ -1898,5 +1919,90 @@ mod tests {
         }
         ct.check_invariants().expect("final audit");
         assert!(ct.len() <= 32);
+    }
+
+    /// `(longest chain, mean probe length)` of `keys` placed by `bucket`
+    /// into `buckets` chains; a lookup of a key probes its chain up to it,
+    /// so a chain of `c` keys costs `1 + 2 + … + c` probes in all.
+    #[allow(clippy::cast_precision_loss)]
+    fn chain_stats(
+        keys: &[FlowKey],
+        buckets: usize,
+        bucket: impl Fn(usize, &FlowKey) -> usize,
+    ) -> (usize, f64) {
+        let mut chains = vec![0usize; buckets];
+        for (i, k) in keys.iter().enumerate() {
+            chains[bucket(i, k)] += 1;
+        }
+        let probes: usize = chains.iter().map(|c| c * (c + 1) / 2).sum();
+        let longest = chains.into_iter().max().unwrap_or(0);
+        (longest, probes as f64 / keys.len() as f64)
+    }
+
+    #[test]
+    #[allow(clippy::cast_possible_truncation, clippy::cast_precision_loss)]
+    fn bucket_hash_spreads_structured_keys_like_a_uniform_hash() {
+        // lb-nat's load: 16 384 keys in a 32 768-slot table (as many
+        // buckets). A uniform hash's mean probe length is 1 + (n − 1)/2m;
+        // its longest chain is drawn here from splitmix64 placements.
+        const KEYS: u32 = 16_384;
+        const VIP: u32 = 0x0AC8_0001;
+        let ct = Conntrack::new(cfg(32_768, 4_096));
+        let buckets = ct.buckets.len();
+        let mask = buckets as u64 - 1;
+        // 8 192 client↔VIP:80 keys and their client↔backend:8080 reply
+        // keys, clients numbered across a /16 wrap as lb-nat's are.
+        let lb_nat: Vec<FlowKey> = (0..KEYS / 2)
+            .flat_map(|i| {
+                let id = 61_440 + i;
+                let (cip, cport) = (0x0A09_0000 | (id & 0xFFFF), 1024 + (id >> 16) as u16);
+                let backend = 0x0A32_000A + id % 8;
+                [
+                    FlowKey::canonical(cip, VIP, cport, 80, 6),
+                    FlowKey::canonical(cip, backend, cport, 8080, 6),
+                ]
+            })
+            .collect();
+        // syn-flood's spoofed SYNs: source j under 198.18/15 to host j
+        // under 99/8.
+        let syn_flood: Vec<FlowKey> = (0..KEYS)
+            .map(|j| FlowKey::canonical(0xC612_0000 | j, 0x6300_0000 | j, 1024, 80, 6))
+            .collect();
+        // One client sweeping the whole ephemeral range 49152–65535.
+        let port_sweep: Vec<FlowKey> = (0..KEYS)
+            .map(|p| FlowKey::canonical(0x0A09_0001, VIP, 49_152 + p as u16, 80, 6))
+            .collect();
+        let splitmix = |i: usize| {
+            let mut z = (i as u64)
+                .wrapping_add(1)
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) & mask) as usize
+        };
+        let (uniform_longest, _) = chain_stats(&lb_nat, buckets, |i, _| splitmix(i));
+        let uniform_mean = 1.0 + f64::from(KEYS - 1) / (2.0 * buckets as f64);
+        for (name, keys) in [
+            ("lb-nat pairs", &lb_nat),
+            ("syn-flood", &syn_flood),
+            ("port sweep", &port_sweep),
+        ] {
+            let (longest, mean) = chain_stats(keys, buckets, |_, k| ct.bucket_of(k));
+            let (fnv_longest, fnv_mean) =
+                chain_stats(keys, buckets, |_, k| (k.hash() & mask) as usize);
+            println!(
+                "{name}: bucket_hash longest {longest}, mean probe {mean:.3}; \
+                 FNV-1a longest {fnv_longest}, mean probe {fnv_mean:.3}; \
+                 uniform longest {uniform_longest}, mean probe {uniform_mean:.3}"
+            );
+            assert!(
+                longest <= 2 * uniform_longest,
+                "{name}: longest chain {longest} against a uniform {uniform_longest}"
+            );
+            assert!(
+                mean <= 1.1 * uniform_mean,
+                "{name}: mean probe {mean:.3} against a uniform {uniform_mean:.3}"
+            );
+        }
     }
 }

@@ -428,11 +428,10 @@ impl WorkerStats {
 /// modulo the worker count; shorter or odd frames hash whole. Same flow,
 /// same worker — without parsing (the worker does the real validation).
 ///
-/// Each worker's [`FlowCache`] indexes its slots with the *low* bits of the
-/// same [`sysobs::fnv1a`] of the same eight bytes. Sharding on the low bits
-/// too would hand every worker only the flows whose slot index agrees with
-/// its shard number — a quarter of its cache at 4 workers — so the two
-/// read disjoint halves of the hash.
+/// Each worker's [`FlowCache`] indexes its slots with a multiplicative hash
+/// of the same address pair that shares nothing with this one, so a shard's
+/// flows still spread over its whole cache rather than over the slots whose
+/// index agrees with its shard number.
 #[must_use]
 #[allow(clippy::cast_possible_truncation)]
 fn shard_of(frame: &[u8], workers: usize) -> usize {

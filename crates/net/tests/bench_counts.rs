@@ -143,9 +143,11 @@ fn sweep_point_keeps_its_counts() {
     let p = &report.sweep[0];
     assert_eq!((p.workers, p.batch_size), (1, 64));
     assert_eq!((p.forwarded, p.dropped), (3992, 8));
-    // 3 454 hits in 3 992 lookups: one worker sees the whole skewed stream.
+    // 3 474 hits in 3 992 lookups: one worker sees the whole skewed stream.
+    // The exact count follows `FlowCache::slot_of`, which decides the flows
+    // that share a slot.
     assert!(
-        (p.cache_hit_rate - 0.865_230_460_921_843_6).abs() < 1e-12,
+        (p.cache_hit_rate - 0.870_240_480_961_923_9).abs() < 1e-12,
         "cache hit rate {}",
         p.cache_hit_rate
     );
