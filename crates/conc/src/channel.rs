@@ -159,7 +159,8 @@ pub fn channel<T>() -> (Sender<T>, Receiver<T>) {
 }
 
 /// Creates a bounded channel: `send` blocks while `capacity` messages are
-/// queued, applying backpressure to producers.
+/// queued, applying backpressure to producers. The queue's storage for
+/// `capacity` messages is allocated here, so sends never allocate.
 ///
 /// # Panics
 ///
@@ -173,7 +174,7 @@ pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
 fn with_capacity_inner<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
     let shared = Arc::new(Shared {
         queue: Mutex::new(State {
-            items: VecDeque::new(),
+            items: VecDeque::with_capacity(capacity.unwrap_or(0)),
             senders: 1,
             receivers: 1,
         }),

@@ -9,7 +9,7 @@
 //!    transitive capture chains (upvalues), or global slots.
 //! 3. **Code generation** — a straightforward stack-machine translation.
 
-use crate::ast::{is_primitive, primitive_arity, Def, Expr, Program};
+use crate::ast::{is_primitive, primitive_arity, Expr, Program};
 use crate::bytecode::{Bytecode, CaptureSrc, Function, Instr};
 use crate::diag::{BitcError, Result};
 use std::collections::{HashMap, HashSet};
@@ -657,12 +657,6 @@ pub fn compile_program(p: &Program) -> Result<Bytecode> {
     compile_program_with_natives(p, &[])
 }
 
-/// Number of global slots a program needs (= number of defs).
-#[must_use]
-pub fn global_count(p: &Program) -> usize {
-    p.defs.len()
-}
-
 /// Convenience used across tests and benches: parse + typecheck + compile.
 ///
 /// # Errors
@@ -672,12 +666,6 @@ pub fn compile_source(src: &str) -> Result<Bytecode> {
     let p = crate::parser::parse_program(src)?;
     crate::infer::infer_program(&p)?;
     compile_program(&p)
-}
-
-/// Keeps `Def` referenced for rustdoc links.
-#[doc(hidden)]
-pub fn _def_type_witness(d: &Def) -> &str {
-    &d.name
 }
 
 #[cfg(test)]

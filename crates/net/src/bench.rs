@@ -157,7 +157,7 @@ pub struct SweepPoint {
     /// Flow-cache hit rate across workers (0.0 with the cache disabled).
     pub cache_hit_rate: f64,
     /// Heap allocations per packet over the second half of the stream
-    /// (pool warm by then); `None` when no [`SweepConfig::alloc_counter`]
+    /// (caches warm by then); `None` when no [`SweepConfig::alloc_counter`]
     /// was supplied.
     pub steady_allocs_per_packet: Option<f64>,
 }

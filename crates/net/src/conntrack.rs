@@ -182,15 +182,13 @@ pub enum EvictCause {
     Fin = 3,
     /// RST teardown.
     Rst = 4,
-    /// Torn down after injected state desync drained it.
-    Desync = 5,
     /// NAT'd flow ejected because its assigned backend died
     /// ([`Conntrack::eject_backend`]).
-    BackendDead = 6,
+    BackendDead = 5,
 }
 
 /// Number of [`EvictCause`] variants.
-pub const EVICT_CAUSES: usize = 7;
+pub const EVICT_CAUSES: usize = 6;
 
 /// Sizing and policy knobs for one [`Conntrack`] shard.
 #[derive(Debug, Clone, Copy)]
@@ -256,7 +254,10 @@ pub struct ConntrackStats {
     pub cookie_mode_exits: u64,
     /// Watchdog sweeps skipped by the injected timer stall.
     pub timer_stalls: u64,
-    /// Injected state desyncs applied.
+    /// Injected state desyncs applied. A desynced flow is flipped to
+    /// `FinWait` and leaves the table like any other, so its removal is
+    /// counted under [`EvictCause::Fin`], [`EvictCause::Rst`] or
+    /// [`EvictCause::Timeout`].
     pub desyncs_injected: u64,
     /// Most entries ever live at once (must stay ≤ `max_flows`).
     pub peak_flows: u64,
@@ -304,7 +305,6 @@ impl ConntrackStats {
 pub struct ConntrackShared {
     live: AtomicU64,
     limit: u64,
-    cookie_shards: AtomicU64,
 }
 
 impl ConntrackShared {
@@ -314,7 +314,6 @@ impl ConntrackShared {
         ConntrackShared {
             live: AtomicU64::new(0),
             limit,
-            cookie_shards: AtomicU64::new(0),
         }
     }
 
@@ -328,13 +327,6 @@ impl ConntrackShared {
     #[must_use]
     pub fn live(&self) -> u64 {
         self.live.load(std::sync::atomic::Ordering::Acquire)
-    }
-
-    /// Shards currently in stateless fallback mode.
-    #[must_use]
-    pub fn cookie_shards(&self) -> u64 {
-        self.cookie_shards
-            .load(std::sync::atomic::Ordering::Acquire)
     }
 
     /// Attempts to charge one entry; `false` means the global cap is spent.
@@ -368,17 +360,6 @@ impl ConntrackShared {
         use std::sync::atomic::Ordering;
         let prev = self.live.fetch_sub(1, Ordering::AcqRel);
         assert!(prev > 0, "conntrack shared gauge underflow");
-    }
-
-    /// Records one shard entering (`true`) or leaving (`false`) cookie mode.
-    pub fn set_cookie_shard(&self, entering: bool) {
-        use std::sync::atomic::Ordering;
-        if entering {
-            self.cookie_shards.fetch_add(1, Ordering::AcqRel);
-        } else {
-            let prev = self.cookie_shards.fetch_sub(1, Ordering::AcqRel);
-            assert!(prev > 0, "cookie-shard gauge underflow");
-        }
     }
 }
 
@@ -838,9 +819,6 @@ impl Conntrack {
             sysobs::obs_count!("net.ct.cookie_mode_entries", 1);
             sysobs::obs_instant!("net.ct.cookie_mode_enter", self.stats.cookie_mode_entries);
             self.pressure_evictions = 0;
-            if let Some(s) = &self.shared {
-                s.set_cookie_shard(true);
-            }
         }
     }
 
@@ -1202,9 +1180,6 @@ impl Conntrack {
             self.cookie_mode = false;
             self.pressure_evictions = 0;
             self.stats.cookie_mode_exits += 1;
-            if let Some(s) = &self.shared {
-                s.set_cookie_shard(false);
-            }
         }
         self.last_sweep_ns = now_ns;
         reaped

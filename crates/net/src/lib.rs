@@ -22,8 +22,8 @@
 //!   snapshot with zero synchronization per lookup, and retired nodes are
 //!   reclaimed only after every reader provably moved on.
 //! * [`cache`] — the per-worker flow → next-hop [`cache::FlowCache`]:
-//!   direct-mapped over the shared FNV-1a hash, exact-keyed (collisions
-//!   miss, never misroute), generation-invalidated on any table mutation,
+//!   direct-mapped, its slot one multiply over the `(src, dst)` key,
+//!   exact-keyed (collisions miss, never misroute), generation-invalidated on any table mutation,
 //!   with post-invalidation misses attributed separately so route churn is
 //!   distinguishable from capacity pressure.
 //! * [`pipeline`] — the batched parse → validate → route fast path: total
@@ -41,9 +41,10 @@
 //!   (backpressure, not unbounded queues), per-worker counters aggregated
 //!   into a router-wide snapshot. Every worker routes against one
 //!   [`cowtrie::CowRouteTable`], pinned once per batch, which is also the
-//!   handle live route updates go through. Steady state recycles every
-//!   frame and batch buffer through per-worker return channels — zero
-//!   allocations per packet after warm-up — and sizes batches adaptively
+//!   handle live route updates go through. The dispatcher's pool of
+//!   batches is allocated at start, each batch keeping its frame buffers
+//!   for life and coming back over one shared return channel, so the
+//!   steady state allocates nothing per packet; it sizes batches adaptively
 //!   from queue occupancy, dispatching with `try_send` so one slow worker
 //!   cannot head-of-line-block the rest.
 //! * [`mod@bench`] — the measured trajectory: sweeps worker counts and batch

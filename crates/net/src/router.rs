@@ -5,15 +5,18 @@
 //! keeps any one flow on one worker, so per-flow packet order survives
 //! parallelism — the classic RSS design.
 //!
-//! Three properties define the steady state:
+//! Four properties define the steady state:
 //!
-//! * **Zero allocation.** Workers return drained `Batch` buffers to the
-//!   dispatcher over per-worker recycle channels; the dispatcher refills
-//!   frame buffers with `clear()` + `extend_from_slice` (length governs —
-//!   recycled bytes can never leak into a later frame) and reuses batch
-//!   containers the same way. After warm-up no `Vec` is allocated per
-//!   packet or per batch — Challenge 2's region-style reuse, measured as
-//!   `steady_allocs_per_packet` in the bench rather than asserted.
+//! * **Zero allocation.** [`ShardedRouter::start`] allocates the whole
+//!   buffer pool: `workers × (queue_depth + 2)` batches of `batch_size`
+//!   frame buffers each. A batch keeps its buffers for life and cycles
+//!   dispatcher → worker → one shared return channel → dispatcher. The
+//!   dispatcher refills a buffer with `clear()` + `extend_from_slice`
+//!   (length governs, so recycled bytes never leak into a later frame),
+//!   and the batch's `len` marks its live prefix. No `Vec` is allocated per
+//!   packet or per batch after `start`, Challenge 2's region-style reuse,
+//!   measured as `steady_allocs_per_packet` in the bench rather than
+//!   asserted.
 //! * **Cached routing.** Each worker runs [`pipeline::process_batch`] with
 //!   its own [`FlowCache`]: repeated flows resolve in one hash-and-compare
 //!   instead of a trie walk, and a generation counter on the source
@@ -40,11 +43,12 @@
 //! the (shimmed) `sysconc` channels, so under a `syscheck` runtime the
 //! whole dispatcher → worker → recycle cycle runs on the cooperative
 //! scheduler (see `tests/router_model.rs`). The per-worker *counters* stay
-//! plain `std` atomics on purpose: they are observability, not protocol —
-//! no control flow in the dispatch path depends on racing counter reads
-//! beyond the monotone in-flight estimate, and shimming them would bury
-//! the protocol's real decision points under thousands of counter
-//! interleavings (the same split `sysconc::stm` makes for its stats).
+//! plain `std` atomics on purpose: they are observability, not protocol.
+//! The dispatcher decides from its own state (its free list and its exact
+//! count of frames outstanding) and never reads a worker's counters, and
+//! shimming them would bury the protocol's real decision points under
+//! thousands of counter interleavings (the same split `sysconc::stm` makes
+//! for its stats).
 
 use crate::cache::FlowCache;
 use crate::conntrack::{Conntrack, ConntrackConfig, ConntrackShared, ConntrackStats, EvictCause};
@@ -57,7 +61,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use syscheck::shim::{spawn_named, JoinHandle};
-use sysconc::channel::{bounded, channel, Receiver, Sender, TrySendError};
+use sysconc::channel::{bounded, Receiver, Sender, TrySendError};
 use sysfault::{FaultInjector, FaultPlan};
 
 /// A next-hop port: an index into the router's port table.
@@ -69,8 +73,8 @@ pub const SITE_NET_FRAME_DROP: &str = "net.dispatch.frame_drop";
 /// Fault site: a worker stalls briefly before processing a batch (the slow
 /// peer the non-blocking dispatch and requeue path must absorb).
 pub const SITE_NET_WORKER_STALL: &str = "net.worker.stall";
-/// Fault site: a batch returning on the recycle channel is lost, so its
-/// buffers leave the pool forever and the dispatcher must re-allocate.
+/// Fault site: a batch returning on the recycle channel is lost with its
+/// buffers, and the dispatcher allocates a fresh batch in its place.
 pub const SITE_NET_RECYCLE_LOSS: &str = "net.recycle.loss";
 
 /// Sizing knobs for [`ShardedRouter`].
@@ -127,24 +131,43 @@ impl Default for RouterConfig {
     }
 }
 
-/// Requeued batches a worker may accumulate before the dispatcher falls
-/// back to a blocking send (bounding dispatcher-side memory), as a multiple
-/// of the queue depth.
-const STALL_CAP_FACTOR: usize = 2;
+/// Bytes reserved in each pooled frame buffer. Every stream whose
+/// allocations are measured sends frames of at most 118 bytes (the bench
+/// harnesses' TCP frames); a longer frame grows its buffer once, and the
+/// grown buffer stays in the pool. Reserving a full 1 514-byte Ethernet
+/// frame instead costs throughput for no measured stream.
+const FRAME_ROOM: usize = 128;
 
-/// One worker's batch: owned frames plus the dispatch timestamp the
-/// `net.batch_latency_ns` histogram measures from (stamped only when the
-/// router is instrumented, the one case that records it). The same buffers
-/// cycle dispatcher → worker → recycle channel → dispatcher for the
-/// router's lifetime.
+/// How long the dispatcher waits on the return channel before it checks
+/// that no worker has died (a dead worker's batches never come back).
+const WORKER_POLL: Duration = Duration::from_millis(50);
+
+/// One batch of the pool: `batch_size` frame buffers it keeps for life,
+/// of which the first `len` hold live frames, plus the dispatch timestamp
+/// the `net.batch_latency_ns` histogram measures from (stamped only when
+/// the router is instrumented, the one case that records it).
 struct Batch {
     frames: Vec<Vec<u8>>,
+    len: usize,
     submitted: Option<Instant>,
     /// Packed causal trace context ([`sysobs::context`] carrier form)
     /// stamped by the dispatcher when this batch won the sampling draw;
     /// 0 = untraced. Workers adopt it before processing, so the spans a
     /// sampled packet opens on a worker thread join the dispatcher's trace.
     ctx: u64,
+}
+
+impl Batch {
+    fn new(batch_size: usize) -> Self {
+        Batch {
+            frames: (0..batch_size)
+                .map(|_| Vec::with_capacity(FRAME_ROOM))
+                .collect(),
+            len: 0,
+            submitted: None,
+            ctx: 0,
+        }
+    }
 }
 
 /// Per-worker live counters (atomics, so [`ShardedRouter::snapshot`] can
@@ -302,18 +325,20 @@ pub struct RouterStats {
     pub totals: WorkerStats,
 }
 
-/// Dispatcher-side buffer-pool counters: how many frame buffers and batch
-/// containers were served from the recycle pool vs freshly allocated, plus
-/// how often dispatch had to requeue a batch for a busy worker.
+/// Dispatcher-side buffer-pool counters: how many frames and batches were
+/// served from the pool vs how many were allocated, plus how often dispatch
+/// had to requeue a batch for a busy worker. Everything allocated is
+/// allocated by [`ShardedRouter::start`], except the batches that replace
+/// ones the [`SITE_NET_RECYCLE_LOSS`] site lost.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Frame buffers reused from the pool.
+    /// Frames copied into a pooled buffer.
     pub frames_reused: u64,
-    /// Frame buffers freshly allocated (warm-up, or pool exhaustion).
+    /// Frame buffers allocated.
     pub frames_allocated: u64,
-    /// Batch containers reused from the pool.
+    /// Batches taken from the pool's free list.
     pub batches_reused: u64,
-    /// Batch containers freshly allocated.
+    /// Batches allocated.
     pub batches_allocated: u64,
     /// Batches requeued because a worker's queue was full at dispatch.
     pub stalled_requeues: u64,
@@ -342,7 +367,7 @@ pub struct NetFaultStats {
     pub injected_frame_drops: u64,
     /// Recycle batches lost ([`SITE_NET_RECYCLE_LOSS`]).
     pub recycle_losses: u64,
-    /// Frame buffers those lost batches carried away.
+    /// Frame buffers those lost batches carried away (`batch_size` each).
     pub frames_lost: u64,
     /// Worker stalls served ([`SITE_NET_WORKER_STALL`]).
     pub injected_stalls: u64,
@@ -472,8 +497,9 @@ struct WorkerExit {
 /// [`pipeline::process_batch`] with the worker's stages (its conntrack
 /// shard and load-balancer pool, when configured) against one consistent
 /// route state, a copy-on-write snapshot pinned for the batch. Drained
-/// batches go back to the dispatcher through `recycle`; the send is
-/// best-effort because at shutdown the dispatcher drops its receiver first.
+/// batches go back to the dispatcher through `recycle`, the return channel
+/// every worker shares; the send is best-effort because at shutdown the
+/// dispatcher may drop its receiver first.
 #[allow(clippy::too_many_arguments)]
 fn worker_loop<const OBS: bool>(
     rx: &Receiver<Batch>,
@@ -499,7 +525,7 @@ fn worker_loop<const OBS: bool>(
                 std::thread::sleep(Duration::from_micros(200));
             }
         }
-        let occupancy = batch.frames.len();
+        let occupancy = batch.len;
         let now_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
         // Adopt the dispatcher's causal context (no-op for untraced
         // batches): the pipeline's staged spans record under it.
@@ -508,7 +534,7 @@ fn worker_loop<const OBS: bool>(
         } else {
             None
         };
-        let frames = &mut batch.frames;
+        let frames = &mut batch.frames[..occupancy];
         let stages = ct.as_mut().map(|ct| (ct, lb.as_mut()));
         // Pin once per batch: two SeqCst loads, then every lookup in the
         // batch walks the frozen snapshot lock-free.
@@ -575,34 +601,33 @@ pub struct ShardedRouter {
     /// into.
     routes: Arc<CowRouteTable<PortId>>,
     senders: Vec<Sender<Batch>>,
-    recycle_rx: Vec<Receiver<Batch>>,
+    /// The one channel every worker returns its drained batches on.
+    recycle_rx: Receiver<Batch>,
     handles: Vec<JoinHandle<WorkerExit>>,
     counters: Vec<Arc<Counters>>,
     /// Dispatcher-side injector (frame-drop and recycle-loss sites).
     dispatch_injector: Option<FaultInjector>,
     /// Injection counts accumulated dispatcher-side.
     fault: NetFaultStats,
-    pending: Vec<Vec<Vec<u8>>>,
-    /// Batches dispatched per worker (for the queue-occupancy estimate).
-    dispatched: Vec<u64>,
+    /// The batch each worker's next frames are copied into.
+    pending: Vec<Batch>,
     /// Cached adaptive batch target, refreshed at each dispatch (so the
     /// per-frame submit path does no arithmetic beyond one compare).
     target: usize,
     /// Batches that bounced off a full worker queue, awaiting retry in
     /// dispatch order.
     stalled: Vec<VecDeque<Batch>>,
-    /// Recycled frame buffers ready for refill.
-    free_frames: Vec<Vec<u8>>,
-    /// Recycled (empty) batch containers ready for refill.
-    free_batches: Vec<Vec<Vec<u8>>>,
+    /// Batches ready for refill.
+    free: Vec<Batch>,
+    /// Frames submitted and not yet taken back off the return channel
+    /// (pending, requeued, queued, processing or returning): the
+    /// router-wide backlog.
+    outstanding: usize,
     pool: PoolStats,
     batch_size: usize,
-    queue_depth: usize,
-    /// Total frame buffers the dispatcher will create before it waits for
-    /// workers to recycle instead — the pool's region bound. Backpressure
-    /// flows through the pool: an exhausted budget blocks the feed until a
-    /// worker returns a batch, which also keeps memory flat.
-    frame_budget: u64,
+    /// Batches in the pool: `workers × (queue_depth + 2)`, enough for every
+    /// queue slot, one batch processing per worker, and one filling.
+    pool_batches: usize,
     /// Mirrors [`RouterConfig::instrument`]: gates the dispatcher-side
     /// trace-root draw so the `instrument: false` baseline stays free of
     /// observability calls on the dispatch path too.
@@ -611,7 +636,8 @@ pub struct ShardedRouter {
 
 impl ShardedRouter {
     /// Spawns `config.workers` worker threads over the given routing table
-    /// and port count, each consuming from its own bounded channel.
+    /// and port count, each consuming from its own bounded channel, and
+    /// allocates the whole buffer pool.
     ///
     /// # Panics
     ///
@@ -633,15 +659,16 @@ impl ShardedRouter {
             .conntrack
             .as_ref()
             .map(|c| Arc::new(ConntrackShared::new(c.max_flows as u64)));
+        // Room for the whole pool, so a worker never blocks returning a
+        // batch.
+        let pool_batches = config.workers * (config.queue_depth + 2);
+        let (back_tx, recycle_rx) = bounded::<Batch>(pool_batches);
         let mut senders = Vec::with_capacity(config.workers);
-        let mut recycle_rx = Vec::with_capacity(config.workers);
         let mut handles = Vec::with_capacity(config.workers);
         let mut counters = Vec::with_capacity(config.workers);
         for i in 0..config.workers {
             let (tx, rx) = bounded::<Batch>(config.queue_depth);
-            // Unbounded: the worker must never block returning a buffer.
-            // In-flight batches (≤ queue_depth + stalled cap) bound it.
-            let (back_tx, back_rx) = channel::<Batch>();
+            let back_tx = back_tx.clone();
             let worker_routes = routes.reader();
             let worker_counters = Arc::new(Counters::new(ports));
             let shared = Arc::clone(&worker_counters);
@@ -690,10 +717,13 @@ impl ShardedRouter {
                 )
             });
             senders.push(tx);
-            recycle_rx.push(back_rx);
             handles.push(handle);
             counters.push(worker_counters);
         }
+        let mut free: Vec<Batch> = (0..pool_batches)
+            .map(|_| Batch::new(config.batch_size))
+            .collect();
+        let pending = free.split_off(pool_batches - config.workers);
         ShardedRouter {
             routes,
             senders,
@@ -702,18 +732,20 @@ impl ShardedRouter {
             counters,
             dispatch_injector: config.fault_plan.clone().map(FaultInjector::new),
             fault: NetFaultStats::default(),
-            pending: vec![Vec::new(); config.workers],
-            dispatched: vec![0; config.workers],
+            pending,
             target: (config.batch_size / 8).max(1),
-            stalled: (0..config.workers).map(|_| VecDeque::new()).collect(),
-            free_frames: Vec::new(),
-            free_batches: Vec::new(),
-            pool: PoolStats::default(),
+            stalled: (0..config.workers)
+                .map(|_| VecDeque::with_capacity(pool_batches))
+                .collect(),
+            free,
+            outstanding: 0,
+            pool: PoolStats {
+                frames_allocated: (pool_batches * config.batch_size) as u64,
+                batches_allocated: pool_batches as u64,
+                ..PoolStats::default()
+            },
             batch_size: config.batch_size,
-            queue_depth: config.queue_depth,
-            // Enough for every queue slot, one batch in flight per worker,
-            // and one being filled — beyond that, recycle, don't allocate.
-            frame_budget: (config.workers * (config.queue_depth + 2) * config.batch_size) as u64,
+            pool_batches,
             instrument: config.instrument,
         }
     }
@@ -743,11 +775,14 @@ impl ShardedRouter {
             }
         }
         let w = shard_of(frame, self.senders.len());
-        let mut buf = self.take_frame_buf();
+        let batch = &mut self.pending[w];
+        let buf = &mut batch.frames[batch.len];
         buf.clear();
         buf.extend_from_slice(frame);
-        self.pending[w].push(buf);
-        if self.pending[w].len() >= self.target {
+        batch.len += 1;
+        self.pool.frames_reused += 1;
+        self.outstanding += 1;
+        if batch.len >= self.target {
             self.dispatch(w);
         }
     }
@@ -762,182 +797,103 @@ impl ShardedRouter {
         }
     }
 
-    /// A frame buffer from the pool; allocates fresh only while under the
-    /// frame budget (warm-up). At the budget with an empty pool, every
-    /// missing buffer is inside a worker, so the dispatcher blocks on the
-    /// busiest worker's recycle channel — backpressure through the pool.
-    fn take_frame_buf(&mut self) -> Vec<u8> {
-        loop {
-            if let Some(buf) = self.free_frames.pop() {
-                self.pool.frames_reused += 1;
-                return buf;
+    /// A batch from the free list. When the list is empty, every other
+    /// batch is pending, requeued or with a worker: the requeued ones are
+    /// sent (blocking), after which all but the `workers` pending batches,
+    /// at least half the pool, are with the workers or on the return
+    /// channel, and the dispatcher waits until half the pool is back. The
+    /// hysteresis matters on few-core hosts: one long sleep amortizes a
+    /// context switch over many batches where a per-batch wake would pay
+    /// it every time.
+    fn take_batch(&mut self) -> Batch {
+        if self.free.is_empty() {
+            for w in 0..self.stalled.len() {
+                self.pump_stalled(w, true);
             }
-            self.drain_recycled();
-            if !self.free_frames.is_empty() {
-                continue;
-            }
-            if self.pool.frames_allocated < self.frame_budget {
-                self.pool.frames_allocated += 1;
-                return Vec::new();
-            }
-            // Budget spent and nothing recycled yet: every missing buffer
-            // is inside a worker, so wait for batches to come back. The
-            // hysteresis (recover half the budget, not one batch) matters
-            // on few-core hosts: one long sleep amortizes a context switch
-            // over many batches where a per-batch wake would pay it every
-            // time.
-            let target = (self.frame_budget / 2).max(self.batch_size as u64);
-            while (self.free_frames.len() as u64) < target {
-                let Some(w) = self.max_in_flight_worker() else {
-                    break;
-                };
-                let Ok(batch) = self.recycle_rx[w].recv() else {
-                    break;
-                };
-                self.absorb_recycled(batch);
-                self.drain_recycled();
-            }
-            if self.free_frames.is_empty() {
-                // No worker holds a batch (the rest are dispatcher-held,
-                // pending or requeued): allocation is the only way forward.
-                self.pool.frames_allocated += 1;
-                return Vec::new();
+            while self.free.len() < self.pool_batches / 2 {
+                match self.recycle_rx.recv_timeout(WORKER_POLL) {
+                    Ok(batch) => self.absorb(batch),
+                    Err(_) => assert!(
+                        !self.handles.iter().any(JoinHandle::is_finished),
+                        "router worker exited early"
+                    ),
+                }
             }
         }
+        self.pool.batches_reused += 1;
+        self.free.pop().expect("a pool batch is free or in flight")
     }
 
-    /// The worker with the most dispatched-but-unprocessed batches (those
-    /// are guaranteed to come back on its recycle channel), if any.
-    fn max_in_flight_worker(&self) -> Option<usize> {
-        let mut best = None;
-        let mut best_depth = 0u64;
-        for w in 0..self.senders.len() {
-            let done = self.counters[w].batches.load(Ordering::Relaxed);
-            let depth = self.dispatched[w].saturating_sub(done);
-            if depth > best_depth {
-                best_depth = depth;
-                best = Some(w);
-            }
-        }
-        best
-    }
-
-    /// An empty batch container from the pool, or a fresh one.
-    fn take_batch_buf(&mut self) -> Vec<Vec<u8>> {
-        if let Some(buf) = self.free_batches.pop() {
-            self.pool.batches_reused += 1;
-            buf
-        } else {
-            self.pool.batches_allocated += 1;
-            Vec::new()
-        }
-    }
-
-    /// Folds one returned batch into the pools — unless the recycle-loss
-    /// site eats it, in which case the buffers leave the budget's books too
-    /// (so replacements can be allocated and backpressure stays live).
-    fn absorb_recycled(&mut self, mut batch: Batch) {
+    /// Puts a returned batch back on the free list, or, when the
+    /// recycle-loss site eats it, a freshly allocated one in its place.
+    fn absorb(&mut self, mut batch: Batch) {
+        self.outstanding -= batch.len;
         if let Some(inj) = &mut self.dispatch_injector {
             if inj.should_fail(SITE_NET_RECYCLE_LOSS) {
                 self.fault.recycle_losses += 1;
                 self.fault.frames_lost += batch.frames.len() as u64;
-                self.pool.frames_allocated = self
-                    .pool
-                    .frames_allocated
-                    .saturating_sub(batch.frames.len() as u64);
-                return;
+                batch = Batch::new(self.batch_size);
+                self.pool.batches_allocated += 1;
+                self.pool.frames_allocated += self.batch_size as u64;
             }
         }
-        self.free_frames.append(&mut batch.frames);
-        self.free_batches.push(batch.frames);
+        batch.len = 0;
+        self.free.push(batch);
     }
 
-    /// Pulls every batch the workers have returned back into the pools.
-    fn drain_recycled(&mut self) {
-        for w in 0..self.recycle_rx.len() {
-            while let Ok(batch) = self.recycle_rx[w].try_recv() {
-                self.absorb_recycled(batch);
-            }
-        }
-    }
-
-    /// The batch size the next dispatch should aim for, from the pool's
-    /// occupancy: `outstanding` counts every frame currently downstream of
-    /// `submit` (pending, queued, processing, requeued), which is the
-    /// router-wide backlog. A lightly loaded router gets shallow batches so
-    /// the first packets of a burst don't wait for a full one (latency); a
-    /// backlogged one gets full batches (throughput — shallow batches under
-    /// backlog just multiply channel hand-offs).
+    /// The batch size the next dispatch should aim for, from the backlog
+    /// (`outstanding` frames). A lightly loaded router gets shallow batches
+    /// so the first packets of a burst don't wait for a full one (latency);
+    /// a backlogged one gets full batches (throughput — shallow batches
+    /// under backlog just multiply channel hand-offs).
     fn target_batch_size(&self) -> usize {
-        #[allow(clippy::cast_possible_truncation)]
-        let outstanding =
-            (self.pool.frames_allocated as usize).saturating_sub(self.free_frames.len());
         // Two batches per worker of backlog is already saturation: batches
         // should be full from there on. Below it, scale down linearly.
         let saturated = (2 * self.senders.len() * self.batch_size).max(1);
-        let scaled = self.batch_size * outstanding / saturated;
+        let scaled = self.batch_size * self.outstanding / saturated;
         scaled.clamp((self.batch_size / 8).max(1), self.batch_size)
     }
 
     fn dispatch(&mut self, w: usize) {
         // Retry requeued batches first so per-worker dispatch order holds.
         self.pump_stalled(w, false);
-        if self.pending[w].is_empty() {
+        if self.pending[w].len == 0 {
             return;
         }
-        let replacement = self.take_batch_buf();
-        let frames = std::mem::replace(&mut self.pending[w], replacement);
+        let fresh = self.take_batch();
+        let mut batch = std::mem::replace(&mut self.pending[w], fresh);
         // Root a sampled causal trace here, at the earliest point a batch
         // exists: the 1-in-N draw happens once per batch, and a winning
         // batch carries the packed context across the channel so the
         // worker's parse→route→egress spans join this dispatch span.
-        let mut ctx = 0u64;
+        batch.ctx = 0;
         if self.instrument {
             let _root = sysobs::obs_trace_root!("net.dispatch");
             sysobs::obs_span_hot!("net.dispatch");
-            ctx = sysobs::context::current_packed();
+            batch.ctx = sysobs::context::current_packed();
         }
-        let batch = Batch {
-            frames,
-            submitted: self.instrument.then(Instant::now),
-            ctx,
-        };
+        batch.submitted = self.instrument.then(Instant::now);
         self.offer(w, batch);
         self.target = self.target_batch_size();
     }
 
     /// Hands a batch to worker `w` without blocking: a full queue requeues
-    /// the batch (bounded; overflow falls back to one blocking send so
-    /// dispatcher memory cannot grow without limit).
+    /// the batch. The fixed pool bounds how many batches can wait.
     fn offer(&mut self, w: usize, batch: Batch) {
-        if self.stalled[w].is_empty() {
+        let batch = if self.stalled[w].is_empty() {
             match self.senders[w].try_send(batch) {
-                Ok(()) => {
-                    self.dispatched[w] += 1;
-                    return;
-                }
-                Err(TrySendError::Full(b)) => {
-                    self.stalled[w].push_back(b);
-                    self.pool.stalled_requeues += 1;
-                    sysobs::obs_count!("net.dispatch.requeues", 1);
-                }
+                Ok(()) => return,
+                Err(TrySendError::Full(b)) => b,
                 Err(TrySendError::Disconnected(_)) => {
                     panic!("router worker {w} exited early");
                 }
             }
         } else {
-            self.stalled[w].push_back(batch);
-            self.pool.stalled_requeues += 1;
-            sysobs::obs_count!("net.dispatch.requeues", 1);
-        }
-        if self.stalled[w].len() > STALL_CAP_FACTOR * self.queue_depth {
-            let b = self.stalled[w].pop_front().expect("nonempty requeue");
-            assert!(
-                self.senders[w].send(b).is_ok(),
-                "router worker {w} exited early"
-            );
-            self.dispatched[w] += 1;
-        }
+            batch
+        };
+        self.stalled[w].push_back(batch);
+        self.pool.stalled_requeues += 1;
+        sysobs::obs_count!("net.dispatch.requeues", 1);
     }
 
     /// Re-dispatches worker `w`'s requeued batches in order; when `block`
@@ -945,14 +901,13 @@ impl ShardedRouter {
     fn pump_stalled(&mut self, w: usize, block: bool) {
         while let Some(batch) = self.stalled[w].pop_front() {
             match self.senders[w].try_send(batch) {
-                Ok(()) => self.dispatched[w] += 1,
+                Ok(()) => {}
                 Err(TrySendError::Full(b)) => {
                     if block {
                         assert!(
                             self.senders[w].send(b).is_ok(),
                             "router worker {w} exited early"
                         );
-                        self.dispatched[w] += 1;
                     } else {
                         self.stalled[w].push_front(b);
                         return;
@@ -1032,8 +987,8 @@ pub struct Timing {
     pub elapsed: Duration,
     /// Frames submitted per wall-clock second.
     pub pps: f64,
-    /// Heap allocations per frame over the second half of the stream (pool
-    /// warm by then); `None` without an allocation counter.
+    /// Heap allocations per frame over the second half of the stream
+    /// (caches warm by then); `None` without an allocation counter.
     pub steady_allocs_per_packet: Option<f64>,
 }
 
@@ -1077,8 +1032,8 @@ impl Feed {
 /// [`Timing`], and whatever `feed` returned. `frames` is the stream length
 /// the feed expects to offer: the allocation counter, when supplied, is
 /// read after `frames / 2` of them and again before finish, so it brackets
-/// the second half — the pool and caches are warm by then, and the
-/// steady state's allocations are measured, not asserted.
+/// the second half — the caches are warm by then, and the steady state's
+/// allocations are measured, not asserted.
 ///
 /// # Panics
 ///
@@ -1321,6 +1276,39 @@ mod tests {
             pool.frames_allocated <= 4 * 8 * 32 + 64,
             "frame allocations must be bounded by in-flight capacity: {pool:?}"
         );
+    }
+
+    #[test]
+    fn pool_is_allocated_at_start() {
+        // 4 096 frames through a pool of 2 × (4 + 2) batches of 16 buffers:
+        // the stream is over 20 times the pool, and every buffer it uses
+        // was allocated by `start`.
+        let cfg = RouterConfig {
+            workers: 2,
+            batch_size: 16,
+            queue_depth: 4,
+            ..RouterConfig::default()
+        };
+        let mut router = ShardedRouter::start(table(), 3, cfg);
+        let at_start = router.pool_stats();
+        assert_eq!(at_start.batches_allocated, 12, "{at_start:?}");
+        assert_eq!(at_start.frames_allocated, 12 * 16, "{at_start:?}");
+        for frame in &stream(4096) {
+            router.submit(frame);
+        }
+        let report = router.finish();
+        assert_eq!(report.stats.totals.total_frames(), 4096);
+        assert_eq!(
+            report.pool.frames_allocated, at_start.frames_allocated,
+            "{:?}",
+            report.pool
+        );
+        assert_eq!(
+            report.pool.batches_allocated, at_start.batches_allocated,
+            "{:?}",
+            report.pool
+        );
+        assert_eq!(report.pool.frames_reused, 4096);
     }
 
     #[test]

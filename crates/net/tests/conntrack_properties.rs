@@ -448,7 +448,11 @@ fn recency_digest(mut ct: Conntrack) -> (u64, Conntrack) {
         h = fold(h, &(ct.len() as u64).to_le_bytes());
         h = fold(h, &(ct.half_open_len() as u64).to_le_bytes());
         h = fold(h, &[u8::from(ct.cookie_mode())]);
-        for n in ct.stats().removed {
+        // The digests were pinned when `removed` had a seventh slot, sixth
+        // in order, for a cause nothing ever counted; folding its zero in
+        // place keeps them.
+        let removed = ct.stats().removed;
+        for n in removed[..5].iter().chain(&[0]).chain(&removed[5..]) {
             h = fold(h, &n.to_le_bytes());
         }
         // `insert_nat` creates half-open pairs without the backlog gate (the

@@ -208,26 +208,6 @@ impl Registry {
         }
         snap
     }
-
-    /// Zeroes every registered metric (handles stay valid). For experiment
-    /// harnesses that measure deltas between modes; production code never
-    /// needs it.
-    pub fn reset(&self) {
-        for c in lock(&self.counters).values() {
-            c.value.store(0, Ordering::Relaxed);
-        }
-        for g in lock(&self.gauges).values() {
-            g.value.store(0, Ordering::Relaxed);
-        }
-        for h in lock(&self.hists).values() {
-            for b in &h.buckets {
-                b.store(0, Ordering::Relaxed);
-            }
-            h.count.store(0, Ordering::Relaxed);
-            h.max.store(0, Ordering::Relaxed);
-            h.total.store(0, Ordering::Relaxed);
-        }
-    }
 }
 
 /// The process-wide registry instance.

@@ -5,9 +5,10 @@
 //! storage management) and whose payoff is exactly the 1.5–2x factor the
 //! paper says the PL community dismisses (F1):
 //!
-//! * **frame/batch pooling** — workers hand drained buffers back to the
-//!   dispatcher over per-worker recycle channels, so after warm-up the
-//!   steady state performs (amortized) zero heap allocations per packet.
+//! * **frame/batch pooling** — the dispatcher allocates its whole pool of
+//!   batches at start, each batch keeping its frame buffers for life, and
+//!   workers hand drained batches back over one shared return channel, so
+//!   the steady state performs zero heap allocations per packet.
 //!   `router_bench` *measures* this with a counting global allocator and
 //!   asserts allocs/packet < 0.05; here we report the pool's reuse rate.
 //! * **per-worker flow cache** — a direct-mapped `(src, dst)` → next-hop
@@ -213,10 +214,9 @@ pub fn run(scale: Scale) -> Table {
     ));
     t.note(format!(
         "frame reuse {:.1} % at steady state: the pool is C2's idiomatic \
-         manual storage management — buffers cycle dispatcher → worker → \
-         recycle channel, (amortized) zero allocations per packet after \
-         warm-up (asserted <0.05 allocs/pkt by router_bench's counting \
-         allocator)",
+         manual storage management — batches allocated at start cycle \
+         dispatcher → worker → return channel, zero allocations per packet \
+         (asserted <0.05 allocs/pkt by router_bench's counting allocator)",
         reuse * 100.0
     ));
     t.note(
